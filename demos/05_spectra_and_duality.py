@@ -11,8 +11,8 @@ from harperlab.model import OperatorSample
 c = CouplingTriple(0.1, 0.5, 0.2)
 s = OperatorSample(c, golden(), 0.135)
 
-print("=== Sturm-bisection spectrum of a 512-site window ===")
 spec = truncated_spectrum(s, 512)
+print(f"=== LAPACK ({spec.method}) spectrum of a 512-site window ===")
 e = spec.eigenvalues
 print(f"  {len(e)} eigenvalues in [{e[0]:.4f}, {e[-1]:.4f}], median {e[256]:.4f}")
 

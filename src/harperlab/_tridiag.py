@@ -1,9 +1,10 @@
-"""Symmetric-tridiagonal kernels: Sturm counts, bisection, scaled determinants.
+"""Symmetric-tridiagonal kernels: LAPACK eigenpairs, Sturm counts, scaled determinants.
 
-The Sturm/bisection pair is the workhorse behind truncation spectra; the
-scaled determinant recursions feed the lattice Green's function without ever
-forming a dense inverse.  A numba-compiled count kernel is used when numba
-is importable; the numpy fallback is mathematically identical.
+Eigenvalues and eigenvectors of truncations come from LAPACK through
+``scipy.linalg.eigh_tridiagonal``: the full spectrum from ?STEVD, index picks
+from ?STEBZ (Sturm bisection) and their eigenvectors from ?STEIN.  The Sturm
+count and the scaled determinant recursions feed the lattice Green's function
+without ever forming a dense inverse.
 """
 
 from __future__ import annotations
@@ -13,55 +14,21 @@ import math
 import numpy as np
 
 __all__ = [
-    "gershgorin_bounds",
+    "FULL_DRIVER",
+    "INDEX_DRIVER",
     "sturm_count",
     "bisect_eigenvalues",
+    "eigenpair_blocks",
     "scaled_det_forward",
     "scaled_det_backward",
     "inverse_iteration",
 ]
 
-
-def _sturm_count_numpy(diag, off2, shifts, pivmin):
-    cnt = np.zeros(shifts.shape, dtype=np.int64)
-    d = diag[0] - shifts
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
-    cnt += d < 0
-    for i in range(1, diag.shape[0]):
-        d = (diag[i] - shifts) - off2[i - 1] / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
-        cnt += d < 0
-    return cnt
-
-
-try:  # pragma: no cover - exercised when numba is installed
-    import numba
-
-    @numba.njit(cache=True)
-    def _sturm_count_numba(diag, off2, shifts, pivmin):  # pragma: no cover
-        n = diag.shape[0]
-        m = shifts.shape[0]
-        cnt = np.zeros(m, dtype=np.int64)
-        for j in range(m):
-            x = shifts[j]
-            c = 0
-            d = diag[0] - x
-            if abs(d) < pivmin:
-                d = -pivmin
-            if d < 0:
-                c += 1
-            for i in range(1, n):
-                d = (diag[i] - x) - off2[i - 1] / d
-                if abs(d) < pivmin:
-                    d = -pivmin
-                if d < 0:
-                    c += 1
-            cnt[j] = c
-        return cnt
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
+FULL_DRIVER = "stevd"  # all eigenvalues
+INDEX_DRIVER = "stebz"  # eigenvalues by index; eigenvectors via ?STEIN
+# Eigenvectors are computed this many indices at a time: an n-by-n eigenvector
+# matrix would dominate peak memory at the window sizes the experiments use.
+EIGENPAIR_BLOCK = 32
 
 
 def sturm_count(diag, off2, shifts):
@@ -70,60 +37,69 @@ def sturm_count(diag, off2, shifts):
     diag: length-n diagonal; off2: length-(n-1) squared off-diagonal;
     shifts: scalar or array of evaluation points.
     """
-    diag = np.ascontiguousarray(diag, dtype=np.float64)
-    off2 = np.ascontiguousarray(off2, dtype=np.float64)
+    diag = np.asarray(diag, dtype=np.float64)
+    off2 = np.asarray(off2, dtype=np.float64)
     scalar = np.isscalar(shifts)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=np.float64))
     pivmin = max(float(off2.max(initial=0.0)), 1.0) * 2.0e-300
-    if _HAVE_NUMBA:
-        cnt = _sturm_count_numba(diag, off2, shifts, pivmin)
-    else:
-        cnt = _sturm_count_numpy(diag, off2, shifts, pivmin)
+    cnt = np.zeros(shifts.shape, dtype=np.int64)
+    d = diag[0] - shifts
+    d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    cnt += d < 0
+    for i in range(1, diag.shape[0]):
+        d = (diag[i] - shifts) - off2[i - 1] / d
+        d = np.where(np.abs(d) < pivmin, -pivmin, d)
+        cnt += d < 0
     return int(cnt[0]) if scalar else cnt
 
 
-def gershgorin_bounds(diag, off):
-    """Closed interval containing every eigenvalue."""
-    off = np.abs(np.asarray(off, dtype=np.float64))
-    r = np.zeros(len(diag))
-    if len(off):
-        r[:-1] += off
-        r[1:] += off
-    return float(np.min(diag - r)), float(np.max(diag + r))
+def bisect_eigenvalues(diag, off, indices=None):
+    """Eigenvalues by ascending 0-based index; None means all n.
 
-
-def bisect_eigenvalues(diag, off, indices=None, tol=1e-10):
-    """Eigenvalues (by ascending index) via Sturm-sequence bisection.
-
-    indices: iterable of 0-based eigenvalue indices; None means all n.
-    Absolute tolerance tol on each eigenvalue.
+    The full spectrum comes from ?STEVD; index picks from ?STEBZ over the
+    index range they span.
     """
+    # imported on first use: loading scipy.linalg would triple the package import time
+    from scipy.linalg import eigvalsh_tridiagonal
+
     diag = np.asarray(diag, dtype=np.float64)
     off = np.asarray(off, dtype=np.float64)
     n = len(diag)
     if indices is None:
-        indices = np.arange(n)
-    else:
-        indices = np.asarray(sorted(indices), dtype=np.int64)
-        if len(indices) and (indices[0] < 0 or indices[-1] >= n):
-            raise IndexError("eigenvalue index out of range")
+        return eigvalsh_tridiagonal(diag, off, lapack_driver=FULL_DRIVER)
+    indices = np.asarray(sorted(indices), dtype=np.int64)
     if len(indices) == 0:
         return np.empty(0)
-    off2 = off * off
-    lo, hi = gershgorin_bounds(diag, off)
-    span = max(hi - lo, 1.0)
-    a = np.full(len(indices), lo - 1e-3 * span)
-    b = np.full(len(indices), hi + 1e-3 * span)
-    max_iter = int(math.ceil(math.log2((b[0] - a[0]) / tol))) + 2
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        cnt = sturm_count(diag, off2, mid)
-        above = cnt > indices
-        b = np.where(above, mid, b)
-        a = np.where(above, a, mid)
-        if np.max(b - a) <= tol:
-            break
-    return 0.5 * (a + b)
+    lo, hi = int(indices[0]), int(indices[-1])
+    if lo < 0 or hi >= n:
+        raise IndexError("eigenvalue index out of range")
+    vals = eigvalsh_tridiagonal(
+        diag, off, select="i", select_range=(lo, hi), lapack_driver=INDEX_DRIVER
+    )
+    return vals[indices - lo]
+
+
+def eigenpair_blocks(diag, off, lo=0, hi=None):
+    """Eigenpairs with indices lo..hi-1 (hi=None: n), EIGENPAIR_BLOCK at a time.
+
+    Yields (vals, vecs) per block: ascending eigenvalues and, in the unit
+    columns of vecs, their eigenvectors.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    diag = np.asarray(diag, dtype=np.float64)
+    off = np.asarray(off, dtype=np.float64)
+    hi = len(diag) if hi is None else hi
+    for start in range(lo, hi, EIGENPAIR_BLOCK):
+        stop = min(start + EIGENPAIR_BLOCK, hi)
+        vals, vecs = eigh_tridiagonal(
+            diag,
+            off,
+            select="i",
+            select_range=(start, stop - 1),
+            lapack_driver=INDEX_DRIVER,
+        )
+        yield vals, vecs
 
 
 def _scaled_step(d, o2, m1, e1, m2, e2):
@@ -175,7 +151,8 @@ def inverse_iteration(diag, off, energy, iters=3, rng=None):
     """Unit eigenvector estimate for the eigenvalue nearest ``energy``.
 
     Plain inverse iteration on the real symmetric tridiagonal via banded LU;
-    deterministic when given a seeded rng.
+    deterministic when given a seeded rng.  The library itself takes
+    eigenvectors from eigenpair_blocks.
     """
     from scipy.linalg import solve_banded
 

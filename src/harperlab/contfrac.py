@@ -36,6 +36,7 @@ __all__ = [
     "resolve_frequency",
     "circle_norm",
     "log_of_int",
+    "div_by_big",
 ]
 
 RealLike = Union[float, Fraction, str, int]
@@ -51,13 +52,13 @@ def log_of_int(q: int) -> float:
     return math.log(q)
 
 
-def _div_by_big(numer: float, q: int) -> float:
-    """numer / q for positive big-int q, underflowing gracefully to 0.0."""
+def div_by_big(numer: float, q: int) -> float:
+    """numer / q for positive big-int q, keeping the sign and underflowing to 0.0."""
     if q.bit_length() < 1000:
         return numer / q
-    if numer <= 0.0:
+    if numer == 0.0:
         return 0.0
-    return math.exp(math.log(numer) - log_of_int(q))
+    return math.copysign(math.exp(math.log(abs(numer)) - log_of_int(q)), numer)
 
 
 def circle_norm(x: Fraction) -> Fraction:
@@ -361,9 +362,9 @@ def beta_exponent(
     per_alt: list[tuple[int, float]] = []
     for n in range(1, depth):
         qn = cf.q(n)
-        per.append((n, _div_by_big(log_of_int(cf.q(n + 1)), qn)))
+        per.append((n, div_by_big(log_of_int(cf.q(n + 1)), qn)))
         a = cf.digit(n + 1)
-        per_alt.append((n, _div_by_big(log_of_int(a), qn) if a > 1 else 0.0))
+        per_alt.append((n, div_by_big(log_of_int(a), qn) if a > 1 else 0.0))
     tail = [v for n, v in per if n >= warmup]
     tail_alt = [v for n, v in per_alt if n >= warmup]
     if not tail:

@@ -1,6 +1,6 @@
 """Finite-truncation spectral experiments.
 
-Sturm-bisection spectra, the Aubry duality identity, the arithmetic exponent
+LAPACK truncation spectra, the Aubry duality identity, the arithmetic exponent
 delta(alpha, theta), window-mass (badness) scans, frequency-perturbation
 stability, Green's-function regularity, and eigenfunction decay fits.
 """
@@ -15,9 +15,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._tridiag import bisect_eigenvalues, inverse_iteration, sturm_count
+from ._tridiag import FULL_DRIVER, bisect_eigenvalues, eigenpair_blocks, sturm_count
 from .cocycle import lyapunov_formula, transfer, two_norm
-from .contfrac import ContinuedFraction, beta_exponent, circle_norm, log_of_int
+from .contfrac import ContinuedFraction, beta_exponent, circle_norm, div_by_big, log_of_int
 from .errors import PoorlyLocalized, ResolventSingular, SingularSamplingPoint
 from .model import (
     CouplingTriple,
@@ -56,7 +56,7 @@ class SpectrumApproximation:
     eigenvalues: np.ndarray
     size: int
     phases: list
-    method: str = "sturm-bisection"
+    method: str = FULL_DRIVER  # the LAPACK driver behind the eigenvalues
 
     def to_csv(self) -> str:
         lines = ["index,eigenvalue"]
@@ -76,14 +76,26 @@ class SpectrumApproximation:
         )
 
 
+def _map_phases(sample, size, theta_list, threads, fn):
+    """[fn(diag, absoff)] over the window [0, size-1] re-phased at each theta."""
+
+    def one(theta):
+        s = OperatorSample(sample.coupling, sample.alpha, theta)
+        return fn(*build_truncation(s, 0, size - 1).gauge_symmetric())
+
+    if threads > 1 and len(theta_list) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(one, theta_list))
+    return [one(th) for th in theta_list]
+
+
 def truncated_spectrum(
     sample: OperatorSample,
     size: int,
     phases: Optional[Sequence[float]] = None,
-    tol: float = 1e-10,
     threads: int = 1,
 ) -> SpectrumApproximation:
-    """Eigenvalues of the window [0, size-1] via Sturm-sequence bisection.
+    """Eigenvalues of the window [0, size-1].
 
     With ``phases`` given, the truncation is re-phased at each theta and the
     eigenvalue lists are merged (sorted); otherwise the sample's own phase
@@ -92,18 +104,7 @@ def truncated_spectrum(
     if size < 1:
         raise ValueError("size must be >= 1")
     theta_list = [sample.theta] if phases is None else list(phases)
-
-    def one(theta):
-        s = OperatorSample(sample.coupling, sample.alpha, theta)
-        trunc = build_truncation(s, 0, size - 1)
-        diag, absoff = trunc.gauge_symmetric()
-        return bisect_eigenvalues(diag, absoff, tol=tol)
-
-    if threads > 1 and len(theta_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(one, theta_list))
-    else:
-        parts = [one(th) for th in theta_list]
+    parts = _map_phases(sample, size, theta_list, threads, bisect_eigenvalues)
     eigs = np.sort(np.concatenate(parts))
     return SpectrumApproximation(
         eigenvalues=eigs, size=size, phases=[float(t) for t in theta_list]
@@ -134,41 +135,29 @@ class DualityReport:
 
 
 def _aggregate_bulk_spectrum(
-    sample, size, theta_list, tol, threads, edge_frac, edge_mass_max
+    sample, size, theta_list, threads, edge_frac, edge_mass_max
 ):
     """Phase-aggregated truncation eigenvalues, boundary modes removed.
 
     Zero-boundary windows bind states inside spectral gaps; an eigenvalue
-    whose inverse-iteration vector carries more than edge_mass_max of its
-    mass within the outer edge_frac zones is such a boundary mode and is
-    dropped from the aggregate (counted in the second return value).
+    whose eigenvector carries more than edge_mass_max of its mass within
+    the outer edge_frac zones is such a boundary mode and is dropped from
+    the aggregate (counted in the second return value).
     """
     zone = max(10, int(size * edge_frac))
-    rng = np.random.default_rng(11)
 
-    def one(theta):
-        s = OperatorSample(sample.coupling, sample.alpha, theta)
-        trunc = build_truncation(s, 0, size - 1)
-        diag, absoff = trunc.gauge_symmetric()
-        eigs = bisect_eigenvalues(diag, absoff, tol=tol)
+    def bulk(diag, absoff):
         if edge_mass_max >= 1.0:
-            return list(eigs), 0
-        keep, dropped = [], 0
-        for e in eigs:
-            v = inverse_iteration(diag, absoff, e, rng=rng)
-            m = float(np.sum(v[:zone] ** 2) + np.sum(v[-zone:] ** 2))
-            if m <= edge_mass_max:
-                keep.append(e)
-            else:
-                dropped += 1
-        return keep, dropped
+            return bisect_eigenvalues(diag, absoff), 0
+        keep = []
+        for vals, vecs in eigenpair_blocks(diag, absoff):
+            mass = np.sum(vecs[:zone] ** 2, axis=0) + np.sum(vecs[-zone:] ** 2, axis=0)
+            keep.append(vals[mass <= edge_mass_max])
+        kept = np.concatenate(keep)
+        return kept, size - len(kept)
 
-    if threads > 1 and len(theta_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(one, theta_list))
-    else:
-        parts = [one(th) for th in theta_list]
-    eigs = np.sort(np.concatenate([np.asarray(p[0]) for p in parts]))
+    parts = _map_phases(sample, size, theta_list, threads, bulk)
+    eigs = np.sort(np.concatenate([p[0] for p in parts]))
     return eigs, sum(p[1] for p in parts)
 
 
@@ -179,7 +168,6 @@ def duality_check(
     phases: Union[int, Sequence[float]] = 16,
     theta0: float = 0.0,
     seed: Optional[int] = None,
-    tol: float = 1e-10,
     threads: int = 1,
     edge_frac: float = 0.05,
     edge_mass_max: float = 0.25,
@@ -207,7 +195,6 @@ def duality_check(
         OperatorSample(coupling, alpha, theta0),
         size,
         theta_list,
-        tol,
         threads,
         edge_frac,
         edge_mass_max,
@@ -216,7 +203,6 @@ def duality_check(
         OperatorSample(dual, alpha, theta0),
         size,
         theta_list,
-        tol,
         threads,
         edge_frac,
         edge_mass_max,
@@ -241,14 +227,6 @@ def _log_fraction(fr: Fraction) -> float:
     if fr == 0:
         return float("-inf")
     return log_of_int(fr.numerator) - log_of_int(fr.denominator)
-
-
-def _div_log_by_q(val: float, q: int) -> float:
-    if q.bit_length() < 1000:
-        return val / q
-    if val == 0.0:
-        return 0.0
-    return math.copysign(math.exp(math.log(abs(val)) - log_of_int(q)), val)
 
 
 def delta_exponent(
@@ -294,7 +272,7 @@ def delta_exponent(
         for off in offsets:
             arg = qn * (theta_frac - off + alpha_proxy / 2)
             total += _log_fraction(circle_norm(arg))
-        per_level.append((n, _div_log_by_q(total, qn)))
+        per_level.append((n, div_by_big(total, qn)))
     tail = [v for n, v in per_level if n >= warmup]
     return max(tail), per_level
 
@@ -410,7 +388,6 @@ def badness_scan(
     trunc_size: Optional[int] = None,
     energies: Optional[Sequence[float]] = None,
     refine: bool = False,
-    tol: float = 1e-10,
 ) -> BadnessReport:
     """Scan energies and normalized initial data for window mass below C^2.
 
@@ -428,7 +405,7 @@ def badness_scan(
     if size < 4 * N:
         raise ValueError("trunc_size must be at least 4N")
     if energies is None:
-        spec = truncated_spectrum(sample, size, tol=tol)
+        spec = truncated_spectrum(sample, size)
         idx = np.unique(np.round(np.linspace(0, size - 1, E_count)).astype(int))
         e_grid = [float(spec.eigenvalues[i]) for i in idx]
     else:
@@ -479,20 +456,16 @@ class PerturbationReport:
     trunc_size: int
 
 
-def _eig_by_index(sample, size, index, tol=1e-10):
-    trunc = build_truncation(sample, 0, size - 1)
-    diag, absoff = trunc.gauge_symmetric()
-    return float(bisect_eigenvalues(diag, absoff, indices=[index], tol=tol)[0]), (
-        diag,
-        absoff,
-    )
+def _eig_by_index(sample, size, index):
+    diag, absoff = build_truncation(sample, 0, size - 1).gauge_symmetric()
+    return float(bisect_eigenvalues(diag, absoff, indices=[index])[0])
 
 
-def _nearest_eig(diag, absoff, target, tol=1e-10):
+def _nearest_eig(diag, absoff, target):
     n = len(diag)
     j = int(sturm_count(diag, absoff * absoff, target))
     cands = [i for i in (j - 1, j) if 0 <= i < n]
-    vals = bisect_eigenvalues(diag, absoff, indices=cands, tol=tol)
+    vals = bisect_eigenvalues(diag, absoff, indices=cands)
     return float(vals[int(np.argmin(np.abs(vals - target)))])
 
 
@@ -533,7 +506,6 @@ def perturbation_experiment(
     trunc_size: Optional[int] = None,
     eig_index: Union[int, str] = "median",
     init_angle: float = 0.0,
-    tol: float = 1e-10,
 ) -> PerturbationReport:
     """Compare transfer matrices and solutions at two nearby frequencies.
 
@@ -548,10 +520,10 @@ def perturbation_experiment(
     sample_p = OperatorSample(coupling, alpha_prime, theta)
     eps = abs(float(sample.alpha_fraction() - sample_p.alpha_fraction()))
     index = size // 2 if eig_index == "median" else int(eig_index)
-    e_prime, _ = _eig_by_index(sample_p, size, index, tol)
+    e_prime = _eig_by_index(sample_p, size, index)
     trunc = build_truncation(sample, 0, size - 1)
     diag, absoff = trunc.gauge_symmetric()
-    energy = _nearest_eig(diag, absoff, e_prime, tol)
+    energy = _nearest_eig(diag, absoff, e_prime)
 
     dev_m = 0.0
     a_f = sample.alpha_fraction(n_sites=N + 1)
@@ -651,13 +623,12 @@ def decay_fit(
     which_eigenvector: Union[int, str] = "auto",
     floor_rel: float = 1e-12,
     r2_min: float = 0.9,
-    tol: float = 1e-10,
 ) -> DecayFit:
     """Fit the exponential decay rate of a localized eigenvector.
 
     The truncation window is centered at the origin.  With "auto", the
-    eigenvalue whose inverse-iteration vector carries maximal mass in the
-    middle third is fitted.  The fit regresses
+    eigenvalue whose eigenvector carries maximal mass in the middle third
+    is fitted (the first such on ties).  The fit regresses
     (1/2) ln(phi(n)^2 + phi(n+1)^2) on -|n - peak|, excluding the outer 10%
     of the window and everything below the relative noise floor; r^2 below
     r2_min raises PoorlyLocalized.
@@ -667,21 +638,18 @@ def decay_fit(
     x1 = -(size // 2)
     trunc = build_truncation(sample, x1, x1 + size - 1)
     diag, absoff = trunc.gauge_symmetric()
-    eigs = bisect_eigenvalues(diag, absoff, tol=tol)
-    rng = np.random.default_rng(7)
     third = size // 3
     if which_eigenvector == "auto":
-        best_idx, best_mass, best_vec = -1, -1.0, None
-        for i in range(size):
-            v = inverse_iteration(diag, absoff, eigs[i], rng=rng)
-            mass = float(np.sum(v[third : 2 * third] ** 2))
-            if mass > best_mass:
-                best_idx, best_mass, best_vec = i, mass, v
-        index, vec = best_idx, best_vec
+        best_mass = -1.0
+        for vals, vecs in eigenpair_blocks(diag, absoff):
+            mass = np.sum(vecs[third : 2 * third] ** 2, axis=0)
+            j = int(np.argmax(mass))
+            if mass[j] > best_mass:
+                best_mass, energy, vec = mass[j], float(vals[j]), vecs[:, j]
     else:
-        index = int(which_eigenvector)
-        vec = inverse_iteration(diag, absoff, eigs[index], rng=rng)
-    energy = float(eigs[index])
+        index = range(size)[int(which_eigenvector)]  # IndexError when out of range
+        vals, vecs = next(eigenpair_blocks(diag, absoff, index, index + 1))
+        energy, vec = float(vals[0]), vecs[:, 0]
     phi = np.abs(vec)
     peak = int(np.argmax(phi))
     pair = phi[:-1] ** 2 + phi[1:] ** 2

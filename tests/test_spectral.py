@@ -99,6 +99,45 @@ def test_duality_ehm_distance_small():
     assert rep.boundary_filtered[0] > 0  # localized side sheds gap modes
 
 
+def _dense_bulk(coupling, size, thetas, edge_frac=0.05, edge_mass_max=0.25):
+    """Dense-eigh oracle of duality_check's per-side aggregate: (kept, dropped, all)."""
+    zone = max(10, int(size * edge_frac))
+    kept, dropped, every = [], 0, []
+    for th in thetas:
+        tr = build_truncation(OperatorSample(coupling, golden(), th), 0, size - 1)
+        w, v = np.linalg.eigh(tr.dense())
+        mass = np.sum(np.abs(v[:zone]) ** 2, axis=0) + np.sum(np.abs(v[-zone:]) ** 2, axis=0)
+        # a mode within 1e-6 of the cut would make the oracle count fragile
+        assert np.min(np.abs(mass - edge_mass_max)) > 1e-6
+        kept.append(w[mass <= edge_mass_max])
+        dropped += int(np.count_nonzero(mass > edge_mass_max))
+        every.append(w)
+    return np.sort(np.concatenate(kept)), dropped, np.sort(np.concatenate(every))
+
+
+def test_duality_boundary_filter_matches_dense_oracle():
+    c = CouplingTriple(0.1, 0.5, 0.2)
+    thetas = [0.1, 0.45, 0.8]
+    d, rep = duality_check(c, golden(), 48, thetas)
+    ea, da, ra = _dense_bulk(c, 48, thetas)
+    eb, db, rb = _dense_bulk(CouplingTriple(*rep.dual_coupling), 48, thetas)
+    assert rep.boundary_filtered == (da, db)
+    assert da > 0
+    assert d == pytest.approx(hausdorff_sorted(ea, c.lambda2 * eb), abs=1e-9)
+    d_raw, rep_raw = duality_check(c, golden(), 48, thetas, edge_mass_max=1.0)
+    assert rep_raw.boundary_filtered == (0, 0)
+    assert d_raw == pytest.approx(hausdorff_sorted(ra, c.lambda2 * rb), abs=1e-9)
+
+
+def test_duality_threads_bytewise_with_filtering():
+    c = CouplingTriple(0.1, 0.5, 0.2)
+    d1, rep1 = duality_check(c, golden(), 160, 4, theta0=0.3, threads=1)
+    d2, rep2 = duality_check(c, golden(), 160, 4, theta0=0.3, threads=2)
+    assert rep1.boundary_filtered[0] > 0
+    assert np.float64(d1).tobytes() == np.float64(d2).tobytes()
+    assert rep1 == rep2
+
+
 def test_duality_distance_improves_with_size():
     thetas = list((np.arange(12) + 0.5) / 12)
     d_small, _ = duality_check(CouplingTriple(0.1, 0.5, 0.2), golden(), 128, thetas)
@@ -289,6 +328,28 @@ def test_decay_fit_ehm():
     target = lyapunov_formula(CouplingTriple(0.1, 0.5, 0.2))
     assert abs(-fit.slope - target) <= 0.1 * target
     assert fit.r2 >= 0.95
+
+
+def test_decay_fit_auto_pick_matches_dense_oracle():
+    # weakly localized, so no two middle-third masses tie at rounding level
+    s = sample((0, 0.9, 0))
+    size = 400
+    x1 = -(size // 2)
+    w, v = np.linalg.eigh(build_truncation(s, x1, x1 + size - 1).dense())
+    third = size // 3
+    mass = np.sum(np.abs(v[third : 2 * third]) ** 2, axis=0)
+    best = int(np.argmax(mass))
+    assert np.sort(mass)[-2] < mass[best] - 1e-10  # the pick is unambiguous
+    fit = decay_fit(s, size)
+    assert fit.eigenvalue == pytest.approx(w[best], abs=1e-9)
+    picked = decay_fit(s, size, which_eigenvector=best)
+    assert picked.eigenvalue == pytest.approx(fit.eigenvalue, abs=1e-12)
+    assert picked.slope == pytest.approx(fit.slope, abs=1e-9)
+
+
+def test_decay_fit_index_out_of_range():
+    with pytest.raises(IndexError):
+        decay_fit(sample(), 400, which_eigenvector=400)
 
 
 def test_decay_fit_region_II_poorly_localized():
