@@ -8,6 +8,7 @@ small-divisor cohomological solver, and the commutant divisor scan.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,8 +61,11 @@ __all__ = [
     "fourier_from_json",
 ]
 
-RENORM_THRESHOLD = math.exp(30.0)
+# transfer-matrix cells (sites x lanes) a product-sweep chunk builds at once
+SWEEP_CELLS = 2**15
 DEFAULT_ZERO_GUARD = 1e-7
+# orbit sites the rotation-number angle walk unpacks at once
+WALK_BLOCK = 4096
 
 
 def two_norm(m: np.ndarray) -> float:
@@ -116,29 +120,60 @@ def _zero_distances(coupling: CouplingTriple, alpha_f: float, x: np.ndarray):
     return _dist_to_positions(zs.positions(alpha_f), x)
 
 
-def _raw_batch(coupling, alpha_f, energy, x, c_prev):
-    """Raw transfer matrices at phases x; c_prev = c at x - alpha."""
-    cx = np.asarray(c_function(coupling, alpha_f, x), dtype=np.complex128).reshape(-1)
-    g = x.shape[0]
-    m = np.zeros((g, 2, 2), dtype=np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m[:, 0, 0] = (energy - 2.0 * np.cos(2.0 * np.pi * x)) / cx
-        m[:, 0, 1] = -np.conj(c_prev) / cx
-    m[:, 1, 0] = 1.0
-    return m, cx
+def _sampling(coupling, alpha_f, x, kind):
+    """c (raw) or |c| (normalized) at phases x: the entries a site hands on."""
+    if kind == "raw":
+        return np.asarray(c_function(coupling, alpha_f, x), dtype=np.complex128)
+    if kind == "normalized":
+        return np.asarray(abs_c_function(coupling, alpha_f, x), dtype=np.float64)
+    raise ValueError(f"unknown cocycle kind {kind!r}")
 
 
-def _normalized_batch(coupling, alpha_f, energy, x, absc_prev):
-    """Normalized transfer matrices at phases x; absc_prev = |c| at x - alpha."""
-    ax = np.asarray(abs_c_function(coupling, alpha_f, x), dtype=np.float64).reshape(-1)
-    g = x.shape[0]
-    s = np.sqrt(ax * absc_prev)
-    m = np.zeros((g, 2, 2), dtype=np.float64)
+def _transfer_entries(energy, x, cur, prev, kind):
+    """Transfer matrices at phases x of any shape, as a (2, 2, *x.shape) array.
+
+    cur and prev are _sampling at x and at x - alpha.
+    """
+    m = np.zeros((2, 2) + x.shape, dtype=cur.dtype)
+    diag = energy - 2.0 * np.cos(2.0 * np.pi * x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m[:, 0, 0] = (energy - 2.0 * np.cos(2.0 * np.pi * x)) / s
-        m[:, 0, 1] = -absc_prev / s
-        m[:, 1, 0] = ax / s
-    return m, ax
+        if kind == "raw":
+            m[0, 0] = diag / cur
+            m[0, 1] = -np.conj(prev) / cur
+            m[1, 0] = 1.0
+        else:
+            s = np.sqrt(cur * prev)
+            m[0, 0] = diag / s
+            m[0, 1] = -prev / s
+            m[1, 0] = cur / s
+    return m
+
+
+def _transfer_batch(sample, energy, thetas, kind="raw", zero_guard=DEFAULT_ZERO_GUARD):
+    """Transfer matrices at the phases thetas, as a (2, 2, len(thetas)) array.
+
+    Raises SingularSamplingPoint at the first phase within zero_guard of a
+    zero of c (or, for kind="normalized", whose predecessor is), naming
+    the closer of the two.
+    """
+    alpha_f = sample.alpha_float
+    x = np.asarray(thetas, dtype=np.float64)
+    x = x - np.floor(x)
+    xm = x - alpha_f
+    xm = xm - np.floor(xm)
+    pts = np.stack([x, xm])
+    dist = _zero_distances(sample.coupling, alpha_f, pts)
+    if dist is not None:
+        if kind != "normalized":
+            dist = dist[:1]
+        bad = np.min(dist, axis=0) < zero_guard
+        if bad.any():
+            i = int(np.argmax(bad))
+            row = int(np.argmin(dist[:, i]))
+            raise SingularSamplingPoint(float(pts[row, i]), float(dist[row, i]))
+    cur = _sampling(sample.coupling, alpha_f, x, kind)
+    prev = _sampling(sample.coupling, alpha_f, xm, kind)
+    return _transfer_entries(energy, x, cur, prev, kind)
 
 
 def transfer(
@@ -153,29 +188,7 @@ def transfer(
     kind="raw" gives the complex matrix (1/c) [[E-2cos, -c~(.-a)], [c, 0]];
     kind="normalized" its real unit-determinant cousin built from |c|.
     """
-    alpha_f = sample.alpha_float
-    x = np.array([wrap01(float(theta))])
-    xm = np.array([wrap01(float(theta) - alpha_f)])
-    dist = _zero_distances(sample.coupling, alpha_f, np.concatenate([x, xm]))
-    if dist is not None:
-        check = dist if kind == "normalized" else dist[:1]
-        worst = int(np.argmin(check))
-        if check[worst] < zero_guard:
-            bad = (x[0], xm[0])[worst] if kind == "normalized" else x[0]
-            raise SingularSamplingPoint(bad, float(check[worst]))
-    if kind == "raw":
-        cm1 = np.asarray(
-            c_function(sample.coupling, alpha_f, xm), dtype=np.complex128
-        ).reshape(-1)
-        m, _ = _raw_batch(sample.coupling, alpha_f, energy, x, cm1)
-    elif kind == "normalized":
-        am1 = np.asarray(
-            abs_c_function(sample.coupling, alpha_f, xm), dtype=np.float64
-        ).reshape(-1)
-        m, _ = _normalized_batch(sample.coupling, alpha_f, energy, x, am1)
-    else:
-        raise ValueError(f"unknown cocycle kind {kind!r}")
-    return m[0]
+    return _transfer_batch(sample, energy, [float(theta)], kind, zero_guard)[:, :, 0].copy()
 
 
 @dataclass(frozen=True)
@@ -197,6 +210,50 @@ class TransferCocycle:
         return Cocycle(self.alpha, self.matrix)
 
 
+def _mul(a, b):
+    """a @ b for stacks of 2x2 matrices laid out as (2, 2, ...) arrays."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
+def _normalize(m):
+    """Scale each (2, 2, ...) matrix to unit Frobenius norm; returns its log."""
+    f2 = np.sum(m.real**2, axis=(0, 1))
+    if np.iscomplexobj(m):
+        f2 += np.sum(m.imag**2, axis=(0, 1))
+    m /= np.sqrt(f2)
+    return 0.5 * np.log(f2)
+
+
+def _reduce_sites(m):
+    """Product A_{K-1}...A_0 of a (2, 2, K, g) chunk by pairwise levels.
+
+    Returns the (2, 2, g) product, each level scaled to unit norm, and the
+    accumulated log-scale.
+    """
+    logs = np.zeros(m.shape[3])
+    while m.shape[2] > 1:
+        half = m.shape[2] // 2
+        p = _mul(m[:, :, 1 : 2 * half : 2], m[:, :, 0 : 2 * half : 2])
+        if m.shape[2] % 2:
+            p[:, :, -1] = _mul(m[:, :, -1], p[:, :, -1])
+        logs += np.sum(_normalize(p), axis=0)
+        m = p
+    return m[:, :, 0], logs
+
+
+def _guard(zero_pos, x, zero_guard, on_singular):
+    """Cells of x within zero_guard of a zero of c; raise mode names the first.
+
+    x is (sites, lanes); "first" is the earliest site, then the lowest lane.
+    """
+    d = _dist_to_positions(zero_pos, x)
+    bad = d < zero_guard
+    if on_singular == "raise" and bad.any():
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise SingularSamplingPoint(float(x[i]), float(d[i]))
+    return bad
+
+
 def _product_sweep(
     sample: OperatorSample,
     energy: float,
@@ -206,62 +263,47 @@ def _product_sweep(
     zero_guard: float,
     on_singular: str = "exclude",
 ):
-    """Renormalized products A(th+(n-1)a)...A(th) over a batch of phases.
+    """Products A(th+(n-1)a)...A(th) over a batch of phases, at unit norm.
 
-    Returns (matrices, lognorms, alive): exact product = matrix * e^lognorm
-    per lane; lanes that hit the zero guard are flagged dead (or raise,
-    with on_singular="raise").
+    The sites run in chunks of K sites x g lanes (K g <= SWEEP_CELLS): one
+    pass builds the chunk's matrices, pairwise products with unit-norm
+    levels reduce it, and its product folds into the running one.  Returns
+    (matrices, lognorms, alive): exact product = matrix * e^lognorm per
+    lane.  A lane whose orbit enters the zero guard is dead and counts as
+    the identity from that site on; with on_singular="raise" the first
+    such site (lowest lane) raises SingularSamplingPoint instead.
     """
     coupling = sample.coupling
     g = len(thetas)
     alpha_frac = sample.alpha_fraction(n_sites=max(n, 1))
     alpha_f = float(alpha_frac)
-    complex_kind = kind == "raw"
-    eye = np.eye(2, dtype=np.complex128 if complex_kind else np.float64)
-    mats = np.tile(eye, (g, 1, 1))
+    eye = np.eye(2, dtype=np.complex128 if kind == "raw" else np.float64)
+    mats = np.repeat(eye[:, :, None], g, axis=2)
     lognorm = np.zeros(g)
     alive = np.ones(g, dtype=bool)
-    if n == 0:
-        return mats, lognorm, alive
-    zero_pos = zero_structure(coupling).positions(alpha_f)
-    ka = orbit_phases(0.0, alpha_frac, 0, n)
-    xm = (thetas - alpha_f) % 1.0
-    if complex_kind:
-        prev = np.asarray(c_function(coupling, alpha_f, xm), dtype=np.complex128).reshape(-1)
-    else:
-        prev = np.asarray(abs_c_function(coupling, alpha_f, xm), dtype=np.float64).reshape(-1)
-        if zero_pos:
-            d0 = _dist_to_positions(zero_pos, xm)
-            bad = d0 < zero_guard
-            if bad.any():
-                if on_singular == "raise":
-                    i = int(np.argmax(bad))
-                    raise SingularSamplingPoint(float(xm[i]), float(d0[i]))
-                alive &= ~bad
-    for k in range(n):
-        x = (thetas + ka[k]) % 1.0
-        if zero_pos:
-            d = _dist_to_positions(zero_pos, x)
-            bad = (d < zero_guard) & alive
-            if bad.any():
-                if on_singular == "raise":
-                    i = int(np.argmax(bad))
-                    raise SingularSamplingPoint(float(x[i]), float(d[i]))
-                alive &= ~bad
-        if complex_kind:
-            a, cur = _raw_batch(coupling, alpha_f, energy, x, prev)
-        else:
-            a, cur = _normalized_batch(coupling, alpha_f, energy, x, prev)
-        if not alive.all():
-            a[~alive] = eye
-        mats = a @ mats
-        prev = cur
-        norms = _two_norm_batch(mats)
-        big = norms > RENORM_THRESHOLD
-        if big.any():
-            mats[big] /= norms[big, None, None]
-            lognorm[big] += np.log(norms[big])
-    return mats, lognorm, alive
+    if n > 0:
+        zero_pos = zero_structure(coupling).positions(alpha_f)
+        ka = orbit_phases(0.0, alpha_frac, 0, n)
+        xm = (thetas - alpha_f) % 1.0
+        prev = _sampling(coupling, alpha_f, xm, kind)
+        if zero_pos and kind == "normalized":
+            alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
+        chunk = max(1, SWEEP_CELLS // g)
+        for k0 in range(0, n, chunk):
+            x = (thetas[None, :] + ka[k0 : k0 + chunk, None]) % 1.0
+            cur = _sampling(coupling, alpha_f, x, kind)
+            a = _transfer_entries(energy, x, cur, np.concatenate([prev[None], cur[:-1]]), kind)
+            prev = cur[-1]
+            if zero_pos:
+                dead = _guard(zero_pos, x, zero_guard, on_singular)
+                dead[0] |= ~alive
+                np.logical_or.accumulate(dead, axis=0, out=dead)
+                a[:, :, dead] = eye[:, :, None]
+                alive = ~dead[-1]
+            p, logs = _reduce_sites(a)
+            mats = _mul(p, mats)
+            lognorm += logs + _normalize(mats)
+    return np.moveaxis(mats, 2, 0).copy(), lognorm, alive
 
 
 def n_step(
@@ -370,6 +412,50 @@ class RotationEstimate:
     nonergodic_flag: bool = False
 
 
+def _angle_walk(m00, m01, m10, m11, y0, branch_tol):
+    """Projective angle walk y -> arg(A_k (cos 2 pi y, sin 2 pi y)) / 2 pi.
+
+    The entries are arrays over the orbit sites; m11=None stands for an
+    identically zero entry (it is left out of the sum, so that the sign of
+    a zero second component, which decides atan2 on the cut, is that of
+    m10 cos).  The lift increment at each step is the principal branch
+    |phi| < 1/2; landing within branch_tol of the cut raises
+    BranchAmbiguity.
+    """
+    n_steps = len(m00)
+    y = float(y0)
+    incs = np.empty(n_steps)
+    twopi = 2.0 * math.pi
+    for k0 in range(0, n_steps, WALK_BLOCK):
+        # Python floats walk faster than numpy scalars; a block at a time
+        # keeps the float objects few
+        part = slice(k0, k0 + WALK_BLOCK)
+        rows = zip(
+            m00[part].tolist(),
+            m01[part].tolist(),
+            m10[part].tolist(),
+            itertools.repeat(None) if m11 is None else m11[part].tolist(),
+        )
+        for k, (a00, a01, a10, a11) in enumerate(rows, k0):
+            cy, sy = math.cos(twopi * y), math.sin(twopi * y)
+            w1 = a00 * cy + a01 * sy
+            w2 = a10 * cy if a11 is None else a10 * cy + a11 * sy
+            ynew = math.atan2(w2, w1) / twopi
+            phi = ynew - y
+            phi -= math.floor(phi + 0.5)  # principal branch in [-1/2, 1/2)
+            if abs(abs(phi) - 0.5) < branch_tol:
+                raise BranchAmbiguity(
+                    f"lift increment {phi:.12f} at step {k} sits on the branch cut"
+                )
+            incs[k] = phi
+            y = wrap01(y + phi)
+    value = wrap01(float(np.mean(incs)))
+    stderr = float(np.std(incs, ddof=1) / math.sqrt(n_steps))
+    half = float(np.mean(incs[: n_steps // 2]))
+    flag = abs(half - float(np.mean(incs))) > 5.0 * max(stderr, 1e-15)
+    return RotationEstimate(value, stderr, n_steps, float(y0), flag)
+
+
 def rotation_number_map(
     matrix_map: Callable[[float], np.ndarray],
     alpha: Union[float, Fraction, ContinuedFraction],
@@ -388,28 +474,8 @@ def rotation_number_map(
     else:
         alpha_frac = Fraction(alpha)
     xs = orbit_phases(theta0, alpha_frac, 0, n_steps)
-    y = float(y0)
-    incs = np.empty(n_steps)
-    twopi = 2.0 * math.pi
-    for k in range(n_steps):
-        m = matrix_map(xs[k])
-        cy, sy = math.cos(twopi * y), math.sin(twopi * y)
-        w1 = m[0, 0] * cy + m[0, 1] * sy
-        w2 = m[1, 0] * cy + m[1, 1] * sy
-        ynew = math.atan2(w2, w1) / twopi
-        phi = ynew - y
-        phi -= math.floor(phi + 0.5)  # principal branch in [-1/2, 1/2)
-        if abs(abs(phi) - 0.5) < branch_tol:
-            raise BranchAmbiguity(
-                f"lift increment {phi:.12f} at step {k} sits on the branch cut"
-            )
-        incs[k] = phi
-        y = wrap01(y + phi)
-    value = wrap01(float(np.mean(incs)))
-    stderr = float(np.std(incs, ddof=1) / math.sqrt(n_steps))
-    half = float(np.mean(incs[: n_steps // 2]))
-    flag = abs(half - float(np.mean(incs))) > 5.0 * max(stderr, 1e-15)
-    return RotationEstimate(value, stderr, n_steps, float(y0), flag)
+    m = np.array([matrix_map(x) for x in xs])
+    return _angle_walk(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], y0, branch_tol)
 
 
 def rotation_number(
@@ -439,31 +505,8 @@ def rotation_number(
         i = int(np.argmin(d))
         if d[i] < zero_guard or a_first == 0.0:
             raise SingularSamplingPoint(float(xs[i]), float(d[i]))
-    s = np.sqrt(ax * axm)
-    m00 = (energy - 2.0 * np.cos(2.0 * np.pi * xs)) / s
-    m01 = -axm / s
-    m10 = ax / s
-    y = float(y0)
-    incs = np.empty(n_steps)
-    twopi = 2.0 * math.pi
-    for k in range(n_steps):
-        cy, sy = math.cos(twopi * y), math.sin(twopi * y)
-        w1 = m00[k] * cy + m01[k] * sy
-        w2 = m10[k] * cy
-        ynew = math.atan2(w2, w1) / twopi
-        phi = ynew - y
-        phi -= math.floor(phi + 0.5)
-        if abs(abs(phi) - 0.5) < branch_tol:
-            raise BranchAmbiguity(
-                f"lift increment {phi:.12f} at step {k} sits on the branch cut"
-            )
-        incs[k] = phi
-        y = wrap01(y + phi)
-    value = wrap01(float(np.mean(incs)))
-    stderr = float(np.std(incs, ddof=1) / math.sqrt(n_steps))
-    half = float(np.mean(incs[: n_steps // 2]))
-    flag = abs(half - float(np.mean(incs))) > 5.0 * max(stderr, 1e-15)
-    return RotationEstimate(value, stderr, n_steps, float(y0), flag)
+    m = _transfer_entries(energy, xs, ax, axm, "normalized")
+    return _angle_walk(m[0, 0], m[0, 1], m[1, 0], None, y0, branch_tol)
 
 
 def _polar_angles(matrix_map, thetas):

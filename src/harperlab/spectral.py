@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._tridiag import FULL_DRIVER, bisect_eigenvalues, eigenpair_blocks, sturm_count
-from .cocycle import lyapunov_formula, transfer, two_norm
+from .cocycle import _transfer_batch, _two_norm_batch, lyapunov_formula
 from .contfrac import ContinuedFraction, beta_exponent, circle_norm, div_by_big, log_of_int
 from .errors import PoorlyLocalized, ResolventSingular, SingularSamplingPoint
 from .model import (
@@ -525,15 +525,11 @@ def perturbation_experiment(
     diag, absoff = trunc.gauge_symmetric()
     energy = _nearest_eig(diag, absoff, e_prime)
 
-    dev_m = 0.0
     a_f = sample.alpha_fraction(n_sites=N + 1)
     ap_f = sample_p.alpha_fraction(n_sites=N + 1)
-    xs = orbit_phases(theta, a_f, -N, 2 * N + 1)
-    xps = orbit_phases(theta, ap_f, -N, 2 * N + 1)
-    for i in range(2 * N + 1):
-        m1 = transfer(sample, energy, xs[i], "raw")
-        m2 = transfer(sample_p, e_prime, xps[i], "raw")
-        dev_m = max(dev_m, two_norm(m1 - m2))
+    m1 = _transfer_batch(sample, energy, orbit_phases(theta, a_f, -N, 2 * N + 1))
+    m2 = _transfer_batch(sample_p, e_prime, orbit_phases(theta, ap_f, -N, 2 * N + 1))
+    dev_m = float(np.max(_two_norm_batch(np.moveaxis(m1 - m2, 2, 0))))
 
     init = (math.cos(2 * math.pi * init_angle), math.sin(2 * math.pi * init_angle))
     u = _two_sided_vectors(coupling, a_f, theta, energy, N, init)

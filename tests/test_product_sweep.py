@@ -1,0 +1,201 @@
+"""Property tests for the chunked transfer-product sweep against a sequential walk."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harperlab.cocycle import SWEEP_CELLS, _product_sweep, lyapunov_numeric, n_step
+from harperlab.contfrac import golden
+from harperlab.errors import SingularSamplingPoint, TooManyExclusions
+from harperlab.model import (
+    CouplingTriple,
+    OperatorSample,
+    abs_c_function,
+    c_function,
+    orbit_phases,
+    zero_structure,
+)
+
+# deterministic examples, so the suite gives the same verdict on every run
+examples = settings(deadline=None, derandomize=True, max_examples=20)
+
+KINDS = st.sampled_from(["raw", "normalized"])
+# c has zeros on the circle: a single one, and a conjugate pair
+ZERO_COUPLINGS = st.sampled_from([(0.25, 0.5, 0.25), (0.3, 0.4, 0.3), (0.2, 0.7, 0.5)])
+
+
+def zero_distance(coupling, alpha_f, x):
+    pos = zero_structure(coupling).positions(alpha_f)
+    d = np.full(np.shape(x), np.inf)
+    for z in pos:
+        d = np.minimum(d, np.abs((x - z + 0.5) % 1.0 - 0.5))
+    return d
+
+
+def sequential(sample, energy, thetas, n, kind, zero_guard):
+    """One site at a time: build A_k for every lane, np.matmul, renormalize.
+
+    Returns (growth = log of the exact product's 2-norm, unit-norm product,
+    alive); a lane is the identity from its first guarded site on.
+    """
+    coupling = sample.coupling
+    alpha = sample.alpha_fraction(n_sites=n)
+    af = float(alpha)
+    ka = orbit_phases(0.0, alpha, 0, n)
+    g = len(thetas)
+    dtype = np.complex128 if kind == "raw" else np.float64
+    mats = np.tile(np.eye(2, dtype=dtype), (g, 1, 1))
+    logs = np.zeros(g)
+    xm = (thetas - af) % 1.0
+    dead = np.zeros(g, dtype=bool)
+    if kind == "normalized":
+        dead |= zero_distance(coupling, af, xm) < zero_guard
+    for k in range(n):
+        x = (thetas + ka[k]) % 1.0
+        dead |= zero_distance(coupling, af, x) < zero_guard
+        a = np.zeros((g, 2, 2), dtype=dtype)
+        diag = energy - 2.0 * np.cos(2.0 * np.pi * x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if kind == "raw":
+                c, cm = c_function(coupling, af, x), c_function(coupling, af, xm)
+                a[:, 0, 0], a[:, 0, 1], a[:, 1, 0] = diag / c, -np.conj(cm) / c, 1.0
+            else:
+                c, cm = abs_c_function(coupling, af, x), abs_c_function(coupling, af, xm)
+                s = np.sqrt(c * cm)
+                a[:, 0, 0], a[:, 0, 1], a[:, 1, 0] = diag / s, -cm / s, c / s
+        a[dead] = np.eye(2)
+        mats = np.matmul(a, mats)
+        nrm = np.linalg.norm(mats, axis=(1, 2))
+        mats /= nrm[:, None, None]
+        logs += np.log(nrm)
+        xm = x
+    growth = logs + np.log(np.linalg.norm(mats, 2, axis=(1, 2)))
+    return growth, mats, ~dead
+
+
+def assert_products_match(sample, energy, thetas, n, kind, zero_guard):
+    mats, lognorm, alive = _product_sweep(sample, energy, thetas, n, kind, zero_guard)
+    growth, ref_mats, ref_alive = sequential(sample, energy, thetas, n, kind, zero_guard)
+    assert np.array_equal(alive, ref_alive)
+    got = lognorm + np.log(np.linalg.norm(mats, 2, axis=(1, 2)))
+    assert np.max(np.abs(got - growth) / np.maximum(1.0, np.abs(growth))) <= 1e-9
+    unit = mats / np.linalg.norm(mats, 2, axis=(1, 2))[:, None, None]
+    ref_unit = ref_mats / np.linalg.norm(ref_mats, 2, axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(unit - ref_unit)) <= 1e-7
+    return alive, growth
+
+
+lanes_and_sites = st.integers(40, 64).flatmap(
+    lambda g: st.tuples(
+        st.just(g),
+        # two to three whole chunks plus a partial one
+        st.integers(2, 3).flatmap(
+            lambda j: st.integers(1, SWEEP_CELLS // g - 1).map(
+                lambda r: j * (SWEEP_CELLS // g) + r
+            )
+        ),
+    )
+)
+
+
+@examples
+@given(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 1.5), st.floats(0.0, 1.0)),
+    st.floats(-4.0, 4.0),
+    lanes_and_sites,
+    st.floats(0.0, 1.0),
+    KINDS,
+)
+def test_chunked_products_match_sequential(triple, energy, gn, theta0, kind):
+    g, n = gn
+    assert n % (SWEEP_CELLS // g) != 0
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    thetas = (theta0 + np.arange(g) / g) % 1.0
+    assert_products_match(sample, energy, thetas, n, kind, 1e-7)
+
+
+@examples
+@given(
+    ZERO_COUPLINGS,
+    st.floats(-3.0, 3.0),
+    st.integers(1000, 1500),
+    # about the spread of the lanes' closest approach to a zero over n sites
+    st.floats(2e-5, 3e-4),
+    KINDS,
+)
+def test_exclusion_path_matches_sequential(triple, energy, n, zero_guard, kind):
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    g = 64
+    thetas = (np.arange(g) + 0.5) / g
+    alive, growth = assert_products_match(sample, energy, thetas, n, kind, zero_guard)
+    excluded = 1.0 - np.count_nonzero(alive) / g
+    if alive.any():
+        est = lyapunov_numeric(
+            sample, energy, n, g, kind, zero_guard=zero_guard, max_excluded=1.0
+        )
+        assert est.excluded_fraction == excluded
+        assert est.value == pytest.approx(float(np.mean(growth[alive])) / n, rel=1e-9)
+    if excluded > 0:
+        with pytest.raises(TooManyExclusions):
+            lyapunov_numeric(
+                sample, energy, n, g, kind, zero_guard=zero_guard, max_excluded=excluded / 2
+            )
+
+
+def test_exclusions_present_and_all_lanes_dead_raises():
+    # the strategies above must actually reach both sides of the exclusion path
+    sample = OperatorSample(CouplingTriple(0.25, 0.5, 0.25), golden())
+    thetas = (np.arange(64) + 0.5) / 64
+    _, _, alive = _product_sweep(sample, 0.3, thetas, 1200, "raw", 1.5e-4)
+    assert 0 < np.count_nonzero(alive) < 64
+    with pytest.raises(TooManyExclusions):
+        lyapunov_numeric(sample, 0.3, 1200, 64, zero_guard=0.05)
+
+
+def first_guarded_phase(sample, thetas, n, kind, zero_guard):
+    """The phase a site-by-site walk stops at: earliest site, then lowest lane."""
+    alpha = sample.alpha_fraction(n_sites=n)
+    af = float(alpha)
+    rows = [(thetas - af) % 1.0] if kind == "normalized" else []
+    rows += [(thetas + k) % 1.0 for k in orbit_phases(0.0, alpha, 0, n)]
+    for x in rows:
+        bad = zero_distance(sample.coupling, af, x) < zero_guard
+        if bad.any():
+            return float(x[int(np.argmax(bad))])
+    return None
+
+
+@examples
+@given(
+    ZERO_COUPLINGS,
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    st.integers(1, 3000),
+    st.floats(1e-5, 1e-2),
+    KINDS,
+)
+def test_raise_reports_the_per_site_phase(triple, thetas, n, zero_guard, kind):
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    thetas = np.array(thetas) % 1.0
+    expect = first_guarded_phase(sample, thetas, n, kind, zero_guard)
+    if expect is None:
+        _product_sweep(sample, 0.3, thetas, n, kind, zero_guard, on_singular="raise")
+        return
+    with pytest.raises(SingularSamplingPoint) as err:
+        _product_sweep(sample, 0.3, thetas, n, kind, zero_guard, on_singular="raise")
+    assert err.value.theta == expect
+    if len(thetas) == 1:
+        with pytest.raises(SingularSamplingPoint) as err:
+            n_step(sample, 0.3, float(thetas[0]), n, kind, zero_guard)
+        assert err.value.theta == expect
+
+
+def test_n_step_growth_single_lane_spans_chunks():
+    # one lane: the whole orbit is one chunk of up to SWEEP_CELLS sites
+    sample = OperatorSample(CouplingTriple(0.1, 0.5, 0.2), golden())
+    n = SWEEP_CELLS + 77
+    m, lognorm = n_step(sample, 2.9, 0.25, n)
+    growth, _, _ = sequential(sample, 2.9, np.array([0.25]), n, "raw", 1e-7)
+    assert abs(lognorm + math.log(np.linalg.norm(m, 2)) - growth[0]) <= 1e-9 * growth[0]
