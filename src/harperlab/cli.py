@@ -217,7 +217,7 @@ def _run_forge(cfg):
         levels=int(p.get("levels", 3)),
         cap_decimal=int(p.get("cap", contfrac.DIGIT_CAP_DECIMAL)),
     )
-    digits = [str(a) for a in cf.digits(cf.depth)]
+    digits = [contfrac.int_to_decimal(a) for a in cf.digits(cf.depth)]
     result = {
         "digits": digits,
         "depth": cf.depth,

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .contfrac import ContinuedFraction, circle_norm
+from .contfrac import ContinuedFraction, norm_numerator
 from .errors import (
     BranchAmbiguity,
     DivisorFloorViolated,
@@ -631,17 +631,19 @@ def solve_cohomological(
     if abs(phi[K]) > 1e-13 * max(scale, 1.0):
         raise ValueError("phi_hat(0) must vanish (mean-zero right-hand side)")
     a = _alpha_mod_one(alpha, K)
+    p, q = a.numerator, a.denominator
     psi = np.zeros_like(phi)
     min_div = float("inf")
     for k in range(-K, K + 1):
         if k == 0:
             continue
-        norm_ka = float(circle_norm(k * a))
+        r = k * p % q  # k*alpha mod 1 = r/q
+        norm_ka = norm_numerator(r, q) / q
         if norm_ka < resonance_tol:
             if abs(phi[k + K]) > 0:
                 raise ResonantDivisor(k)
             continue
-        t = float((k * a) - math.floor(k * a))
+        t = r / q
         div = complex(math.cos(2 * math.pi * t) - 1.0, math.sin(2 * math.pi * t))
         min_div = min(min_div, abs(div))
         psi[k + K] = phi[k + K] / div
@@ -720,14 +722,18 @@ def commutant_rigidity_check(
     """
     a = _alpha_mod_one(alpha, bandwidth)
     two_rho = 2 * Fraction(rho)
+    # k*alpha -+ 2 rho = (k*p*s -+ r*q)/(q*s) with alpha = p/q, 2 rho = r/s
+    ps = a.numerator * two_rho.denominator
+    rq = two_rho.numerator * a.denominator
+    qs = a.denominator * two_rho.denominator
     min_div, arg_k, arg_s = float("inf"), 0, +1
     unconstrained = [(0, "diagonal")]  # b(th+a)=b(th): constants always pass
     checked = 0
     for k in range(-bandwidth, bandwidth + 1):
         for sign in (+1, -1):
-            t = circle_norm(k * a - sign * two_rho)
-            div = 2.0 * math.sin(math.pi * float(t))
-            if k == 0 and float(t) < 1e-14:
+            t = norm_numerator(k * ps - sign * rq, qs) / qs
+            div = 2.0 * math.sin(math.pi * t)
+            if k == 0 and t < 1e-14:
                 # 2 rho integer: the k=0 off-diagonal equation degenerates
                 # to b=b and constants survive (enlarged commutant).
                 unconstrained.append((0, f"off-diagonal sign {sign:+d}"))

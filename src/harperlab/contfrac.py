@@ -13,6 +13,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -35,6 +36,9 @@ __all__ = [
     "forge",
     "resolve_frequency",
     "circle_norm",
+    "norm_numerator",
+    "int_to_decimal",
+    "int_from_decimal",
     "log_of_int",
     "div_by_big",
 ]
@@ -61,10 +65,38 @@ def div_by_big(numer: float, q: int) -> float:
     return math.copysign(math.exp(math.log(abs(numer)) - log_of_int(q)), numer)
 
 
+def norm_numerator(n: int, d: int) -> int:
+    """m with ||n/d|| = m/d for d > 0: min(n mod d, d - n mod d).
+
+    m/d is already in lowest terms when n/d is, since gcd(m, d) = gcd(n, d).
+    """
+    r = n % d
+    return min(r, d - r)
+
+
 def circle_norm(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer, exactly."""
-    f = x - (x.numerator // x.denominator)  # frac part in [0, 1)
-    return min(f, 1 - f)
+    return Fraction(norm_numerator(x.numerator, x.denominator), x.denominator)
+
+
+def int_to_decimal(n: int) -> str:
+    """Decimal string of an int of any size.
+
+    Goes through decimal.Decimal, which is exact and, unlike str(int), not
+    bound by sys.get_int_max_str_digits().
+    """
+    return str(Decimal(n))
+
+
+def int_from_decimal(s: Union[str, int]) -> int:
+    """Inverse of int_to_decimal, accepting what int() accepts for a digit string."""
+    try:
+        d = Decimal(s)
+    except InvalidOperation:
+        d = None
+    if d is None or d.as_tuple().exponent != 0:  # int() rejects "1.0", "1e5", "nan" too
+        raise ValueError(f"invalid integer literal {s!r:.40}")
+    return int(d)
 
 
 class ContinuedFraction:
@@ -198,22 +230,25 @@ class ContinuedFraction:
     def to_json(self, depth: Optional[int] = None) -> str:
         """Digit stream as a JSON array of decimal strings."""
         d = self._digits if depth is None else self.digits(depth)
-        return json.dumps([str(a) for a in d])
+        return json.dumps([int_to_decimal(a) for a in d])
 
     @classmethod
     def from_json(cls, text: str, origin: str = "digit-file") -> "ContinuedFraction":
         data = json.loads(text)
-        return cls([int(s) for s in data], origin=origin)
+        return cls([int_from_decimal(s) for s in data], origin=origin)
 
     def convergents_to_json(self, depth: int) -> str:
         """Convergents as JSON pairs of decimal strings [[p, q], ...]."""
         self.ensure(depth)
         return json.dumps(
-            [[str(p), str(q)] for p, q in self._convergents[: depth + 1]]
+            [
+                [int_to_decimal(p), int_to_decimal(q)]
+                for p, q in self._convergents[: depth + 1]
+            ]
         )
 
     def __repr__(self):
-        head = ",".join(str(a) for a in self._digits[:6])
+        head = ",".join(int_to_decimal(a) for a in self._digits[:6])
         more = ",..." if len(self._digits) > 6 else ""
         return f"ContinuedFraction([{head}{more}], depth={self.depth}, {self.origin})"
 
@@ -293,9 +328,10 @@ def expand(
             digits.append(flo)
             lo, hi = ilo - flo, ihi - flo
             if hi == 0:  # exact rational, expansion complete
+                shown = ", ".join(map(int_to_decimal, digits))
                 return stop(
                     RationalDetected(
-                        f"exact rational with digits {digits}", digits=digits
+                        f"exact rational with digits [{shown}]", digits=digits
                     )
                 )
             continue
@@ -398,26 +434,36 @@ class DCVerdict:
 
 def _norm_interval(
     cf: ContinuedFraction, k: int, shift: Fraction, depth: int
-) -> tuple[Fraction, Fraction]:
-    """Interval certainly containing ||shift - k*alpha||_T at a given depth."""
-    lo_a, hi_a = cf.enclosure(depth)
-    lo_v, hi_v = shift - k * hi_a, shift - k * lo_a
-    if lo_v > hi_v:
-        lo_v, hi_v = hi_v, lo_v
-    width = hi_v - lo_v
-    base = circle_norm(lo_v)
-    lo_n = base - width
-    return (lo_n if lo_n > 0 else Fraction(0)), base + width
+) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo/den <= ||shift - k*alpha||_T <= hi/den, exactly.
+
+    alpha lies between p_{N-1}/q_{N-1} and p_N/q_N (N = depth), an interval
+    of width 1/(q_{N-1} q_N) by the determinant identity, so shift - k*alpha
+    lies within |k|/(q_{N-1} q_N) above its value at one endpoint.
+    """
+    (pa, qa), (pb, qb) = cf.convergent(depth - 1), cf.convergent(depth)
+    # shift - k*alpha is least at alpha's upper endpoint when k > 0, at its
+    # lower one when k < 0; p_N/q_N is the upper endpoint exactly when N is odd
+    if (k > 0) == (depth % 2 == 1):
+        p, q, q_other = pb, qb, qa
+    else:
+        p, q, q_other = pa, qa, qb
+    sn, sd = shift.numerator, shift.denominator
+    base = norm_numerator(sn * q - k * p * sd, sd * q)
+    # base/(sd*q) and the width |k|/(q_{N-1} q_N) over sd*q_{N-1}*q_N
+    mid, width = base * q_other, abs(k) * sd
+    return max(mid - width, 0), mid + width, sd * qa * qb
 
 
 def _dc_scan(cf, tau, gamma, ks, shift=Fraction(0)) -> DCVerdict:
     K = max((abs(k) for k in ks), default=0)
     for k in ks:
         thr = gamma / (abs(k) + 1) ** tau
+        tn, td = thr.as_integer_ratio()  # thr exactly, so every verdict is exact
         if k == 0:
-            val = circle_norm(shift)
-            if val < thr:
-                return DCVerdict(False, 0, float(val), K)
+            m, d = norm_numerator(shift.numerator, shift.denominator), shift.denominator
+            if m * td < tn * d:
+                return DCVerdict(False, 0, m / d, K)
             continue
         depth = max(2, cf.depth)
         while True:
@@ -429,14 +475,14 @@ def _dc_scan(cf, tau, gamma, ks, shift=Fraction(0)) -> DCVerdict:
                     raise
                 depth = cf.depth
                 exhausted = True
-            lo_n, hi_n = _norm_interval(cf, k, shift, depth)
-            if lo_n >= thr:
+            lo_n, hi_n, den = _norm_interval(cf, k, shift, depth)
+            if lo_n * td >= tn * den:
                 break  # inequality certified at this k
-            if hi_n < thr:
-                return DCVerdict(False, k, float(hi_n), K)
+            if hi_n * td < tn * den:
+                return DCVerdict(False, k, hi_n / den, K)
             if exhausted:
                 raise DepthInsufficient(
-                    f"||k alpha|| in [{float(lo_n):.3e}, {float(hi_n):.3e}] "
+                    f"||k alpha|| in [{lo_n / den:.3e}, {hi_n / den:.3e}] "
                     f"straddles DC threshold {thr:.3e} at k={k}, digits exhausted"
                 )
             depth += 2

@@ -17,7 +17,13 @@ import numpy as np
 
 from ._tridiag import FULL_DRIVER, bisect_eigenvalues, eigenpair_blocks, sturm_count
 from .cocycle import _transfer_batch, _two_norm_batch, lyapunov_formula
-from .contfrac import ContinuedFraction, beta_exponent, circle_norm, div_by_big, log_of_int
+from .contfrac import (
+    ContinuedFraction,
+    beta_exponent,
+    div_by_big,
+    log_of_int,
+    norm_numerator,
+)
 from .errors import PoorlyLocalized, ResolventSingular, SingularSamplingPoint
 from .model import (
     CouplingTriple,
@@ -223,12 +229,6 @@ def duality_check(
 # -- the arithmetic exponent delta ------------------------------------------
 
 
-def _log_fraction(fr: Fraction) -> float:
-    if fr == 0:
-        return float("-inf")
-    return log_of_int(fr.numerator) - log_of_int(fr.denominator)
-
-
 def delta_exponent(
     coupling: CouplingTriple,
     cf: ContinuedFraction,
@@ -265,13 +265,17 @@ def delta_exponent(
     pa, qa = cf.convergent(depth)
     alpha_proxy = Fraction(pa, qa)
     theta_frac = Fraction(theta)
+    xs = [theta_frac - off + alpha_proxy / 2 for off in offsets]
     per_level = []
     for n in range(1, depth):
         qn = cf.q(n)
         total = log_of_int(cf.q(n + 1))
-        for off in offsets:
-            arg = qn * (theta_frac - off + alpha_proxy / 2)
-            total += _log_fraction(circle_norm(arg))
+        for x in xs:
+            # ||q_n x|| = m/den in lowest terms, as x is
+            g = math.gcd(qn, x.denominator)
+            den = x.denominator // g
+            m = norm_numerator(qn // g * x.numerator, den)
+            total += log_of_int(m) - log_of_int(den) if m else float("-inf")
         per_level.append((n, div_by_big(total, qn)))
     tail = [v for n, v in per_level if n >= warmup]
     return max(tail), per_level

@@ -236,3 +236,26 @@ def test_module_warnings_surface_in_record():
     )
     assert rec["result"]["truncated"] is True
     assert any("digit cap" in w for w in rec["warnings"])
+
+
+def test_forge_and_delta_past_int_str_limit(tmp_path):
+    # n0=22, beta=1: the forged digit a_23 has about 12 400 decimal places,
+    # past the 4300-digit default of Python's int <-> str conversion limit
+    from harperlab.contfrac import ConstantBeta, forge, golden, int_to_decimal
+    from harperlab.model import CouplingTriple
+    from harperlab.spectral import delta_exponent
+
+    f = tmp_path / "big.json"
+    forged = cli("forge", "--n0", "22", "--beta", "1.0", "--levels", "3", "--out", str(f))
+    assert forged.returncode == 0, forged.stderr
+    cf = forge(golden(), n0=22, schedule=ConstantBeta(1.0), levels=3)
+    digits = [int_to_decimal(a) for a in cf.digits(cf.depth)]
+    assert max(len(d) for d in digits) > 12000
+    assert json.loads(f.read_text()) == digits
+    assert json.loads(forged.stdout)["result"]["digits"] == digits
+    proc = cli("delta", "--coupling", "0.25,0.5,0.25", "--freq", str(f), "--theta", "0.135",
+               "--depth", str(cf.depth))
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["result"]["per_level"]
+    _, levels = delta_exponent(CouplingTriple(0.25, 0.5, 0.25), cf, 0.135, cf.depth)
+    assert [(r["level"], r["delta"]) for r in rows] == levels
