@@ -461,7 +461,8 @@ def _dc_scan(cf, tau, gamma, ks, shift=Fraction(0)) -> DCVerdict:
         thr = gamma / (abs(k) + 1) ** tau
         tn, td = thr.as_integer_ratio()  # thr exactly, so every verdict is exact
         if k == 0:
-            m, d = norm_numerator(shift.numerator, shift.denominator), shift.denominator
+            d = shift.denominator
+            m = norm_numerator(shift.numerator, d)
             if m * td < tn * d:
                 return DCVerdict(False, 0, m / d, K)
             continue
