@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -21,21 +21,8 @@ import numpy as np
 from . import __version__, cocycle, contfrac, model, spectral
 from .errors import HarperlabError, InvalidCoupling
 
-EXPERIMENTS = (
-    "le",
-    "spectrum",
-    "duality",
-    "forge",
-    "delta",
-    "badness",
-    "decay",
-    "rotation",
-    "perturb",
-    "cohomology",
-    "commutant",
-)
-
 SCHEMA_VERSION = 1
+FORMATS = ("csv", "json")
 
 
 def canonical_json(obj) -> str:
@@ -63,7 +50,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidCoupling(f"unknown config keys {unknown}")
+        if "experiment" not in data:
+            raise InvalidCoupling("config names no 'experiment'")
         return cls(**data)
 
     def config_hash(self) -> str:
@@ -72,7 +67,7 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidCoupling(f"unknown experiment {self.experiment!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise InvalidCoupling(f"unknown format {self.format!r}")
         if self.threads < 1:
             raise InvalidCoupling("threads must be >= 1")
@@ -103,6 +98,8 @@ def resolve_frequency_spec(spec: str):
 def _coupling(cfg: ExperimentConfig) -> model.CouplingTriple:
     if cfg.coupling is None:
         raise InvalidCoupling("experiment requires --coupling l1,l2,l3")
+    if len(cfg.coupling) != 3:
+        raise InvalidCoupling(f"expected coupling [l1, l2, l3], got {cfg.coupling!r}")
     return model.CouplingTriple(*cfg.coupling)
 
 
@@ -112,26 +109,22 @@ def _sample(cfg: ExperimentConfig) -> model.OperatorSample:
     )
 
 
-def _auto_energy(sample: model.OperatorSample, size: int = 512) -> float:
-    """Mid-spectrum proxy: the median eigenvalue of a size-512 truncation."""
+def _energy(sample: model.OperatorSample, energy, size: int = 512) -> float:
+    """The E param; "auto" is the median eigenvalue of a size-512 truncation."""
+    if energy != "auto":
+        return energy
     spec = spectral.truncated_spectrum(sample, size)
     return float(spec.eigenvalues[size // 2])
 
 
-# -- experiment runners (name -> (result dict, payload rows or None)) ---------
+# -- experiment runners: (config, resolved params) -> (result, payload, warnings)
 
 
-def _run_le(cfg):
-    p = cfg.params
+def _run_le(cfg, p):
     sample = _sample(cfg)
-    energy = p.get("E", "auto")
-    energy = _auto_energy(sample) if energy == "auto" else float(energy)
+    energy = _energy(sample, p["E"])
     est = cocycle.lyapunov_numeric(
-        sample,
-        energy,
-        n_steps=int(p.get("n", 100000)),
-        theta_grid=int(p.get("grid", 64)),
-        kind=p.get("kind", "raw"),
+        sample, energy, n_steps=p["n"], theta_grid=p["grid"], kind=p["kind"]
     )
     formula = cocycle.lyapunov_formula(sample.coupling)
     l1, l2, l3 = sample.coupling.astuple()
@@ -153,11 +146,9 @@ def _run_le(cfg):
     return {"estimate": row, "formula": formula}, [row], warnings
 
 
-def _run_spectrum(cfg):
-    p = cfg.params
+def _run_spectrum(cfg, p):
     sample = _sample(cfg)
-    size = int(p.get("size", 512))
-    nphases = int(p.get("phases", 1))
+    size, nphases = p["size"], p["phases"]
     phases = None if nphases <= 1 else list((np.arange(nphases) + 0.5) / nphases)
     spec = spectral.truncated_spectrum(sample, size, phases, threads=cfg.threads)
     rows = [
@@ -175,15 +166,14 @@ def _run_spectrum(cfg):
     return result, rows, []
 
 
-def _run_duality(cfg):
-    p = cfg.params
+def _run_duality(cfg, p):
     dist, rep = spectral.duality_check(
         _coupling(cfg),
         resolve_frequency_spec(cfg.frequency),
-        size=int(p.get("size", 512)),
-        phases=int(p.get("phases", 16)),
+        size=p["size"],
+        phases=p["phases"],
         theta0=cfg.theta,
-        seed=cfg.seed if p.get("seeded_phases") else None,
+        seed=cfg.seed if p["seeded_phases"] else None,
         threads=cfg.threads,
     )
     result = {
@@ -197,25 +187,21 @@ def _run_duality(cfg):
     return result, None, []
 
 
-def _run_forge(cfg):
-    p = cfg.params
-    base = resolve_frequency_spec(p.get("base", "golden"))
+FORGE_BASE_DEPTH = 40  # digits of a decimal `forge --base` expanded before forging
+
+
+def _run_forge(cfg, p):
+    base = resolve_frequency_spec(p["base"])
     if not isinstance(base, contfrac.ContinuedFraction):
-        base = contfrac.expand(base, max_depth=int(p.get("base_depth", 40)))
-    kind = p.get("schedule", "constant")
-    beta = float(p.get("beta", 0.5))
-    if kind == "constant":
-        schedule = contfrac.ConstantBeta(beta)
-    elif kind == "burst":
-        schedule = contfrac.SingleBurst(beta, tail=int(p.get("tail", 1)))
+        base = contfrac.expand(base, max_depth=FORGE_BASE_DEPTH)
+    if p["schedule"] == "constant":
+        schedule = contfrac.ConstantBeta(p["beta"])
+    elif p["schedule"] == "burst":
+        schedule = contfrac.SingleBurst(p["beta"], tail=p["tail"])
     else:
-        raise InvalidCoupling(f"unknown schedule {kind!r}")
+        raise InvalidCoupling(f"unknown schedule {p['schedule']!r}")
     cf = contfrac.forge(
-        base,
-        n0=int(p.get("n0", 5)),
-        schedule=schedule,
-        levels=int(p.get("levels", 3)),
-        cap_decimal=int(p.get("cap", contfrac.DIGIT_CAP_DECIMAL)),
+        base, n0=p["n0"], schedule=schedule, levels=p["levels"], cap_decimal=p["cap"]
     )
     digits = [contfrac.int_to_decimal(a) for a in cf.digits(cf.depth)]
     result = {
@@ -228,13 +214,12 @@ def _run_forge(cfg):
     return result, digits, warnings
 
 
-def _run_delta(cfg):
-    p = cfg.params
+def _run_delta(cfg, p):
     cpl = _coupling(cfg)
     freq = resolve_frequency_spec(cfg.frequency)
+    depth, warmup = p["depth"], p["warmup"]
     if not isinstance(freq, contfrac.ContinuedFraction):
-        freq = contfrac.expand(freq, max_depth=int(p.get("depth", 20)) + 1, partial=True)
-    depth = int(p.get("depth", min(freq.depth, 20)))
+        freq = contfrac.expand(freq, max_depth=depth + 1, partial=True)
     warnings = []
     try:
         freq.ensure(depth)
@@ -243,7 +228,6 @@ def _run_delta(cfg):
             f"digit stream ends at depth {freq.depth}; clamped from {depth}"
         )
         depth = freq.depth
-    warmup = int(p.get("warmup", 1))
     dest, dlevels = spectral.delta_exponent(cpl, freq, cfg.theta, depth, warmup)
     fe = contfrac.beta_exponent(freq, depth, warmup)
     rows = [
@@ -260,71 +244,56 @@ def _run_delta(cfg):
     return result, rows, warnings
 
 
-def _run_badness(cfg):
-    p = cfg.params
+def _run_badness(cfg, p):
     rep = spectral.badness_scan(
         _sample(cfg),
-        C=float(p.get("C", 3.0)),
-        N=int(p.get("N", 16)),
-        E_count=int(p.get("E_count", 8)),
-        angles=int(p.get("angles", 64)),
-        refine=bool(p.get("refine", False)),
+        C=p["C"],
+        N=p["N"],
+        E_count=p["E_count"],
+        angles=p["angles"],
+        refine=p["refine"],
     )
     return asdict(rep), None, []
 
 
-def _run_decay(cfg):
-    p = cfg.params
-    fit = spectral.decay_fit(
-        _sample(cfg),
-        size=int(p.get("size", 800)),
-        which_eigenvector=p.get("which", "auto"),
-    )
+def _run_decay(cfg, p):
+    fit = spectral.decay_fit(_sample(cfg), size=p["size"], which_eigenvector=p["which"])
     return asdict(fit), None, []
 
 
-def _run_rotation(cfg):
-    p = cfg.params
+def _run_rotation(cfg, p):
     sample = _sample(cfg)
-    energy = p.get("E", "auto")
-    energy = _auto_energy(sample) if energy == "auto" else float(energy)
+    energy = _energy(sample, p["E"])
     est = cocycle.rotation_number(
-        sample,
-        energy,
-        n_steps=int(p.get("n", 100000)),
-        theta0=float(p.get("theta0", cfg.theta)),
-        y0=float(p.get("y0", 0.0)),
+        sample, energy, n_steps=p["n"], theta0=cfg.theta, y0=p["y0"]
     )
     warnings = ["Birkhoff averages not decaying like n^-1/2"] if est.nonergodic_flag else []
     return {"E": energy, **asdict(est)}, None, warnings
 
 
-def _run_perturb(cfg):
-    p = cfg.params
+def _run_perturb(cfg, p):
     rep = spectral.perturbation_experiment(
         _coupling(cfg),
         resolve_frequency_spec(cfg.frequency),
-        resolve_frequency_spec(str(p.get("freq_prime"))),
+        resolve_frequency_spec(p["freq_prime"]),
         cfg.theta,
-        N=int(p.get("N", 20)),
-        trunc_size=int(p["size"]) if "size" in p else None,
-        eig_index=p.get("eig_index", "median"),
+        N=p["N"],
+        trunc_size=p["size"],
+        eig_index=p["eig_index"],
     )
     return asdict(rep), None, []
 
 
-def _run_cohomology(cfg):
-    p = cfg.params
-    phi_spec = p.get("phi", "cos")
-    if phi_spec == "cos":
+def _run_cohomology(cfg, p):
+    if p["phi"] == "cos":
         phi = np.array([0.5, 0.0, 0.5], dtype=complex)  # cos(2 pi theta)
     else:
-        with open(phi_spec) as fh:
+        with open(p["phi"]) as fh:
             phi = cocycle.fourier_from_json(fh.read())
     psi, report = cocycle.solve_cohomological(
         phi,
         resolve_frequency_spec(cfg.frequency),
-        s_max=int(p.get("smax", 3)),
+        s_max=p["smax"],
     )
     result = {
         "psi_hat": json.loads(cocycle.fourier_to_json(psi)),
@@ -336,9 +305,8 @@ def _run_cohomology(cfg):
     return result, None, []
 
 
-def _run_commutant(cfg):
-    p = cfg.params
-    rho_spec = str(p.get("rho", "0.25"))
+def _run_commutant(cfg, p):
+    rho_spec = p["rho"]
     if rho_spec.endswith("/2"):
         base = resolve_frequency_spec(rho_spec[:-2])
         if isinstance(base, contfrac.ContinuedFraction):
@@ -350,33 +318,82 @@ def _run_commutant(cfg):
     rep = cocycle.commutant_rigidity_check(
         rho,
         resolve_frequency_spec(cfg.frequency),
-        bandwidth=int(p.get("bandwidth", 1000)),
-        tau=float(p.get("tau", 2.0)),
-        gamma=float(p.get("gamma", 1e-3)),
+        bandwidth=p["bandwidth"],
+        tau=p["tau"],
+        gamma=p["gamma"],
     )
     return asdict(rep), None, []
 
 
-_RUNNERS = {
-    "le": _run_le,
-    "spectrum": _run_spectrum,
-    "duality": _run_duality,
-    "forge": _run_forge,
-    "delta": _run_delta,
-    "badness": _run_badness,
-    "decay": _run_decay,
-    "rotation": _run_rotation,
-    "perturb": _run_perturb,
-    "cohomology": _run_cohomology,
-    "commutant": _run_commutant,
+# -- the parameter table ---------------------------------------------------------
+
+
+def _or(word: str, number):
+    """Param type: the keyword ``word`` or a number of type ``number``."""
+    def convert(value):
+        return word if value == word else number(value)
+    convert.__name__ = number.__name__  # argparse names the type in its errors
+    return convert
+
+
+_REQUIRED = object()  # default of a param that must be given
+
+# experiment -> (runner, {param: (type, default)}).  The one source of every
+# param: argparse builds its flags from it (`_` becomes `-`), and run()
+# checks, coerces and completes config params against it.  A bool is a flag;
+# a None default stays None when the param is absent.
+_EXPERIMENTS = {
+    "le": (_run_le, {"E": (_or("auto", float), "auto"), "n": (int, 100000),
+                     "grid": (int, 64), "kind": (str, "raw")}),
+    "spectrum": (_run_spectrum, {"size": (int, 512), "phases": (int, 1)}),
+    "duality": (_run_duality, {"size": (int, 512), "phases": (int, 16),
+                               "seeded_phases": (bool, False)}),
+    "forge": (_run_forge, {"base": (str, "golden"), "n0": (int, 5),
+                           "schedule": (str, "constant"), "beta": (float, 0.5),
+                           "levels": (int, 3), "tail": (int, 1),
+                           "cap": (int, contfrac.DIGIT_CAP_DECIMAL)}),
+    "delta": (_run_delta, {"depth": (int, 12), "warmup": (int, 1)}),
+    "badness": (_run_badness, {"C": (float, 3.0), "N": (int, 16), "E_count": (int, 8),
+                               "angles": (int, 64), "refine": (bool, False)}),
+    "decay": (_run_decay, {"size": (int, 800), "which": (_or("auto", int), "auto")}),
+    "rotation": (_run_rotation, {"E": (_or("auto", float), "auto"), "n": (int, 100000),
+                                 "y0": (float, 0.0)}),
+    "perturb": (_run_perturb, {"freq_prime": (str, _REQUIRED), "N": (int, 20),
+                               "size": (int, None),
+                               "eig_index": (_or("median", int), "median")}),
+    "cohomology": (_run_cohomology, {"phi": (str, "cos"), "smax": (int, 3)}),
+    "commutant": (_run_commutant, {"rho": (str, "0.25"), "bandwidth": (int, 1000),
+                                   "tau": (float, 2.0), "gamma": (float, 1e-3)}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def resolve_params(experiment: str, params: dict) -> dict:
+    """Check params against the table, coerce each to its type, fill defaults."""
+    table = _EXPERIMENTS[experiment][1]
+    unknown = sorted(set(params) - set(table))
+    if unknown:
+        raise InvalidCoupling(f"unknown {experiment} params {unknown}")
+    resolved = {}
+    for key, (kind, default) in table.items():
+        value = params[key] if key in params else default
+        if value is _REQUIRED:
+            raise InvalidCoupling(f"{experiment} requires param {key!r}")
+        if value is not None or default is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError) as exc:
+                raise InvalidCoupling(f"{experiment} param {key!r}: {exc}") from None
+        resolved[key] = value
+    return resolved
 
 
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment; returns the full result record."""
     config.validate()
+    params = resolve_params(config.experiment, config.params)
     t0 = time.perf_counter()
-    result, payload, warnings = _RUNNERS[config.experiment](config)
+    result, payload, warnings = _EXPERIMENTS[config.experiment][0](config, params)
     record = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config.config_hash(),
@@ -437,13 +454,11 @@ def verify(suite_path: str, stream=None) -> int:
     width = max(len(e.get("name", "?")) for e in entries)
     for entry in entries:
         name = entry.get("name", "?")
-        cfg = ExperimentConfig(**entry["config"])
         try:
-            record = run(cfg)
-        except HarperlabError as exc:
-            expected_error = entry.get("expect_error")
-            if expected_error and type(exc).__name__ == expected_error:
-                stream.write(f"PASS  {name:<{width}}  raised {expected_error}\n")
+            record = run(ExperimentConfig.from_dict(entry.get("config", {})))
+        except (HarperlabError, ValueError, OSError) as exc:
+            if type(exc).__name__ == entry.get("expect_error"):
+                stream.write(f"PASS  {name:<{width}}  raised {type(exc).__name__}\n")
                 continue
             stream.write(f"FAIL  {name:<{width}}  error {type(exc).__name__}: {exc}\n")
             failures += 1
@@ -469,45 +484,26 @@ def verify(suite_path: str, stream=None) -> int:
 
 
 def _add_common(sp):
+    default = {f.name: f.default for f in fields(ExperimentConfig)}
     sp.add_argument("--coupling", help="l1,l2,l3")
-    sp.add_argument("--freq", default="golden", help="decimal, golden, silver, or digit-file path")
-    sp.add_argument("--theta", type=float, default=0.0)
+    sp.add_argument("--freq", default=default["frequency"],
+                    help="decimal, golden, silver, or digit-file path")
+    sp.add_argument("--theta", type=float, default=default["theta"])
     sp.add_argument("--out", help="payload output path")
-    sp.add_argument("--format", choices=("csv", "json"), default="json")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--format", choices=FORMATS, default=default["format"])
+    sp.add_argument("--seed", type=int, default=default["seed"])
+    sp.add_argument("--threads", type=int, default=default["threads"])
 
 
-def _param_args(sp, names):
-    for name, kwargs in names.items():
-        sp.add_argument(f"--{name}", **kwargs)
-
-
-_PARAM_SPECS = {
-    "le": {"E": {"default": "auto"}, "n": {"type": int, "default": 100000},
-           "grid": {"type": int, "default": 64}, "kind": {"default": "raw"}},
-    "spectrum": {"size": {"type": int, "default": 512}, "phases": {"type": int, "default": 1}},
-    "duality": {"size": {"type": int, "default": 512}, "phases": {"type": int, "default": 16},
-                "seeded-phases": {"action": "store_true", "dest": "seeded_phases"}},
-    "forge": {"base": {"default": "golden"}, "n0": {"type": int, "default": 5},
-              "schedule": {"default": "constant"}, "beta": {"type": float, "default": 0.5},
-              "levels": {"type": int, "default": 3}, "tail": {"type": int, "default": 1},
-              "cap": {"type": int}},
-    "delta": {"depth": {"type": int, "default": 12}, "warmup": {"type": int, "default": 1}},
-    "badness": {"C": {"type": float, "default": 3.0}, "N": {"type": int, "default": 16},
-                "E-count": {"type": int, "default": 8, "dest": "E_count"},
-                "angles": {"type": int, "default": 64},
-                "refine": {"action": "store_true"}},
-    "decay": {"size": {"type": int, "default": 800}, "which": {"default": "auto"}},
-    "rotation": {"E": {"default": "auto"}, "n": {"type": int, "default": 100000},
-                 "theta0": {"type": float, "default": 0.0}, "y0": {"type": float, "default": 0.0}},
-    "perturb": {"freq-prime": {"dest": "freq_prime", "required": True},
-                "N": {"type": int, "default": 20}, "size": {"type": int},
-                "eig-index": {"dest": "eig_index", "default": "median"}},
-    "cohomology": {"phi": {"default": "cos"}, "smax": {"type": int, "default": 3}},
-    "commutant": {"rho": {"default": "0.25"}, "bandwidth": {"type": int, "default": 1000},
-                  "tau": {"type": float, "default": 2.0}, "gamma": {"type": float, "default": 1e-3}},
-}
+def _add_params(sp, table):
+    for key, (kind, default) in table.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            sp.add_argument(flag, action="store_true", default=default)
+        elif default is _REQUIRED:
+            sp.add_argument(flag, type=kind, required=True)
+        else:
+            sp.add_argument(flag, type=kind, default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="extended Harper model experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
+    for name, (_, table) in _EXPERIMENTS.items():
         sp = sub.add_parser(name)
         _add_common(sp)
-        _param_args(sp, _PARAM_SPECS.get(name, {}))
+        _add_params(sp, table)
     vp = sub.add_parser("verify")
     vp.add_argument("suite", help="JSON suite of configs with expectations")
     rp = sub.add_parser("run-config")
@@ -528,19 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ExperimentConfig:
-    known = {"command", "coupling", "freq", "theta", "out", "format", "seed", "threads"}
-    params = {
-        k: v for k, v in vars(args).items() if k not in known and v is not None
-    }
     coupling = None
-    if args.coupling:
-        coupling = [float(x) for x in args.coupling.split(",")]
+    if args.coupling is not None:
+        coupling = list(model.CouplingTriple.parse(args.coupling).astuple())
     return ExperimentConfig(
         experiment=args.command,
         coupling=coupling,
         frequency=args.freq,
         theta=args.theta,
-        params=params,
+        params={key: getattr(args, key) for key in _EXPERIMENTS[args.command][1]},
         out=args.out,
         format=args.format,
         seed=args.seed,

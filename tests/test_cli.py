@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from harperlab import cli as cli_module
 from harperlab.cli import (
+    EXPERIMENTS,
     ExperimentConfig,
     canonical_json,
     config_from_args,
@@ -259,3 +261,101 @@ def test_forge_and_delta_past_int_str_limit(tmp_path):
     rows = json.loads(proc.stdout)["result"]["per_level"]
     _, levels = delta_exponent(CouplingTriple(0.25, 0.5, 0.25), cf, 0.135, cf.depth)
     assert [(r["level"], r["delta"]) for r in rows] == levels
+
+
+# -- one parameter table behind every entry point ------------------------------
+
+REQUIRED_PARAMS = {"perturb": {"freq_prime": "0.618034"}}
+
+
+def exit_code(argv):
+    """main()'s exit code, also where argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def run_config_main(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return exit_code(["run-config", str(path)])
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_cli_and_run_config_resolve_the_same_params(name, monkeypatch):
+    required = REQUIRED_PARAMS.get(name, {})
+    argv = [name]
+    for key, value in required.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    from_cli = config_from_args(build_parser().parse_args(argv)).params
+
+    seen = []
+
+    def runner(cfg, p):  # records the params run() hands to the experiment
+        seen.append(p)
+        return {}, None, []
+
+    table = cli_module._EXPERIMENTS[name][1]
+    monkeypatch.setitem(cli_module._EXPERIMENTS, name, (runner, table))
+    run(ExperimentConfig(experiment=name, params=dict(required)))
+    assert seen == [from_cli]
+    assert len(EXPERIMENTS) == 11
+
+
+def test_rotation_starts_at_theta(tmp_path, capsys):
+    flags = ["--coupling", "0.1,2.0,0.1", "--E", "1.0", "--n", "2000"]
+    config = {"experiment": "rotation", "coupling": [0.1, 2.0, 0.1],
+              "params": {"E": 1.0, "n": 2000}}
+    assert main(["rotation", *flags, "--theta", "0.3"]) == 0
+    from_cli = canonical_json(json.loads(capsys.readouterr().out)["result"])
+    assert run_config_main(tmp_path, dict(config, theta=0.3)) == 0
+    from_file = canonical_json(json.loads(capsys.readouterr().out)["result"])
+    at_zero = canonical_json(run(ExperimentConfig(**config))["result"])
+    assert from_cli == from_file != at_zero
+
+
+def test_run_config_delta_depth_default_matches_cli(tmp_path, capsys):
+    config = {"experiment": "delta", "coupling": [0.25, 0.5, 0.25], "theta": 0.135}
+    assert run_config_main(tmp_path, config) == 0
+    from_file = json.loads(capsys.readouterr().out)["result"]
+    assert main(["delta", "--coupling", "0.25,0.5,0.25", "--theta", "0.135"]) == 0
+    from_cli = json.loads(capsys.readouterr().out)["result"]
+    assert from_file["depth"] == 12
+    assert canonical_json(from_file) == canonical_json(from_cli)
+
+
+SPECTRUM = {"experiment": "spectrum", "coupling": [0, 1, 0], "params": {"size": 8}}
+DEGENERATE = [
+    # (offending name, CLI argv, run-config file)
+    ("sise", ["spectrum", "--coupling", "0,1,0", "--sise", "8"],
+     dict(SPECTRUM, params={"sise": 8})),
+    ("freq_prime", ["perturb", "--coupling", "0,0.9,0"],
+     {"experiment": "perturb", "coupling": [0, 0.9, 0]}),
+    ("coupling", ["spectrum", "--coupling", "0.1,0.5", "--size", "8"],
+     dict(SPECTRUM, coupling=[0, 1])),
+    ("colour", ["spectrum", "--coupling", "0,1,0", "--colour", "1"],
+     dict(SPECTRUM, colour=1)),
+]
+
+
+@pytest.mark.parametrize("name,argv,config", DEGENERATE, ids=[d[0] for d in DEGENERATE])
+def test_degenerate_input_exits_2(name, argv, config, tmp_path, capsys):
+    assert exit_code(argv) == 2
+    capsys.readouterr()
+    assert run_config_main(tmp_path, config) == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [dict(SPECTRUM, params={"size": 0}),
+                                 {"experiment": "spectrum", "parms": {"size": 8}}])
+def test_verify_bad_entry_fails_and_suite_goes_on(bad, tmp_path, capsys):
+    suite = {"suite": [
+        {"name": "bad", "config": bad, "expect": {"result.count": {"equals": 8}}},
+        {"name": "good", "config": SPECTRUM, "expect": {"result.count": {"equals": 8}}},
+    ]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["verify", str(path)]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows] == [["FAIL", "bad"], ["PASS", "good"]]
