@@ -98,8 +98,8 @@ def resolve_frequency_spec(spec: str):
 def _coupling(cfg: ExperimentConfig) -> model.CouplingTriple:
     if cfg.coupling is None:
         raise InvalidCoupling("experiment requires --coupling l1,l2,l3")
-    if len(cfg.coupling) != 3:
-        raise InvalidCoupling(f"expected coupling [l1, l2, l3], got {cfg.coupling!r}")
+    if len(cfg.coupling) != 3 or not all(isinstance(v, (int, float)) for v in cfg.coupling):
+        raise InvalidCoupling(f"expected coupling [l1, l2, l3] of numbers, got {cfg.coupling!r}")
     return model.CouplingTriple(*cfg.coupling)
 
 
@@ -257,7 +257,12 @@ def _run_badness(cfg, p):
 
 
 def _run_decay(cfg, p):
-    fit = spectral.decay_fit(_sample(cfg), size=p["size"], which_eigenvector=p["which"])
+    try:
+        fit = spectral.decay_fit(_sample(cfg), size=p["size"], which_eigenvector=p["which"])
+    except IndexError:
+        raise InvalidCoupling(
+            f"which={p['which']} is no eigenvector index of a size-{p['size']} window"
+        ) from None
     return asdict(fit), None, []
 
 
@@ -446,7 +451,9 @@ def verify(suite_path: str, stream=None) -> int:
         stream = sys.stdout
     with open(suite_path) as fh:
         suite = json.load(fh)
-    entries = suite.get("suite", [])
+    entries = suite.get("suite", []) if isinstance(suite, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("a suite is a JSON object whose 'suite' is a list of objects")
     if not entries:
         stream.write("WARNING: empty suite, vacuous PASS\n")
         return 0
@@ -466,13 +473,18 @@ def verify(suite_path: str, stream=None) -> int:
         ok = True
         notes = []
         for path, expect in entry.get("expect", {}).items():
-            got = _lookup(record, path)
-            if "equals" in expect:
-                good = got == expect["equals"]
-            else:
-                good = abs(float(got) - float(expect["value"])) <= float(
-                    expect.get("tol", 0.0)
-                )
+            try:
+                got = _lookup(record, path)
+                if "equals" in expect:
+                    good = got == expect["equals"]
+                else:
+                    good = abs(float(got) - float(expect["value"])) <= float(
+                        expect.get("tol", 0.0)
+                    )
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                notes.append(f"{path}: {type(exc).__name__} {exc}")
+                ok = False
+                continue
             notes.append(f"{path}={got!r}")
             ok &= good
         stream.write(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {'; '.join(notes)}\n")
@@ -545,7 +557,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         try:
             failures = verify(args.suite)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"suite error: {exc}", file=sys.stderr)
             return 2
         return 1 if failures else 0

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import contfrac
-from ._tridiag import scaled_det_backward, scaled_det_forward, sturm_count
+from ._tridiag import log_minors
 from .contfrac import ContinuedFraction
 from .errors import (
     InvalidCoupling,
@@ -377,12 +377,10 @@ class Truncation:
 
     def gauge_phases(self) -> np.ndarray:
         """Unit phases d with d[0]=1, d[i+1] = d[i] * c_i/|c_i| (1 where c_i=0)."""
-        m = self.size
-        d = np.ones(m, dtype=np.complex128)
         absc = np.abs(self.offdiag)
-        for i in range(m - 1):
-            d[i + 1] = d[i] * (self.offdiag[i] / absc[i]) if absc[i] > 0 else d[i]
-        return d
+        unit = np.ones(self.size, dtype=np.complex128)
+        np.divide(self.offdiag, absc, out=unit[1:], where=absc > 0)
+        return np.cumprod(unit)
 
     def dense(self) -> np.ndarray:
         """Dense Hermitian matrix (for oracles and small windows)."""
@@ -424,19 +422,22 @@ def green_function(
     y: int,
     guard: float = 1e-10,
 ) -> complex:
-    """Resolvent entry (H[x1,x2] - E)^(-1)(x, y) by two-sided recursion.
+    """Resolvent entry (H[x1,x2] - E)^(-1)(x, y) by Cramer's rule.
 
-    Computed on the gauge-equivalent real symmetric matrix through scaled
-    leading/trailing minors, then re-phased; no dense inversion.  Raises
-    ResolventSingular when E is within ``guard`` of an eigenvalue (Sturm
-    count changes across [E-guard, E+guard]) or the determinant collapses.
+    For i <= j (window rows) the entry of the gauge-equivalent real symmetric
+    matrix is (-1)^(i+j) b_i..b_{j-1} det[x1, i-1] det[j+1, x2] / det[x1, x2],
+    read from the nested minors swept in from both ends of the window (in
+    log form, so entries far below eps never underflow in between); the
+    result is then re-phased.  No dense inversion.  Raises
+    ResolventSingular when E is within ``guard`` of an eigenvalue (the
+    eigenvalue count changes across [E-guard, E+guard]).
     """
     if not (trunc.x1 <= x <= trunc.x2 and trunc.x1 <= y <= trunc.x2):
         raise IndexError("sites outside the truncation window")
     diag, absoff = trunc.gauge_symmetric()
     off2 = absoff * absoff
-    counts = sturm_count(diag, off2, np.array([energy - guard, energy + guard]))
-    if counts[1] != counts[0]:
+    fwd, fneg = log_minors(diag, off2, [energy - guard, energy, energy + guard])
+    if fneg[-1, 0] != fneg[-1, 2]:
         raise ResolventSingular(
             f"E={energy} within {guard} of an eigenvalue of the window"
         )
@@ -444,26 +445,66 @@ def green_function(
     swapped = i > j
     if swapped:
         i, j = j, i
-    dshift = diag - energy
-    fm, fe = scaled_det_forward(dshift, off2)
-    bm, be = scaled_det_backward(dshift, off2)
-    n = trunc.size
-    if fm[n] == 0.0:
-        raise ResolventSingular("window determinant vanished")
-    # log-magnitude assembly of (-1)^(i+j) b_i..b_{j-1} D_i E_{j+1} / D_n
-    prod_off = absoff[i:j]
-    sign = -1.0 if (i + j) % 2 else 1.0
-    if fm[i] * bm[j + 1] == 0.0 or np.any(prod_off == 0.0):
-        val = 0.0
-    else:
-        log2mag = (
-            float(fe[i] + be[j + 1] - fe[n])
-            + math.log2(abs(fm[i]) * abs(bm[j + 1]) / abs(fm[n]))
-            + (float(np.sum(np.log2(prod_off))) if len(prod_off) else 0.0)
-        )
-        val = sign * math.copysign(1.0, fm[i] * bm[j + 1] * fm[n]) * 2.0**log2mag
+    bwd, bneg = log_minors(diag[j + 1 :], off2[j + 1 :], [energy], reverse=True)
+    left = (fwd[i - 1, 1], fneg[i - 1, 1]) if i > 0 else (0.0, 0)
+    right = (bwd[0, 0], bneg[0, 0]) if len(bwd) else (0.0, 0)
+    with np.errstate(divide="ignore"):
+        logb = float(np.sum(np.log(absoff[i:j])))
+    logmag = logb + left[0] + right[0] - fwd[-1, 1]
+    flips = (i + j) + left[1] + right[1] + fneg[-1, 1]
+    val = (-1.0 if flips % 2 else 1.0) * math.exp(logmag)
     phases = trunc.gauge_phases()
     g = np.conj(phases[i]) * val * phases[j]
     if swapped:
         g = np.conj(g)
     return complex(g)
+
+
+def _edge_green_logs(trunc: Truncation, energy: float, y: int, x1s, x2s, guard=1e-10):
+    """Edge Green's functions of many windows [x1, x2] about one site y.
+
+    Every window must lie in the truncation with x1 < y < x2.  Returns
+    (log|G(y, x1)|, log|G(y, x2)|, singular), one entry per window, where
+    singular marks windows with an eigenvalue within ``guard`` of E.
+
+    Expanding det[x1, x2] along row y gives det[x1, y-1] det[y+1, x2] S with
+    the Schur complement S = (a_y - E) - b_{y-1}^2 det[x1, y-2] / det[x1, y-1]
+    - b_y^2 det[y+2, x2] / det[y+1, x2], so by Cramer's rule
+    |G(y, x1)| = b_{x1}..b_{y-1} / |S det[x1, y-1]| and the mirror image for
+    x2.  The four families of minors are nested about y, so four sweeps that
+    start next to y give them for every window at once; the eigenvalue count
+    of a window is, by inertia, the negative pivots of its two sides plus
+    one when S < 0.
+    """
+    diag, absoff = trunc.gauge_symmetric()
+    off2 = absoff * absoff
+    n, c = trunc.size, y - trunc.x1
+    left = np.asarray(x1s) - trunc.x1  # row of x1
+    right = np.asarray(x2s) - y - 1  # row of x2, counted from row y+1
+    shifts = np.array([energy - guard, energy, energy + guard])
+
+    def minors(a, b, reverse):
+        """Nested minors of rows [a, b), grown from the end next to y."""
+        return log_minors(diag[a:b], off2[a : max(b - 1, a)], shifts, reverse)
+
+    empty = np.zeros((1, 3), dtype=np.int64)  # the empty minor: det 1
+    l1, ln1 = minors(0, c, True)  # det[i, y-1]
+    l2, ln2 = (np.concatenate([m, empty]) for m in minors(0, c - 1, True))  # det[i, y-2]
+    r1, rn1 = minors(c + 1, n, False)  # det[y+1, j]
+    r2, rn2 = (np.concatenate([empty, m]) for m in minors(c + 2, n, False))  # det[y+2, j]
+    l1, ln1, l2, ln2 = l1[left], ln1[left], l2[left], ln2[left]
+    r1, rn1, r2, rn2 = r1[right], rn1[right], r2[right], rn2[right]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio_l = np.where((ln1 + ln2) % 2, -1.0, 1.0) * np.exp(l2 - l1)
+        ratio_r = np.where((rn1 + rn2) % 2, -1.0, 1.0) * np.exp(r2 - r1)
+        schur = (diag[c] - shifts) - off2[c - 1] * ratio_l - off2[c] * ratio_r
+    count = ln1 + rn1 + (schur < 0)
+    singular = (count[:, 0] != count[:, 2]) | (schur[:, 1] == 0.0)
+    with np.errstate(divide="ignore"):
+        logb = np.log(absoff)
+        logs = np.log(np.abs(schur[:, 1]))
+    left_b = np.cumsum(logb[:c][::-1])[::-1]  # sum of log b_j over x1 <= j < y
+    right_b = np.cumsum(logb[c:])  # sum of log b_j over y <= j < x2
+    lg1 = left_b[left] - logs - l1[:, 1]
+    lg2 = right_b[right] - logs - r1[:, 1]
+    return lg1, lg2, singular

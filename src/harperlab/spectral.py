@@ -15,7 +15,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._tridiag import FULL_DRIVER, bisect_eigenvalues, eigenpair_blocks, sturm_count
+from ._tridiag import (
+    FULL_DRIVER,
+    bisect_eigenvalues,
+    slice_masses,
+    squared_components,
+    sturm_count,
+)
 from .cocycle import _transfer_batch, _two_norm_batch, lyapunov_formula
 from .contfrac import (
     ContinuedFraction,
@@ -24,15 +30,15 @@ from .contfrac import (
     log_of_int,
     norm_numerator,
 )
-from .errors import PoorlyLocalized, ResolventSingular, SingularSamplingPoint
+from .errors import PoorlyLocalized, SingularSamplingPoint
 from .model import (
     CouplingTriple,
     OperatorSample,
     ZeroKind,
+    _edge_green_logs,
     build_truncation,
     c_function,
     duality,
-    green_function,
     orbit_phases,
     zero_structure,
 )
@@ -153,13 +159,11 @@ def _aggregate_bulk_spectrum(
     zone = max(10, int(size * edge_frac))
 
     def bulk(diag, absoff):
+        vals = bisect_eigenvalues(diag, absoff)
         if edge_mass_max >= 1.0:
-            return bisect_eigenvalues(diag, absoff), 0
-        keep = []
-        for vals, vecs in eigenpair_blocks(diag, absoff):
-            mass = np.sum(vecs[:zone] ** 2, axis=0) + np.sum(vecs[-zone:] ** 2, axis=0)
-            keep.append(vals[mass <= edge_mass_max])
-        kept = np.concatenate(keep)
+            return vals, 0
+        edges = (slice(None, zone), slice(-zone, None))
+        kept = vals[slice_masses(diag, absoff, vals, edges).sum(axis=0) <= edge_mass_max]
         return kept, size - len(kept)
 
     parts = _map_phases(sample, size, theta_list, threads, bulk)
@@ -572,24 +576,26 @@ def regularity_test(
     """Search windows of length k around y with decaying edge Green values.
 
     A window [x1, x1+k-1] qualifies when dist(y, x_i) >= ceil(k/9) for both
-    edges and |G(y, x_i)| < e^{-m |y - x_i|} at both.  Windows whose
-    resolvent is singular at this energy are skipped and recorded.
+    edges and |G(y, x_i)| < e^{-m |y - x_i|} at both; windows are scanned by
+    increasing x1 and the first qualifying one is returned.  Windows whose
+    resolvent is singular at this energy are skipped and recorded.  All
+    windows are read from one truncation covering them, by sweeps that start
+    next to y (model._edge_green_logs), so the scan costs O(k) steps.
     """
     if k < 9:
         raise ValueError("k must be >= 9 so that dist >= k/9 is satisfiable")
     d = -(-k // 9)  # ceil
-    skipped = []
-    for x1 in range(y + d - k + 1, y - d + 1):
-        x2 = x1 + k - 1
-        trunc = build_truncation(sample, x1, x2)
-        try:
-            g1 = abs(green_function(trunc, energy, y, x1))
-            g2 = abs(green_function(trunc, energy, y, x2))
-        except ResolventSingular:
-            skipped.append((x1, x2))
-            continue
-        if g1 < math.exp(-m * abs(y - x1)) and g2 < math.exp(-m * abs(y - x2)):
-            return RegularityResult(True, (x1, x2), skipped)
+    x1 = np.arange(y + d - k + 1, y - d + 1)  # every window, in scan order
+    x2 = x1 + k - 1
+    trunc = build_truncation(sample, int(x1[0]), int(x2[-1]))
+    lg1, lg2, singular = _edge_green_logs(trunc, energy, y, x1, x2)
+    hits = np.flatnonzero(~singular & (lg1 < -m * (y - x1)) & (lg2 < -m * (x2 - y)))
+    first = int(hits[0]) if len(hits) else len(x1)
+    skipped = [
+        (int(a), int(b)) for a, b, s in zip(x1[:first], x2[:first], singular[:first]) if s
+    ]
+    if first < len(x1):
+        return RegularityResult(True, (int(x1[first]), int(x2[first])), skipped)
     return RegularityResult(False, None, skipped)
 
 
@@ -628,7 +634,12 @@ def decay_fit(
 
     The truncation window is centered at the origin.  With "auto", the
     eigenvalue whose eigenvector carries maximal mass in the middle third
-    is fitted (the first such on ties).  The fit regresses
+    is fitted.  Masses are rounded to 1e-9 first: in a localized window many
+    eigenvectors carry middle-third mass 1 - O(1e-15), and among such tied
+    maxima the lower median by eigenvalue (index T[len(T) // 2] of the
+    ascending tied set T) is taken, so the pick does not hang on rounding.
+    Eigenvalues come from one ?STEVD call and eigenvector components from a
+    twisted factorization (_tridiag.squared_components).  The fit regresses
     (1/2) ln(phi(n)^2 + phi(n+1)^2) on -|n - peak|, excluding the outer 10%
     of the window and everything below the relative noise floor; r^2 below
     r2_min raises PoorlyLocalized.
@@ -638,27 +649,25 @@ def decay_fit(
     x1 = -(size // 2)
     trunc = build_truncation(sample, x1, x1 + size - 1)
     diag, absoff = trunc.gauge_symmetric()
-    third = size // 3
+    vals = bisect_eigenvalues(diag, absoff)
     if which_eigenvector == "auto":
-        best_mass = -1.0
-        for vals, vecs in eigenpair_blocks(diag, absoff):
-            mass = np.sum(vecs[third : 2 * third] ** 2, axis=0)
-            j = int(np.argmax(mass))
-            if mass[j] > best_mass:
-                best_mass, energy, vec = mass[j], float(vals[j]), vecs[:, j]
+        third = size // 3
+        mass = np.round(slice_masses(diag, absoff, vals, [slice(third, 2 * third)])[0], 9)
+        tied = np.flatnonzero(mass == mass.max())
+        index = int(tied[len(tied) // 2])
     else:
         index = range(size)[int(which_eigenvector)]  # IndexError when out of range
-        vals, vecs = next(eigenpair_blocks(diag, absoff, index, index + 1))
-        energy, vec = float(vals[0]), vecs[:, 0]
-    phi = np.abs(vec)
-    peak = int(np.argmax(phi))
-    pair = phi[:-1] ** 2 + phi[1:] ** 2
+    energy = float(vals[index])
+    ((_, w),) = squared_components(diag, absoff, vals[index : index + 1])
+    phi2 = w[:, 0]
+    peak = int(np.argmax(phi2))
+    pair = phi2[:-1] + phi2[1:]
     ys = 0.5 * np.log(np.maximum(pair, 1e-320))
     ts = np.abs(np.arange(size - 1) - peak).astype(float)
     edge = max(1, size // 10)
     mask = np.zeros(size - 1, dtype=bool)
     mask[edge : size - 1 - edge] = True
-    mask &= pair > (floor_rel * phi[peak]) ** 2
+    mask &= pair > floor_rel**2 * phi2[peak]
     if int(np.count_nonzero(mask)) < 10:
         raise PoorlyLocalized("fewer than 10 usable points in the fit window")
     t, yv = ts[mask], ys[mask]

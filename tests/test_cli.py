@@ -359,3 +359,36 @@ def test_verify_bad_entry_fails_and_suite_goes_on(bad, tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[:2] for row in rows] == [["FAIL", "bad"], ["PASS", "good"]]
+
+
+def test_decay_index_out_of_range_exits_2(capsys):
+    argv = ["decay", "--coupling", "0,0.4,0", "--size", "400", "--which", "5000"]
+    assert exit_code(argv) == 2
+    assert "which=5000" in capsys.readouterr().err
+
+
+def test_run_config_non_number_coupling_exits_2(tmp_path, capsys):
+    assert run_config_main(tmp_path, dict(SPECTRUM, coupling=["a", 1, 0])) == 2
+    assert "coupling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expect", [{"result.cnt": {"equals": 8}}, {"result.count": {"tol": 1}}])
+def test_verify_unusable_expectation_fails_and_suite_goes_on(expect, tmp_path, capsys):
+    suite = {"suite": [
+        {"name": "typo", "config": SPECTRUM, "expect": expect},
+        {"name": "good", "config": SPECTRUM, "expect": {"result.count": {"equals": 8}}},
+    ]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["verify", str(path)]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows] == [["FAIL", "typo"], ["PASS", "good"]]
+    assert next(iter(expect)) in rows[0]
+
+
+@pytest.mark.parametrize("top", [[SPECTRUM], {"suite": [1, 2]}, {"suite": "x"}])
+def test_verify_malformed_suite_exits_2(top, tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(top))
+    assert main(["verify", str(path)]) == 2
+    assert "suite error" in capsys.readouterr().err

@@ -29,6 +29,7 @@ from harperlab.model import (
     theta_admissible,
     zero_structure,
 )
+from harperlab.model import _edge_green_logs
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -301,6 +302,91 @@ def test_green_singular_energy_raises():
     e = float(np.linalg.eigvalsh(tr.dense())[3])
     with pytest.raises(ResolventSingular):
         green_function(tr, e, 0, 5)
+
+
+def _mp_minors(diag, offdiag, energy):
+    """Leading and trailing minors of H - E at 50 digits, by the three-term recurrence.
+
+    lead[i] is det of rows [0, i-1] and trail[i] of rows [i, n-1] (lead[0] =
+    trail[n] = 1); |c|^2 is formed in mpmath from the float entries.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(v)) - mpmath.mpf(energy) for v in diag]
+        b2 = [mpmath.mpf(float(c.real)) ** 2 + mpmath.mpf(float(c.imag)) ** 2 for c in offdiag]
+        n = len(a)
+        lead = [mpmath.mpf(1), a[0]]
+        for i in range(1, n):
+            lead.append(a[i] * lead[i] - b2[i - 1] * lead[i - 1])
+        trail = [mpmath.mpf(1), a[n - 1]]  # built from the bottom, reversed below
+        for i in range(n - 2, -1, -1):
+            trail.append(a[i] * trail[-1] - b2[i] * trail[-2])
+        return lead, trail[::-1], b2
+
+
+def _mp_log_green(diag, offdiag, energy, i, j):
+    """log|G(i, j)| of H - E by Cramer's rule (rows i, j of the given block)."""
+    import mpmath
+
+    i, j = sorted((i, j))
+    lead, trail, b2 = _mp_minors(diag, offdiag, energy)
+    with mpmath.workdps(50):
+        logb = sum((mpmath.log(b2[l]) / 2 for l in range(i, j)), mpmath.mpf(0))
+        val = logb + mpmath.log(abs(lead[i])) + mpmath.log(abs(trail[j + 1]))
+        return float(val - mpmath.log(abs(lead[len(diag)])))
+
+
+def _away_from_spectrum(tr, rng, margin=1e-3):
+    eigs = np.linalg.eigvalsh(tr.dense())
+    while True:
+        e = float(rng.uniform(-2.5, 2.5))
+        if np.min(np.abs(eigs - e)) > margin:
+            return e
+
+
+# (coupling, whether some compared entry lies below 1e-250)
+DEEP = [((0, 0.05, 0), True), ((0.02, 0.04, 0.01), True), ((0.1, 0.5, 0.2), False)]
+
+
+@pytest.mark.parametrize("triple,deep", DEEP)
+def test_green_log_magnitude_matches_high_precision_cramer(triple, deep):
+    rng = np.random.default_rng(21)
+    smallest = 0.0
+    for size in (20, 75, 140, 200):
+        x1 = int(rng.integers(-50, 50))
+        tr = build_truncation(sample(triple, float(rng.random())), x1, x1 + size - 1)
+        e = _away_from_spectrum(tr, rng)
+        x2 = tr.x2
+        pairs = [(x1, x2), (x2, x1), (x1, x1), (x2, x2)]
+        pairs += [tuple(int(v) for v in rng.integers(x1, x2 + 1, 2)) for _ in range(6)]
+        for x, y in pairs:
+            ref = _mp_log_green(tr.diag, tr.offdiag, e, x - x1, y - x1)
+            got = math.log(abs(green_function(tr, e, x, y)))
+            assert got == pytest.approx(ref, abs=1e-8)
+            smallest = min(smallest, ref)
+    assert (smallest < math.log(1e-250)) == deep  # far below eps * ||G||
+
+
+@pytest.mark.parametrize(
+    "triple,k,deep", [((0, 0.03, 0), 200, True), ((0.1, 0.5, 0.2), 90, False)]
+)
+def test_edge_green_logs_match_high_precision_cramer(triple, k, deep):
+    rng = np.random.default_rng(22)
+    y = 3
+    d = -(-k // 9)
+    x1s = np.arange(y + d - k + 1, y - d + 1)
+    x2s = x1s + k - 1
+    tr = build_truncation(sample(triple, 0.3), int(x1s[0]), int(x2s[-1]))
+    e = _away_from_spectrum(tr, rng)
+    lg1, lg2, singular = _edge_green_logs(tr, e, y, x1s, x2s)
+    assert not singular.any()
+    for w in range(0, len(x1s), 7):
+        a, b = x1s[w] - tr.x1, x2s[w] - tr.x1
+        diag, off = tr.diag[a : b + 1], tr.offdiag[a:b]
+        assert lg1[w] == pytest.approx(_mp_log_green(diag, off, e, y - tr.x1 - a, 0), abs=1e-8)
+        assert lg2[w] == pytest.approx(_mp_log_green(diag, off, e, y - tr.x1 - a, b - a), abs=1e-8)
+    assert (min(lg1.min(), lg2.min()) < math.log(1e-250)) == deep
 
 
 # -- orbits ------------------------------------------------------------------------

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harperlab._tridiag import bisect_eigenvalues, inverse_iteration
 from harperlab.cocycle import lyapunov_formula
 from harperlab.contfrac import ConstantBeta, beta_exponent, forge, golden
-from harperlab.errors import PoorlyLocalized
-from harperlab.model import CouplingTriple, OperatorSample, build_truncation
+from harperlab.errors import PoorlyLocalized, ResolventSingular
+from harperlab.model import CouplingTriple, OperatorSample, build_truncation, green_function
 from harperlab.spectral import (
     badness_scan,
     decay_fit,
@@ -287,6 +289,44 @@ def test_regularity_requires_k_at_least_nine():
         regularity_test(sample(), 0.5, 0, 1.0, 5)
 
 
+def _regularity_scan(s, energy, y, m, k):
+    """The per-window reference: one truncation and two green_function calls per window."""
+    d = -(-k // 9)
+    skipped = []
+    for x1 in range(y + d - k + 1, y - d + 1):
+        x2 = x1 + k - 1
+        trunc = build_truncation(s, x1, x2)
+        try:
+            g1 = abs(green_function(trunc, energy, y, x1))
+            g2 = abs(green_function(trunc, energy, y, x2))
+        except ResolventSingular:
+            skipped.append((x1, x2))
+            continue
+        if g1 < math.exp(-m * abs(y - x1)) and g2 < math.exp(-m * abs(y - x2)):
+            return True, (x1, x2), skipped
+    return False, None, skipped
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    st.tuples(st.floats(0.0, 0.4), st.floats(0.05, 1.5), st.floats(0.0, 0.4)),
+    st.floats(0.0, 1.0),
+    st.integers(9, 60),
+    st.integers(-30, 30),
+    st.floats(0.0, 2.5),
+    st.one_of(st.floats(-3.0, 3.0), st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))),
+)
+def test_regularity_matches_per_window_green_scan(triple, theta, k, y, m, energy):
+    s = sample(triple, theta=theta)
+    if isinstance(energy, tuple):  # an eigenvalue of one window: that window is skipped
+        d = -(-k // 9)
+        x1 = y + d - k + 1 + energy[0] % (k - 2 * d)
+        w = np.linalg.eigvalsh(build_truncation(s, x1, x1 + k - 1).dense())
+        energy = float(w[energy[1] % k])
+    res = regularity_test(s, energy, y, m, k)
+    assert (res.regular, res.window, res.skipped) == _regularity_scan(s, energy, y, m, k)
+
+
 def test_singular_point_repulsion_spot_check():
     # no (L - eps, k)-singular points in the annulus (3k/4, (k-2)^1.5]
     s = sample()
@@ -345,6 +385,20 @@ def test_decay_fit_auto_pick_matches_dense_oracle():
     picked = decay_fit(s, size, which_eigenvector=best)
     assert picked.eigenvalue == pytest.approx(fit.eigenvalue, abs=1e-12)
     assert picked.slope == pytest.approx(fit.slope, abs=1e-9)
+
+
+def test_decay_fit_auto_tie_rule_matches_dense_oracle():
+    # strongly localized: many middle-third masses tie at 1 - O(1e-15)
+    s = sample()
+    size = 400
+    x1 = -(size // 2)
+    w, v = np.linalg.eigh(build_truncation(s, x1, x1 + size - 1).dense())
+    third = size // 3
+    mass = np.round(np.sum(np.abs(v[third : 2 * third]) ** 2, axis=0), 9)
+    tied = np.flatnonzero(mass == mass.max())
+    assert len(tied) > 10
+    fit = decay_fit(s, size)
+    assert fit.eigenvalue == pytest.approx(w[tied[len(tied) // 2]], abs=1e-9)
 
 
 def test_decay_fit_index_out_of_range():
