@@ -31,7 +31,6 @@ from .model import (
     OperatorSample,
     abs_c_function,
     c_function,
-    c_tilde_function,
     orbit_phases,
     wrap01,
     zero_structure,

@@ -22,7 +22,13 @@ from ._tridiag import (
     squared_components,
     sturm_count,
 )
-from .cocycle import _transfer_batch, _two_norm_batch, lyapunov_formula
+from .cocycle import (
+    DEFAULT_ZERO_GUARD,
+    _transfer_batch,
+    _two_norm_batch,
+    _zero_distances,
+    lyapunov_formula,
+)
 from .contfrac import (
     ContinuedFraction,
     beta_exponent,
@@ -293,9 +299,11 @@ class BadnessReport:
     """Window-mass scan outcome.
 
     min_mass is the smallest of sum_{|k|<=N} |u(k)|^2 over the energy grid
-    and the swept normalized initial data; verdict "bad" means no solution
-    below C^2 was found at this resolution (the continuum quantifiers are
-    discretized, so this is evidence, not proof).
+    and the normalized initial data (u(0), u(-1)) = (cos 2 pi phi, sin 2 pi
+    phi): the first minimum over phi = j/angles, or with refine the exact
+    infimum over all phi at each energy.  Verdict "bad" means no solution
+    below C^2 was found (the energy quantifier is discretized, so this is
+    evidence, not proof).
     """
 
     C: float
@@ -316,75 +324,33 @@ class BadnessReport:
         return json.dumps(dataclasses.asdict(self))
 
 
-def _solution_masses(sample, energy, N, phis, zero_guard=1e-9):
-    """sum_{|k|<=N} |u(k)|^2 for normalized initial angles phis (in turns)."""
-    coupling = sample.coupling
-    alpha_frac = sample.alpha_fraction(n_sites=2 * N + 2)
+def _basis_solutions(sample, alpha_frac, energies, N, zero_guard):
+    """Solutions grown from the basis initial data (u(0), u(-1)) = e1, e2.
+
+    Returns U of shape (len(energies), 2N+2, 2) with u(k) = U[:, k+N+1] @
+    (u(0), u(-1)) for k in [-N-1, N]: the three-term recurrence runs N steps
+    forward and N steps backward, with energies x basis vectors as lanes.
+    Raises SingularSamplingPoint when a phase it reads c at (sites -N-1 ..
+    N-1) lies within zero_guard of a zero of c.
+    """
     alpha_f = float(alpha_frac)
-    phis = np.atleast_1d(np.asarray(phis, dtype=np.float64))
-    u0 = np.cos(2 * np.pi * phis).astype(np.complex128)
-    um1 = np.sin(2 * np.pi * phis).astype(np.complex128)
-    mass = np.abs(u0) ** 2 + np.abs(um1) ** 2  # = 1 by construction
-
-    xs = orbit_phases(sample.theta, alpha_frac, -N - 1, 2 * N + 3)
-
-    def phase(n):
-        return xs[n + N + 1]
-
-    zero_pos = zero_structure(coupling).positions(alpha_f)
-    if zero_pos:
-        from .cocycle import _dist_to_positions
-
-        d = _dist_to_positions(zero_pos, xs)
-        i = int(np.argmin(d))
-        if d[i] < zero_guard:
-            raise SingularSamplingPoint(float(xs[i]), float(d[i]))
-
-    cvals = np.asarray(
-        c_function(coupling, alpha_f, xs), dtype=np.complex128
-    ).reshape(-1)
-
-    def c_at(n):
-        return cvals[n + N + 1]
-
-    # forward: u(k) for k = 1..N via the three-term recurrence
-    ucur, uprev = u0.copy(), um1.copy()
-    for n in range(0, N):
-        d_n = energy - 2.0 * math.cos(2 * math.pi * phase(n))
-        unew = (d_n * ucur - np.conj(c_at(n - 1)) * uprev) / c_at(n)
-        uprev, ucur = ucur, unew
-        mass += np.abs(ucur) ** 2
-    # backward: u(k) for k = -2..-N
-    ucur, unext = um1.copy(), u0.copy()
-    for n in range(-1, -N, -1):
-        d_n = energy - 2.0 * math.cos(2 * math.pi * phase(n))
-        uprevv = (d_n * ucur - c_at(n) * unext) / np.conj(c_at(n - 1))
-        unext, ucur = ucur, uprevv
-        mass += np.abs(ucur) ** 2
-    return mass, phis
-
-
-def _refine_angle(sample, energy, N, phi0, step):
-    """Golden-section descent of the window mass around a coarse minimizer."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = phi0 - step, phi0 + step
-
-    def f(p):
-        return float(_solution_masses(sample, energy, N, [p])[0][0])
-
-    c1, c2 = b - gr * (b - a), a + gr * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(60):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = f(c2)
-    p = 0.5 * (a + b)
-    return f(p), p
+    xs = orbit_phases(sample.theta, alpha_frac, -N - 1, 2 * N + 1)
+    dist = _zero_distances(sample.coupling, alpha_f, xs)
+    if dist is not None:
+        i = int(np.argmin(dist))
+        if dist[i] < zero_guard:
+            raise SingularSamplingPoint(float(xs[i]), float(dist[i]))
+    c = np.asarray(c_function(sample.coupling, alpha_f, xs), dtype=np.complex128)
+    diag = 2.0 * np.cos(2 * np.pi * xs)[:, None]
+    d = np.asarray(energies, dtype=np.float64)[:, None, None] - diag  # (E, sites, 1)
+    U = np.zeros((len(energies), 2 * N + 2, 2), dtype=np.complex128)
+    o = N + 1  # index of site 0, in U and in xs
+    U[:, o, 0] = U[:, o - 1, 1] = 1.0
+    for j in range(N):
+        f, b = o + j, o - 1 - j  # sites n = j (forward) and n = -1-j (backward)
+        U[:, f + 1] = (d[:, f] * U[:, f] - np.conj(c[f - 1]) * U[:, f - 1]) / c[f]
+        U[:, b - 1] = (d[:, b] * U[:, b] - c[b] * U[:, b + 1]) / np.conj(c[b - 1])
+    return U
 
 
 def badness_scan(
@@ -401,11 +367,15 @@ def badness_scan(
 
     The energy grid is drawn from a truncation of size >= 4N (or supplied
     explicitly via ``energies``, e.g. eigenvalues whose eigenvectors sit
-    near the origin); each energy sweeps ``angles`` normalized initial
-    conditions through two-sided transfer iteration over |k| <= N.  With
-    ``refine`` the coarse sweep minimizer is polished by golden-section
-    descent: the dip around a decaying-solution direction narrows like
-    e^(-2 L N), far below any fixed grid.
+    near the origin).  A solution is linear in its initial data v, so its
+    mass over |k| <= N is 1 + ||A v||^2, where the rows of A are the real
+    and imaginary parts of the two basis solutions (_basis_solutions) at
+    k != 0, -1.  Without ``refine`` each energy takes the first minimum over
+    ``angles`` equispaced phi; with ``refine`` it takes the exact infimum
+    over all normalized initial data, 1 + sigma_min(A)^2, and the witness
+    angle (in [0, 1/2), as u and -u carry the same mass) from the right
+    singular vector.  The Gram matrix A^T A is never formed: its entries
+    reach e^(2 L N), which swamps the O(1) minimum.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -418,19 +388,23 @@ def badness_scan(
         e_grid = [float(spec.eigenvalues[i]) for i in idx]
     else:
         e_grid = [float(e) for e in energies]
-    phis = np.arange(angles) / angles
-    best = (math.inf, None, None)
-    for energy in e_grid:
-        masses, _ = _solution_masses(sample, energy, N, phis)
-        j = int(np.argmin(masses))
-        m, p = float(masses[j]), float(phis[j])
-        if refine:
-            m_r, p_r = _refine_angle(sample, energy, N, p, 1.0 / angles)
-            if m_r < m:
-                m, p = m_r, p_r
-        if m < best[0]:
-            best = (m, energy, p)
-    min_mass, we, wa = best
+    if not e_grid:
+        raise ValueError("badness_scan needs at least one energy")
+    U = _basis_solutions(sample, sample.alpha_fraction(n_sites=2 * N + 2), e_grid, N, 1e-9)
+    W = np.concatenate([U[:, 1:N], U[:, N + 2 :]], axis=1)  # k in [-N, N] \ {0, -1}
+    A = np.concatenate([W.real, W.imag], axis=1)
+    if refine:
+        _, s, vh = np.linalg.svd(A, full_matrices=False)
+        masses = 1.0 + s[:, -1] ** 2
+        phis = (np.arctan2(vh[:, -1, 1], vh[:, -1, 0]) / (2 * np.pi)) % 0.5
+    else:
+        grid = np.arange(angles) / angles
+        v = np.stack([np.cos(2 * np.pi * grid), np.sin(2 * np.pi * grid)])
+        mass_grid = 1.0 + np.sum((A @ v) ** 2, axis=1)
+        j = np.argmin(mass_grid, axis=1)
+        masses, phis = mass_grid[np.arange(len(e_grid)), j], grid[j]
+    i = int(np.argmin(masses))
+    min_mass, we, wa = float(masses[i]), e_grid[i], float(phis[i])
     bad = min_mass >= C * C
     return BadnessReport(
         C=C,
@@ -477,34 +451,6 @@ def _nearest_eig(diag, absoff, target):
     return float(vals[int(np.argmin(np.abs(vals - target)))])
 
 
-def _two_sided_vectors(coupling, alpha_frac, theta, energy, N, init):
-    """(u(k), u(k-1)) pairs for |k| <= N from the given initial data."""
-    alpha_f = float(alpha_frac)
-    xs = orbit_phases(theta, alpha_frac, -N - 1, 2 * N + 3)
-    cvals = np.asarray(c_function(coupling, alpha_f, xs), dtype=np.complex128).reshape(-1)
-
-    def phase(n):
-        return xs[n + N + 1]
-
-    def c_at(n):
-        return cvals[n + N + 1]
-
-    out = {0: np.array([init[0], init[1]], dtype=np.complex128)}
-    ucur, uprev = complex(init[0]), complex(init[1])
-    for n in range(0, N):
-        d_n = energy - 2.0 * math.cos(2 * math.pi * phase(n))
-        unew = (d_n * ucur - np.conj(c_at(n - 1)) * uprev) / c_at(n)
-        uprev, ucur = ucur, unew
-        out[n + 1] = np.array([ucur, uprev], dtype=np.complex128)
-    ucur, unext = complex(init[1]), complex(init[0])  # u(-1), u(0)
-    for n in range(-1, -N - 1, -1):
-        d_n = energy - 2.0 * math.cos(2 * math.pi * phase(n))
-        uprevv = (d_n * ucur - c_at(n) * unext) / np.conj(c_at(n - 1))
-        out[n] = np.array([ucur, uprevv], dtype=np.complex128)
-        unext, ucur = ucur, uprevv
-    return out
-
-
 def perturbation_experiment(
     coupling: CouplingTriple,
     alpha,
@@ -540,11 +486,10 @@ def perturbation_experiment(
     dev_m = float(np.max(_two_norm_batch(np.moveaxis(m1 - m2, 2, 0))))
 
     init = (math.cos(2 * math.pi * init_angle), math.sin(2 * math.pi * init_angle))
-    u = _two_sided_vectors(coupling, a_f, theta, energy, N, init)
-    v = _two_sided_vectors(coupling, ap_f, theta, e_prime, N, init)
-    dev_s = 0.0
-    for k in range(-N, N + 1):
-        dev_s = max(dev_s, float(np.linalg.norm(u[k] - v[k])))
+    u = _basis_solutions(sample, a_f, [energy], N, DEFAULT_ZERO_GUARD)[0] @ init
+    v = _basis_solutions(sample_p, ap_f, [e_prime], N, DEFAULT_ZERO_GUARD)[0] @ init
+    w = np.abs(u - v) ** 2  # sites -N-1..N
+    dev_s = float(np.sqrt(np.max(w[1:] + w[:-1])))  # pairs (u(k), u(k-1)), |k| <= N
     return PerturbationReport(
         epsilon=eps,
         energy=energy,

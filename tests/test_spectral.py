@@ -3,15 +3,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harperlab._tridiag import bisect_eigenvalues, inverse_iteration
-from harperlab.cocycle import lyapunov_formula
+from harperlab.cocycle import _dist_to_positions, lyapunov_formula
 from harperlab.contfrac import ConstantBeta, beta_exponent, forge, golden
-from harperlab.errors import PoorlyLocalized, ResolventSingular
-from harperlab.model import CouplingTriple, OperatorSample, build_truncation, green_function
+from harperlab.errors import PoorlyLocalized, ResolventSingular, SingularSamplingPoint
+from harperlab.model import (
+    CouplingTriple,
+    OperatorSample,
+    build_truncation,
+    c_function,
+    green_function,
+    orbit_phases,
+    zero_structure,
+)
 from harperlab.spectral import (
+    _basis_solutions,
     badness_scan,
     decay_fit,
     delta_exponent,
@@ -236,7 +245,204 @@ def test_badness_contrast_localized_side():
         assert rep.witness_E is not None
 
 
+# The scalar two-sided recurrences the basis-solution closed form replaced,
+# kept as references: the window mass swept over initial angles, and the
+# (u(k), u(k-1)) pairs grown from given initial data.
+
+
+def _solution_masses(sample, energy, N, phis, zero_guard=1e-9):
+    """sum_{|k|<=N} |u(k)|^2 for normalized initial angles phis (in turns)."""
+    coupling = sample.coupling
+    alpha_frac = sample.alpha_fraction(n_sites=2 * N + 2)
+    alpha_f = float(alpha_frac)
+    phis = np.atleast_1d(np.asarray(phis, dtype=np.float64))
+    u0 = np.cos(2 * np.pi * phis).astype(np.complex128)
+    um1 = np.sin(2 * np.pi * phis).astype(np.complex128)
+    mass = np.abs(u0) ** 2 + np.abs(um1) ** 2
+    xs = orbit_phases(sample.theta, alpha_frac, -N - 1, 2 * N + 3)
+    zero_pos = zero_structure(coupling).positions(alpha_f)
+    if zero_pos:
+        d = _dist_to_positions(zero_pos, xs)
+        i = int(np.argmin(d))
+        if d[i] < zero_guard:
+            raise SingularSamplingPoint(float(xs[i]), float(d[i]))
+    cvals = np.asarray(c_function(coupling, alpha_f, xs), dtype=np.complex128).reshape(-1)
+
+    def phase(n):
+        return xs[n + N + 1]
+
+    def c_at(n):
+        return cvals[n + N + 1]
+
+    ucur, uprev = u0.copy(), um1.copy()
+    for n in range(0, N):
+        d_n = energy - 2.0 * math.cos(2 * math.pi * phase(n))
+        unew = (d_n * ucur - np.conj(c_at(n - 1)) * uprev) / c_at(n)
+        uprev, ucur = ucur, unew
+        mass += np.abs(ucur) ** 2
+    ucur, unext = um1.copy(), u0.copy()
+    for n in range(-1, -N, -1):
+        d_n = energy - 2.0 * math.cos(2 * math.pi * phase(n))
+        uprevv = (d_n * ucur - c_at(n) * unext) / np.conj(c_at(n - 1))
+        unext, ucur = ucur, uprevv
+        mass += np.abs(ucur) ** 2
+    return mass
+
+
+def _two_sided_vectors(coupling, alpha_frac, theta, energy, N, init):
+    """(u(k), u(k-1)) pairs for |k| <= N from the given initial data."""
+    alpha_f = float(alpha_frac)
+    xs = orbit_phases(theta, alpha_frac, -N - 1, 2 * N + 3)
+    cvals = np.asarray(c_function(coupling, alpha_f, xs), dtype=np.complex128).reshape(-1)
+
+    def phase(n):
+        return xs[n + N + 1]
+
+    def c_at(n):
+        return cvals[n + N + 1]
+
+    out = {0: np.array([init[0], init[1]], dtype=np.complex128)}
+    ucur, uprev = complex(init[0]), complex(init[1])
+    for n in range(0, N):
+        d_n = energy - 2.0 * math.cos(2 * math.pi * phase(n))
+        unew = (d_n * ucur - np.conj(c_at(n - 1)) * uprev) / c_at(n)
+        uprev, ucur = ucur, unew
+        out[n + 1] = np.array([ucur, uprev], dtype=np.complex128)
+    ucur, unext = complex(init[1]), complex(init[0])  # u(-1), u(0)
+    for n in range(-1, -N - 1, -1):
+        d_n = energy - 2.0 * math.cos(2 * math.pi * phase(n))
+        uprevv = (d_n * ucur - c_at(n) * unext) / np.conj(c_at(n - 1))
+        out[n] = np.array([ucur, uprevv], dtype=np.complex128)
+        unext, ucur = ucur, uprevv
+    return out
+
+
+def _near_origin_energies(samp, size=512):
+    """Eigenvalues of the centered window whose eigenvectors peak within 2 of 0."""
+    tr = build_truncation(samp, -size // 2, size - 1 - size // 2)
+    w, v = np.linalg.eigh(tr.dense())
+    return [float(e) for e, col in zip(w, v.T) if abs(int(np.argmax(np.abs(col))) + tr.x1) <= 2]
+
+
+LOCALIZED = sample((0, 0.5, 0))  # test_09's golden side, theta = 0.135
+recurrences = settings(deadline=None, derandomize=True, max_examples=60)
+couplings = st.tuples(st.floats(0.0, 0.6), st.floats(0.1, 1.5), st.floats(0.0, 0.6))
+energy_lists = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3)
+
+
+@recurrences
+@given(couplings, st.floats(0.05, 0.95), st.floats(0.0, 1.0), st.floats(-4.0, 4.0),
+       st.integers(1, 40), st.floats(0.0, 1.0))
+def test_basis_solutions_match_scalar_recurrence(triple, alpha, theta, energy, N, angle):
+    s = sample(triple, theta=theta, alpha=Fraction(alpha))
+    a = s.alpha_fraction(n_sites=N + 1)
+    init = (math.cos(2 * math.pi * angle), math.sin(2 * math.pi * angle))
+    try:
+        U = _basis_solutions(s, a, [energy], N, 1e-9)[0]
+    except SingularSamplingPoint:
+        assume(False)
+    ref = _two_sided_vectors(s.coupling, a, theta, energy, N, init)
+    u = U @ init
+    scale = np.linalg.norm(U, axis=1)  # |u(k)| can cancel down from |U_k|
+    for k in range(-N, N + 1):
+        got = np.array([u[k + N + 1], u[k + N]])
+        tol = 1e-12 * max(1.0, scale[k + N + 1], scale[k + N])
+        assert np.all(np.abs(got - ref[k]) <= tol), k
+
+
+@recurrences
+@given(couplings, st.floats(0.0, 1.0), energy_lists, st.integers(1, 40), st.integers(1, 64))
+def test_badness_grid_minimum_matches_reference(triple, theta, energies, N, angles):
+    s = sample(triple, theta=theta)
+    try:
+        rep = badness_scan(s, C=3.0, N=N, angles=angles, energies=energies)
+    except SingularSamplingPoint:
+        assume(False)
+    phis = np.arange(angles) / angles
+    ref = min(float(np.min(_solution_masses(s, e, N, phis))) for e in energies)
+    assert rep.min_mass >= 1.0
+    assert rep.min_mass == pytest.approx(ref, rel=1e-9)
+
+
+def _check_refined_minimum(s, energies, N, rel=1e-9):
+    rep = badness_scan(s, C=math.inf, N=N, energies=energies, refine=True)
+    fine = np.arange(4096) / 4096
+    ref = min(float(np.min(_solution_masses(s, e, N, fine))) for e in energies)
+    assert rep.min_mass >= 1.0
+    assert rep.min_mass <= ref * (1 + 1e-9)
+    assert 0.0 <= rep.witness_angle < 0.5
+    at_witness = float(_solution_masses(s, rep.witness_E, N, [rep.witness_angle])[0])
+    assert at_witness == pytest.approx(rep.min_mass, rel=rel)
+    return rep
+
+
+@recurrences
+@given(couplings, st.floats(0.0, 1.0), energy_lists, st.integers(1, 40))
+def test_badness_refine_is_the_infimum(triple, theta, energies, N):
+    s = sample(triple, theta=theta)
+    try:
+        _check_refined_minimum(s, energies, N)
+    except SingularSamplingPoint:
+        assume(False)
+
+
+def test_badness_requires_an_energy():
+    for kwargs in ({"energies": []}, {"E_count": 0}):
+        with pytest.raises(ValueError):
+            badness_scan(sample(), C=3.0, N=8, **kwargs)
+
+
+def test_badness_refine_localized_solution_exact():
+    # the basis solutions reach 3.6e11, so 1 + lambda_min(A^T A) would read
+    # 1.0 against the true 1.0244605; the scalar reference at the witness and
+    # the closed form sit 0.9e-8 and 1.7e-8 from an 80-digit evaluation of the
+    # same recurrence, hence rel=1e-7 here
+    near = _near_origin_energies(LOCALIZED)
+    rep = _check_refined_minimum(LOCALIZED, near[:2], 32, rel=1e-7)
+    assert rep.verdict == "not_bad" and rep.min_mass < 2.0
+
+
 # -- perturbation -------------------------------------------------------------------
+
+
+def test_perturbation_zero_of_c_outside_window_raises():
+    # c vanishes 7.3e-8 from site -N-1, whose conj(c) the backward step divides by
+    c = CouplingTriple(0.2, 0.6, 0.4)
+    for theta in (0.517221, 0.517221 + 1e-10):
+        with pytest.raises(SingularSamplingPoint):
+            perturbation_experiment(
+                c, Fraction(6180339887, 10**10), Fraction(618034, 10**6), theta, N=6,
+                trunc_size=64,
+            )
+
+
+@pytest.mark.parametrize(
+    "triple, alpha, alpha_prime, q_index, eig_index",
+    [
+        ((0, 0.9, 0), golden(), Fraction(618034, 10**6), None, "median"),  # README
+        ((0.1, 0.5, 0.2), golden().fraction(min_q=10**14), None, 11, 40),  # test_10
+        ((0.1, 0.5, 0.2), golden().fraction(min_q=10**14), None, 15, 700),
+    ],
+)
+def test_perturbation_deviation_matches_scalar_reference(
+    triple, alpha, alpha_prime, q_index, eig_index
+):
+    c, N = CouplingTriple(*triple), 20
+    size = 256
+    if q_index is not None:
+        p, q = golden().convergent(q_index)
+        alpha_prime, size = Fraction(p, q), 2 * q
+    rep = perturbation_experiment(
+        c, alpha, alpha_prime, 0.135, N=N, trunc_size=size, eig_index=eig_index
+    )
+    u, v = (
+        _two_sided_vectors(
+            c, OperatorSample(c, a, 0.135).alpha_fraction(n_sites=N + 1), 0.135, e, N, (1.0, 0.0)
+        )
+        for a, e in ((alpha, rep.energy), (alpha_prime, rep.energy_prime))
+    )
+    ref = max(float(np.linalg.norm(u[k] - v[k])) for k in range(-N, N + 1))
+    assert rep.solution_deviation == pytest.approx(ref, rel=1e-9)
 
 
 def test_perturbation_identical_frequencies():
