@@ -8,7 +8,6 @@ small-divisor cohomological solver, and the commutant divisor scan.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,8 +62,6 @@ __all__ = [
 # transfer-matrix cells (sites x lanes) a product-sweep chunk builds at once
 SWEEP_CELLS = 2**15
 DEFAULT_ZERO_GUARD = 1e-7
-# orbit sites the rotation-number angle walk unpacks at once
-WALK_BLOCK = 4096
 
 
 def two_norm(m: np.ndarray) -> float:
@@ -111,14 +108,6 @@ def _dist_to_positions(positions, x: np.ndarray):
     return dist
 
 
-def _zero_distances(coupling: CouplingTriple, alpha_f: float, x: np.ndarray):
-    """Circle distance from phases x to the nearest zero of c; None if no zeros."""
-    zs = zero_structure(coupling)
-    if not zs.offsets:
-        return None
-    return _dist_to_positions(zs.positions(alpha_f), x)
-
-
 def _sampling(coupling, alpha_f, x, kind):
     """c (raw) or |c| (normalized) at phases x: the entries a site hands on."""
     if kind == "raw":
@@ -153,23 +142,17 @@ def _transfer_batch(sample, energy, thetas, kind="raw", zero_guard=DEFAULT_ZERO_
 
     Raises SingularSamplingPoint at the first phase within zero_guard of a
     zero of c (or, for kind="normalized", whose predecessor is), naming
-    the closer of the two.
+    the predecessor when both are.
     """
     alpha_f = sample.alpha_float
     x = np.asarray(thetas, dtype=np.float64)
     x = x - np.floor(x)
     xm = x - alpha_f
     xm = xm - np.floor(xm)
-    pts = np.stack([x, xm])
-    dist = _zero_distances(sample.coupling, alpha_f, pts)
-    if dist is not None:
-        if kind != "normalized":
-            dist = dist[:1]
-        bad = np.min(dist, axis=0) < zero_guard
-        if bad.any():
-            i = int(np.argmax(bad))
-            row = int(np.argmin(dist[:, i]))
-            raise SingularSamplingPoint(float(pts[row, i]), float(dist[row, i]))
+    zero_pos = zero_structure(sample.coupling).positions(alpha_f)
+    if zero_pos:
+        pts = np.stack([xm, x], axis=1) if kind == "normalized" else x[:, None]
+        _guard(zero_pos, pts, zero_guard, "raise")
     cur = _sampling(sample.coupling, alpha_f, x, kind)
     prev = _sampling(sample.coupling, alpha_f, xm, kind)
     return _transfer_entries(energy, x, cur, prev, kind)
@@ -253,6 +236,55 @@ def _guard(zero_pos, x, zero_guard, on_singular):
     return bad
 
 
+def _scan_sites(m):
+    """Prefix products A_k...A_0 of a (2, 2, K, ...) chunk, in place.
+
+    Hillis-Steele levels P_k <- P_k P_{k-d} (k >= d = 1, 2, 4, ...), at unit norm.
+    """
+    d = 1
+    while d < m.shape[2]:
+        p = _mul(m[:, :, d:], m[:, :, :-d])
+        _normalize(p)
+        m[:, :, d:] = p
+        d *= 2
+
+
+def _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
+    """Transfer matrices A(th), ..., A(th+(n-1)a) over a batch of phases.
+
+    Yields (a, alive) per chunk of K sites x g lanes, a as (2, 2, K, g)
+    with K g <= SWEEP_CELLS.  A lane whose orbit (or, for "normalized",
+    predecessor phase) enters the zero guard is dead and holds the
+    identity from that site on; with on_singular="raise" the earliest such
+    site (then the lowest lane) raises SingularSamplingPoint instead.
+    """
+    if n < 1:
+        return
+    g = len(thetas)
+    alpha_frac = sample.alpha_fraction(n_sites=n)
+    alpha_f = float(alpha_frac)
+    zero_pos = zero_structure(sample.coupling).positions(alpha_f)
+    ka = orbit_phases(0.0, alpha_frac, 0, n)
+    xm = (thetas - alpha_f) % 1.0
+    prev = _sampling(sample.coupling, alpha_f, xm, kind)
+    alive = np.ones(g, dtype=bool)
+    if zero_pos and kind == "normalized":
+        alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
+    chunk = max(1, SWEEP_CELLS // g)
+    for k0 in range(0, n, chunk):
+        x = (thetas[None, :] + ka[k0 : k0 + chunk, None]) % 1.0
+        cur = _sampling(sample.coupling, alpha_f, x, kind)
+        a = _transfer_entries(energy, x, cur, np.concatenate([prev[None], cur[:-1]]), kind)
+        prev = cur[-1]
+        if zero_pos:
+            dead = _guard(zero_pos, x, zero_guard, on_singular)
+            dead[0] |= ~alive
+            np.logical_or.accumulate(dead, axis=0, out=dead)
+            a[:, :, dead] = np.eye(2)[:, :, None]
+            alive = ~dead[-1]
+        yield a, alive
+
+
 def _product_sweep(
     sample: OperatorSample,
     energy: float,
@@ -264,44 +296,19 @@ def _product_sweep(
 ):
     """Products A(th+(n-1)a)...A(th) over a batch of phases, at unit norm.
 
-    The sites run in chunks of K sites x g lanes (K g <= SWEEP_CELLS): one
-    pass builds the chunk's matrices, pairwise products with unit-norm
-    levels reduce it, and its product folds into the running one.  Returns
-    (matrices, lognorms, alive): exact product = matrix * e^lognorm per
-    lane.  A lane whose orbit enters the zero guard is dead and counts as
-    the identity from that site on; with on_singular="raise" the first
-    such site (lowest lane) raises SingularSamplingPoint instead.
+    _reduce_sites reduces each _sweep_chunks chunk, which folds into the
+    running product.  Returns (matrices, lognorms, alive): exact product =
+    matrix * e^lognorm per lane.
     """
-    coupling = sample.coupling
     g = len(thetas)
-    alpha_frac = sample.alpha_fraction(n_sites=max(n, 1))
-    alpha_f = float(alpha_frac)
     eye = np.eye(2, dtype=np.complex128 if kind == "raw" else np.float64)
     mats = np.repeat(eye[:, :, None], g, axis=2)
     lognorm = np.zeros(g)
     alive = np.ones(g, dtype=bool)
-    if n > 0:
-        zero_pos = zero_structure(coupling).positions(alpha_f)
-        ka = orbit_phases(0.0, alpha_frac, 0, n)
-        xm = (thetas - alpha_f) % 1.0
-        prev = _sampling(coupling, alpha_f, xm, kind)
-        if zero_pos and kind == "normalized":
-            alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
-        chunk = max(1, SWEEP_CELLS // g)
-        for k0 in range(0, n, chunk):
-            x = (thetas[None, :] + ka[k0 : k0 + chunk, None]) % 1.0
-            cur = _sampling(coupling, alpha_f, x, kind)
-            a = _transfer_entries(energy, x, cur, np.concatenate([prev[None], cur[:-1]]), kind)
-            prev = cur[-1]
-            if zero_pos:
-                dead = _guard(zero_pos, x, zero_guard, on_singular)
-                dead[0] |= ~alive
-                np.logical_or.accumulate(dead, axis=0, out=dead)
-                a[:, :, dead] = eye[:, :, None]
-                alive = ~dead[-1]
-            p, logs = _reduce_sites(a)
-            mats = _mul(p, mats)
-            lognorm += logs + _normalize(mats)
+    for a, alive in _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
+        p, logs = _reduce_sites(a)
+        mats = _mul(p, mats)
+        lognorm += logs + _normalize(mats)
     return np.moveaxis(mats, 2, 0).copy(), lognorm, alive
 
 
@@ -411,43 +418,35 @@ class RotationEstimate:
     nonergodic_flag: bool = False
 
 
-def _angle_walk(m00, m01, m10, m11, y0, branch_tol):
-    """Projective angle walk y -> arg(A_k (cos 2 pi y, sin 2 pi y)) / 2 pi.
+def _lift_increments(chunks, y0, branch_tol):
+    """Birkhoff average of lift increments along (2, 2, K) matrix chunks.
 
-    The entries are arrays over the orbit sites; m11=None stands for an
-    identically zero entry (it is left out of the sum, so that the sign of
-    a zero second component, which decides atan2 on the cut, is that of
-    m10 cos).  The lift increment at each step is the principal branch
-    |phi| < 1/2; landing within branch_tol of the cut raises
-    BranchAmbiguity.
+    Each chunk's prefix products move the unit vector carried from the
+    previous chunk, so y_k = arg(A_k...A_0 v0) / 2 pi with v0 at angle y0.
+    The lift increment is the principal branch |y_k - y_{k-1}| < 1/2; the
+    first one within branch_tol of the cut raises BranchAmbiguity.
     """
-    n_steps = len(m00)
     y = float(y0)
-    incs = np.empty(n_steps)
-    twopi = 2.0 * math.pi
-    for k0 in range(0, n_steps, WALK_BLOCK):
-        # Python floats walk faster than numpy scalars; a block at a time
-        # keeps the float objects few
-        part = slice(k0, k0 + WALK_BLOCK)
-        rows = zip(
-            m00[part].tolist(),
-            m01[part].tolist(),
-            m10[part].tolist(),
-            itertools.repeat(None) if m11 is None else m11[part].tolist(),
+    v = np.array([math.cos(2 * math.pi * y), math.sin(2 * math.pi * y)])
+    parts = []
+    for m in chunks:
+        _scan_sites(m)
+        w = m[:, 0] * v[0] + m[:, 1] * v[1]
+        ys = np.arctan2(w[1], w[0]) / (2 * math.pi)
+        parts.append(np.diff(ys, prepend=y))
+        y = ys[-1]
+        v = w[:, -1] / math.hypot(w[0, -1], w[1, -1])
+        # drop this chunk before the builder makes the next: one chunk at a time
+        del m, w, ys
+    incs = np.concatenate(parts)
+    incs -= np.floor(incs + 0.5)  # principal branch in [-1/2, 1/2)
+    bad = np.abs(np.abs(incs) - 0.5) < branch_tol
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise BranchAmbiguity(
+            f"lift increment {incs[k]:.12f} at step {k} sits on the branch cut"
         )
-        for k, (a00, a01, a10, a11) in enumerate(rows, k0):
-            cy, sy = math.cos(twopi * y), math.sin(twopi * y)
-            w1 = a00 * cy + a01 * sy
-            w2 = a10 * cy if a11 is None else a10 * cy + a11 * sy
-            ynew = math.atan2(w2, w1) / twopi
-            phi = ynew - y
-            phi -= math.floor(phi + 0.5)  # principal branch in [-1/2, 1/2)
-            if abs(abs(phi) - 0.5) < branch_tol:
-                raise BranchAmbiguity(
-                    f"lift increment {phi:.12f} at step {k} sits on the branch cut"
-                )
-            incs[k] = phi
-            y = wrap01(y + phi)
+    n_steps = len(incs)
     value = wrap01(float(np.mean(incs)))
     stderr = float(np.std(incs, ddof=1) / math.sqrt(n_steps))
     half = float(np.mean(incs[: n_steps // 2]))
@@ -468,13 +467,16 @@ def rotation_number_map(
     The lift increment at each step is the principal branch |phi| < 1/2;
     landing within branch_tol of the cut raises BranchAmbiguity.
     """
+    if n_steps < 2:
+        raise ValueError("n_steps must be >= 2")
     if isinstance(alpha, ContinuedFraction):
         alpha_frac = alpha.fraction(min_q=math.isqrt(1000 * n_steps * 10**12) + 1)
     else:
         alpha_frac = Fraction(alpha)
     xs = orbit_phases(theta0, alpha_frac, 0, n_steps)
-    m = np.array([matrix_map(x) for x in xs])
-    return _angle_walk(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], y0, branch_tol)
+    m = np.moveaxis(np.array([matrix_map(x) for x in xs]), 0, 2)
+    chunks = (m[:, :, k : k + SWEEP_CELLS] for k in range(0, n_steps, SWEEP_CELLS))
+    return _lift_increments(chunks, y0, branch_tol)
 
 
 def rotation_number(
@@ -488,24 +490,14 @@ def rotation_number(
 ) -> RotationEstimate:
     """Rotation number of the normalized transfer cocycle.
 
-    The orbit's matrix entries are precomputed in one vectorized pass; only
-    the angle recursion runs sitewise.
+    The matrices come from the product sweep's chunk builder, so the earliest
+    orbit or predecessor phase in the zero guard raises SingularSamplingPoint.
     """
-    coupling = sample.coupling
-    alpha_frac = sample.alpha_fraction(n_sites=n_steps)
-    alpha_f = float(alpha_frac)
-    xs = orbit_phases(theta0, alpha_frac, 0, n_steps)
-    ax = np.asarray(abs_c_function(coupling, alpha_f, xs), dtype=np.float64).reshape(-1)
-    a_first = float(abs_c_function(coupling, alpha_f, wrap01(float(theta0) - alpha_f)))
-    axm = np.concatenate([[a_first], ax[:-1]])
-    zero_pos = zero_structure(coupling).positions(alpha_f)
-    if zero_pos:
-        d = _dist_to_positions(zero_pos, xs)
-        i = int(np.argmin(d))
-        if d[i] < zero_guard or a_first == 0.0:
-            raise SingularSamplingPoint(float(xs[i]), float(d[i]))
-    m = _transfer_entries(energy, xs, ax, axm, "normalized")
-    return _angle_walk(m[0, 0], m[0, 1], m[1, 0], None, y0, branch_tol)
+    if n_steps < 2:
+        raise ValueError("n_steps must be >= 2")
+    thetas = np.array([wrap01(float(theta0))])
+    chunks = _sweep_chunks(sample, energy, thetas, n_steps, "normalized", zero_guard, "raise")
+    return _lift_increments((a[:, :, :, 0] for a, _ in chunks), y0, branch_tol)
 
 
 def _polar_angles(matrix_map, thetas):

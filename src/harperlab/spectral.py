@@ -24,9 +24,9 @@ from ._tridiag import (
 )
 from .cocycle import (
     DEFAULT_ZERO_GUARD,
+    _guard,
     _transfer_batch,
     _two_norm_batch,
-    _zero_distances,
     lyapunov_formula,
 )
 from .contfrac import (
@@ -36,7 +36,7 @@ from .contfrac import (
     log_of_int,
     norm_numerator,
 )
-from .errors import PoorlyLocalized, SingularSamplingPoint
+from .errors import PoorlyLocalized
 from .model import (
     CouplingTriple,
     OperatorSample,
@@ -330,16 +330,14 @@ def _basis_solutions(sample, alpha_frac, energies, N, zero_guard):
     Returns U of shape (len(energies), 2N+2, 2) with u(k) = U[:, k+N+1] @
     (u(0), u(-1)) for k in [-N-1, N]: the three-term recurrence runs N steps
     forward and N steps backward, with energies x basis vectors as lanes.
-    Raises SingularSamplingPoint when a phase it reads c at (sites -N-1 ..
-    N-1) lies within zero_guard of a zero of c.
+    Raises SingularSamplingPoint at the earliest phase it reads c at (sites
+    -N-1 .. N-1) that lies within zero_guard of a zero of c.
     """
     alpha_f = float(alpha_frac)
     xs = orbit_phases(sample.theta, alpha_frac, -N - 1, 2 * N + 1)
-    dist = _zero_distances(sample.coupling, alpha_f, xs)
-    if dist is not None:
-        i = int(np.argmin(dist))
-        if dist[i] < zero_guard:
-            raise SingularSamplingPoint(float(xs[i]), float(dist[i]))
+    zero_pos = zero_structure(sample.coupling).positions(alpha_f)
+    if zero_pos:
+        _guard(zero_pos, xs[:, None], zero_guard, "raise")
     c = np.asarray(c_function(sample.coupling, alpha_f, xs), dtype=np.complex128)
     diag = 2.0 * np.cos(2 * np.pi * xs)[:, None]
     d = np.asarray(energies, dtype=np.float64)[:, None, None] - diag  # (E, sites, 1)

@@ -17,6 +17,8 @@ from harperlab.cli import (
     sweep_seeds,
     verify,
 )
+from harperlab.contfrac import golden
+from harperlab.model import CouplingTriple, OperatorSample, zero_structure
 
 
 def cli(*args):
@@ -336,6 +338,9 @@ DEGENERATE = [
      dict(SPECTRUM, coupling=[0, 1])),
     ("colour", ["spectrum", "--coupling", "0,1,0", "--colour", "1"],
      dict(SPECTRUM, colour=1)),
+    ("n_steps", ["rotation", "--coupling", "0.1,2.0,0.1", "--freq", "golden", "--E", "1.0",
+                 "--n", "1"],
+     {"experiment": "rotation", "coupling": [0.1, 2.0, 0.1], "params": {"E": 1.0, "n": 1}}),
 ]
 
 
@@ -359,6 +364,17 @@ def test_verify_bad_entry_fails_and_suite_goes_on(bad, tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[:2] for row in rows] == [["FAIL", "bad"], ["PASS", "good"]]
+
+
+def test_rotation_predecessor_on_a_zero_exits_3(capsys):
+    # theta - alpha sits 1e-9 from a zero of c: the first transfer matrix divides by |c| there
+    sample = OperatorSample(CouplingTriple(0.3, 0.5, 0.3), golden())
+    af = float(sample.alpha_fraction(n_sites=2000))
+    theta = (zero_structure(sample.coupling).positions(af)[0] + af + 1e-9) % 1.0
+    argv = ["rotation", "--coupling", "0.3,0.5,0.3", "--freq", "golden", "--E", "1.0",
+            "--n", "2000", "--theta", repr(theta)]
+    assert exit_code(argv) == 3
+    assert "SingularSamplingPoint" in capsys.readouterr().err
 
 
 def test_decay_index_out_of_range_exits_2(capsys):

@@ -36,6 +36,7 @@ from harperlab.model import (
     build_truncation,
     c_function,
     c_tilde_function,
+    zero_structure,
 )
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -239,6 +240,33 @@ def test_rotation_y0_independence():
         errs.append(est.stderr)
     spread = max(vals) - min(vals)
     assert spread <= 3 * (max(errs) + 1e-12) * 2
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_rotation_rejects_degenerate_step_counts(n):
+    with pytest.raises(ValueError, match="n_steps"):
+        rotation_number(amo(), 1.0, n_steps=n)
+    with pytest.raises(ValueError, match="n_steps"):
+        rotation_number_map(constant_rotation(GOLD, 0.25).matrix, golden(), n_steps=n)
+
+
+def predecessor_on_zero(offset):
+    """A sample of c with a zero pair, and a phase whose predecessor is a zero (+ offset)."""
+    s = OperatorSample(CouplingTriple(0.3, 0.5, 0.3), golden())
+    af = float(s.alpha_fraction(n_sites=2000))
+    z = zero_structure(s.coupling).positions(af)[0]
+    return s, (z + af + offset) % 1.0
+
+
+@pytest.mark.parametrize("offset", [1e-9, 0.0])
+def test_rotation_guards_the_predecessor_phase(offset):
+    s, theta0 = predecessor_on_zero(offset)
+    with pytest.raises(SingularSamplingPoint):
+        n_step(s, 1.0, theta0, 2000, kind="normalized")
+    with pytest.raises(SingularSamplingPoint):
+        rotation_number(s, 1.0, n_steps=2000, theta0=theta0)
+    # the same orbit one site on is clear of the guard
+    rotation_number(s, 1.0, n_steps=2000, theta0=(theta0 + GOLD) % 1.0)
 
 
 def test_rotation_monotone_in_energy():

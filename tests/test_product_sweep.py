@@ -1,15 +1,25 @@
 """Property tests for the chunked transfer-product sweep against a sequential walk."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harperlab.cocycle import SWEEP_CELLS, _product_sweep, lyapunov_numeric, n_step
+from harperlab.cocycle import (
+    SWEEP_CELLS,
+    _product_sweep,
+    constant_rotation,
+    lyapunov_numeric,
+    n_step,
+    rotation_matrix,
+    rotation_number,
+    rotation_number_map,
+)
 from harperlab.contfrac import golden
-from harperlab.errors import SingularSamplingPoint, TooManyExclusions
+from harperlab.errors import BranchAmbiguity, SingularSamplingPoint, TooManyExclusions
 from harperlab.model import (
     CouplingTriple,
     OperatorSample,
@@ -190,6 +200,10 @@ def test_raise_reports_the_per_site_phase(triple, thetas, n, zero_guard, kind):
         with pytest.raises(SingularSamplingPoint) as err:
             n_step(sample, 0.3, float(thetas[0]), n, kind, zero_guard)
         assert err.value.theta == expect
+    if len(thetas) == 1 and kind == "normalized" and n >= 2:
+        with pytest.raises(SingularSamplingPoint) as err:
+            rotation_number(sample, 0.3, n, float(thetas[0]), zero_guard=zero_guard)
+        assert err.value.theta == expect
 
 
 def test_n_step_growth_single_lane_spans_chunks():
@@ -199,3 +213,98 @@ def test_n_step_growth_single_lane_spans_chunks():
     m, lognorm = n_step(sample, 2.9, 0.25, n)
     growth, _, _ = sequential(sample, 2.9, np.array([0.25]), n, "raw", 1e-7)
     assert abs(lognorm + math.log(np.linalg.norm(m, 2)) - growth[0]) <= 1e-9 * growth[0]
+
+
+# -- rotation numbers against the sitewise angle walk ---------------------------
+
+GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# l2 > l1 + l3: c has no zero on the circle
+ZERO_FREE = st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.05, 1.0)).map(
+    lambda t: (t[0], t[0] + t[1] + t[2], t[1])
+)
+
+
+def angle_walk(m, y0, branch_tol=1e-9):
+    """Sitewise projective walk y -> arg(A_k (cos 2 pi y, sin 2 pi y)) / 2 pi.
+
+    m is an (n, 2, 2) stack.  Returns (value mod 1, stderr) of the principal
+    lift increments; one within branch_tol of the cut raises BranchAmbiguity.
+    """
+    y = float(y0)
+    incs = []
+    for k, ((a00, a01), (a10, a11)) in enumerate(m.tolist()):
+        cy, sy = math.cos(2 * math.pi * y), math.sin(2 * math.pi * y)
+        phi = math.atan2(a10 * cy + a11 * sy, a00 * cy + a01 * sy) / (2 * math.pi) - y
+        phi -= math.floor(phi + 0.5)
+        if abs(abs(phi) - 0.5) < branch_tol:
+            raise BranchAmbiguity(f"increment {phi:.12f} at step {k} sits on the branch cut")
+        incs.append(phi)
+        y = (y + phi) % 1.0
+    return float(np.mean(incs)) % 1.0, float(np.std(incs, ddof=1) / math.sqrt(len(incs)))
+
+
+def branch_step(call):
+    """The step index the BranchAmbiguity raised by call() names."""
+    with pytest.raises(BranchAmbiguity) as err:
+        call()
+    return int(re.search(r"at step (\d+) ", str(err.value)).group(1))
+
+
+def normalized_orbit(sample, energy, theta0, n):
+    """Normalized transfer matrices at theta0 + k alpha, k < n, as an (n, 2, 2) stack."""
+    alpha = sample.alpha_fraction(n_sites=n)
+    af = float(alpha)
+    x = orbit_phases(theta0, alpha, 0, n)
+    c = abs_c_function(sample.coupling, af, x)
+    cm = abs_c_function(sample.coupling, af, (x - af) % 1.0)
+    s = np.sqrt(c * cm)
+    m = np.zeros((n, 2, 2))
+    m[:, 0, 0] = (energy - 2.0 * np.cos(2.0 * np.pi * x)) / s
+    m[:, 0, 1], m[:, 1, 0] = -cm / s, c / s
+    return m
+
+
+@settings(deadline=None, derandomize=True, max_examples=8)
+@given(
+    ZERO_FREE,
+    st.floats(-4.0, 5.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    # past one chunk of a single lane
+    st.integers(SWEEP_CELLS + 1, 2 * SWEEP_CELLS + 100),
+)
+def test_rotation_number_matches_the_angle_walk(triple, energy, theta0, y0, n):
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    assert not zero_structure(sample.coupling).offsets
+    m = normalized_orbit(sample, energy, theta0, n)
+    try:
+        value, stderr = angle_walk(m, y0)
+    except BranchAmbiguity:
+        walk_step = branch_step(lambda: angle_walk(m, y0))
+        assert branch_step(lambda: rotation_number(sample, energy, n, theta0, y0)) == walk_step
+        return
+    est = rotation_number(sample, energy, n, theta0, y0)
+    assert abs((est.value - value + 0.5) % 1.0 - 0.5) <= 1e-12
+    assert est.stderr == pytest.approx(stderr, rel=1e-9)
+
+
+@examples
+@given(st.floats(0.0, 1.0), st.integers(2, SWEEP_CELLS + 100))
+def test_half_turn_branch_step_matches_the_angle_walk(y0, n):
+    cocycle = constant_rotation(GOLD, 0.5)
+    m = np.array([cocycle.matrix(0.0)] * n)
+    step = branch_step(lambda: angle_walk(m, y0))
+    assert branch_step(lambda: rotation_number_map(cocycle.matrix, golden(), n, y0=y0)) == step
+
+
+def test_branch_step_counts_sites_across_chunks():
+    # a half turn on a short arc, which the orbit from 0 first enters past two chunks
+    def half_turn_on_arc(theta):
+        return rotation_matrix(0.5 if abs(theta - 0.3) < 8e-6 else 0.2)
+
+    n = 70_000
+    alpha = golden().fraction(min_q=math.isqrt(1000 * n * 10**12) + 1)
+    m = np.array([half_turn_on_arc(x) for x in orbit_phases(0.0, alpha, 0, n)])
+    step = branch_step(lambda: angle_walk(m, 0.0))
+    assert step > 2 * SWEEP_CELLS
+    assert branch_step(lambda: rotation_number_map(half_turn_on_arc, golden(), n)) == step
