@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -71,6 +72,8 @@ class ExperimentConfig:
             raise InvalidCoupling(f"unknown format {self.format!r}")
         if self.threads < 1:
             raise InvalidCoupling("threads must be >= 1")
+        if not isinstance(self.theta, (int, float)) or not math.isfinite(self.theta):
+            raise InvalidCoupling(f"theta must be a finite number, got {self.theta!r}")
 
 
 def sweep_seeds(seed: int, count: int) -> list:
@@ -333,6 +336,17 @@ def _run_commutant(cfg, p):
 # -- the parameter table ---------------------------------------------------------
 
 
+def _finite(value) -> float:
+    """Param type: a float that is neither nan nor infinite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite value {value!r}")
+    return number
+
+
+_finite.__name__ = "finite float"  # argparse names the type in its errors
+
+
 def _or(word: str, number):
     """Param type: the keyword ``word`` or a number of type ``number``."""
     def convert(value):
@@ -348,27 +362,27 @@ _REQUIRED = object()  # default of a param that must be given
 # checks, coerces and completes config params against it.  A bool is a flag;
 # a None default stays None when the param is absent.
 _EXPERIMENTS = {
-    "le": (_run_le, {"E": (_or("auto", float), "auto"), "n": (int, 100000),
+    "le": (_run_le, {"E": (_or("auto", _finite), "auto"), "n": (int, 100000),
                      "grid": (int, 64), "kind": (str, "raw")}),
     "spectrum": (_run_spectrum, {"size": (int, 512), "phases": (int, 1)}),
     "duality": (_run_duality, {"size": (int, 512), "phases": (int, 16),
                                "seeded_phases": (bool, False)}),
     "forge": (_run_forge, {"base": (str, "golden"), "n0": (int, 5),
-                           "schedule": (str, "constant"), "beta": (float, 0.5),
+                           "schedule": (str, "constant"), "beta": (_finite, 0.5),
                            "levels": (int, 3), "tail": (int, 1),
                            "cap": (int, contfrac.DIGIT_CAP_DECIMAL)}),
     "delta": (_run_delta, {"depth": (int, 12), "warmup": (int, 1)}),
-    "badness": (_run_badness, {"C": (float, 3.0), "N": (int, 16), "E_count": (int, 8),
+    "badness": (_run_badness, {"C": (_finite, 3.0), "N": (int, 16), "E_count": (int, 8),
                                "angles": (int, 64), "refine": (bool, False)}),
     "decay": (_run_decay, {"size": (int, 800), "which": (_or("auto", int), "auto")}),
-    "rotation": (_run_rotation, {"E": (_or("auto", float), "auto"), "n": (int, 100000),
-                                 "y0": (float, 0.0)}),
+    "rotation": (_run_rotation, {"E": (_or("auto", _finite), "auto"), "n": (int, 100000),
+                                 "y0": (_finite, 0.0)}),
     "perturb": (_run_perturb, {"freq_prime": (str, _REQUIRED), "N": (int, 20),
                                "size": (int, None),
                                "eig_index": (_or("median", int), "median")}),
     "cohomology": (_run_cohomology, {"phi": (str, "cos"), "smax": (int, 3)}),
     "commutant": (_run_commutant, {"rho": (str, "0.25"), "bandwidth": (int, 1000),
-                                   "tau": (float, 2.0), "gamma": (float, 1e-3)}),
+                                   "tau": (_finite, 2.0), "gamma": (_finite, 1e-3)}),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -500,7 +514,7 @@ def _add_common(sp):
     sp.add_argument("--coupling", help="l1,l2,l3")
     sp.add_argument("--freq", default=default["frequency"],
                     help="decimal, golden, silver, or digit-file path")
-    sp.add_argument("--theta", type=float, default=default["theta"])
+    sp.add_argument("--theta", type=_finite, default=default["theta"])
     sp.add_argument("--out", help="payload output path")
     sp.add_argument("--format", choices=FORMATS, default=default["format"])
     sp.add_argument("--seed", type=int, default=default["seed"])

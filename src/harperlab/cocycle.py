@@ -28,6 +28,7 @@ from .errors import (
 from .model import (
     CouplingTriple,
     OperatorSample,
+    _alpha_proxy,
     abs_c_function,
     c_function,
     orbit_phases,
@@ -37,7 +38,6 @@ from .model import (
 
 __all__ = [
     "Cocycle",
-    "TransferCocycle",
     "LyapunovEstimate",
     "RotationEstimate",
     "NormReport",
@@ -65,18 +65,8 @@ DEFAULT_ZERO_GUARD = 1e-7
 
 
 def two_norm(m: np.ndarray) -> float:
-    """Operator 2-norm of a 2x2 matrix via the explicit singular-value formula."""
-    fro2 = float(np.sum(np.abs(m) ** 2))
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = max(fro2 * fro2 - 4.0 * abs(det) ** 2, 0.0)
-    return math.sqrt(0.5 * (fro2 + math.sqrt(disc)))
-
-
-def _two_norm_batch(m: np.ndarray) -> np.ndarray:
-    fro2 = np.sum(np.abs(m) ** 2, axis=(1, 2))
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    disc = np.maximum(fro2 * fro2 - 4.0 * np.abs(det) ** 2, 0.0)
-    return np.sqrt(0.5 * (fro2 + np.sqrt(disc)))
+    """Operator 2-norm (largest singular value) of a 2x2 matrix."""
+    return float(np.linalg.norm(m, 2))
 
 
 def rotation_matrix(x: float) -> np.ndarray:
@@ -137,27 +127,6 @@ def _transfer_entries(energy, x, cur, prev, kind):
     return m
 
 
-def _transfer_batch(sample, energy, thetas, kind="raw", zero_guard=DEFAULT_ZERO_GUARD):
-    """Transfer matrices at the phases thetas, as a (2, 2, len(thetas)) array.
-
-    Raises SingularSamplingPoint at the first phase within zero_guard of a
-    zero of c (or, for kind="normalized", whose predecessor is), naming
-    the predecessor when both are.
-    """
-    alpha_f = sample.alpha_float
-    x = np.asarray(thetas, dtype=np.float64)
-    x = x - np.floor(x)
-    xm = x - alpha_f
-    xm = xm - np.floor(xm)
-    zero_pos = zero_structure(sample.coupling).positions(alpha_f)
-    if zero_pos:
-        pts = np.stack([xm, x], axis=1) if kind == "normalized" else x[:, None]
-        _guard(zero_pos, pts, zero_guard, "raise")
-    cur = _sampling(sample.coupling, alpha_f, x, kind)
-    prev = _sampling(sample.coupling, alpha_f, xm, kind)
-    return _transfer_entries(energy, x, cur, prev, kind)
-
-
 def transfer(
     sample: OperatorSample,
     energy: float,
@@ -165,31 +134,16 @@ def transfer(
     kind: str = "raw",
     zero_guard: float = DEFAULT_ZERO_GUARD,
 ) -> np.ndarray:
-    """One transfer matrix at phase theta.
+    """One transfer matrix at phase theta: a one-site chunk of the product sweep.
 
     kind="raw" gives the complex matrix (1/c) [[E-2cos, -c~(.-a)], [c, 0]];
-    kind="normalized" its real unit-determinant cousin built from |c|.
+    kind="normalized" its real unit-determinant cousin built from |c|.  A
+    phase (or, for "normalized", its predecessor) within zero_guard of a
+    zero of c raises SingularSamplingPoint.
     """
-    return _transfer_batch(sample, energy, [float(theta)], kind, zero_guard)[:, :, 0].copy()
-
-
-@dataclass(frozen=True)
-class TransferCocycle:
-    """Energy-parametrized transfer cocycle of an operator sample."""
-
-    sample: OperatorSample
-    energy: float
-    kind: str = "raw"
-
-    @property
-    def alpha(self) -> float:
-        return self.sample.alpha_float
-
-    def matrix(self, theta: float) -> np.ndarray:
-        return transfer(self.sample, self.energy, theta, self.kind)
-
-    def as_cocycle(self) -> Cocycle:
-        return Cocycle(self.alpha, self.matrix)
+    thetas = np.array([wrap01(float(theta))])
+    a, _ = next(_sweep_chunks(sample, energy, thetas, 1, kind, zero_guard, "raise"))
+    return a[:, :, 0, 0].copy()
 
 
 def _mul(a, b):
@@ -390,7 +344,7 @@ def lyapunov_numeric(
         raise TooManyExclusions(
             f"{excluded:.1%} of grid orbits entered the zero guard"
         )
-    total = lognorm + np.log(np.maximum(_two_norm_batch(mats), 1e-300))
+    total = lognorm + np.log(np.maximum(np.linalg.norm(mats, 2, axis=(1, 2)), 1e-300))
     vals = total[alive] / n_steps
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
@@ -469,11 +423,7 @@ def rotation_number_map(
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
-    if isinstance(alpha, ContinuedFraction):
-        alpha_frac = alpha.fraction(min_q=math.isqrt(1000 * n_steps * 10**12) + 1)
-    else:
-        alpha_frac = Fraction(alpha)
-    xs = orbit_phases(theta0, alpha_frac, 0, n_steps)
+    xs = orbit_phases(theta0, _alpha_proxy(alpha, n_steps), 0, n_steps)
     m = np.moveaxis(np.array([matrix_map(x) for x in xs]), 0, 2)
     chunks = (m[:, :, k : k + SWEEP_CELLS] for k in range(0, n_steps, SWEEP_CELLS))
     return _lift_increments(chunks, y0, branch_tol)
@@ -539,11 +489,6 @@ def degree(
     )
 
 
-def _inv2(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
-
 def conjugation_residual(
     b_map: Callable[[float], np.ndarray],
     cocycle_a: Cocycle,
@@ -554,7 +499,7 @@ def conjugation_residual(
     worst = 0.0
     for i in range(grid):
         th = i / grid
-        lhs = b_map(wrap01(th + cocycle_a.alpha)) @ cocycle_a.matrix(th) @ _inv2(b_map(th))
+        lhs = b_map(wrap01(th + cocycle_a.alpha)) @ cocycle_a.matrix(th) @ np.linalg.inv(b_map(th))
         worst = max(worst, two_norm(lhs - cocycle_b.matrix(th)))
     return worst
 
@@ -709,8 +654,11 @@ def commutant_rigidity_check(
     modes killed whenever ||k alpha -+ 2 rho|| > 0; this verifies the
     quantitative floor gamma/(|k|+1)^tau up to the bandwidth and raises
     DivisorFloorViolated at the first failing mode.  The diagonal (k=0,
-    phase-free) modes always remain and are reported, not flagged.
+    phase-free) modes always remain and are reported, not flagged.  A
+    negative bandwidth raises ValueError.
     """
+    if bandwidth < 0:
+        raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
     a = _alpha_mod_one(alpha, bandwidth)
     two_rho = 2 * Fraction(rho)
     # k*alpha -+ 2 rho = (k*p*s -+ r*q)/(q*s) with alpha = p/q, 2 rho = r/s

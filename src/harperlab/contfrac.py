@@ -34,7 +34,6 @@ __all__ = [
     "dc_membership",
     "dc_alpha_membership",
     "forge",
-    "resolve_frequency",
     "circle_norm",
     "norm_numerator",
     "int_to_decimal",
@@ -113,8 +112,6 @@ class ContinuedFraction:
         digits: Sequence[int],
         provider: Optional[Callable[[int, list], Optional[int]]] = None,
         origin: str = "explicit",
-        value_hint: Optional[Fraction] = None,
-        value_radius: Optional[Fraction] = None,
     ):
         if any(a < 1 for a in digits):
             raise ValueError("continued-fraction digits must be positive integers")
@@ -123,8 +120,6 @@ class ContinuedFraction:
         self.origin = origin
         self.truncated = False
         self.stop_reason: Optional[str] = None  # "rational" | "precision"
-        self.value_hint = value_hint
-        self.value_radius = value_radius
         # convergents[n] = (p_n, q_n); index 0 is the empty convergent 0/1
         self._convergents = [(0, 1)]
         self._lock = threading.Lock()
@@ -292,20 +287,12 @@ def expand(
     digits: list[int] = []
 
     def finish() -> ContinuedFraction:
-        return ContinuedFraction(
-            digits,
-            origin=f"expanded-from-real(precision={precision})",
-            value_hint=x0,
-            value_radius=radius,
-        )
+        return ContinuedFraction(digits, origin=f"expanded-from-real(precision={precision})")
 
     def stop(exc: PrecisionExhausted) -> ContinuedFraction:
         if partial and exc.digits:
             cf = ContinuedFraction(
-                exc.digits,
-                origin=f"expanded-from-real(precision={precision})",
-                value_hint=x0,
-                value_radius=radius,
+                exc.digits, origin=f"expanded-from-real(precision={precision})"
             )
             cf.truncated = True
             cf.stop_reason = (
@@ -532,6 +519,10 @@ class SingleBurst:
     burst_level: Optional[int] = None
     tail: int = 1
 
+    def __post_init__(self):
+        if self.tail < 1:
+            raise ValueError(f"SingleBurst tail digit must be >= 1, got {self.tail}")
+
 
 @dataclass(frozen=True)
 class ExplicitTail:
@@ -589,8 +580,9 @@ def forge(
     """Copy base digits through a_{n0}, then continue with scheduled digits.
 
     The forged stream shares p_n/q_n with the base exactly for n <= n0.
-    ``levels`` digits are materialized eagerly; ConstantBeta and SingleBurst
-    streams keep extending on demand (SingleBurst with its constant tail).
+    ``levels`` digits are materialized eagerly, by the same provider through
+    which ConstantBeta and SingleBurst streams keep extending on demand
+    (SingleBurst with its constant tail).
     A scheduled digit longer than cap_decimal decimal digits is refused:
     the stream stops there with .truncated set.
     """
@@ -601,8 +593,9 @@ def forge(
     if isinstance(schedule, ExplicitTail):
         if levels > len(schedule.digits):
             raise ValueError("ExplicitTail shorter than requested levels")
-        provider = None
-    elif isinstance(schedule, ConstantBeta):
+        digits = base.digits(n0) + list(schedule.digits[:levels])
+        return ContinuedFraction(digits, origin=f"forged({schedule!r}, n0={n0})")
+    if isinstance(schedule, ConstantBeta):
 
         def provider(n, conv, _s=schedule):
             return floor_exp(_s.beta, conv[n - 1][1], cap_decimal)
@@ -618,32 +611,8 @@ def forge(
     cf = ContinuedFraction(
         base.digits(n0), provider=provider, origin=f"forged({schedule!r}, n0={n0})"
     )
-    for i in range(levels):
-        n = n0 + 1 + i  # absolute index of the digit being forged
-        if isinstance(schedule, ExplicitTail):
-            a = schedule.digits[i]
-        else:
-            a = provider(n, cf._convergents)
-        if a is None:
-            cf.truncated = True
-            break
-        cf._digits.append(max(int(a), 1))
-        cf._grow_convergents()
+    try:
+        cf.ensure(n0 + levels)
+    except DepthInsufficient:
+        pass  # the digit cap ended the stream; ensure has set .truncated
     return cf
-
-
-# -- frequency handles -----------------------------------------------------
-
-
-def resolve_frequency(
-    freq: Union[RealLike, ContinuedFraction], min_q: int = 10**6
-) -> Fraction:
-    """Rational proxy for a frequency handle.
-
-    ContinuedFraction handles resolve through a convergent with denominator
-    at least min_q (choose min_q with a >= 1e3 margin over the resolution
-    the caller needs); plain reals pass through exactly.
-    """
-    if isinstance(freq, ContinuedFraction):
-        return freq.fraction(min_q=min_q)
-    return Fraction(freq)

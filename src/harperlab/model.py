@@ -158,26 +158,28 @@ def duality(coupling: CouplingTriple) -> CouplingTriple:
 # -- off-diagonal sampling functions ---------------------------------------
 
 
-def c_function(coupling: CouplingTriple, alpha: float, theta):
-    """c(theta) = l1 e^{-2 pi i (theta + alpha/2)} + l2 + l3 e^{+...}."""
+def _c_parts(coupling: CouplingTriple, alpha: float, theta):
+    """(Re c, Im c) at phases theta: the one evaluation of c's trig polynomial."""
     l1, l2, l3 = coupling.astuple()
     phi = 2.0 * np.pi * (np.asarray(theta, dtype=np.float64) + 0.5 * alpha)
-    return (l1 + l3) * np.cos(phi) + l2 + 1j * (l3 - l1) * np.sin(phi)
+    return (l1 + l3) * np.cos(phi) + l2, (l3 - l1) * np.sin(phi)
+
+
+def c_function(coupling: CouplingTriple, alpha: float, theta):
+    """c(theta) = l1 e^{-2 pi i (theta + alpha/2)} + l2 + l3 e^{+...}."""
+    re, im = _c_parts(coupling, alpha, theta)
+    return re + 1j * im
 
 
 def c_tilde_function(coupling: CouplingTriple, alpha: float, theta):
     """The conjugate sampling function; equals conj(c) for real theta."""
-    l1, l2, l3 = coupling.astuple()
-    phi = 2.0 * np.pi * (np.asarray(theta, dtype=np.float64) + 0.5 * alpha)
-    return (l1 + l3) * np.cos(phi) + l2 + 1j * (l1 - l3) * np.sin(phi)
+    re, im = _c_parts(coupling, alpha, theta)
+    return re - 1j * im
 
 
 def abs_c_function(coupling: CouplingTriple, alpha: float, theta):
     """|c|(theta) = sqrt(c * c~) = |c(theta)|, real and nonnegative."""
-    l1, l2, l3 = coupling.astuple()
-    phi = 2.0 * np.pi * (np.asarray(theta, dtype=np.float64) + 0.5 * alpha)
-    re = (l1 + l3) * np.cos(phi) + l2
-    im = (l3 - l1) * np.sin(phi)
+    re, im = _c_parts(coupling, alpha, theta)
     return np.sqrt(re * re + im * im)
 
 
@@ -324,6 +326,17 @@ def orbit_phases(
     return out
 
 
+def _alpha_proxy(alpha: FrequencyLike, n_sites: int = 1, tol: float = 1e-12) -> Fraction:
+    """Rational proxy for alpha adequate for orbits of n_sites points.
+
+    The denominator is chosen so the accumulated orbit error n/q^2 stays
+    three orders of magnitude below tol.
+    """
+    if isinstance(alpha, ContinuedFraction):
+        return alpha.fraction(min_q=math.isqrt(int(1000 * max(1, n_sites) / tol)) + 1)
+    return Fraction(alpha)
+
+
 @dataclass(frozen=True)
 class OperatorSample:
     """One operator of the family: coupling, frequency handle, phase."""
@@ -333,15 +346,8 @@ class OperatorSample:
     theta: Union[float, Fraction] = 0.0
 
     def alpha_fraction(self, n_sites: int = 1, tol: float = 1e-12) -> Fraction:
-        """Rational frequency proxy adequate for orbits of n_sites points.
-
-        The denominator is chosen so the accumulated orbit error n/q^2 stays
-        three orders of magnitude below tol.
-        """
-        if isinstance(self.alpha, ContinuedFraction):
-            min_q = math.isqrt(int(1000 * max(1, n_sites) / tol)) + 1
-            return self.alpha.fraction(min_q=min_q)
-        return Fraction(self.alpha)
+        """Rational frequency proxy adequate for orbits of n_sites points."""
+        return _alpha_proxy(self.alpha, n_sites, tol)
 
     @property
     def alpha_float(self) -> float:

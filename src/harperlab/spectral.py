@@ -25,8 +25,7 @@ from ._tridiag import (
 from .cocycle import (
     DEFAULT_ZERO_GUARD,
     _guard,
-    _transfer_batch,
-    _two_norm_batch,
+    _sweep_chunks,
     lyapunov_formula,
 )
 from .contfrac import (
@@ -477,11 +476,16 @@ def perturbation_experiment(
     diag, absoff = trunc.gauge_symmetric()
     energy = _nearest_eig(diag, absoff, e_prime)
 
+    def matrices(s, e):  # the 2N+1 raw transfer matrices from site -N on
+        return _sweep_chunks(s, e, s.phases(-N, 1), 2 * N + 1, "raw", DEFAULT_ZERO_GUARD, "raise")
+
+    dev_m = max(
+        float(np.max(np.linalg.norm(m1 - m2, 2, axis=(0, 1))))
+        for (m1, _), (m2, _) in zip(matrices(sample, energy), matrices(sample_p, e_prime))
+    )
+
     a_f = sample.alpha_fraction(n_sites=N + 1)
     ap_f = sample_p.alpha_fraction(n_sites=N + 1)
-    m1 = _transfer_batch(sample, energy, orbit_phases(theta, a_f, -N, 2 * N + 1))
-    m2 = _transfer_batch(sample_p, e_prime, orbit_phases(theta, ap_f, -N, 2 * N + 1))
-    dev_m = float(np.max(_two_norm_batch(np.moveaxis(m1 - m2, 2, 0))))
 
     init = (math.cos(2 * math.pi * init_angle), math.sin(2 * math.pi * init_angle))
     u = _basis_solutions(sample, a_f, [energy], N, DEFAULT_ZERO_GUARD)[0] @ init

@@ -341,6 +341,21 @@ DEGENERATE = [
     ("n_steps", ["rotation", "--coupling", "0.1,2.0,0.1", "--freq", "golden", "--E", "1.0",
                  "--n", "1"],
      {"experiment": "rotation", "coupling": [0.1, 2.0, 0.1], "params": {"E": 1.0, "n": 1}}),
+    # non-finite and out-of-range numbers
+    ("E", ["le", "--coupling", "0.1,0.5,0.2", "--E", "nan", "--n", "1000", "--grid", "2"],
+     {"experiment": "le", "coupling": [0.1, 0.5, 0.2],
+      "params": {"E": math.nan, "n": 1000, "grid": 2}}),
+    ("y0", ["rotation", "--coupling", "0.1,2.0,0.1", "--E", "1.0", "--n", "100", "--y0", "nan"],
+     {"experiment": "rotation", "coupling": [0.1, 2.0, 0.1],
+      "params": {"E": 1.0, "n": 100, "y0": math.nan}}),
+    ("theta", ["le", "--coupling", "0.1,0.5,0.2", "--E", "0.3", "--n", "1000", "--grid", "2",
+               "--theta", "inf"],
+     {"experiment": "le", "coupling": [0.1, 0.5, 0.2], "theta": math.inf,
+      "params": {"E": 0.3, "n": 1000, "grid": 2}}),
+    ("bandwidth", ["commutant", "--freq", "golden", "--rho", "0.25", "--bandwidth", "-1"],
+     {"experiment": "commutant", "params": {"rho": "0.25", "bandwidth": -1}}),
+    ("tail", ["forge", "--schedule", "burst", "--tail", "0"],
+     {"experiment": "forge", "params": {"schedule": "burst", "tail": 0}}),
 ]
 
 

@@ -253,6 +253,20 @@ def test_forge_explicit_tail():
         cf.ensure(7)
 
 
+@pytest.mark.parametrize("tail", [0, -1])
+def test_single_burst_rejects_a_tail_below_one(tail):
+    # a 0 tail would end the stream: q_n would stop growing past the burst
+    with pytest.raises(ValueError, match="tail"):
+        SingleBurst(0.5, tail=tail)
+
+
+def test_forge_eager_and_lazy_digits_agree():
+    eager = forge(golden(), 3, SingleBurst(0.5, tail=2), levels=5)
+    lazy = forge(golden(), 3, SingleBurst(0.5, tail=2), levels=1)
+    assert eager.depth == 8 and lazy.depth == 4
+    assert eager.digits(10) == lazy.digits(10) == [1, 1, 1, 4] + [2] * 6
+
+
 def test_floor_exp_certified():
     assert floor_exp(0.5, 2) == 2  # e ~ 2.718
     assert floor_exp(0.3, 91) == 718190003631

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harperlab.contfrac import expand, forge, golden, ConstantBeta
 from harperlab.errors import (
@@ -128,6 +130,23 @@ def test_c_tilde_is_conjugate_and_abs_matches():
         av = abs_c_function(c, GOLD, thetas)
         assert np.max(np.abs(ctv - np.conj(cv))) < 1e-12
         assert np.max(np.abs(av - np.abs(cv))) < 1e-12
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.01, 2.0), st.floats(0.0, 2.0)),
+    st.floats(0.0, 1.0),
+    st.one_of(st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40)),
+)
+def test_c_trio_agree_exactly(triple, alpha, theta):
+    # c~ is conj(c) bit for bit.  |c| is sqrt(re^2 + im^2) and np.abs is
+    # hypot: each rounds on its own, so they may part by up to two ulps
+    c = CouplingTriple(*triple)
+    x = np.asarray(theta, dtype=np.float64)
+    cv = c_function(c, alpha, x)
+    assert np.array_equal(c_tilde_function(c, alpha, x), np.conj(cv))
+    ref = np.abs(cv)
+    assert np.all(np.abs(abs_c_function(c, alpha, x) - ref) <= 2 * np.spacing(ref))
 
 
 def test_zero_structure_classes():

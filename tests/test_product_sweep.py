@@ -5,18 +5,21 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harperlab.cocycle import (
+    DEFAULT_ZERO_GUARD,
     SWEEP_CELLS,
     _product_sweep,
+    _transfer_entries,
     constant_rotation,
     lyapunov_numeric,
     n_step,
     rotation_matrix,
     rotation_number,
     rotation_number_map,
+    transfer,
 )
 from harperlab.contfrac import golden
 from harperlab.errors import BranchAmbiguity, SingularSamplingPoint, TooManyExclusions
@@ -26,6 +29,7 @@ from harperlab.model import (
     abs_c_function,
     c_function,
     orbit_phases,
+    wrap01,
     zero_structure,
 )
 
@@ -308,3 +312,68 @@ def test_branch_step_counts_sites_across_chunks():
     step = branch_step(lambda: angle_walk(m, 0.0))
     assert step > 2 * SWEEP_CELLS
     assert branch_step(lambda: rotation_number_map(half_turn_on_arc, golden(), n)) == step
+
+
+# -- one transfer matrix ------------------------------------------------------------
+
+
+def phase_and_predecessor(sample, theta):
+    """The phase in [0, 1) a transfer matrix is built at, and the one before it."""
+    x = wrap01(theta) % 1.0
+    return x, (x - sample.alpha_float) % 1.0
+
+
+def transfer_oracle(sample, energy, theta, kind):
+    """A(theta) from _transfer_entries at one phase and its predecessor."""
+    af = sample.alpha_float
+    f = c_function if kind == "raw" else abs_c_function
+    x, xm = (np.array([p]) for p in phase_and_predecessor(sample, theta))
+    cur, prev = f(sample.coupling, af, x), f(sample.coupling, af, xm)
+    return _transfer_entries(energy, x, cur, prev, kind)[:, :, 0]
+
+
+@examples
+@given(
+    st.one_of(ZERO_COUPLINGS, st.just((0.1, 0.5, 0.2)), st.just((0.0, 0.9, 0.0))),
+    st.floats(-1.0, 2.0, exclude_max=True),
+    st.floats(-4.0, 4.0),
+    KINDS,
+)
+def test_transfer_is_the_per_phase_oracle(triple, theta, energy, kind):
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    try:
+        m = transfer(sample, energy, theta, kind)
+    except SingularSamplingPoint:
+        assume(False)
+    want = transfer_oracle(sample, energy, theta, kind)
+    assert m.dtype == want.dtype and m.shape == (2, 2)
+    assert m.tobytes() == want.tobytes()
+
+
+@examples
+@given(
+    ZERO_COUPLINGS,
+    st.integers(0, 1),
+    st.floats(-0.99, 0.99),
+    st.integers(-1, 1),
+    st.booleans(),
+    KINDS,
+)
+def test_transfer_raises_at_the_oracle_phase(triple, which, offset, turns, on_predecessor, kind):
+    # a phase (or its predecessor) a fraction of the guard away from a zero of c
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    af = sample.alpha_float
+    zeros = zero_structure(sample.coupling).positions(af)
+    z = zeros[which % len(zeros)]
+    theta = z + offset * DEFAULT_ZERO_GUARD + (af if on_predecessor else 0.0) + turns
+    x, xm = phase_and_predecessor(sample, theta)
+    guarded = [xm, x] if kind == "normalized" else [x]  # the predecessor first
+    hits = [p for p in guarded if zero_distance(sample.coupling, af, p) < DEFAULT_ZERO_GUARD]
+    if not hits:
+        assert transfer(sample, 1.0, theta, kind).tobytes() == transfer_oracle(
+            sample, 1.0, theta, kind
+        ).tobytes()
+        return
+    with pytest.raises(SingularSamplingPoint) as exc:
+        transfer(sample, 1.0, theta, kind)
+    assert exc.value.theta == hits[0]

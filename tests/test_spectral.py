@@ -445,6 +445,40 @@ def test_perturbation_deviation_matches_scalar_reference(
     assert rep.solution_deviation == pytest.approx(ref, rel=1e-9)
 
 
+def _raw_transfers(coupling, alpha, theta, energy, N):
+    """Raw transfer matrices at sites -N..N, one orbit_phases phase at a time."""
+    a = OperatorSample(coupling, alpha, theta).alpha_fraction(n_sites=N + 1)
+    af = float(a)
+    out = []
+    for x in orbit_phases(theta, a, -N, 2 * N + 1):
+        c = complex(c_function(coupling, af, x))
+        cm = complex(c_function(coupling, af, x - af))
+        d = energy - 2.0 * math.cos(2 * math.pi * x)
+        out.append(np.array([[d / c, -cm.conjugate() / c], [1.0, 0.0]]))
+    return out
+
+
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(
+    st.sampled_from([(0, 0.9, 0), (0.1, 0.5, 0.2), (0.3, 1.2, 0.1)]),
+    st.floats(0.0, 1.0),
+    st.integers(1, 40),
+    st.integers(9, 14),
+)
+def test_perturbation_matrix_deviation_matches_orbit_reference(triple, theta, N, level):
+    c, g = CouplingTriple(*triple), golden()
+    alpha_prime = Fraction(*g.convergent(level))
+    rep = perturbation_experiment(c, g, alpha_prime, theta, N=N)
+    ref = max(
+        np.linalg.norm(m1 - m2, 2)
+        for m1, m2 in zip(
+            _raw_transfers(c, g, theta, rep.energy, N),
+            _raw_transfers(c, alpha_prime, theta, rep.energy_prime, N),
+        )
+    )
+    assert rep.matrix_deviation == pytest.approx(ref, rel=1e-8)
+
+
 def test_perturbation_identical_frequencies():
     a = golden().fraction(10**10)
     rep = perturbation_experiment(
