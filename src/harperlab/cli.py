@@ -293,6 +293,8 @@ def _run_perturb(cfg, p):
 
 
 def _run_cohomology(cfg, p):
+    if p["smax"] < 0:
+        raise InvalidCoupling(f"cohomology param 'smax' must be >= 0, got {p['smax']}")
     if p["phi"] == "cos":
         phi = np.array([0.5, 0.0, 0.5], dtype=complex)  # cos(2 pi theta)
     else:
@@ -316,13 +318,12 @@ def _run_cohomology(cfg, p):
 def _run_commutant(cfg, p):
     rho_spec = p["rho"]
     if rho_spec.endswith("/2"):
-        base = resolve_frequency_spec(rho_spec[:-2])
-        if isinstance(base, contfrac.ContinuedFraction):
-            rho = base.fraction(min_q=10**9) / 2
-        else:
-            rho = float(base) / 2
+        rho = model._alpha_proxy(resolve_frequency_spec(rho_spec[:-2])) / 2
     else:
-        rho = float(rho_spec)
+        try:
+            rho = _finite(rho_spec)
+        except ValueError as exc:
+            raise InvalidCoupling(f"commutant param 'rho': {exc}") from None
     rep = cocycle.commutant_rigidity_check(
         rho,
         resolve_frequency_spec(cfg.frequency),

@@ -62,6 +62,8 @@ __all__ = [
 # transfer-matrix cells (sites x lanes) a product-sweep chunk builds at once
 SWEEP_CELLS = 2**15
 DEFAULT_ZERO_GUARD = 1e-7
+BRANCH_TOL = 1e-9  # a lift increment this close to +-1/2 is ambiguous
+RESONANCE_TOL = 1e-14  # ||k alpha|| below this is a resonant divisor
 
 
 def two_norm(m: np.ndarray) -> float:
@@ -215,7 +217,7 @@ def _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
     if n < 1:
         return
     g = len(thetas)
-    alpha_frac = sample.alpha_fraction(n_sites=n)
+    alpha_frac = sample.alpha_fraction()
     alpha_f = float(alpha_frac)
     zero_pos = zero_structure(sample.coupling).positions(alpha_f)
     ka = orbit_phases(0.0, alpha_frac, 0, n)
@@ -372,13 +374,13 @@ class RotationEstimate:
     nonergodic_flag: bool = False
 
 
-def _lift_increments(chunks, y0, branch_tol):
+def _lift_increments(chunks, y0):
     """Birkhoff average of lift increments along (2, 2, K) matrix chunks.
 
     Each chunk's prefix products move the unit vector carried from the
     previous chunk, so y_k = arg(A_k...A_0 v0) / 2 pi with v0 at angle y0.
     The lift increment is the principal branch |y_k - y_{k-1}| < 1/2; the
-    first one within branch_tol of the cut raises BranchAmbiguity.
+    first one within BRANCH_TOL of the cut raises BranchAmbiguity.
     """
     y = float(y0)
     v = np.array([math.cos(2 * math.pi * y), math.sin(2 * math.pi * y)])
@@ -394,7 +396,7 @@ def _lift_increments(chunks, y0, branch_tol):
         del m, w, ys
     incs = np.concatenate(parts)
     incs -= np.floor(incs + 0.5)  # principal branch in [-1/2, 1/2)
-    bad = np.abs(np.abs(incs) - 0.5) < branch_tol
+    bad = np.abs(np.abs(incs) - 0.5) < BRANCH_TOL
     if bad.any():
         k = int(np.argmax(bad))
         raise BranchAmbiguity(
@@ -414,19 +416,19 @@ def rotation_number_map(
     n_steps: int = 100_000,
     theta0: float = 0.0,
     y0: float = 0.0,
-    branch_tol: float = 1e-9,
 ) -> RotationEstimate:
     """Fibered rotation number of a cocycle given by an explicit matrix map.
 
-    The lift increment at each step is the principal branch |phi| < 1/2;
-    landing within branch_tol of the cut raises BranchAmbiguity.
+    The orbit runs at alpha's rational proxy (model._alpha_proxy).  The lift
+    increment at each step is the principal branch |phi| < 1/2; landing
+    within BRANCH_TOL of the cut raises BranchAmbiguity.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
-    xs = orbit_phases(theta0, _alpha_proxy(alpha, n_steps), 0, n_steps)
+    xs = orbit_phases(theta0, _alpha_proxy(alpha), 0, n_steps)
     m = np.moveaxis(np.array([matrix_map(x) for x in xs]), 0, 2)
     chunks = (m[:, :, k : k + SWEEP_CELLS] for k in range(0, n_steps, SWEEP_CELLS))
-    return _lift_increments(chunks, y0, branch_tol)
+    return _lift_increments(chunks, y0)
 
 
 def rotation_number(
@@ -436,7 +438,6 @@ def rotation_number(
     theta0: float = 0.0,
     y0: float = 0.0,
     zero_guard: float = DEFAULT_ZERO_GUARD,
-    branch_tol: float = 1e-9,
 ) -> RotationEstimate:
     """Rotation number of the normalized transfer cocycle.
 
@@ -447,7 +448,7 @@ def rotation_number(
         raise ValueError("n_steps must be >= 2")
     thetas = np.array([wrap01(float(theta0))])
     chunks = _sweep_chunks(sample, energy, thetas, n_steps, "normalized", zero_guard, "raise")
-    return _lift_increments((a[:, :, :, 0] for a, _ in chunks), y0, branch_tol)
+    return _lift_increments((a[:, :, :, 0] for a, _ in chunks), y0)
 
 
 def _polar_angles(matrix_map, thetas):
@@ -529,29 +530,24 @@ class NormReport:
     h_minus_hprime: Optional[float] = None
 
 
-def _alpha_mod_one(alpha, bandwidth):
-    """Exact-enough Fraction proxy for alpha, fit for |k| <= bandwidth modes."""
-    if isinstance(alpha, ContinuedFraction):
-        return alpha.fraction(min_q=max(10**9, 100 * bandwidth))
-    return Fraction(alpha)
-
-
 def solve_cohomological(
     phi_hat: Union[np.ndarray, Sequence[complex], dict],
     alpha: Union[float, Fraction, ContinuedFraction],
     s_max: int = 3,
     block_bounds: Optional[tuple] = None,
-    resonance_tol: float = 1e-14,
 ) -> tuple[np.ndarray, NormReport]:
     """Solve psi(th + alpha) - psi(th) = phi(th) mode by mode.
 
     phi_hat holds Fourier coefficients indexed -K..K (array of length 2K+1,
     or {k: coeff} dict); the mean phi_hat(0) must vanish.  Returns psi_hat
     in the same layout, with psi_hat(k) = phi_hat(k)/(e^{2 pi i k alpha}-1)
-    and a report of weighted coefficient sums.  A divisor with
-    ||k alpha|| < resonance_tol under a nonzero phi_hat(k) raises
-    ResonantDivisor.
+    at alpha's rational proxy (model._alpha_proxy) and a report of weighted
+    coefficient sums for j = 0..s_max (s_max < 0 raises ValueError).  A
+    divisor with ||k alpha|| < RESONANCE_TOL under a nonzero phi_hat(k)
+    raises ResonantDivisor.
     """
+    if s_max < 0:
+        raise ValueError(f"s_max must be >= 0, got {s_max}")
     if isinstance(phi_hat, dict):
         K = max(abs(k) for k in phi_hat) if phi_hat else 0
         arr = np.zeros(2 * K + 1, dtype=np.complex128)
@@ -566,7 +562,7 @@ def solve_cohomological(
     scale = float(np.max(np.abs(phi))) if len(phi) else 0.0
     if abs(phi[K]) > 1e-13 * max(scale, 1.0):
         raise ValueError("phi_hat(0) must vanish (mean-zero right-hand side)")
-    a = _alpha_mod_one(alpha, K)
+    a = _alpha_proxy(alpha)
     p, q = a.numerator, a.denominator
     psi = np.zeros_like(phi)
     min_div = float("inf")
@@ -575,7 +571,7 @@ def solve_cohomological(
             continue
         r = k * p % q  # k*alpha mod 1 = r/q
         norm_ka = norm_numerator(r, q) / q
-        if norm_ka < resonance_tol:
+        if norm_ka < RESONANCE_TOL:
             if abs(phi[k + K]) > 0:
                 raise ResonantDivisor(k)
             continue
@@ -651,15 +647,16 @@ def commutant_rigidity_check(
     """Scan the divisors forcing a commuting conjugation to be constant.
 
     A matrix commuting with the rotation by rho has off-diagonal Fourier
-    modes killed whenever ||k alpha -+ 2 rho|| > 0; this verifies the
-    quantitative floor gamma/(|k|+1)^tau up to the bandwidth and raises
+    modes killed whenever ||k alpha -+ 2 rho|| > 0 (alpha read at its
+    rational proxy, model._alpha_proxy); this verifies the quantitative
+    floor gamma/(|k|+1)^tau up to the bandwidth and raises
     DivisorFloorViolated at the first failing mode.  The diagonal (k=0,
     phase-free) modes always remain and are reported, not flagged.  A
     negative bandwidth raises ValueError.
     """
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
-    a = _alpha_mod_one(alpha, bandwidth)
+    a = _alpha_proxy(alpha)
     two_rho = 2 * Fraction(rho)
     # k*alpha -+ 2 rho = (k*p*s -+ r*q)/(q*s) with alpha = p/q, 2 rho = r/s
     ps = a.numerator * two_rho.denominator

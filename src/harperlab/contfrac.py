@@ -46,6 +46,9 @@ RealLike = Union[float, Fraction, str, int]
 
 # Refuse to materialize forged digits longer than this many decimal digits.
 DIGIT_CAP_DECIMAL = 10**6
+# The rational stand-in for a digit stream is its first convergent with q at
+# least this (or its deepest one): read by float(cf) and model._alpha_proxy.
+PROXY_MIN_Q = 1 << 60
 
 
 def log_of_int(q: int) -> float:
@@ -199,12 +202,12 @@ class ContinuedFraction:
         return (a, b) if a <= b else (b, a)
 
     def fraction(self, min_q: int = 1) -> Fraction:
-        """Deepest-side convergent p_N/q_N with q_N >= min_q.
+        """First convergent p_N/q_N with q_N >= min_q.
 
-        Per the substitution policy, callers should request min_q with a
-        comfortable (>= 1e3) margin over the resolution they need.  When
-        the digit stream ends below min_q the deepest convergent is
-        returned anyway: a finite stream represents exactly that rational.
+        A lazy stream is extended as far as that takes.  When the digit
+        stream ends below min_q the deepest convergent is returned anyway: a
+        finite stream represents exactly that rational.  The library reads
+        it at min_q = PROXY_MIN_Q only (float(cf), model._alpha_proxy).
         """
         n = 1
         while True:
@@ -218,7 +221,7 @@ class ContinuedFraction:
             n += 1
 
     def __float__(self) -> float:
-        return float(self.fraction(min_q=1 << 60))
+        return float(self.fraction(min_q=PROXY_MIN_Q))
 
     # -- serialization ---------------------------------------------------
 

@@ -8,7 +8,6 @@ truncations with zero boundary conditions, and windowed Green's functions.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +52,8 @@ __all__ = [
 FrequencyLike = Union[float, Fraction, ContinuedFraction]
 
 BOUNDARY_TOL = 1e-12
+ORBIT_ANCHOR = 4096  # sites between exact rational re-anchorings of an orbit
+RESOLVENT_GUARD = 1e-10  # |E - eigenvalue| below which a resolvent is singular
 
 
 def wrap01(x: float) -> float:
@@ -304,12 +305,11 @@ def orbit_phases(
     alpha: Fraction,
     start: int,
     count: int,
-    anchor_every: int = 4096,
 ) -> np.ndarray:
     """Phases (theta + n*alpha) mod 1 for n = start..start+count-1.
 
-    Exact rational anchoring every anchor_every sites bounds the float
-    accumulation drift by anchor_every * eps, far below any zero guard.
+    Exact rational anchoring every ORBIT_ANCHOR sites bounds the float
+    accumulation drift by ORBIT_ANCHOR * eps, far below any zero guard.
     """
     t = Fraction(theta)
     a = Fraction(alpha)
@@ -320,20 +320,22 @@ def orbit_phases(
         n = start + pos
         x0 = t + n * a
         x0 -= x0.numerator // x0.denominator
-        m = min(anchor_every, count - pos)
+        m = min(ORBIT_ANCHOR, count - pos)
         out[pos : pos + m] = (float(x0) + af * np.arange(m)) % 1.0
         pos += m
     return out
 
 
-def _alpha_proxy(alpha: FrequencyLike, n_sites: int = 1, tol: float = 1e-12) -> Fraction:
-    """Rational proxy for alpha adequate for orbits of n_sites points.
+def _alpha_proxy(alpha: FrequencyLike) -> Fraction:
+    """The one rational stand-in p/q for a frequency, read by every layer.
 
-    The denominator is chosen so the accumulated orbit error n/q^2 stays
-    three orders of magnitude below tol.
+    A ContinuedFraction gives its first convergent with q >= 2^60
+    (contfrac.PROXY_MIN_Q, the one float(alpha) rounds), or its deepest one
+    when the stream ends first; any other frequency is Fraction(alpha).  An
+    orbit of n sites then drifts from alpha's by at most n/q^2.
     """
     if isinstance(alpha, ContinuedFraction):
-        return alpha.fraction(min_q=math.isqrt(int(1000 * max(1, n_sites) / tol)) + 1)
+        return alpha.fraction(min_q=contfrac.PROXY_MIN_Q)
     return Fraction(alpha)
 
 
@@ -345,17 +347,22 @@ class OperatorSample:
     alpha: FrequencyLike
     theta: Union[float, Fraction] = 0.0
 
-    def alpha_fraction(self, n_sites: int = 1, tol: float = 1e-12) -> Fraction:
-        """Rational frequency proxy adequate for orbits of n_sites points."""
-        return _alpha_proxy(self.alpha, n_sites, tol)
+    def alpha_fraction(self) -> Fraction:
+        """The rational proxy p/q of alpha (_alpha_proxy) that orbits and c read.
+
+        For a digit stream: its first convergent with q >= 2^60, or its
+        deepest.  A lazily forged stream whose convergents stop below 2^60
+        is forged further when this is read, or sets .truncated at its digit
+        cap.
+        """
+        return _alpha_proxy(self.alpha)
 
     @property
     def alpha_float(self) -> float:
         return float(self.alpha_fraction())
 
     def phases(self, start: int, count: int) -> np.ndarray:
-        a = self.alpha_fraction(n_sites=abs(start) + count)
-        return orbit_phases(self.theta, a, start, count)
+        return orbit_phases(self.theta, self.alpha_fraction(), start, count)
 
 
 @dataclass(frozen=True)
@@ -398,15 +405,6 @@ class Truncation:
             h[i + 1, i] = np.conj(self.offdiag[i])
         return h
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "diag": list(map(float, self.diag)),
-                "offdiag_re": list(map(float, self.offdiag.real)),
-                "offdiag_im": list(map(float, self.offdiag.imag)),
-            }
-        )
-
 
 def build_truncation(sample: OperatorSample, x1: int, x2: int) -> Truncation:
     if x1 > x2:
@@ -421,13 +419,7 @@ def build_truncation(sample: OperatorSample, x1: int, x2: int) -> Truncation:
     return Truncation(sample, x1, x2, diag, offdiag)
 
 
-def green_function(
-    trunc: Truncation,
-    energy: float,
-    x: int,
-    y: int,
-    guard: float = 1e-10,
-) -> complex:
+def green_function(trunc: Truncation, energy: float, x: int, y: int) -> complex:
     """Resolvent entry (H[x1,x2] - E)^(-1)(x, y) by Cramer's rule.
 
     For i <= j (window rows) the entry of the gauge-equivalent real symmetric
@@ -435,17 +427,18 @@ def green_function(
     read from the nested minors swept in from both ends of the window (in
     log form, so entries far below eps never underflow in between); the
     result is then re-phased.  No dense inversion.  Raises
-    ResolventSingular when E is within ``guard`` of an eigenvalue (the
-    eigenvalue count changes across [E-guard, E+guard]).
+    ResolventSingular when E is within RESOLVENT_GUARD of an eigenvalue (the
+    eigenvalue count changes across E -+ RESOLVENT_GUARD).
     """
     if not (trunc.x1 <= x <= trunc.x2 and trunc.x1 <= y <= trunc.x2):
         raise IndexError("sites outside the truncation window")
     diag, absoff = trunc.gauge_symmetric()
     off2 = absoff * absoff
-    fwd, fneg = log_minors(diag, off2, [energy - guard, energy, energy + guard])
+    shifts = [energy - RESOLVENT_GUARD, energy, energy + RESOLVENT_GUARD]
+    fwd, fneg = log_minors(diag, off2, shifts)
     if fneg[-1, 0] != fneg[-1, 2]:
         raise ResolventSingular(
-            f"E={energy} within {guard} of an eigenvalue of the window"
+            f"E={energy} within {RESOLVENT_GUARD} of an eigenvalue of the window"
         )
     i, j = x - trunc.x1, y - trunc.x1
     swapped = i > j
@@ -466,12 +459,12 @@ def green_function(
     return complex(g)
 
 
-def _edge_green_logs(trunc: Truncation, energy: float, y: int, x1s, x2s, guard=1e-10):
+def _edge_green_logs(trunc: Truncation, energy: float, y: int, x1s, x2s):
     """Edge Green's functions of many windows [x1, x2] about one site y.
 
     Every window must lie in the truncation with x1 < y < x2.  Returns
     (log|G(y, x1)|, log|G(y, x2)|, singular), one entry per window, where
-    singular marks windows with an eigenvalue within ``guard`` of E.
+    singular marks windows with an eigenvalue within RESOLVENT_GUARD of E.
 
     Expanding det[x1, x2] along row y gives det[x1, y-1] det[y+1, x2] S with
     the Schur complement S = (a_y - E) - b_{y-1}^2 det[x1, y-2] / det[x1, y-1]
@@ -487,7 +480,7 @@ def _edge_green_logs(trunc: Truncation, energy: float, y: int, x1s, x2s, guard=1
     n, c = trunc.size, y - trunc.x1
     left = np.asarray(x1s) - trunc.x1  # row of x1
     right = np.asarray(x2s) - y - 1  # row of x2, counted from row y+1
-    shifts = np.array([energy - guard, energy, energy + guard])
+    shifts = np.array([energy - RESOLVENT_GUARD, energy, energy + RESOLVENT_GUARD])
 
     def minors(a, b, reverse):
         """Nested minors of rows [a, b), grown from the end next to y."""

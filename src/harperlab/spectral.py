@@ -44,7 +44,6 @@ from .model import (
     build_truncation,
     c_function,
     duality,
-    orbit_phases,
     zero_structure,
 )
 
@@ -65,6 +64,11 @@ __all__ = [
     "decay_fit",
 ]
 
+EDGE_FRAC = 0.05  # share of a duality window at each end that counts as its edge
+OFFSET_PRECISION = 60  # decimal digits of a delta_exponent zero offset
+DECAY_FLOOR_REL = 1e-12  # decay_fit drops |phi| below this times its peak
+DECAY_R2_MIN = 0.9  # decay_fit's r^2 below this raises PoorlyLocalized
+
 
 @dataclass(frozen=True)
 class SpectrumApproximation:
@@ -74,23 +78,6 @@ class SpectrumApproximation:
     size: int
     phases: list
     method: str = FULL_DRIVER  # the LAPACK driver behind the eigenvalues
-
-    def to_csv(self) -> str:
-        lines = ["index,eigenvalue"]
-        lines += [f"{i},{v!r}" for i, v in enumerate(self.eigenvalues)]
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-                "size": self.size,
-                "phases": self.phases,
-                "method": self.method,
-            }
-        )
 
 
 def _map_phases(sample, size, theta_list, threads, fn):
@@ -151,17 +138,15 @@ class DualityReport:
     boundary_filtered: tuple = (0, 0)  # edge states dropped on each side
 
 
-def _aggregate_bulk_spectrum(
-    sample, size, theta_list, threads, edge_frac, edge_mass_max
-):
+def _aggregate_bulk_spectrum(sample, size, theta_list, threads, edge_mass_max):
     """Phase-aggregated truncation eigenvalues, boundary modes removed.
 
     Zero-boundary windows bind states inside spectral gaps; an eigenvalue
     whose eigenvector carries more than edge_mass_max of its mass within
-    the outer edge_frac zones is such a boundary mode and is dropped from
+    the outer EDGE_FRAC zones is such a boundary mode and is dropped from
     the aggregate (counted in the second return value).
     """
-    zone = max(10, int(size * edge_frac))
+    zone = max(10, int(size * EDGE_FRAC))
 
     def bulk(diag, absoff):
         vals = bisect_eigenvalues(diag, absoff)
@@ -184,7 +169,6 @@ def duality_check(
     theta0: float = 0.0,
     seed: Optional[int] = None,
     threads: int = 1,
-    edge_frac: float = 0.05,
     edge_mass_max: float = 0.25,
 ) -> tuple[float, DualityReport]:
     """Hausdorff distance between Spec(lambda) and lambda2 * Spec(dual).
@@ -207,20 +191,10 @@ def duality_check(
     else:
         theta_list = list(phases)
     ea, da = _aggregate_bulk_spectrum(
-        OperatorSample(coupling, alpha, theta0),
-        size,
-        theta_list,
-        threads,
-        edge_frac,
-        edge_mass_max,
+        OperatorSample(coupling, alpha, theta0), size, theta_list, threads, edge_mass_max
     )
     eb, db = _aggregate_bulk_spectrum(
-        OperatorSample(dual, alpha, theta0),
-        size,
-        theta_list,
-        threads,
-        edge_frac,
-        edge_mass_max,
+        OperatorSample(dual, alpha, theta0), size, theta_list, threads, edge_mass_max
     )
     dist = hausdorff_sorted(ea, l2 * eb)
     report = DualityReport(
@@ -244,7 +218,6 @@ def delta_exponent(
     theta: Union[float, Fraction],
     depth: int,
     warmup: int = 1,
-    offset_precision: int = 60,
 ) -> tuple[float, list]:
     """Finite-depth surrogate of the zero-corrected growth exponent.
 
@@ -263,11 +236,11 @@ def delta_exponent(
     else:
         import mpmath
 
-        with mpmath.workdps(offset_precision + 10):
+        with mpmath.workdps(OFFSET_PRECISION + 10):
             a = mpmath.acos(-coupling.lambda2 / (2 * coupling.lambda1)) / (
                 2 * mpmath.pi
             )
-            off = Fraction(mpmath.nstr(a, offset_precision, strip_zeros=False))
+            off = Fraction(mpmath.nstr(a, OFFSET_PRECISION, strip_zeros=False))
         offsets = [off, -off]
 
     cf.ensure(depth)
@@ -316,24 +289,19 @@ class BadnessReport:
     trunc_size: int = 0
     note: str = ""
 
-    def to_json(self) -> str:
-        import dataclasses
-        import json
 
-        return json.dumps(dataclasses.asdict(self))
-
-
-def _basis_solutions(sample, alpha_frac, energies, N, zero_guard):
+def _basis_solutions(sample, energies, N, zero_guard):
     """Solutions grown from the basis initial data (u(0), u(-1)) = e1, e2.
 
     Returns U of shape (len(energies), 2N+2, 2) with u(k) = U[:, k+N+1] @
-    (u(0), u(-1)) for k in [-N-1, N]: the three-term recurrence runs N steps
-    forward and N steps backward, with energies x basis vectors as lanes.
-    Raises SingularSamplingPoint at the earliest phase it reads c at (sites
+    (u(0), u(-1)) for k in [-N-1, N]: the three-term recurrence of the
+    truncation [-N-1, N] (the sample's phases and c) runs N steps forward
+    and N steps backward, with energies x basis vectors as lanes.  Raises
+    SingularSamplingPoint at the earliest phase it reads c at (sites
     -N-1 .. N-1) that lies within zero_guard of a zero of c.
     """
-    alpha_f = float(alpha_frac)
-    xs = orbit_phases(sample.theta, alpha_frac, -N - 1, 2 * N + 1)
+    alpha_f = sample.alpha_float
+    xs = sample.phases(-N - 1, 2 * N + 1)
     zero_pos = zero_structure(sample.coupling).positions(alpha_f)
     if zero_pos:
         _guard(zero_pos, xs[:, None], zero_guard, "raise")
@@ -387,7 +355,7 @@ def badness_scan(
         e_grid = [float(e) for e in energies]
     if not e_grid:
         raise ValueError("badness_scan needs at least one energy")
-    U = _basis_solutions(sample, sample.alpha_fraction(n_sites=2 * N + 2), e_grid, N, 1e-9)
+    U = _basis_solutions(sample, e_grid, N, 1e-9)
     W = np.concatenate([U[:, 1:N], U[:, N + 2 :]], axis=1)  # k in [-N, N] \ {0, -1}
     A = np.concatenate([W.real, W.imag], axis=1)
     if refine:
@@ -456,15 +424,14 @@ def perturbation_experiment(
     N: int,
     trunc_size: Optional[int] = None,
     eig_index: Union[int, str] = "median",
-    init_angle: float = 0.0,
 ) -> PerturbationReport:
     """Compare transfer matrices and solutions at two nearby frequencies.
 
     E' is an eigenvalue of the truncated operator at alpha' (by sorted
     index), E the nearest eigenvalue of the matched truncation at alpha;
     the deviations are the maxima over |m| <= N of the transfer-matrix
-    difference and of the solution-vector difference grown from identical
-    normalized initial data.
+    difference and of the solution-vector difference grown from the same
+    initial data (u(0), u(-1)) = (1, 0).
     """
     size = trunc_size if trunc_size is not None else max(256, 4 * N)
     sample = OperatorSample(coupling, alpha, theta)
@@ -484,12 +451,8 @@ def perturbation_experiment(
         for (m1, _), (m2, _) in zip(matrices(sample, energy), matrices(sample_p, e_prime))
     )
 
-    a_f = sample.alpha_fraction(n_sites=N + 1)
-    ap_f = sample_p.alpha_fraction(n_sites=N + 1)
-
-    init = (math.cos(2 * math.pi * init_angle), math.sin(2 * math.pi * init_angle))
-    u = _basis_solutions(sample, a_f, [energy], N, DEFAULT_ZERO_GUARD)[0] @ init
-    v = _basis_solutions(sample_p, ap_f, [e_prime], N, DEFAULT_ZERO_GUARD)[0] @ init
+    u = _basis_solutions(sample, [energy], N, DEFAULT_ZERO_GUARD)[0, :, 0]
+    v = _basis_solutions(sample_p, [e_prime], N, DEFAULT_ZERO_GUARD)[0, :, 0]
     w = np.abs(u - v) ** 2  # sites -N-1..N
     dev_s = float(np.sqrt(np.max(w[1:] + w[:-1])))  # pairs (u(k), u(k-1)), |k| <= N
     return PerturbationReport(
@@ -563,19 +526,11 @@ class DecayFit:
         if self.slope > 0:
             raise PoorlyLocalized(f"positive decay slope {self.slope:.4f}")
 
-    def to_json(self) -> str:
-        import dataclasses
-        import json
-
-        return json.dumps(dataclasses.asdict(self))
-
 
 def decay_fit(
     sample: OperatorSample,
     size: int,
     which_eigenvector: Union[int, str] = "auto",
-    floor_rel: float = 1e-12,
-    r2_min: float = 0.9,
 ) -> DecayFit:
     """Fit the exponential decay rate of a localized eigenvector.
 
@@ -588,8 +543,8 @@ def decay_fit(
     Eigenvalues come from one ?STEVD call and eigenvector components from a
     twisted factorization (_tridiag.squared_components).  The fit regresses
     (1/2) ln(phi(n)^2 + phi(n+1)^2) on -|n - peak|, excluding the outer 10%
-    of the window and everything below the relative noise floor; r^2 below
-    r2_min raises PoorlyLocalized.
+    of the window and everything below the relative noise floor
+    DECAY_FLOOR_REL; r^2 below DECAY_R2_MIN raises PoorlyLocalized.
     """
     if size < 400:
         raise ValueError("size must be >= 400 for a stable fit")
@@ -614,7 +569,7 @@ def decay_fit(
     edge = max(1, size // 10)
     mask = np.zeros(size - 1, dtype=bool)
     mask[edge : size - 1 - edge] = True
-    mask &= pair > floor_rel**2 * phi2[peak]
+    mask &= pair > DECAY_FLOOR_REL**2 * phi2[peak]
     if int(np.count_nonzero(mask)) < 10:
         raise PoorlyLocalized("fewer than 10 usable points in the fit window")
     t, yv = ts[mask], ys[mask]
@@ -624,8 +579,8 @@ def decay_fit(
     ss_res = float(np.sum((yv - pred) ** 2))
     ss_tot = float(np.sum((yv - np.mean(yv)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    if r2 < r2_min:
-        raise PoorlyLocalized(f"decay fit r^2 = {r2:.3f} < {r2_min}")
+    if r2 < DECAY_R2_MIN:
+        raise PoorlyLocalized(f"decay fit r^2 = {r2:.3f} < {DECAY_R2_MIN}")
     window = (float(np.min(t)), float(np.max(t)))
     target = lyapunov_formula(sample.coupling)
     return DecayFit(

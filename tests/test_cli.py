@@ -45,6 +45,18 @@ def test_config_round_trip_byte_identical():
     assert back.config_hash() == cfg.config_hash()
 
 
+def test_spectrum_csv_export(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    argv = ["spectrum", "--coupling", "0.1,0.5,0.2", "--size", "4", "--format", "csv",
+            "--out", str(out)]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "index,eigenvalue"
+    assert len(lines) == 5
+    assert float(lines[1].split(",")[1]) == record["result"]["min"]
+
+
 def test_sweep_seeds_deterministic():
     assert sweep_seeds(42, 5) == sweep_seeds(42, 5)
     assert sweep_seeds(42, 5) != sweep_seeds(43, 5)
@@ -356,6 +368,10 @@ DEGENERATE = [
      {"experiment": "commutant", "params": {"rho": "0.25", "bandwidth": -1}}),
     ("tail", ["forge", "--schedule", "burst", "--tail", "0"],
      {"experiment": "forge", "params": {"schedule": "burst", "tail": 0}}),
+    ("smax", ["cohomology", "--freq", "golden", "--phi", "cos", "--smax", "-1"],
+     {"experiment": "cohomology", "params": {"phi": "cos", "smax": -1}}),
+    ("rho", ["commutant", "--freq", "golden", "--rho", "nan"],
+     {"experiment": "commutant", "params": {"rho": "nan"}}),
 ]
 
 
@@ -384,7 +400,7 @@ def test_verify_bad_entry_fails_and_suite_goes_on(bad, tmp_path, capsys):
 def test_rotation_predecessor_on_a_zero_exits_3(capsys):
     # theta - alpha sits 1e-9 from a zero of c: the first transfer matrix divides by |c| there
     sample = OperatorSample(CouplingTriple(0.3, 0.5, 0.3), golden())
-    af = float(sample.alpha_fraction(n_sites=2000))
+    af = float(sample.alpha_fraction())
     theta = (zero_structure(sample.coupling).positions(af)[0] + af + 1e-9) % 1.0
     argv = ["rotation", "--coupling", "0.3,0.5,0.3", "--freq", "golden", "--E", "1.0",
             "--n", "2000", "--theta", repr(theta)]

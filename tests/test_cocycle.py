@@ -253,7 +253,7 @@ def test_rotation_rejects_degenerate_step_counts(n):
 def predecessor_on_zero(offset):
     """A sample of c with a zero pair, and a phase whose predecessor is a zero (+ offset)."""
     s = OperatorSample(CouplingTriple(0.3, 0.5, 0.3), golden())
-    af = float(s.alpha_fraction(n_sites=2000))
+    af = float(s.alpha_fraction())
     z = zero_structure(s.coupling).positions(af)[0]
     return s, (z + af + offset) % 1.0
 
@@ -371,6 +371,12 @@ def test_cohomological_requires_mean_zero():
     phi = np.array([0.0, 1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
         solve_cohomological(phi, GOLD)
+
+
+def test_cohomological_negative_s_max_raises():
+    phi = np.array([0.5, 0.0, 0.5], dtype=complex)
+    with pytest.raises(ValueError, match="s_max"):
+        solve_cohomological(phi, golden(), s_max=-1)
 
 
 def test_cohomological_three_block_report():

@@ -1,12 +1,23 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harperlab.contfrac import expand, forge, golden, ConstantBeta
+from harperlab import cocycle
+from harperlab.contfrac import (
+    PROXY_MIN_Q,
+    ConstantBeta,
+    expand,
+    forge,
+    from_digits,
+    golden,
+    norm_numerator,
+    silver,
+)
 from harperlab.errors import (
     InvalidCoupling,
     Lambda2Zero,
@@ -31,7 +42,7 @@ from harperlab.model import (
     theta_admissible,
     zero_structure,
 )
-from harperlab.model import _edge_green_logs
+from harperlab.model import _alpha_proxy, _edge_green_logs
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -264,15 +275,6 @@ def test_truncation_empty_window():
         build_truncation(sample(), 3, 2)
 
 
-def test_truncation_json_fields():
-    import json
-
-    tr = build_truncation(sample(), 0, 4)
-    data = json.loads(tr.to_json())
-    assert set(data) == {"diag", "offdiag_re", "offdiag_im"}
-    assert len(data["diag"]) == 5 and len(data["offdiag_re"]) == 4
-
-
 def test_gauge_symmetric_matches_dense_spectrum():
     tr = build_truncation(sample(), -5, 6)
     d, b = tr.gauge_symmetric()
@@ -421,7 +423,52 @@ def test_orbit_phases_no_drift():
         assert abs(xs[n] - float(exact)) < 1e-10
 
 
-def test_sample_alpha_fraction_resolution():
-    s = OperatorSample(CouplingTriple(0, 0.5, 0), golden(), 0.0)
-    fr = s.alpha_fraction(n_sites=10**5, tol=1e-12)
-    assert fr.denominator**2 >= 1000 * 10**5 / 1e-12 * 0.99
+# -- the alpha proxy ---------------------------------------------------------------
+
+PROXY_STREAMS = {  # fresh streams, so no call sees digits another one forged
+    "golden": golden,
+    "silver": silver,
+    "forged": lambda: forge(golden(), n0=5, schedule=ConstantBeta(0.5), levels=0),
+    "capped": lambda: forge(golden(), n0=5, schedule=ConstantBeta(0.5), levels=0,
+                            cap_decimal=50),
+    "finite": lambda: from_digits([2, 3, 1, 4, 1, 5, 9, 2, 6]),
+}
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(st.sampled_from(sorted(PROXY_STREAMS)), st.floats(0.0, 1.0), st.integers(2, 300),
+       st.integers(1, 40), st.floats(0.01, 0.49))
+def test_every_layer_reads_one_alpha_proxy(name, theta0, n, K, rho):
+    cf = PROXY_STREAMS[name]()
+    proxy = _alpha_proxy(cf)
+    lo, hi = cf.enclosure()
+    assert lo <= proxy <= hi
+    # the first convergent with q >= 2^60, or the deepest one when the stream ends first
+    level = next(j for j in range(1, cf.depth + 1) if Fraction(*cf.convergent(j)) == proxy)
+    assert cf.q(level - 1) < PROXY_MIN_Q
+    assert proxy.denominator >= PROXY_MIN_Q or level == cf.depth
+    assert cf.truncated == (name == "capped")
+    assert OperatorSample(CouplingTriple(0.1, 0.5, 0.2), cf).alpha_fraction() == proxy
+    assert float(cf) == float(proxy)
+    p, q = proxy.numerator, proxy.denominator
+
+    phi = np.ones(2 * K + 1, dtype=complex)
+    phi[K] = 0.0
+    with mock.patch.object(cocycle, "norm_numerator", wraps=norm_numerator) as spy:
+        cocycle.solve_cohomological(phi, cf, s_max=1)
+    ks = [k for k in range(-K, K + 1) if k]
+    assert [c.args for c in spy.call_args_list] == [(k * p % q, q) for k in ks]
+
+    two_rho = 2 * Fraction(rho)
+    with mock.patch.object(cocycle, "norm_numerator", wraps=norm_numerator) as spy:
+        cocycle.commutant_rigidity_check(rho, cf, bandwidth=K, gamma=1e-15)
+    assert {c.args[1] for c in spy.call_args_list} == {q * two_rho.denominator}
+
+    seen = []
+
+    def matrix_map(x):
+        seen.append(x)
+        return cocycle.rotation_matrix(0.2)
+
+    cocycle.rotation_number_map(matrix_map, cf, n, theta0)
+    assert np.array_equal(seen, orbit_phases(theta0, proxy, 0, n))

@@ -26,6 +26,7 @@ from harperlab.errors import BranchAmbiguity, SingularSamplingPoint, TooManyExcl
 from harperlab.model import (
     CouplingTriple,
     OperatorSample,
+    _alpha_proxy,
     abs_c_function,
     c_function,
     orbit_phases,
@@ -56,7 +57,7 @@ def sequential(sample, energy, thetas, n, kind, zero_guard):
     alive); a lane is the identity from its first guarded site on.
     """
     coupling = sample.coupling
-    alpha = sample.alpha_fraction(n_sites=n)
+    alpha = sample.alpha_fraction()
     af = float(alpha)
     ka = orbit_phases(0.0, alpha, 0, n)
     g = len(thetas)
@@ -171,7 +172,7 @@ def test_exclusions_present_and_all_lanes_dead_raises():
 
 def first_guarded_phase(sample, thetas, n, kind, zero_guard):
     """The phase a site-by-site walk stops at: earliest site, then lowest lane."""
-    alpha = sample.alpha_fraction(n_sites=n)
+    alpha = sample.alpha_fraction()
     af = float(alpha)
     rows = [(thetas - af) % 1.0] if kind == "normalized" else []
     rows += [(thetas + k) % 1.0 for k in orbit_phases(0.0, alpha, 0, n)]
@@ -256,7 +257,7 @@ def branch_step(call):
 
 def normalized_orbit(sample, energy, theta0, n):
     """Normalized transfer matrices at theta0 + k alpha, k < n, as an (n, 2, 2) stack."""
-    alpha = sample.alpha_fraction(n_sites=n)
+    alpha = sample.alpha_fraction()
     af = float(alpha)
     x = orbit_phases(theta0, alpha, 0, n)
     c = abs_c_function(sample.coupling, af, x)
@@ -307,7 +308,7 @@ def test_branch_step_counts_sites_across_chunks():
         return rotation_matrix(0.5 if abs(theta - 0.3) < 8e-6 else 0.2)
 
     n = 70_000
-    alpha = golden().fraction(min_q=math.isqrt(1000 * n * 10**12) + 1)
+    alpha = _alpha_proxy(golden())
     m = np.array([half_turn_on_arc(x) for x in orbit_phases(0.0, alpha, 0, n)])
     step = branch_step(lambda: angle_walk(m, 0.0))
     assert step > 2 * SWEEP_CELLS

@@ -15,11 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harperlab.cocycle import (
-    _alpha_mod_one,
-    commutant_rigidity_check,
-    solve_cohomological,
-)
+from harperlab.cocycle import commutant_rigidity_check, solve_cohomological
 from harperlab.contfrac import (
     ContinuedFraction,
     DCVerdict,
@@ -37,7 +33,7 @@ from harperlab.errors import (
     RationalDetected,
     ResonantDivisor,
 )
-from harperlab.model import CouplingTriple, ZeroKind, zero_structure
+from harperlab.model import CouplingTriple, ZeroKind, _alpha_proxy, zero_structure
 from harperlab.spectral import delta_exponent
 
 # deterministic examples, so the suite gives the same verdict on every run
@@ -113,7 +109,7 @@ def dc_scan_ref(cf, tau, gamma, ks, shift):
 
 
 def commutant_ref(rho, alpha, bandwidth, tau, gamma):
-    a = _alpha_mod_one(alpha, bandwidth)
+    a = _alpha_proxy(alpha)
     two_rho = 2 * Fraction(rho)
     min_div, arg_k, arg_s = float("inf"), 0, +1
     unconstrained = [(0, "diagonal")]
@@ -136,7 +132,7 @@ def commutant_ref(rho, alpha, bandwidth, tau, gamma):
 
 def cohomological_ref(phi, alpha, resonance_tol=1e-14):
     K = (len(phi) - 1) // 2
-    a = _alpha_mod_one(alpha, K)
+    a = _alpha_proxy(alpha)
     psi = np.zeros_like(phi)
     min_div = float("inf")
     for k in range(-K, K + 1):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from harperlab._tridiag import bisect_eigenvalues, inverse_iteration
 from harperlab.cocycle import _dist_to_positions, lyapunov_formula
-from harperlab.contfrac import ConstantBeta, beta_exponent, forge, golden
+from harperlab.contfrac import ConstantBeta, beta_exponent, forge, golden, silver
 from harperlab.errors import PoorlyLocalized, ResolventSingular, SingularSamplingPoint
 from harperlab.model import (
     CouplingTriple,
@@ -73,13 +73,6 @@ def test_spectrum_phase_aggregation_count():
     spec = truncated_spectrum(sample(), 32, phases=[0.1, 0.4, 0.8])
     assert len(spec.eigenvalues) == 96
     assert spec.phases == [0.1, 0.4, 0.8]
-
-
-def test_spectrum_csv_export():
-    spec = truncated_spectrum(sample(), 4)
-    lines = spec.to_csv().strip().split("\n")
-    assert lines[0] == "index,eigenvalue"
-    assert len(lines) == 5
 
 
 def test_hausdorff_sorted_basics():
@@ -253,7 +246,7 @@ def test_badness_contrast_localized_side():
 def _solution_masses(sample, energy, N, phis, zero_guard=1e-9):
     """sum_{|k|<=N} |u(k)|^2 for normalized initial angles phis (in turns)."""
     coupling = sample.coupling
-    alpha_frac = sample.alpha_fraction(n_sites=2 * N + 2)
+    alpha_frac = sample.alpha_fraction()
     alpha_f = float(alpha_frac)
     phis = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     u0 = np.cos(2 * np.pi * phis).astype(np.complex128)
@@ -335,10 +328,10 @@ energy_lists = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3)
        st.integers(1, 40), st.floats(0.0, 1.0))
 def test_basis_solutions_match_scalar_recurrence(triple, alpha, theta, energy, N, angle):
     s = sample(triple, theta=theta, alpha=Fraction(alpha))
-    a = s.alpha_fraction(n_sites=N + 1)
+    a = s.alpha_fraction()
     init = (math.cos(2 * math.pi * angle), math.sin(2 * math.pi * angle))
     try:
-        U = _basis_solutions(s, a, [energy], N, 1e-9)[0]
+        U = _basis_solutions(s, [energy], N, 1e-9)[0]
     except SingularSamplingPoint:
         assume(False)
     ref = _two_sided_vectors(s.coupling, a, theta, energy, N, init)
@@ -348,6 +341,39 @@ def test_basis_solutions_match_scalar_recurrence(triple, alpha, theta, energy, N
         got = np.array([u[k + N + 1], u[k + N]])
         tol = 1e-12 * max(1.0, scale[k + N + 1], scale[k + N])
         assert np.all(np.abs(got - ref[k]) <= tol), k
+
+
+def _truncation_recurrence(tr, energy, init):
+    """u(k) for the sites of tr, grown from (u(0), u(-1)) = init by tr's own rows."""
+    d, c, o = energy - tr.diag, tr.offdiag, -tr.x1  # o: row of site 0
+    u = np.zeros(tr.size, dtype=np.complex128)
+    u[o], u[o - 1] = init
+    for i in range(o, tr.size - 1):
+        u[i + 1] = (d[i] * u[i] - np.conj(c[i - 1]) * u[i - 1]) / c[i]
+    for i in range(o - 1, 0, -1):
+        u[i - 1] = (d[i] * u[i] - c[i] * u[i + 1]) / np.conj(c[i - 1])
+    return u
+
+
+# digit streams, fresh per example; the forged one is forged on demand
+STREAMS = {"golden": golden, "silver": silver,
+           "forged": lambda: forge(golden(), 5, ConstantBeta(0.5), 0)}
+
+
+@recurrences
+@given(couplings, st.sampled_from(sorted(STREAMS)), st.floats(0.0, 1.0), energy_lists,
+       st.integers(1, 40))
+def test_basis_solutions_run_the_truncation_rows(triple, freq, theta, energies, N):
+    s = sample(triple, theta=theta, alpha=STREAMS[freq]())
+    try:
+        U = _basis_solutions(s, energies, N, 1e-9)
+    except SingularSamplingPoint:
+        assume(False)
+    tr = build_truncation(s, -N - 1, N)
+    for e, Ue in zip(energies, U):
+        scale = np.maximum(1.0, np.linalg.norm(Ue, axis=1))
+        for b, init in enumerate([(1.0, 0.0), (0.0, 1.0)]):
+            assert np.all(np.abs(Ue[:, b] - _truncation_recurrence(tr, e, init)) <= 1e-12 * scale)
 
 
 @recurrences
@@ -437,7 +463,7 @@ def test_perturbation_deviation_matches_scalar_reference(
     )
     u, v = (
         _two_sided_vectors(
-            c, OperatorSample(c, a, 0.135).alpha_fraction(n_sites=N + 1), 0.135, e, N, (1.0, 0.0)
+            c, OperatorSample(c, a, 0.135).alpha_fraction(), 0.135, e, N, (1.0, 0.0)
         )
         for a, e in ((alpha, rep.energy), (alpha_prime, rep.energy_prime))
     )
@@ -447,7 +473,7 @@ def test_perturbation_deviation_matches_scalar_reference(
 
 def _raw_transfers(coupling, alpha, theta, energy, N):
     """Raw transfer matrices at sites -N..N, one orbit_phases phase at a time."""
-    a = OperatorSample(coupling, alpha, theta).alpha_fraction(n_sites=N + 1)
+    a = OperatorSample(coupling, alpha, theta).alpha_fraction()
     af = float(a)
     out = []
     for x in orbit_phases(theta, a, -N, 2 * N + 1):
