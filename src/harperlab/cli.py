@@ -262,10 +262,8 @@ def _run_badness(cfg, p):
 def _run_decay(cfg, p):
     try:
         fit = spectral.decay_fit(_sample(cfg), size=p["size"], which_eigenvector=p["which"])
-    except IndexError:
-        raise InvalidCoupling(
-            f"which={p['which']} is no eigenvector index of a size-{p['size']} window"
-        ) from None
+    except IndexError as exc:
+        raise InvalidCoupling(f"which={p['which']}: {exc}") from None
     return asdict(fit), None, []
 
 
@@ -280,15 +278,18 @@ def _run_rotation(cfg, p):
 
 
 def _run_perturb(cfg, p):
-    rep = spectral.perturbation_experiment(
-        _coupling(cfg),
-        resolve_frequency_spec(cfg.frequency),
-        resolve_frequency_spec(p["freq_prime"]),
-        cfg.theta,
-        N=p["N"],
-        trunc_size=p["size"],
-        eig_index=p["eig_index"],
-    )
+    try:
+        rep = spectral.perturbation_experiment(
+            _coupling(cfg),
+            resolve_frequency_spec(cfg.frequency),
+            resolve_frequency_spec(p["freq_prime"]),
+            cfg.theta,
+            N=p["N"],
+            trunc_size=p["size"],
+            eig_index=p["eig_index"],
+        )
+    except IndexError as exc:
+        raise InvalidCoupling(f"eig_index={p['eig_index']}: {exc}") from None
     return asdict(rep), None, []
 
 

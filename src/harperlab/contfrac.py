@@ -543,11 +543,15 @@ DigitSchedule = Union[ConstantBeta, SingleBurst, ExplicitTail]
 def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Optional[int]:
     """floor(e^(beta*q)) by interval arithmetic with certified rounding.
 
+    e^t, t = beta*q, is enclosed as e^k * e^r with k = floor(t) and
+    r = t - k in [0, 1): e^k is an integer-argument interval exp (mpmath
+    takes it as a power of e, much cheaper than a series at a fractional
+    argument), e^(1/2) is the interval square root of e, and any other
+    nonzero r takes one interval exp of a small argument.
     Returns None when the result would exceed cap_decimal decimal digits.
     Precision doubles until the enclosing interval no longer straddles an
     integer (e^(beta*q) is transcendental for beta*q != 0, so this ends).
     """
-    import mpmath
     from mpmath import iv
     from mpmath.libmp import mpf_floor, round_ceiling, round_floor, to_int
 
@@ -557,12 +561,18 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     # decimal length of e^t is t/ln 10; compare without converting t to float
     if q > cap_decimal * math.log(10) / beta:
         return None
+    k = math.floor(t)
+    r = t - k
     prec = max(64, int(float(t) * 1.4427) + 64)  # bits of e^t plus guard
     old = iv.prec
     try:
         while True:
             iv.prec = prec
-            v = iv.exp(iv.mpf(t.numerator) / t.denominator)
+            v = iv.exp(iv.mpf(k))
+            if r == Fraction(1, 2):
+                v *= iv.sqrt(iv.exp(1))
+            elif r:
+                v *= iv.exp(iv.mpf(r.numerator) / r.denominator)
             lo, hi = v._mpi_
             flo = to_int(mpf_floor(lo, prec, round_floor))
             fhi = to_int(mpf_floor(hi, prec, round_ceiling))

@@ -403,6 +403,17 @@ class PerturbationReport:
     trunc_size: int
 
 
+def _eig_index(index, size):
+    """The one rule for an eigenvalue index of a size-`size` window: 0 <= index < size.
+
+    Negative indices are refused, not read from the top as in Python.
+    """
+    index = int(index)
+    if not 0 <= index < size:
+        raise IndexError(f"eigenvalue index {index} outside the size-{size} window")
+    return index
+
+
 def _eig_by_index(sample, size, index):
     diag, absoff = build_truncation(sample, 0, size - 1).gauge_symmetric()
     return float(bisect_eigenvalues(diag, absoff, indices=[index])[0])
@@ -428,16 +439,17 @@ def perturbation_experiment(
     """Compare transfer matrices and solutions at two nearby frequencies.
 
     E' is an eigenvalue of the truncated operator at alpha' (by sorted
-    index), E the nearest eigenvalue of the matched truncation at alpha;
-    the deviations are the maxima over |m| <= N of the transfer-matrix
-    difference and of the solution-vector difference grown from the same
-    initial data (u(0), u(-1)) = (1, 0).
+    index, 0 <= eig_index < size, else IndexError), E the nearest
+    eigenvalue of the matched truncation at alpha; the deviations are the
+    maxima over |m| <= N of the transfer-matrix difference and of the
+    solution-vector difference grown from the same initial data
+    (u(0), u(-1)) = (1, 0).
     """
     size = trunc_size if trunc_size is not None else max(256, 4 * N)
     sample = OperatorSample(coupling, alpha, theta)
     sample_p = OperatorSample(coupling, alpha_prime, theta)
     eps = abs(float(sample.alpha_fraction() - sample_p.alpha_fraction()))
-    index = size // 2 if eig_index == "median" else int(eig_index)
+    index = _eig_index(size // 2 if eig_index == "median" else eig_index, size)
     e_prime = _eig_by_index(sample_p, size, index)
     trunc = build_truncation(sample, 0, size - 1)
     diag, absoff = trunc.gauge_symmetric()
@@ -536,7 +548,8 @@ def decay_fit(
 
     The truncation window is centered at the origin.  With "auto", the
     eigenvalue whose eigenvector carries maximal mass in the middle third
-    is fitted.  Masses are rounded to 1e-9 first: in a localized window many
+    is fitted; an integer picks that index (0 <= index < size, else
+    IndexError).  Masses are rounded to 1e-9 first: in a localized window many
     eigenvectors carry middle-third mass 1 - O(1e-15), and among such tied
     maxima the lower median by eigenvalue (index T[len(T) // 2] of the
     ascending tied set T) is taken, so the pick does not hang on rounding.
@@ -558,7 +571,7 @@ def decay_fit(
         tied = np.flatnonzero(mass == mass.max())
         index = int(tied[len(tied) // 2])
     else:
-        index = range(size)[int(which_eigenvector)]  # IndexError when out of range
+        index = _eig_index(which_eigenvector, size)
     energy = float(vals[index])
     ((_, w),) = squared_components(diag, absoff, vals[index : index + 1])
     phi2 = w[:, 0]

@@ -372,6 +372,17 @@ DEGENERATE = [
      {"experiment": "cohomology", "params": {"phi": "cos", "smax": -1}}),
     ("rho", ["commutant", "--freq", "golden", "--rho", "nan"],
      {"experiment": "commutant", "params": {"rho": "nan"}}),
+    # eigenvalue indices: 0 <= index < size, no negative indexing
+    ("eig_index", ["perturb", "--coupling", "0.1,0.5,0.2", "--freq-prime", "0.62", "--N", "4",
+                   "--size", "16", "--eig-index", "-1"],
+     {"experiment": "perturb", "coupling": [0.1, 0.5, 0.2],
+      "params": {"freq_prime": "0.62", "N": 4, "size": 16, "eig_index": -1}}),
+    ("eig_index", ["perturb", "--coupling", "0.1,0.5,0.2", "--freq-prime", "0.62", "--N", "4",
+                   "--size", "16", "--eig-index", "16"],
+     {"experiment": "perturb", "coupling": [0.1, 0.5, 0.2],
+      "params": {"freq_prime": "0.62", "N": 4, "size": 16, "eig_index": 16}}),
+    ("which", ["decay", "--coupling", "0,0.4,0", "--size", "400", "--which", "-400"],
+     {"experiment": "decay", "coupling": [0, 0.4, 0], "params": {"size": 400, "which": -400}}),
 ]
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harperlab.contfrac import (
     ConstantBeta,
@@ -271,6 +273,42 @@ def test_floor_exp_certified():
     assert floor_exp(0.5, 2) == 2  # e ~ 2.718
     assert floor_exp(0.3, 91) == 718190003631
     assert floor_exp(1.0, 10**7, cap_decimal=10**6) is None
+    # e^t split at k = floor(t): k = 0, and k = 1 with r = 1/2 from two betas
+    assert floor_exp(0.5, 1) == 1  # e^(1/2) alone
+    assert floor_exp(1.5, 1) == 4  # e * e^(1/2) ~ 4.48
+    assert floor_exp(0.5, 3) == 4  # the same exponent from beta = 1/2
+
+
+def _floor_exp_single_interval(beta, q):
+    """floor(e^(beta*q)) from one interval exp at the full argument."""
+    from mpmath import iv
+    from mpmath.libmp import mpf_floor, round_ceiling, round_floor, to_int
+
+    t = Fraction(beta) * q
+    prec = max(64, int(float(t) * 1.4427) + 64)
+    old = iv.prec
+    try:
+        while True:
+            iv.prec = prec
+            lo, hi = iv.exp(iv.mpf(t.numerator) / t.denominator)._mpi_
+            flo = to_int(mpf_floor(lo, prec, round_floor))
+            if flo == to_int(mpf_floor(hi, prec, round_ceiling)):
+                return flo
+            prec *= 2
+    finally:
+        iv.prec = old
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.sampled_from([0.5, 1.0, 1.5, 0.3, 0.7, 2 / 3]), st.integers(1, 2000))
+def test_floor_exp_matches_single_interval_exp(beta, q):
+    assert floor_exp(beta, q) == _floor_exp_single_interval(beta, q)
+
+
+@pytest.mark.parametrize("q", [28657, 75025])  # golden q_22 and q_24 (the n0 = 24 stream)
+def test_floor_exp_half_is_isqrt_of_full(q):
+    # floor(e^(q/2)) = isqrt(floor(e^q)): an exact identity, checked at large q
+    assert floor_exp(0.5, q) == math.isqrt(floor_exp(1.0, q))
 
 
 def test_digit_stream_json_round_trip():

@@ -668,8 +668,10 @@ def test_decay_fit_auto_tie_rule_matches_dense_oracle():
 
 
 def test_decay_fit_index_out_of_range():
-    with pytest.raises(IndexError):
-        decay_fit(sample(), 400, which_eigenvector=400)
+    # negative indices are refused, not read from the top of the spectrum
+    for index in (400, -1, -400):
+        with pytest.raises(IndexError):
+            decay_fit(sample(), 400, which_eigenvector=index)
 
 
 def test_decay_fit_region_II_poorly_localized():
