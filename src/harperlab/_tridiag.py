@@ -4,7 +4,11 @@ Eigenvalues of truncations come from LAPACK through
 ``scipy.linalg.eigvalsh_tridiagonal``: the full spectrum from ?STEVD, index
 picks from ?STEBZ (Sturm bisection).  Everything else reads the Sturm pivots
 of T - s, d_i = (a_i - s) - b_{i-1}^2 / d_{i-1}, swept from either end of the
-matrix over a vector of shifts s (``_sweep``, one row per Python step):
+matrix over a vector of shifts s by ``_sweep``.  Its row step is two numpy
+calls (a divide and an in-place subtract) over every shift at once; the
+pivmin guard that keeps a vanishing pivot from failing the next division is
+checked once after the sweep, and only a sweep that met it is redone with the
+guard at every row.  The pivots give:
 
 - eigenvalue counts: the number of negative pivots (Sylvester's law of
   inertia, which holds in any elimination order);
@@ -41,11 +45,13 @@ FULL_DRIVER = "stevd"  # all eigenvalues
 INDEX_DRIVER = "stebz"  # eigenvalues by index
 # Eigenvalues are swept in chunks of at most this many pivots (n per
 # eigenvalue and direction), so the pivot buffer of squared_components takes
-# 512 KB and no n-by-n array is formed.  Wider chunks run fewer Python steps
-# but hold more memory: replaying the `spectra` benchmark ops, peak RSS rose
-# by about 5 MB over the eigenvector-solver version at 2^16 cells, by 1-3 MB
-# at 2^15.
-PIVOT_CELLS = 1 << 15
+# 2 MB, no n-by-n array is formed, and up to n = 1310 a chunk runs at least
+# 100 eigenvalues per Python step.  Wider chunks run fewer steps but hold
+# more memory.  On a 2-vCPU Xeon VM (numpy 2.4), 2^15 -> 2^17 cells took one
+# decay_fit at n = 800 from 0.14 to 0.10 s and its allocation peak from 0.8
+# to 2.5 MB, and the `spectra` benchmark's peak RSS (10 s runs, seed 1)
+# from 70.4-70.9 to 73.6-73.8 MB.
+PIVOT_CELLS = 1 << 17
 
 
 def _sweep(diag, off2, shifts, out):
@@ -55,17 +61,34 @@ def _sweep(diag, off2, shifts, out):
     in the row order of its own sweep; out: (n, m, len(shifts)) receives
     d_k = (a_k - s) - b_{k-1}^2 / d_{k-1}.  A pivot below pivmin in modulus
     is replaced by -pivmin, so no division ever fails.
+
+    One subtraction fills out with a - s; each row then costs two numpy calls,
+    d_k -= b_{k-1}^2 / d_{k-1}, with no guard.  The guard is checked once
+    afterwards, 64 rows at a time so that no temporary is as large as out.
+    Only if some pivot fails |d| >= pivmin (a NaN fails too) are the rows
+    from that block on swept again by _guarded_sweep; rows before it never met
+    the guard, so out is bit-for-bit that of the guarded recurrence.
     """
     pivmin = max(float(off2.max(initial=0.0)), 1.0) * 2.0e-300
-    a, b2 = list(diag[:, :, None]), list(off2[:, :, None])
-    prev = None
-    for k, d in enumerate(out):
-        np.subtract(a[k], shifts, out=d)
-        if prev is not None:
-            d -= b2[k - 1] / prev
-        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-        prev = d
+    np.subtract(diag[:, :, None], shifts, out=out)
+    rows = list(out)
+    with np.errstate(all="ignore"):  # a vanishing pivot is caught below
+        for prev, d, b2 in zip(rows, rows[1:], off2[:, :, None]):
+            d -= b2 / prev
+    for r0 in range(0, len(rows), 64):
+        if not np.abs(out[r0 : r0 + 64]).min(initial=np.inf) >= pivmin:
+            _guarded_sweep(diag, off2, shifts, out, pivmin, r0)
+            break
     return out
+
+
+def _guarded_sweep(diag, off2, shifts, out, pivmin, start):
+    """Rows start.. of _sweep with the pivmin guard applied at every row."""
+    for k in range(start, len(out)):
+        d = np.subtract(diag[k, :, None], shifts, out=out[k])
+        if k:
+            d -= off2[k - 1, :, None] / out[k - 1]
+        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
 
 
 def _pivots(diag, off2, shifts, reverse=False):

@@ -152,7 +152,7 @@ def _run_le(cfg, p):
 def _run_spectrum(cfg, p):
     sample = _sample(cfg)
     size, nphases = p["size"], p["phases"]
-    phases = None if nphases <= 1 else list((np.arange(nphases) + 0.5) / nphases)
+    phases = None if nphases == 1 else list((np.arange(nphases) + 0.5) / nphases)
     spec = spectral.truncated_spectrum(sample, size, phases, threads=cfg.threads)
     rows = [
         {"index": i, "eigenvalue": float(v)} for i, v in enumerate(spec.eigenvalues)

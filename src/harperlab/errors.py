@@ -91,5 +91,9 @@ class DivisorFloorViolated(HarperlabError):
         self.floor = floor
 
 
+class NoBulkSpectrum(HarperlabError):
+    """Every eigenvalue of a duality window was filtered as a boundary mode."""
+
+
 class PoorlyLocalized(HarperlabError):
     """Eigenvector decay fit failed the r^2 quality threshold."""

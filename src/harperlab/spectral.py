@@ -35,7 +35,7 @@ from .contfrac import (
     log_of_int,
     norm_numerator,
 )
-from .errors import PoorlyLocalized
+from .errors import NoBulkSpectrum, PoorlyLocalized
 from .model import (
     CouplingTriple,
     OperatorSample,
@@ -108,6 +108,8 @@ def truncated_spectrum(
     if size < 1:
         raise ValueError("size must be >= 1")
     theta_list = [sample.theta] if phases is None else list(phases)
+    if not theta_list:
+        raise ValueError("phases must hold at least one phase")
     parts = _map_phases(sample, size, theta_list, threads, bisect_eigenvalues)
     eigs = np.sort(np.concatenate(parts))
     return SpectrumApproximation(
@@ -138,15 +140,14 @@ class DualityReport:
     boundary_filtered: tuple = (0, 0)  # edge states dropped on each side
 
 
-def _aggregate_bulk_spectrum(sample, size, theta_list, threads, edge_mass_max):
+def _aggregate_bulk_spectrum(sample, size, theta_list, threads, edge_mass_max, zone):
     """Phase-aggregated truncation eigenvalues, boundary modes removed.
 
     Zero-boundary windows bind states inside spectral gaps; an eigenvalue
     whose eigenvector carries more than edge_mass_max of its mass within
-    the outer EDGE_FRAC zones is such a boundary mode and is dropped from
-    the aggregate (counted in the second return value).
+    the outer ``zone`` rows at either end is such a boundary mode and is
+    dropped from the aggregate (counted in the second return value).
     """
-    zone = max(10, int(size * EDGE_FRAC))
 
     def bulk(diag, absoff):
         vals = bisect_eigenvalues(diag, absoff)
@@ -178,11 +179,19 @@ def duality_check(
     draws when ``seed`` is given) shifted by theta0.  Boundary modes of the
     zero-boundary windows (in-gap pollution that no finite phase grid can
     match across the two sides) are filtered by edge-mass before the
-    comparison; set edge_mass_max=1.0 to compare the raw aggregates.
+    comparison; set edge_mass_max=1.0 to compare the raw aggregates.  The
+    edge zones span the outer EDGE_FRAC of the window, at least 10 rows each,
+    so ``size`` must exceed the two of them; NoBulkSpectrum is raised when
+    every eigenvalue of one side is filtered.
     """
     dual = duality(coupling)  # raises Lambda2Zero when undefined
     l2 = coupling.lambda2
+    zone = max(10, int(size * EDGE_FRAC))
+    if size <= 2 * zone:
+        raise ValueError(f"size must exceed its two {zone}-row edge zones, got size={size}")
     if isinstance(phases, int):
+        if phases < 1:
+            raise ValueError(f"phases must be >= 1, got phases={phases}")
         if seed is not None:
             rng = np.random.default_rng(seed)
             theta_list = list((theta0 + rng.random(phases)) % 1.0)
@@ -190,12 +199,19 @@ def duality_check(
             theta_list = list((theta0 + (np.arange(phases) + 0.5) / phases) % 1.0)
     else:
         theta_list = list(phases)
+        if not theta_list:
+            raise ValueError("phases must hold at least one phase")
     ea, da = _aggregate_bulk_spectrum(
-        OperatorSample(coupling, alpha, theta0), size, theta_list, threads, edge_mass_max
+        OperatorSample(coupling, alpha, theta0), size, theta_list, threads, edge_mass_max, zone
     )
     eb, db = _aggregate_bulk_spectrum(
-        OperatorSample(dual, alpha, theta0), size, theta_list, threads, edge_mass_max
+        OperatorSample(dual, alpha, theta0), size, theta_list, threads, edge_mass_max, zone
     )
+    if len(ea) == 0 or len(eb) == 0:
+        raise NoBulkSpectrum(
+            f"every eigenvalue of the {'dual' if len(ea) else 'given'} side has more than "
+            f"edge_mass_max={edge_mass_max} of its mass in the edge zones"
+        )
     dist = hausdorff_sorted(ea, l2 * eb)
     report = DualityReport(
         distance=dist,

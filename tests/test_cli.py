@@ -383,6 +383,13 @@ DEGENERATE = [
       "params": {"freq_prime": "0.62", "N": 4, "size": 16, "eig_index": 16}}),
     ("which", ["decay", "--coupling", "0,0.4,0", "--size", "400", "--which", "-400"],
      {"experiment": "decay", "coupling": [0, 0.4, 0], "params": {"size": 400, "which": -400}}),
+    # phase counts below one and duality windows covered by their edge zones
+    ("size", ["duality", "--coupling", "0.1,0.5,0.2", "--size", "20"],
+     {"experiment": "duality", "coupling": [0.1, 0.5, 0.2], "params": {"size": 20}}),
+    ("phases", ["duality", "--coupling", "0.1,0.5,0.2", "--size", "64", "--phases", "0"],
+     {"experiment": "duality", "coupling": [0.1, 0.5, 0.2], "params": {"size": 64, "phases": 0}}),
+    ("phases", ["spectrum", "--coupling", "0,1,0", "--size", "8", "--phases", "-5"],
+     dict(SPECTRUM, params={"size": 8, "phases": -5})),
 ]
 
 
@@ -417,6 +424,13 @@ def test_rotation_predecessor_on_a_zero_exits_3(capsys):
             "--n", "2000", "--theta", repr(theta)]
     assert exit_code(argv) == 3
     assert "SingularSamplingPoint" in capsys.readouterr().err
+
+
+def test_duality_with_every_mode_on_the_edges_exits_3(capsys):
+    # size 21: the two 10-row edge zones leave one bulk row
+    argv = ["duality", "--coupling", "0.1,0.5,0.2", "--size", "21", "--phases", "1"]
+    assert exit_code(argv) == 3
+    assert "NoBulkSpectrum" in capsys.readouterr().err
 
 
 def test_decay_index_out_of_range_exits_2(capsys):

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from harperlab._tridiag import bisect_eigenvalues, inverse_iteration
 from harperlab.cocycle import _dist_to_positions, lyapunov_formula
 from harperlab.contfrac import ConstantBeta, beta_exponent, forge, golden, silver
-from harperlab.errors import PoorlyLocalized, ResolventSingular, SingularSamplingPoint
+from harperlab.errors import (
+    NoBulkSpectrum,
+    PoorlyLocalized,
+    ResolventSingular,
+    SingularSamplingPoint,
+)
 from harperlab.model import (
     CouplingTriple,
     OperatorSample,
@@ -131,6 +136,20 @@ def test_duality_boundary_filter_matches_dense_oracle():
     d_raw, rep_raw = duality_check(c, golden(), 48, thetas, edge_mass_max=1.0)
     assert rep_raw.boundary_filtered == (0, 0)
     assert d_raw == pytest.approx(hausdorff_sorted(ra, c.lambda2 * rb), abs=1e-9)
+
+
+def test_duality_rejects_empty_phases_and_covered_windows():
+    c = CouplingTriple(0.1, 0.5, 0.2)
+    for phases in (0, -2, []):
+        with pytest.raises(ValueError, match="phases"):
+            duality_check(c, golden(), 48, phases)
+    with pytest.raises(ValueError, match="size"):
+        duality_check(c, golden(), 20, 2)
+    with pytest.raises(ValueError, match="phases"):
+        truncated_spectrum(OperatorSample(c, golden()), 8, [])
+    # every eigenvector has some mass on the edges, so none is kept
+    with pytest.raises(NoBulkSpectrum):
+        duality_check(c, golden(), 48, 2, edge_mass_max=0.0)
 
 
 def test_duality_threads_bytewise_with_filtering():

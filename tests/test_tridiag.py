@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harperlab import _tridiag
@@ -139,3 +139,95 @@ def test_squared_components_match_dense_eigh_across_chunks(mat, data):
     expect = np.array([ref[rows].sum(axis=0) for rows in slices])
     assert masses.shape == (3, n)
     assert np.max(np.abs(masses - expect)) <= 1e-9
+
+
+def _guarded_pivots(diag, off2, shifts):
+    """The guarded Sturm pivot loop, one row at a time: (pivots, whether the guard fired).
+
+    A pivot below pivmin in modulus becomes -pivmin; a NaN pivot counts as
+    firing the guard, since it fails |d| >= pivmin.
+    """
+    pivmin = max(float(off2.max(initial=0.0)), 1.0) * 2.0e-300
+    out = np.empty((len(diag), len(shifts)))
+    fired = False
+    for k in range(len(diag)):
+        d = diag[k] - shifts
+        if k:
+            d -= off2[k - 1] / out[k - 1]
+        small = np.abs(d) < pivmin
+        fired |= bool(small.any() or np.isnan(d).any())
+        d[small] = -pivmin
+        out[k] = d
+    return out, fired
+
+
+_repeated_entry = st.one_of(st.sampled_from([0.0, 1.0, -0.5]), _diag_entry)
+
+
+@st.composite
+def guard_cases(draw):
+    """(diag, off, shifts, chunk): repeated diagonal entries, splits, shifts on them, NaN."""
+    n = draw(st.integers(1, 80))  # past the first 64-row guard block
+    diag = np.array(draw(st.lists(_repeated_entry, min_size=n, max_size=n)))
+    off = np.array(draw(st.lists(_off_modulus, min_size=n - 1, max_size=n - 1)))
+    on_diag = st.integers(0, n - 1).map(lambda i: diag[i])
+    shift = st.one_of(st.floats(-4.0, 4.0), on_diag, st.just(np.nan))
+    shifts = np.array(draw(st.lists(shift, min_size=1, max_size=8)))
+    chunk = draw(st.integers(1, len(shifts)))
+    return diag, off, shifts, chunk
+
+
+def _split_at(n, row):
+    """Off-diagonals of a length-n chain that splits above ``row``."""
+    off = np.full(n - 1, 0.7)
+    off[row - 1] = 0.0
+    return off
+
+
+_SPLIT_DIAG = np.linspace(-1.0, 1.0, 130)
+
+
+# the guard-firing cases: a shift on the first diagonal entry, a shift on the
+# entry that starts a split-off block (past the first guard block), a NaN shift
+@example((_SPLIT_DIAG, np.full(129, 0.7), np.array([-1.0, 0.3]), 1))
+@example((_SPLIT_DIAG, _split_at(130, 100), np.array([0.2, _SPLIT_DIAG[100], 0.4]), 2))
+@example((_SPLIT_DIAG, np.full(129, 0.7), np.array([0.1, np.nan, 0.5, 0.6]), 3))
+@examples
+@given(guard_cases())
+def test_sweep_equals_the_guarded_row_loop_bit_for_bit(case):
+    diag, off, shifts, chunk = case
+    n = len(diag)
+    off2 = off * off
+    real_sweep, real_guarded = _tridiag._sweep, _tridiag._guarded_sweep
+    reruns = []
+
+    def counted_guarded(*args):
+        reruns.append(args[-1])
+        return real_guarded(*args)
+
+    def checked_sweep(both, both2, lam, out):
+        before = len(reruns)
+        real_sweep(both, both2, lam, out)
+        fired = False
+        for j in range(both.shape[1]):
+            ref, fired_j = _guarded_pivots(both[:, j], both2[:, j], lam)
+            assert out[:, j].tobytes() == ref.tobytes()
+            fired |= fired_j
+        # the guarded rerun runs exactly when the guarded loop would fire
+        assert (len(reruns) > before) == fired
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_tridiag, "_guarded_sweep", counted_guarded)
+        mp.setattr(_tridiag, "_sweep", checked_sweep)
+        for reverse in (False, True):
+            order = slice(None, None, -1) if reverse else slice(None)
+            piv = _tridiag._pivots(diag, off2, shifts, reverse)
+            ref, _ = _guarded_pivots(diag[order], off2[order], shifts)
+            assert piv.tobytes() == ref[order].tobytes()
+        # chunks of `chunk` eigenvalues, so several chunks cross PIVOT_CELLS
+        mp.setattr(_tridiag, "PIVOT_CELLS", chunk * n)
+        starts = [start for start, _ in squared_components(diag, off, shifts)]
+    assert starts == list(range(0, len(shifts), chunk))
+    if np.isnan(shifts).any() or np.isin(shifts, diag[:1]).any():
+        assert reruns
