@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, cocycle, contfrac, model, spectral
-from .errors import HarperlabError, InvalidCoupling
+from .errors import DepthInsufficient, HarperlabError, InvalidCoupling
 
 SCHEMA_VERSION = 1
 FORMATS = ("csv", "json")
@@ -82,8 +82,12 @@ def sweep_seeds(seed: int, count: int) -> list:
     return [int(s) for s in gen.integers(0, 2**63 - 1, size=count)]
 
 
-def resolve_frequency_spec(spec: str):
-    """--freq argument: decimal literal, named constant, or digit-file path."""
+def resolve_frequency_spec(spec: str, param: str = "frequency"):
+    """A frequency param: decimal literal, named constant, or digit-file path.
+
+    ``param`` names the param in the InvalidCoupling raised for a literal
+    outside (0, 1) or a path that does not read as a digit file.
+    """
     if spec == "golden":
         return contfrac.golden()
     if spec == "silver":
@@ -91,10 +95,13 @@ def resolve_frequency_spec(spec: str):
     try:
         val = float(spec)
     except ValueError:
-        with open(spec) as fh:
-            return contfrac.ContinuedFraction.from_json(fh.read(), origin=spec)
+        try:
+            with open(spec) as fh:
+                return contfrac.ContinuedFraction.from_json(fh.read(), origin=spec)
+        except (OSError, ValueError) as exc:
+            raise InvalidCoupling(f"{param} {spec!r} is no number, name or digit file: {exc}") from None
     if not 0 < val < 1:
-        raise InvalidCoupling(f"frequency literal {spec} outside (0,1)")
+        raise InvalidCoupling(f"{param} literal {spec} outside (0,1)")
     return val
 
 
@@ -152,7 +159,9 @@ def _run_le(cfg, p):
 def _run_spectrum(cfg, p):
     sample = _sample(cfg)
     size, nphases = p["size"], p["phases"]
-    phases = None if nphases == 1 else list((np.arange(nphases) + 0.5) / nphases)
+    phases = None
+    if nphases != 1:  # duality's grid; exactly (k + 0.5)/N at theta = 0
+        phases = list((cfg.theta + (np.arange(nphases) + 0.5) / nphases) % 1.0)
     spec = spectral.truncated_spectrum(sample, size, phases, threads=cfg.threads)
     rows = [
         {"index": i, "eigenvalue": float(v)} for i, v in enumerate(spec.eigenvalues)
@@ -194,7 +203,7 @@ FORGE_BASE_DEPTH = 40  # digits of a decimal `forge --base` expanded before forg
 
 
 def _run_forge(cfg, p):
-    base = resolve_frequency_spec(p["base"])
+    base = resolve_frequency_spec(p["base"], "base")
     if not isinstance(base, contfrac.ContinuedFraction):
         base = contfrac.expand(base, max_depth=FORGE_BASE_DEPTH)
     if p["schedule"] == "constant":
@@ -227,6 +236,10 @@ def _run_delta(cfg, p):
     try:
         freq.ensure(depth)
     except HarperlabError:
+        if freq.depth < 2:  # a rational literal such as 0.5
+            raise DepthInsufficient(
+                f"frequency {cfg.frequency!r} ends at depth {freq.depth}; delta needs depth >= 2"
+            ) from None
         warnings.append(
             f"digit stream ends at depth {freq.depth}; clamped from {depth}"
         )
@@ -282,7 +295,7 @@ def _run_perturb(cfg, p):
         rep = spectral.perturbation_experiment(
             _coupling(cfg),
             resolve_frequency_spec(cfg.frequency),
-            resolve_frequency_spec(p["freq_prime"]),
+            resolve_frequency_spec(p["freq_prime"], "freq_prime"),
             cfg.theta,
             N=p["N"],
             trunc_size=p["size"],
@@ -299,8 +312,11 @@ def _run_cohomology(cfg, p):
     if p["phi"] == "cos":
         phi = np.array([0.5, 0.0, 0.5], dtype=complex)  # cos(2 pi theta)
     else:
-        with open(p["phi"]) as fh:
-            phi = cocycle.fourier_from_json(fh.read())
+        try:
+            with open(p["phi"]) as fh:
+                phi = cocycle.fourier_from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            raise InvalidCoupling(f"cohomology param 'phi': {exc}") from None
     psi, report = cocycle.solve_cohomological(
         phi,
         resolve_frequency_spec(cfg.frequency),
@@ -319,7 +335,7 @@ def _run_cohomology(cfg, p):
 def _run_commutant(cfg, p):
     rho_spec = p["rho"]
     if rho_spec.endswith("/2"):
-        rho = model._alpha_proxy(resolve_frequency_spec(rho_spec[:-2])) / 2
+        rho = model._alpha_proxy(resolve_frequency_spec(rho_spec[:-2], "rho")) / 2
     else:
         try:
             rho = _finite(rho_spec)

@@ -95,7 +95,9 @@ def _dist_to_positions(positions, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     dist = np.full(x.shape, np.inf)
     for z in positions:
-        d = np.abs((x - z + 0.5) % 1.0 - 0.5)
+        d = x - z + 0.5
+        d -= np.floor(d)  # == d % 1.0 bit for bit (fmod is exact), and cheaper
+        d = np.abs(d - 0.5)
         dist = np.minimum(dist, d)
     return dist
 
@@ -158,7 +160,13 @@ def _normalize(m):
     f2 = np.sum(m.real**2, axis=(0, 1))
     if np.iscomplexobj(m):
         f2 += np.sum(m.imag**2, axis=(0, 1))
-    m /= np.sqrt(f2)
+        # numpy divides complex by real as a scalar Smith loop that multiplies
+        # by 1/s itself: the same parts, bar the sign of a zero part
+        inv = 1.0 / np.sqrt(f2)
+        m.real *= inv
+        m.imag *= inv
+    else:
+        m /= np.sqrt(f2)
     return 0.5 * np.log(f2)
 
 
@@ -221,14 +229,16 @@ def _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
     alpha_f = float(alpha_frac)
     zero_pos = zero_structure(sample.coupling).positions(alpha_f)
     ka = orbit_phases(0.0, alpha_frac, 0, n)
-    xm = (thetas - alpha_f) % 1.0
+    xm = thetas - alpha_f
+    xm -= np.floor(xm)
     prev = _sampling(sample.coupling, alpha_f, xm, kind)
     alive = np.ones(g, dtype=bool)
     if zero_pos and kind == "normalized":
         alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
     chunk = max(1, SWEEP_CELLS // g)
     for k0 in range(0, n, chunk):
-        x = (thetas[None, :] + ka[k0 : k0 + chunk, None]) % 1.0
+        x = thetas[None, :] + ka[k0 : k0 + chunk, None]
+        x -= np.floor(x)
         cur = _sampling(sample.coupling, alpha_f, x, kind)
         a = _transfer_entries(energy, x, cur, np.concatenate([prev[None], cur[:-1]]), kind)
         prev = cur[-1]
@@ -652,10 +662,12 @@ def commutant_rigidity_check(
     floor gamma/(|k|+1)^tau up to the bandwidth and raises
     DivisorFloorViolated at the first failing mode.  The diagonal (k=0,
     phase-free) modes always remain and are reported, not flagged.  A
-    negative bandwidth raises ValueError.
+    negative bandwidth or tau raises ValueError.
     """
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     a = _alpha_proxy(alpha)
     two_rho = 2 * Fraction(rho)
     # k*alpha -+ 2 rho = (k*p*s -+ r*q)/(q*s) with alpha = p/q, 2 rho = r/s
@@ -674,7 +686,10 @@ def commutant_rigidity_check(
                 # to b=b and constants survive (enlarged commutant).
                 unconstrained.append((0, f"off-diagonal sign {sign:+d}"))
                 continue
-            floor = 2.0 * math.sin(math.pi * gamma / (abs(k) + 1) ** tau)
+            try:
+                floor = 2.0 * math.sin(math.pi * gamma / (abs(k) + 1) ** tau)
+            except OverflowError:  # (|k|+1)^tau past the float range
+                floor = 0.0
             checked += 1
             if div < floor * (1.0 - 1e-12):
                 raise DivisorFloorViolated(k, div, floor)

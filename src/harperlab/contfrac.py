@@ -540,17 +540,38 @@ class ExplicitTail:
 DigitSchedule = Union[ConstantBeta, SingleBurst, ExplicitTail]
 
 
+def _exp_int_enclosure(k: int, prec: int) -> tuple:
+    """Raw mpf interval [lo, hi] around e^k, k >= 0, from one power of e.
+
+    lo is mpmath's own lower endpoint, mpf_exp(k, prec, round_floor); above
+    600 bits that is one binary power mpf_pow_int(e, k). mpmath's interval
+    exp would run that power a second time, rounding up, for hi. Both of its
+    endpoints are the same power carried at prec + 4*bitcount(k) + 4 bits
+    (and below 600 bits the same series at prec + 14 bits), so each sits
+    within one ulp at prec of e^k, and e^k <= lo * (1 + 2^(2-prec)). hi
+    widens lo upward by the relative amount 2^(4-prec), rounded up, so
+    [lo, hi] contains mpmath's two-endpoint interval with a factor 4 to
+    spare.
+    """
+    from mpmath.libmp import from_int, mpf_add, mpf_exp, mpf_shift, round_ceiling, round_floor
+
+    lo = mpf_exp(from_int(k), prec, round_floor)
+    return lo, mpf_add(lo, mpf_shift(lo, 4 - prec), prec, round_ceiling)
+
+
 def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Optional[int]:
     """floor(e^(beta*q)) by interval arithmetic with certified rounding.
 
     e^t, t = beta*q, is enclosed as e^k * e^r with k = floor(t) and
-    r = t - k in [0, 1): e^k is an integer-argument interval exp (mpmath
-    takes it as a power of e, much cheaper than a series at a fractional
+    r = t - k in [0, 1): e^k comes from a single power of e per precision
+    (see _exp_int_enclosure; much cheaper than a series at a fractional
     argument), e^(1/2) is the interval square root of e, and any other
     nonzero r takes one interval exp of a small argument.
     Returns None when the result would exceed cap_decimal decimal digits.
     Precision doubles until the enclosing interval no longer straddles an
     integer (e^(beta*q) is transcendental for beta*q != 0, so this ends).
+    The e^k enclosure is a few ulps wider than mpmath's interval exp, which
+    can cost one more doubling but never changes a certified digit.
     """
     from mpmath import iv
     from mpmath.libmp import mpf_floor, round_ceiling, round_floor, to_int
@@ -568,7 +589,7 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     try:
         while True:
             iv.prec = prec
-            v = iv.exp(iv.mpf(k))
+            v = iv.make_mpf(_exp_int_enclosure(k, prec))
             if r == Fraction(1, 2):
                 v *= iv.sqrt(iv.exp(1))
             elif r:

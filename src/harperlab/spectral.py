@@ -360,10 +360,14 @@ def badness_scan(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if angles < 1:
+        raise ValueError(f"angles must be >= 1, got angles={angles}")
     size = trunc_size if trunc_size is not None else max(4 * N, 256)
     if size < 4 * N:
         raise ValueError("trunc_size must be at least 4N")
     if energies is None:
+        if E_count < 1:
+            raise ValueError(f"E_count must be >= 1, got E_count={E_count}")
         spec = truncated_spectrum(sample, size)
         idx = np.unique(np.round(np.linspace(0, size - 1, E_count)).astype(int))
         e_grid = [float(spec.eigenvalues[i]) for i in idx]
@@ -461,6 +465,8 @@ def perturbation_experiment(
     solution-vector difference grown from the same initial data
     (u(0), u(-1)) = (1, 0).
     """
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got N={N}")
     size = trunc_size if trunc_size is not None else max(256, 4 * N)
     sample = OperatorSample(coupling, alpha, theta)
     sample_p = OperatorSample(coupling, alpha_prime, theta)

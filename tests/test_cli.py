@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harperlab import cli as cli_module
 from harperlab.cli import (
@@ -390,6 +396,22 @@ DEGENERATE = [
      {"experiment": "duality", "coupling": [0.1, 0.5, 0.2], "params": {"size": 64, "phases": 0}}),
     ("phases", ["spectrum", "--coupling", "0,1,0", "--size", "8", "--phases", "-5"],
      dict(SPECTRUM, params={"size": 8, "phases": -5})),
+    # found by the table-driven test below
+    ("E_count", ["badness", "--coupling", "0.1,0.5,0.2", "--N", "4", "--E-count", "0"],
+     {"experiment": "badness", "coupling": [0.1, 0.5, 0.2], "params": {"N": 4, "E_count": 0}}),
+    ("angles", ["badness", "--coupling", "0.1,0.5,0.2", "--N", "4", "--angles", "0"],
+     {"experiment": "badness", "coupling": [0.1, 0.5, 0.2], "params": {"N": 4, "angles": 0}}),
+    ("N", ["perturb", "--coupling", "0.1,0.5,0.2", "--freq-prime", "0.62", "--N", "-1"],
+     {"experiment": "perturb", "coupling": [0.1, 0.5, 0.2],
+      "params": {"freq_prime": "0.62", "N": -1}}),
+    ("tau", ["commutant", "--freq", "golden", "--rho", "0.25", "--tau", "-1"],
+     {"experiment": "commutant", "params": {"rho": "0.25", "tau": -1.0}}),
+    ("phi", ["cohomology", "--freq", "golden", "--phi", "no-such-file.json"],
+     {"experiment": "cohomology", "params": {"phi": "no-such-file.json"}}),
+    ("base", ["forge", "--base", "no-such-file.json"],
+     {"experiment": "forge", "params": {"base": "no-such-file.json"}}),
+    ("frequency", ["spectrum", "--coupling", "0,1,0", "--size", "8", "--freq", "no-such-file.json"],
+     dict(SPECTRUM, frequency="no-such-file.json")),
 ]
 
 
@@ -399,6 +421,115 @@ def test_degenerate_input_exits_2(name, argv, config, tmp_path, capsys):
     capsys.readouterr()
     assert run_config_main(tmp_path, config) == 2
     assert name in capsys.readouterr().err
+
+
+# -- degenerate inputs drawn from the parameter table -------------------------
+
+# the largest value drawn for a size-like int param, and the value the base
+# config puts in place of a larger default; any other int param draws from -3..3
+SIZE_CAPS = {"n": 3000, "size": 400, "phases": 4, "grid": 8, "N": 16, "E_count": 4,
+             "angles": 16, "bandwidth": 64, "n0": 12, "levels": 4, "depth": 12}
+BASE_COUPLING = [0.1, 0.5, 0.2]
+FLOATS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 0.5, 1e6]
+# the config keys outside the table, each with the values it may take
+COMMON = {
+    "coupling": st.sampled_from([[0, 0, 0], [0, 1, 0], [0.3, 0, 0.3], [1, 0, 1], [0.1, 0.5]]),
+    "frequency": st.sampled_from(["silver", "0.5", "1e-9", "0.999999", "1", "x"]),
+    "theta": st.sampled_from(FLOATS),
+}
+
+
+def _values(key, kind, default):
+    """Strategy for one param from its table type (and default)."""
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers(-3, SIZE_CAPS.get(key, 3))
+    if kind is str:
+        known = [] if default is cli_module._REQUIRED else [default]
+        return st.sampled_from(["", "x", "nan", "0.5"] + known)
+    # a finite float, or an _or(word, number) type (named after its number
+    # type) whose default is its word
+    number = _values(key, int, default) if kind.__name__ == "int" else st.sampled_from(FLOATS)
+    return st.one_of(st.just(default), number)
+
+
+def _base_params(name):
+    """The table's defaults with size caps, and its required params filled in."""
+    base = dict(REQUIRED_PARAMS.get(name, {}))
+    for key, (_, default) in cli_module._EXPERIMENTS[name][1].items():
+        if isinstance(default, int) and not isinstance(default, bool) and key in SIZE_CAPS:
+            base[key] = min(default, SIZE_CAPS[key])
+    return base
+
+
+@st.composite
+def degenerate_configs(draw):
+    """A base config with one or two of its keys drawn from the table's types."""
+    name = draw(st.sampled_from(EXPERIMENTS))
+    table = cli_module._EXPERIMENTS[name][1]
+    config = {"experiment": name, "coupling": BASE_COUPLING, "params": _base_params(name)}
+    keys = draw(st.lists(st.sampled_from(sorted(table) + sorted(COMMON)), min_size=1,
+                         max_size=2, unique=True))
+    for key in keys:
+        if key in COMMON:
+            config[key] = draw(COMMON[key])
+        else:
+            config["params"][key] = draw(_values(key, *table[key]))
+    return config, keys
+
+
+def _argv(config):
+    argv = [config["experiment"], "--coupling", ",".join(map(repr, config["coupling"]))]
+    if "frequency" in config:
+        argv += ["--freq", config["frequency"]]
+    if "theta" in config:
+        argv += ["--theta", repr(config["theta"])]
+    for key, value in config["params"].items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, value if isinstance(value, str) else repr(value)]
+    return argv
+
+
+def _reject_constant(token):
+    raise ValueError(f"record holds {token}")
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_size_capped_base_config_runs(name, tmp_path, capsys):
+    config = {"experiment": name, "coupling": BASE_COUPLING, "params": _base_params(name)}
+    assert exit_code(_argv(config)) == 0, capsys.readouterr().err
+    assert run_config_main(tmp_path, config) == 0, capsys.readouterr().err
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(degenerate_configs())
+def test_drawn_degenerate_config_exits_cleanly(drawn):
+    # main and run-config exit 0, 2 or 3 (never a traceback); an exit 2 names a
+    # drawn key (its config name or its flag); a 0-exit record is strict JSON
+    config, keys = drawn
+    names = {k: ("freq" if k == "frequency" else k.replace("_", "-")) for k in keys}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        for argv in (_argv(config), ["run-config", path]):
+            code, out, err = _run_main(argv)
+            assert code in (0, 2, 3), (argv, code, err)
+            if code == 2:
+                assert any(k in err or v in err for k, v in names.items()), (argv, err)
+            if code == 0:
+                json.loads(out, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("bad", [dict(SPECTRUM, params={"size": 0}),
@@ -424,6 +555,31 @@ def test_rotation_predecessor_on_a_zero_exits_3(capsys):
             "--n", "2000", "--theta", repr(theta)]
     assert exit_code(argv) == 3
     assert "SingularSamplingPoint" in capsys.readouterr().err
+
+
+def test_delta_on_a_rational_literal_exits_3(capsys):
+    # 0.5 = [0; 2] ends at depth 1, below the two levels a delta estimate needs
+    argv = ["delta", "--coupling", "0.1,0.5,0.2", "--freq", "0.5"]
+    assert exit_code(argv) == 3
+    assert "DepthInsufficient" in capsys.readouterr().err
+
+
+def test_commutant_floor_past_the_float_range_exits_0(capsys):
+    # (|k|+1)^tau overflows a float for tau = 1e6: the floor is 0, and every mode passes
+    argv = ["commutant", "--freq", "golden", "--rho", "0.25", "--bandwidth", "64", "--tau", "1e6"]
+    assert exit_code(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["modes_checked"] == 4 * 64 + 2
+
+
+def test_spectrum_phase_grid_starts_at_theta(capsys):
+    argv = ["spectrum", "--coupling", "0.1,0.5,0.2", "--size", "16", "--phases", "2"]
+    assert main(argv) == 0
+    at_zero = json.loads(capsys.readouterr().out)["result"]
+    assert main(argv + ["--theta", "0.3"]) == 0
+    shifted = json.loads(capsys.readouterr().out)["result"]
+    assert at_zero["phases"] == [0.25, 0.75]
+    assert shifted["phases"] == pytest.approx([0.55, 0.05])
+    assert shifted["min"] != at_zero["min"] and shifted["max"] != at_zero["max"]
 
 
 def test_duality_with_every_mode_on_the_edges_exits_3(capsys):

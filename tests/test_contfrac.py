@@ -14,6 +14,7 @@ from harperlab.contfrac import (
     ExplicitTail,
     SingleBurst,
     beta_exponent,
+    _exp_int_enclosure,
     circle_norm,
     dc_alpha_membership,
     dc_membership,
@@ -303,6 +304,49 @@ def _floor_exp_single_interval(beta, q):
 @given(st.sampled_from([0.5, 1.0, 1.5, 0.3, 0.7, 2 / 3]), st.integers(1, 2000))
 def test_floor_exp_matches_single_interval_exp(beta, q):
     assert floor_exp(beta, q) == _floor_exp_single_interval(beta, q)
+
+
+@pytest.mark.parametrize("q", [1000, 1001])  # beta*q = 500 and 500.5, both above 600 bits
+def test_floor_exp_takes_one_power_of_e_per_precision(q, monkeypatch):
+    # above 600 bits mpmath's exp(k) is the power mpf_pow_int(e, k); its
+    # interval exp would take it twice (once per endpoint) at each precision
+    from mpmath.libmp import libelefun
+
+    expected = _floor_exp_single_interval(0.5, q)
+    powers = []
+    real = libelefun.mpf_pow_int
+
+    def counted(s, n, prec, *rnd):
+        powers.append((n, prec))
+        return real(s, n, prec, *rnd)
+
+    monkeypatch.setattr(libelefun, "mpf_pow_int", counted)
+    assert floor_exp(0.5, q) == expected
+    steps = sorted({prec for _, prec in powers})
+    # one e^500 per precision step; e^(1/2) rounds e itself (a power n = 1)
+    assert [prec for n, prec in sorted(powers) if n == 500] == steps
+    assert all(n in (1, 500) for n, _ in powers)
+    assert steps and steps[0] > 600
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    st.integers(0, 37512),  # up to k = floor(q_24 / 2), the n0 = 24 stream at beta = 1/2
+    st.one_of(st.integers(53, 600), st.integers(601, 54200)),  # series and power paths
+)
+def test_exp_int_enclosure_contains_interval_exp(k, prec):
+    from mpmath import iv
+    from mpmath.libmp import mpf_le
+
+    old = iv.prec
+    try:
+        iv.prec = prec
+        a, b = iv.exp(iv.mpf(k))._mpi_
+    finally:
+        iv.prec = old
+    lo, hi = _exp_int_enclosure(k, prec)
+    assert lo == a  # mpmath's own lower endpoint
+    assert mpf_le(b, hi)
 
 
 @pytest.mark.parametrize("q", [28657, 75025])  # golden q_22 and q_24 (the n0 = 24 stream)

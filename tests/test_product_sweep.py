@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from harperlab.cocycle import (
     DEFAULT_ZERO_GUARD,
     SWEEP_CELLS,
+    _normalize,
     _product_sweep,
     _transfer_entries,
     constant_rotation,
@@ -378,3 +379,48 @@ def test_transfer_raises_at_the_oracle_phase(triple, which, offset, turns, on_pr
     with pytest.raises(SingularSamplingPoint) as exc:
         transfer(sample, 1.0, theta, kind)
     assert exc.value.theta == hits[0]
+
+
+# -- kernel forms pinned to the expressions they replaced -----------------------
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0,
+           1 - 2**-53, -(1 - 2**-53), 3.75, -3.75, 2**52 + 0.5, -(2**52 + 0.5), 1e300, -1e300]
+
+
+def _random_floats(rng, n):
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+
+
+def test_floor_wrap_is_mod_one_bit_for_bit():
+    # fmod is exact, so x - floor(x) rounds the same exact value that x % 1.0 does
+    x = np.concatenate([SPECIAL, _random_floats(np.random.default_rng(5), 4000)])
+    assert (x - np.floor(x)).tobytes() == (x % 1.0).tobytes()
+    assert (x - np.floor(x))[1] == 0.0 and not np.signbit((x - np.floor(x))[1])  # -0 -> +0
+
+
+def test_normalize_matches_division_by_the_norm():
+    rng = np.random.default_rng(6)
+    parts = np.concatenate([SPECIAL, _random_floats(rng, 4000 - len(SPECIAL))])
+    real = rng.permutation(parts).reshape(2, 2, 1000)
+    imag = rng.permutation(parts).reshape(2, 2, 1000)
+    # real stacks keep the division itself
+    old, new = real.copy(), real.copy()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        f2 = np.sum(old**2, axis=(0, 1))
+        old /= np.sqrt(f2)
+        logs = _normalize(new)
+    assert new.tobytes() == old.tobytes()
+    assert logs.tobytes() == (0.5 * np.log(f2)).tobytes()
+    # complex stacks: numpy's complex division by a real s is the Smith form
+    # (x + y*0)/s, which differs from scaling by 1/s only in the sign of a
+    # zero part (-0 + +0 is +0); adding +0 to both sides removes that sign
+    old = real + 1j * imag
+    new = old.copy()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        f2 = np.sum(old.real**2, axis=(0, 1))
+        f2 += np.sum(old.imag**2, axis=(0, 1))
+        old /= np.sqrt(f2)
+        _normalize(new)
+    assert (new + 0.0).tobytes() == (old + 0.0).tobytes()
+    nonzero = (old.real != 0) & (old.imag != 0)
+    assert new[nonzero].tobytes() == old[nonzero].tobytes()
