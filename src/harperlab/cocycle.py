@@ -4,6 +4,12 @@ Raw and normalized transfer matrices, long matrix-product sweeps with
 renormalization, the closed-form and Birkhoff Lyapunov exponents, fibered
 rotation numbers, topological degree, conjugation residuals, the
 small-divisor cohomological solver, and the commutant divisor scan.
+
+Long products run in real arithmetic for both kinds.  A diagonal unitary
+conjugacy takes each raw matrix to a real companion matrix R_k times a unit
+phase, and each normalized matrix is a positive multiple of the same R_k,
+so one real product serves both (_product_sweep).  Rotation numbers read
+the vectors A_k...A_0 v0 from a blocked prefix scan (_scan_vectors).
 """
 
 from __future__ import annotations
@@ -59,8 +65,9 @@ __all__ = [
     "fourier_from_json",
 ]
 
-# transfer-matrix cells (sites x lanes) a product-sweep chunk builds at once
+# cells (sites x lanes) a sweep chunk holds at once
 SWEEP_CELLS = 2**15
+SCAN_BLOCK = 16  # sites per block of the product reduction and the rotation scan
 DEFAULT_ZERO_GUARD = 1e-7
 BRANCH_TOL = 1e-9  # a lift increment this close to +-1/2 is ambiguous
 RESONANCE_TOL = 1e-14  # ||k alpha|| below this is a resonant divisor
@@ -156,22 +163,14 @@ def _mul(a, b):
 
 
 def _normalize(m):
-    """Scale each (2, 2, ...) matrix to unit Frobenius norm; returns its log."""
-    f2 = np.sum(m.real**2, axis=(0, 1))
-    if np.iscomplexobj(m):
-        f2 += np.sum(m.imag**2, axis=(0, 1))
-        # numpy divides complex by real as a scalar Smith loop that multiplies
-        # by 1/s itself: the same parts, bar the sign of a zero part
-        inv = 1.0 / np.sqrt(f2)
-        m.real *= inv
-        m.imag *= inv
-    else:
-        m /= np.sqrt(f2)
+    """Scale each real (2, 2, ...) matrix to unit Frobenius norm; returns its log."""
+    f2 = np.sum(m**2, axis=(0, 1))
+    m /= np.sqrt(f2)
     return 0.5 * np.log(f2)
 
 
 def _reduce_sites(m):
-    """Product A_{K-1}...A_0 of a (2, 2, K, g) chunk by pairwise levels.
+    """Product A_{K-1}...A_0 of a (2, 2, K, g) stack by pairwise levels.
 
     Returns the (2, 2, g) product, each level scaled to unit norm, and the
     accumulated log-scale.
@@ -200,27 +199,17 @@ def _guard(zero_pos, x, zero_guard, on_singular):
     return bad
 
 
-def _scan_sites(m):
-    """Prefix products A_k...A_0 of a (2, 2, K, ...) chunk, in place.
+def _sweep_cells(sample, thetas, n, kind, zero_guard, on_singular):
+    """Phases and samplings of the sweep th, ..., th+(n-1)a, chunk by chunk.
 
-    Hillis-Steele levels P_k <- P_k P_{k-d} (k >= d = 1, 2, 4, ...), at unit norm.
-    """
-    d = 1
-    while d < m.shape[2]:
-        p = _mul(m[:, :, d:], m[:, :, :-d])
-        _normalize(p)
-        m[:, :, d:] = p
-        d *= 2
-
-
-def _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
-    """Transfer matrices A(th), ..., A(th+(n-1)a) over a batch of phases.
-
-    Yields (a, alive) per chunk of K sites x g lanes, a as (2, 2, K, g)
-    with K g <= SWEEP_CELLS.  A lane whose orbit (or, for "normalized",
-    predecessor phase) enters the zero guard is dead and holds the
-    identity from that site on; with on_singular="raise" the earliest such
-    site (then the lowest lane) raises SingularSamplingPoint instead.
+    Yields (x, cur, prev, dead, alive) per chunk of K sites x g lanes with
+    K g <= SWEEP_CELLS: the (K, g) phases x, cur = _sampling at x, prev its
+    (g,) row at the site before the chunk, dead the cells from a lane's
+    first guarded site on (None when c has no zero) and alive the lanes
+    alive after the chunk.  A lane whose orbit (or, for "normalized",
+    predecessor phase) enters the zero guard is dead; with
+    on_singular="raise" the earliest such site (then the lowest lane)
+    raises SingularSamplingPoint instead.
     """
     if n < 1:
         return
@@ -236,19 +225,76 @@ def _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
     if zero_pos and kind == "normalized":
         alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
     chunk = max(1, SWEEP_CELLS // g)
+    dead = None
     for k0 in range(0, n, chunk):
         x = thetas[None, :] + ka[k0 : k0 + chunk, None]
         x -= np.floor(x)
         cur = _sampling(sample.coupling, alpha_f, x, kind)
-        a = _transfer_entries(energy, x, cur, np.concatenate([prev[None], cur[:-1]]), kind)
-        prev = cur[-1]
         if zero_pos:
             dead = _guard(zero_pos, x, zero_guard, on_singular)
             dead[0] |= ~alive
             np.logical_or.accumulate(dead, axis=0, out=dead)
-            a[:, :, dead] = np.eye(2)[:, :, None]
             alive = ~dead[-1]
+        yield x, cur, prev, dead, alive
+        prev = cur[-1]
+
+
+def _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
+    """Transfer matrices A(th), ..., A(th+(n-1)a) over a batch of phases.
+
+    Yields (a, alive) per _sweep_cells chunk, a as (2, 2, K, g); a dead
+    lane holds the identity from its first guarded site on.
+    """
+    for x, cur, prev, dead, alive in _sweep_cells(
+        sample, thetas, n, kind, zero_guard, on_singular
+    ):
+        a = _transfer_entries(energy, x, cur, np.concatenate([prev[None], cur[:-1]]), kind)
+        if dead is not None:
+            a[:, :, dead] = np.eye(2)[:, :, None]
         yield a, alive
+
+
+def _unit_phase(c, inv_abs):
+    """c / |c| from c and 1 / |c|, with the phase 1 where c = 0."""
+    with np.errstate(invalid="ignore"):
+        u = c * inv_abs
+    u[np.isinf(inv_abs)] = 1.0
+    return u
+
+
+def _companion_blocks(a, b, hold):
+    """Products of R_k = [[a_k, b_k], [1, 0]] over blocks of SCAN_BLOCK sites.
+
+    a, b and hold are (K, g); a cell of hold (a dead cell, or None for
+    none) acts as the identity, and so does the padding of the last block.
+    A stack shorter than SCAN_BLOCK is one block.  Returns the
+    (2, 2, blocks, g) block products, unnormalized.  P_j = R_j P_{j-1}
+    takes a new top row a_j top + b_j bottom, and its old top row moves
+    down, so a step is four products and two sums per block.
+    """
+    k, g = a.shape
+    size = min(k, SCAN_BLOCK)
+    pad = -k % size
+    if pad:
+        a, b = (np.concatenate([m, np.zeros((pad, g))]) for m in (a, b))
+        held = np.zeros((k, g), dtype=bool) if hold is None else hold
+        hold = np.concatenate([held, np.ones((pad, g), dtype=bool)])
+    nb = (k + pad) // size
+    a, b = a.reshape(nb, size, g), b.reshape(nb, size, g)
+    x1, y1 = np.ones((nb, g)), np.zeros((nb, g))  # top row of P_j
+    x0, y0 = np.zeros((nb, g)), np.ones((nb, g))  # its bottom row
+    if hold is not None:
+        hold = hold.reshape(nb, size, g)
+    for j in range(size):
+        aj, bj = a[:, j], b[:, j]
+        nx, ny = aj * x1 + bj * x0, aj * y1 + bj * y0
+        if hold is None:
+            x0, y0, x1, y1 = x1, y1, nx, ny
+        else:
+            h = hold[:, j]
+            x0, y0 = np.where(h, x0, x1), np.where(h, y0, y1)
+            x1, y1 = np.where(h, x1, nx), np.where(h, y1, ny)
+    return np.array([[x1, y1], [x0, y0]])
 
 
 def _product_sweep(
@@ -262,20 +308,64 @@ def _product_sweep(
 ):
     """Products A(th+(n-1)a)...A(th) over a batch of phases, at unit norm.
 
-    _reduce_sites reduces each _sweep_chunks chunk, which folds into the
-    running product.  Returns (matrices, lognorms, alive): exact product =
-    matrix * e^lognorm per lane.
+    Both kinds reduce the same real matrices: with w = arg c (0 where
+    c = 0) and d_k = E - 2cos 2pi(th+ka),
+    R_k = [[d_k/|c_k|, -|c_{k-1}|/|c_k|], [1, 0]].  The raw matrix is
+    A_k = e^{-i w_k} D_{k+1} R_k D_k^-1 for D_k = diag(1, e^{i w_{k-1}}),
+    so A_{n-1}...A_0 = e^{-i sum w_k} D_n R_{n-1}...R_0 D_0^-1, and comes
+    back from the two boundary phases and one running unit phase per lane.
+    The normalized matrix is sqrt(|c_k|/|c_{k-1}|) R_k, so its product is
+    the real one scaled by sqrt(|c_{n-1}|/|c_{-1}|).  A dead lane's product
+    stops at its last live site, which is its boundary.  Each chunk is
+    reduced by _companion_blocks and then _reduce_sites.  Returns
+    (matrices, lognorms, alive): exact product = matrix * e^lognorm per lane.
     """
     g = len(thetas)
-    eye = np.eye(2, dtype=np.complex128 if kind == "raw" else np.float64)
-    mats = np.repeat(eye[:, :, None], g, axis=2)
+    mats = np.repeat(np.eye(2)[:, :, None], g, axis=2)
     lognorm = np.zeros(g)
     alive = np.ones(g, dtype=bool)
-    for a, alive in _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
-        p, logs = _reduce_sites(a)
+    turn = np.ones(g, dtype=np.complex128)  # prod of e^{i w_k} over live sites
+    first = last = None  # c (or |c|) before the orbit and at its last live site
+    cells = _sweep_cells(sample, thetas, n, kind, zero_guard, on_singular)
+    for x, c, prev, dead, alive in cells:
+        if first is None:
+            first = last = prev
+        abs_c = np.abs(c) if kind == "raw" else c
+        b = np.empty(x.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / abs_c
+            a = (energy - 2.0 * np.cos(2.0 * np.pi * x)) * inv
+            b[0] = -np.abs(prev)
+            np.negative(abs_c[:-1], out=b[1:])
+            b *= inv
+        if dead is None:
+            last = c[-1]
+        else:
+            a[dead] = b[dead] = 0.0  # finite entries under the held cells
+            live = len(x) - np.count_nonzero(dead, axis=0)
+            last = np.where(live > 0, c[live - 1, np.arange(g)], last)
+        if kind == "raw":
+            u = _unit_phase(c, inv)
+            if dead is not None:
+                u[dead] = 1.0
+            turn *= np.prod(u, axis=0)
+        p, logs = _reduce_sites(_companion_blocks(a, b, dead))
         mats = _mul(p, mats)
         lognorm += logs + _normalize(mats)
-    return np.moveaxis(mats, 2, 0).copy(), lognorm, alive
+    if first is None:  # n = 0
+        first = last = np.ones(g)
+    if kind != "raw":  # a lane with no live site keeps last = first, maybe 0
+        lognorm += 0.5 * np.log(np.divide(last, first, out=np.ones(g), where=last != first))
+        return np.moveaxis(mats, 2, 0).copy(), lognorm, alive
+    ends = np.array([first, last])
+    with np.errstate(divide="ignore"):
+        inv_ends = 1.0 / np.abs(ends)
+    ends = _unit_phase(ends, inv_ends)
+    phase = np.conj(turn) / np.abs(turn)
+    left = np.stack([np.ones(g), ends[1]])
+    right = np.stack([np.ones(g), np.conj(ends[0])])
+    out = phase * left[:, None] * mats * right[None, :]
+    return np.moveaxis(out, 2, 0).copy(), lognorm, alive
 
 
 def n_step(
@@ -286,7 +376,13 @@ def n_step(
     kind: str = "raw",
     zero_guard: float = DEFAULT_ZERO_GUARD,
 ) -> tuple[np.ndarray, float]:
-    """n-step product and its absorbed log-scale: exact = matrix * e^lognorm."""
+    """n-step product and its absorbed log-scale: exact = matrix * e^lognorm.
+
+    The product is reduced in real arithmetic (_product_sweep); for
+    kind="raw" the complex matrix is rebuilt exactly from the real product,
+    the phases of c before the orbit and at its last site, and the running
+    unit phase prod c_k/|c_k|.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     mats, lognorm, _ = _product_sweep(
@@ -384,20 +480,47 @@ class RotationEstimate:
     nonergodic_flag: bool = False
 
 
+def _scan_vectors(m, v):
+    """Vectors A_k...A_0 v, up to scale, for a (2, 2, K) stack, as (2, K).
+
+    A blocked scan: prefix products inside blocks of B = SCAN_BLOCK sites
+    (the last block padded with identities), the same scan over the
+    unit-norm block totals, which hands each block the vector entering it,
+    and one matrix-vector apply.  That is about (1 + 1/B) K matrix products
+    and K half ones, against K log2 K for a Hillis-Steele scan.
+    """
+    k = m.shape[2]
+    nb = -(-k // SCAN_BLOCK)
+    q = np.empty((2, 2, nb * SCAN_BLOCK))
+    q[:, :, :k] = m
+    q[:, :, k:] = np.eye(2)[:, :, None]
+    # (2, 2, site in block, block): one scan step is one row of blocks
+    q = q.reshape(2, 2, nb, SCAN_BLOCK).swapaxes(2, 3).copy()
+    for j in range(1, SCAN_BLOCK):
+        q[:, :, j] = _mul(q[:, :, j], q[:, :, j - 1])
+    vin = v[:, None]
+    if nb > 1:
+        totals = q[:, :, -1, :-1].copy()
+        _normalize(totals)
+        w = _scan_vectors(totals, v)
+        vin = np.concatenate([vin, w / np.hypot(w[0], w[1])], axis=1)
+    w = q[:, 0] * vin[0] + q[:, 1] * vin[1]
+    return w.swapaxes(1, 2).reshape(2, -1)[:, :k]
+
+
 def _lift_increments(chunks, y0):
     """Birkhoff average of lift increments along (2, 2, K) matrix chunks.
 
-    Each chunk's prefix products move the unit vector carried from the
-    previous chunk, so y_k = arg(A_k...A_0 v0) / 2 pi with v0 at angle y0.
-    The lift increment is the principal branch |y_k - y_{k-1}| < 1/2; the
-    first one within BRANCH_TOL of the cut raises BranchAmbiguity.
+    _scan_vectors moves the unit vector carried from the previous chunk
+    through each chunk, so y_k = arg(A_k...A_0 v0) / 2 pi with v0 at angle
+    y0.  The lift increment is the principal branch |y_k - y_{k-1}| < 1/2;
+    the first one within BRANCH_TOL of the cut raises BranchAmbiguity.
     """
     y = float(y0)
     v = np.array([math.cos(2 * math.pi * y), math.sin(2 * math.pi * y)])
     parts = []
     for m in chunks:
-        _scan_sites(m)
-        w = m[:, 0] * v[0] + m[:, 1] * v[1]
+        w = _scan_vectors(m, v)
         ys = np.arctan2(w[1], w[0]) / (2 * math.pi)
         parts.append(np.diff(ys, prepend=y))
         y = ys[-1]
@@ -431,12 +554,15 @@ def rotation_number_map(
 
     The orbit runs at alpha's rational proxy (model._alpha_proxy).  The lift
     increment at each step is the principal branch |phi| < 1/2; landing
-    within BRANCH_TOL of the cut raises BranchAmbiguity.
+    within BRANCH_TOL of the cut raises BranchAmbiguity; a complex matrix
+    (no projective circle action) raises TypeError.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     xs = orbit_phases(theta0, _alpha_proxy(alpha), 0, n_steps)
     m = np.moveaxis(np.array([matrix_map(x) for x in xs]), 0, 2)
+    if np.iscomplexobj(m):
+        raise TypeError("rotation_number_map needs a real matrix map")
     chunks = (m[:, :, k : k + SWEEP_CELLS] for k in range(0, n_steps, SWEEP_CELLS))
     return _lift_increments(chunks, y0)
 
@@ -662,12 +788,15 @@ def commutant_rigidity_check(
     floor gamma/(|k|+1)^tau up to the bandwidth and raises
     DivisorFloorViolated at the first failing mode.  The diagonal (k=0,
     phase-free) modes always remain and are reported, not flagged.  A
-    negative bandwidth or tau raises ValueError.
+    negative bandwidth or tau, or a gamma <= 0 (a floor every divisor
+    passes), raises ValueError.
     """
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
     a = _alpha_proxy(alpha)
     two_rho = 2 * Fraction(rho)
     # k*alpha -+ 2 rho = (k*p*s -+ r*q)/(q*s) with alpha = p/q, 2 rho = r/s

@@ -406,6 +406,8 @@ DEGENERATE = [
       "params": {"freq_prime": "0.62", "N": -1}}),
     ("tau", ["commutant", "--freq", "golden", "--rho", "0.25", "--tau", "-1"],
      {"experiment": "commutant", "params": {"rho": "0.25", "tau": -1.0}}),
+    ("gamma", ["commutant", "--freq", "golden", "--rho", "0.25", "--gamma", "0"],
+     {"experiment": "commutant", "params": {"rho": "0.25", "gamma": -1.0}}),
     ("phi", ["cohomology", "--freq", "golden", "--phi", "no-such-file.json"],
      {"experiment": "cohomology", "params": {"phi": "no-such-file.json"}}),
     ("base", ["forge", "--base", "no-such-file.json"],

@@ -422,6 +422,12 @@ def test_commutant_resonant_rho_fails():
     assert abs(exc.value.k) == 1
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, -0.0, math.nan])
+def test_commutant_rejects_a_floor_every_divisor_passes(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        commutant_rigidity_check(0.25, golden(), bandwidth=10, tau=2.0, gamma=gamma)
+
+
 def test_commutant_zero_rho_constants_allowed():
     rep = commutant_rigidity_check(0.0, golden(), bandwidth=50, tau=2.0, gamma=0.05)
     offdiag_free = [m for m in rep.unconstrained_modes if m[0] == 0 and "off" in m[1]]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from harperlab.cocycle import (
     DEFAULT_ZERO_GUARD,
+    SCAN_BLOCK,
     SWEEP_CELLS,
     _normalize,
     _product_sweep,
@@ -41,6 +42,10 @@ examples = settings(deadline=None, derandomize=True, max_examples=20)
 KINDS = st.sampled_from(["raw", "normalized"])
 # c has zeros on the circle: a single one, and a conjugate pair
 ZERO_COUPLINGS = st.sampled_from([(0.25, 0.5, 0.25), (0.3, 0.4, 0.3), (0.2, 0.7, 0.5)])
+# l2 > l1 + l3: c has no zero on the circle
+ZERO_FREE = st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.05, 1.0)).map(
+    lambda t: (t[0], t[0] + t[1] + t[2], t[1])
+)
 
 
 def zero_distance(coupling, alpha_f, x):
@@ -134,6 +139,28 @@ def test_chunked_products_match_sequential(triple, energy, gn, theta0, kind):
 
 
 @examples
+@given(ZERO_FREE, st.floats(-4.0, 4.0), lanes_and_sites, st.floats(0.0, 1.0))
+def test_raw_and_normalized_growths_differ_by_the_end_couplings(triple, energy, gn, theta0):
+    # A_norm(th) = sqrt(|c(th)| / |c(th - a)|) * (A_raw(th) up to unitary factors), so
+    # over n sites the growths differ by 1/2 log(|c(th - a)| / |c(th + (n-1)a)|)
+    g, n = gn
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    thetas = (theta0 + np.arange(g) / g) % 1.0
+    growth = {}
+    for kind in ("raw", "normalized"):
+        mats, lognorm, alive = _product_sweep(sample, energy, thetas, n, kind, 1e-7)
+        assert alive.all()
+        growth[kind] = lognorm + np.log(np.linalg.norm(mats, 2, axis=(1, 2)))
+    alpha = sample.alpha_fraction()
+    af = float(alpha)
+    before = abs_c_function(sample.coupling, af, (thetas - af) % 1.0)
+    end = abs_c_function(sample.coupling, af, (thetas + orbit_phases(0.0, alpha, n - 1, 1)) % 1.0)
+    gap = growth["raw"] - growth["normalized"]
+    scale = np.maximum(1.0, np.abs(growth["raw"]))
+    assert np.max(np.abs(gap - 0.5 * np.log(before / end)) / scale) <= 1e-9
+
+
+@examples
 @given(
     ZERO_COUPLINGS,
     st.floats(-3.0, 3.0),
@@ -159,6 +186,16 @@ def test_exclusion_path_matches_sequential(triple, energy, n, zero_guard, kind):
             lyapunov_numeric(
                 sample, energy, n, g, kind, zero_guard=zero_guard, max_excluded=excluded / 2
             )
+
+
+def test_chunks_shorter_than_a_block_match_sequential():
+    # 4096 lanes make chunks of 8 sites, each reduced as one short block; some lanes die
+    sample = OperatorSample(CouplingTriple(0.25, 0.5, 0.25), golden())
+    thetas = (np.arange(4096) + 0.5) / 4096
+    assert SWEEP_CELLS // len(thetas) < SCAN_BLOCK
+    for kind in ("raw", "normalized"):
+        alive, _ = assert_products_match(sample, 0.3, thetas, 20, kind, 1e-3)
+        assert 0 < np.count_nonzero(alive) < len(thetas)
 
 
 def test_exclusions_present_and_all_lanes_dead_raises():
@@ -221,13 +258,23 @@ def test_n_step_growth_single_lane_spans_chunks():
     assert abs(lognorm + math.log(np.linalg.norm(m, 2)) - growth[0]) <= 1e-9 * growth[0]
 
 
+def test_phases_on_a_zero_of_c():
+    # c vanishes at theta - alpha for lane 0 and at theta for lane 1.  The raw kind
+    # guards only the orbit, so lane 0 lives and its boundary phase is 1; the
+    # normalized kind excludes it.  Both exclude lane 1.
+    sample = OperatorSample(CouplingTriple(0.25, 0.5, 0.25), golden())
+    af = sample.alpha_float
+    zero = zero_structure(sample.coupling).positions(af)[0]
+    thetas = np.array([wrap01(zero + af), zero, 0.3])
+    assert not c_function(sample.coupling, af, (thetas[:2] - [af, 0.0]) % 1.0).any()
+    for kind, lives in (("raw", [True, False, True]), ("normalized", [False, False, True])):
+        alive, _ = assert_products_match(sample, 0.3, thetas, 50, kind, 1e-9)
+        assert alive.tolist() == lives
+
+
 # -- rotation numbers against the sitewise angle walk ---------------------------
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-# l2 > l1 + l3: c has no zero on the circle
-ZERO_FREE = st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.05, 1.0)).map(
-    lambda t: (t[0], t[0] + t[1] + t[2], t[1])
-)
 
 
 def angle_walk(m, y0, branch_tol=1e-9):
@@ -294,6 +341,29 @@ def test_rotation_number_matches_the_angle_walk(triple, energy, theta0, y0, n):
     assert est.stderr == pytest.approx(stderr, rel=1e-9)
 
 
+def test_blocked_scan_matches_the_angle_walk_at_ragged_lengths():
+    # every length up to three scan blocks and one, and one just past a chunk
+    sample = OperatorSample(CouplingTriple(0.1, 0.5, 0.2), golden())
+    energy, theta0, y0 = 0.3, 0.135, 0.3
+
+    def schroedinger(theta):
+        return np.array([[energy - 2.0 * math.cos(2.0 * math.pi * theta), -1.0], [1.0, 0.0]])
+
+    alpha = _alpha_proxy(golden())
+    for n in [*range(2, 3 * SCAN_BLOCK + 2), SWEEP_CELLS + 5]:
+        walks = [
+            (normalized_orbit(sample, energy, theta0, n),
+             lambda: rotation_number(sample, energy, n, theta0, y0)),
+            (np.array([schroedinger(x) for x in orbit_phases(theta0, alpha, 0, n)]),
+             lambda: rotation_number_map(schroedinger, golden(), n, theta0, y0)),
+        ]
+        for m, estimate in walks:
+            value, stderr = angle_walk(m, y0)
+            est = estimate()
+            assert abs((est.value - value + 0.5) % 1.0 - 0.5) <= 1e-12, n
+            assert est.stderr == pytest.approx(stderr, rel=1e-9), n
+
+
 @examples
 @given(st.floats(0.0, 1.0), st.integers(2, SWEEP_CELLS + 100))
 def test_half_turn_branch_step_matches_the_angle_walk(y0, n):
@@ -301,6 +371,11 @@ def test_half_turn_branch_step_matches_the_angle_walk(y0, n):
     m = np.array([cocycle.matrix(0.0)] * n)
     step = branch_step(lambda: angle_walk(m, y0))
     assert branch_step(lambda: rotation_number_map(cocycle.matrix, golden(), n, y0=y0)) == step
+
+
+def test_rotation_number_map_refuses_a_complex_map():
+    with pytest.raises(TypeError, match="real"):
+        rotation_number_map(lambda theta: np.diag([1j, 1.0]), golden(), 10)
 
 
 def test_branch_step_counts_sites_across_chunks():
@@ -402,8 +477,7 @@ def test_normalize_matches_division_by_the_norm():
     rng = np.random.default_rng(6)
     parts = np.concatenate([SPECIAL, _random_floats(rng, 4000 - len(SPECIAL))])
     real = rng.permutation(parts).reshape(2, 2, 1000)
-    imag = rng.permutation(parts).reshape(2, 2, 1000)
-    # real stacks keep the division itself
+    # every stack the sweeps normalize is real, and keeps the division itself
     old, new = real.copy(), real.copy()
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         f2 = np.sum(old**2, axis=(0, 1))
@@ -411,16 +485,3 @@ def test_normalize_matches_division_by_the_norm():
         logs = _normalize(new)
     assert new.tobytes() == old.tobytes()
     assert logs.tobytes() == (0.5 * np.log(f2)).tobytes()
-    # complex stacks: numpy's complex division by a real s is the Smith form
-    # (x + y*0)/s, which differs from scaling by 1/s only in the sign of a
-    # zero part (-0 + +0 is +0); adding +0 to both sides removes that sign
-    old = real + 1j * imag
-    new = old.copy()
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        f2 = np.sum(old.real**2, axis=(0, 1))
-        f2 += np.sum(old.imag**2, axis=(0, 1))
-        old /= np.sqrt(f2)
-        _normalize(new)
-    assert (new + 0.0).tobytes() == (old + 0.0).tobytes()
-    nonzero = (old.real != 0) & (old.imag != 0)
-    assert new[nonzero].tobytes() == old[nonzero].tobytes()
