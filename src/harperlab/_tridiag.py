@@ -1,24 +1,25 @@
-"""Symmetric-tridiagonal kernels: LAPACK eigenvalues and one Sturm pivot sweep.
+"""Symmetric-tridiagonal kernels: LAPACK eigenpairs and one Sturm pivot sweep.
 
-Eigenvalues of truncations come from LAPACK through
-``scipy.linalg.eigvalsh_tridiagonal``: the full spectrum from ?STEVD, index
-picks from ?STEBZ (Sturm bisection).  Everything else reads the Sturm pivots
-of T - s, d_i = (a_i - s) - b_{i-1}^2 / d_{i-1}, swept from either end of the
-matrix over a vector of shifts s by ``_sweep``.  Its row step is two numpy
-calls (a divide and an in-place subtract) over every shift at once; the
-pivmin guard that keeps a vanishing pivot from failing the next division is
-checked once after the sweep, and only a sweep that met it is redone with the
-guard at every row.  The pivots give:
+Eigenvalues and eigenvectors of truncations come from LAPACK through scipy:
+the full spectrum from ?STEVD and index picks from ?STEBZ (Sturm bisection),
+both by ``eigvalsh_tridiagonal``; eigenvalues with their unit eigenvectors
+from ?STEMR (multiple relatively robust representations, the compiled form
+of Dhillon & Parlett's twisted factorizations) by ``eigh_tridiagonal``.  The
+eigenvectors fill one n-by-n array: 0.5 MB at n = 256, 5 MB at n = 800 and
+128 MB at n = 4096.
+
+Eigenvalue counts and minors read the Sturm pivots of T - s,
+d_i = (a_i - s) - b_{i-1}^2 / d_{i-1}, swept from either end of the matrix
+over a vector of shifts s by ``_sweep``.  Its row step is two numpy calls (a
+divide and an in-place subtract) over every shift at once; the pivmin guard
+that keeps a vanishing pivot from failing the next division is checked once
+after the sweep, and only a sweep that met it is redone with the guard at
+every row.  The pivots give:
 
 - eigenvalue counts: the number of negative pivots (Sylvester's law of
   inertia, which holds in any elimination order);
 - nested minors, the cumulative products of the pivots, from which the
-  lattice Green's function follows by Cramer's rule without a dense inverse;
-- squared eigenvector components by twisted factorization (Dhillon &
-  Parlett 2004, LAA 387): at an eigenvalue, the forward pivots D+ and the
-  backward pivots D- are twisted at r = argmin |D+_r + D-_r - (a_r - s)|,
-  and z_i = -b_i / D+_i z_{i+1} left of r, z_i = -b_{i-1} / D-_i z_{i-1}
-  right of it, with z_r = 1.  No eigenvector solver and no n-by-n matrix.
+  lattice Green's function follows by Cramer's rule without a dense inverse.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import numpy as np
 __all__ = [
     "FULL_DRIVER",
     "INDEX_DRIVER",
-    "PIVOT_CELLS",
+    "VECTOR_DRIVER",
     "sturm_count",
     "log_minors",
     "bisect_eigenvalues",
-    "squared_components",
-    "slice_masses",
+    "eigenpairs",
     "scaled_det_forward",
     "scaled_det_backward",
     "inverse_iteration",
@@ -43,37 +43,30 @@ __all__ = [
 
 FULL_DRIVER = "stevd"  # all eigenvalues
 INDEX_DRIVER = "stebz"  # eigenvalues by index
-# Eigenvalues are swept in chunks of at most this many pivots (n per
-# eigenvalue and direction), so the pivot buffer of squared_components takes
-# 2 MB, no n-by-n array is formed, and up to n = 1310 a chunk runs at least
-# 100 eigenvalues per Python step.  Wider chunks run fewer steps but hold
-# more memory.  On a 2-vCPU Xeon VM (numpy 2.4), 2^15 -> 2^17 cells took one
-# decay_fit at n = 800 from 0.14 to 0.10 s and its allocation peak from 0.8
-# to 2.5 MB, and the `spectra` benchmark's peak RSS (10 s runs, seed 1)
-# from 70.4-70.9 to 73.6-73.8 MB.
-PIVOT_CELLS = 1 << 17
+VECTOR_DRIVER = "stemr"  # all eigenvalues with their eigenvectors
 
 
-def _sweep(diag, off2, shifts, out):
-    """Sturm pivots of m tridiagonals swept in lockstep, one row per Python step.
+def _sweep(diag, off2, shifts):
+    """Sturm pivots of one tridiagonal, one row per Python step: (n, len(shifts)).
 
-    diag: (n, m) diagonals and off2: (n-1, m) squared couplings, each column
-    in the row order of its own sweep; out: (n, m, len(shifts)) receives
-    d_k = (a_k - s) - b_{k-1}^2 / d_{k-1}.  A pivot below pivmin in modulus
-    is replaced by -pivmin, so no division ever fails.
+    diag: length-n diagonal and off2: length-(n-1) squared couplings, in the
+    row order of the sweep; row k holds d_k = (a_k - s) - b_{k-1}^2 / d_{k-1}.
+    A pivot below pivmin in modulus is replaced by -pivmin, so no division
+    ever fails.
 
-    One subtraction fills out with a - s; each row then costs two numpy calls,
-    d_k -= b_{k-1}^2 / d_{k-1}, with no guard.  The guard is checked once
-    afterwards, 64 rows at a time so that no temporary is as large as out.
-    Only if some pivot fails |d| >= pivmin (a NaN fails too) are the rows
-    from that block on swept again by _guarded_sweep; rows before it never met
-    the guard, so out is bit-for-bit that of the guarded recurrence.
+    One subtraction fills the pivots with a - s; each row then costs two numpy
+    calls, d_k -= b_{k-1}^2 / d_{k-1}, with no guard.  The guard is checked
+    once afterwards, 64 rows at a time so that no temporary is as large as the
+    pivots.  Only if some pivot fails |d| >= pivmin (a NaN fails too) are the
+    rows from that block on swept again by _guarded_sweep; rows before it never
+    met the guard, so the pivots are bit-for-bit those of the guarded
+    recurrence.
     """
     pivmin = max(float(off2.max(initial=0.0)), 1.0) * 2.0e-300
-    np.subtract(diag[:, :, None], shifts, out=out)
+    out = np.subtract(diag[:, None], shifts)
     rows = list(out)
     with np.errstate(all="ignore"):  # a vanishing pivot is caught below
-        for prev, d, b2 in zip(rows, rows[1:], off2[:, :, None]):
+        for prev, d, b2 in zip(rows, rows[1:], off2):
             d -= b2 / prev
     for r0 in range(0, len(rows), 64):
         if not np.abs(out[r0 : r0 + 64]).min(initial=np.inf) >= pivmin:
@@ -85,9 +78,9 @@ def _sweep(diag, off2, shifts, out):
 def _guarded_sweep(diag, off2, shifts, out, pivmin, start):
     """Rows start.. of _sweep with the pivmin guard applied at every row."""
     for k in range(start, len(out)):
-        d = np.subtract(diag[k, :, None], shifts, out=out[k])
+        d = np.subtract(diag[k], shifts, out=out[k])
         if k:
-            d -= off2[k - 1, :, None] / out[k - 1]
+            d -= off2[k - 1] / out[k - 1]
         np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
 
 
@@ -103,9 +96,7 @@ def _pivots(diag, off2, shifts, reverse=False):
     off2 = np.asarray(off2, dtype=np.float64)
     shifts = np.asarray(shifts, dtype=np.float64)
     order = slice(None, None, -1) if reverse else slice(None)
-    out = np.empty((diag.shape[0], 1, shifts.shape[0]))
-    _sweep(diag[order, None], off2[order, None], shifts, out)
-    return out[order, 0]
+    return _sweep(diag[order], off2[order], shifts)[order]
 
 
 def sturm_count(diag, off2, shifts):
@@ -160,82 +151,20 @@ def bisect_eigenvalues(diag, off, indices=None):
     return vals[indices - lo]
 
 
-def squared_components(diag, off, vals):
-    """Squared components of the unit eigenvectors at the eigenvalues ``vals``.
+def eigenpairs(diag, off):
+    """All eigenvalues, ascending, and their unit eigenvectors, from ?STEMR.
 
-    Yields (start, w) for consecutive chunks of vals: column j of the (n, c)
-    array w holds |z_i|^2 for the eigenvalue vals[start + j]; w is a buffer
-    that the next chunk overwrites, so read it before advancing.  Each
-    eigenvalue costs one forward and one backward pivot sweep, twisted as in
-    the module docstring; log|z_i| is a cumulative sum of log|b / D| outward
-    from the twist, so components far below the largest lose no relative
-    accuracy.  A chunk holds at most PIVOT_CELLS pivots per buffer.
+    Returns (vals, vecs) with vecs[:, j] the eigenvector of vals[j], an n-by-n
+    array (8 n^2 bytes).  Only squared components are meaningful: the sign of
+    each column is LAPACK's.
     """
-    diag = np.asarray(diag, dtype=np.float64)
-    off = np.abs(np.asarray(off, dtype=np.float64))
-    vals = np.asarray(vals, dtype=np.float64)
-    n = diag.shape[0]
-    off2 = off * off
-    with np.errstate(divide="ignore"):
-        logb = np.log(off)[:, None]  # -inf where the matrix splits
-    rows = np.arange(n)[:, None]
-    chunk = max(1, min(len(vals), PIVOT_CELLS // max(n, 1)))
-    # the forward and the backward sweep run in lockstep, each in its own row
-    # order, into one (n, 2, chunk) buffer that serves every chunk
-    both = np.stack([diag, diag[::-1]], axis=1)
-    both2 = np.stack([off2, off2[::-1]], axis=1)
-    buf = np.empty((n, 2, chunk))
-    for start in range(0, len(vals), chunk):
-        lam = vals[start : start + chunk]
-        piv = _sweep(both, both2, lam, buf[:, :, : len(lam)])
-        fwd, bwd = piv[:, 0], piv[::-1, 1]
-        twist = _twist(diag, lam, fwd, bwd)
-        # left of the twist: log|z_i| = sum_{i <= j < r} log|b_j / D+_j|
-        left = np.log(np.abs(fwd, out=fwd), out=fwd)
-        np.subtract(logb, left[:-1], out=left[:-1])
-        left[rows >= twist] = 0.0
-        np.cumsum(left[::-1], axis=0, out=left[::-1])
-        # right of the twist: log|z_i| = sum_{r < j <= i} log|b_{j-1} / D-_j|
-        right = np.log(np.abs(bwd, out=bwd), out=bwd)
-        np.subtract(logb, right[1:], out=right[1:])
-        right[rows <= twist] = 0.0
-        logz = np.add(left, np.cumsum(right, axis=0, out=right), out=fwd)
-        logz *= 2.0
-        logz -= logz.max(axis=0)
-        w = np.exp(logz, out=logz)
-        w /= w.sum(axis=0)
-        yield start, w
+    from scipy.linalg import eigh_tridiagonal  # on first use, as in bisect_eigenvalues
 
-
-def _twist(diag, lam, fwd, bwd):
-    """Per shift, the row r minimizing |D+_r + D-_r - (a_r - s)| (the first on ties).
-
-    Taken 64 rows at a time, so no temporary is as large as the pivots.
-    """
-    best = np.full(len(lam), np.inf)
-    twist = np.zeros(len(lam), dtype=np.intp)
-    for r0 in range(0, len(diag), 64):
-        rows = slice(r0, r0 + 64)
-        gamma = np.abs(fwd[rows] + bwd[rows] - (diag[rows, None] - lam))
-        low = gamma.min(axis=0)
-        better = low < best
-        best = np.where(better, low, best)
-        twist = np.where(better, r0 + gamma.argmin(axis=0), twist)
-    return twist
-
-
-def slice_masses(diag, off, vals, slices):
-    """Mass of each unit eigenvector on each row slice.
-
-    Returns an array of shape (len(slices), len(vals)); entry (k, j) is the
-    sum of the squared components of the eigenvector at vals[j] over the
-    rows slices[k].
-    """
-    out = np.empty((len(slices), len(vals)))
-    for start, w in squared_components(diag, off, vals):
-        for k, rows in enumerate(slices):
-            out[k, start : start + w.shape[1]] = w[rows].sum(axis=0)
-    return out
+    return eigh_tridiagonal(
+        np.asarray(diag, dtype=np.float64),
+        np.asarray(off, dtype=np.float64),
+        lapack_driver=VECTOR_DRIVER,
+    )
 
 
 def _scaled(logabs, neg):
@@ -275,7 +204,7 @@ def inverse_iteration(diag, off, energy, iters=3, rng=None):
 
     Plain inverse iteration on the real symmetric tridiagonal via banded LU;
     deterministic when given a seeded rng.  The library itself reads
-    eigenvector components from squared_components.
+    eigenvectors from eigenpairs.
     """
     from scipy.linalg import solve_banded
 

@@ -31,6 +31,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# the JSON types each config key accepts (a null only where the default is None)
+_FIELD_TYPES = {
+    "experiment": str, "coupling": (list, type(None)), "frequency": str,
+    "theta": (int, float), "params": dict, "out": (str, type(None)), "format": str,
+    "seed": int, "threads": int, "schema_version": int,
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one run; round-trips byte-identically."""
@@ -55,11 +63,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if not isinstance(data, dict):
+            raise InvalidCoupling(f"a config is a JSON object, got {data!r}")
+        unknown = sorted(set(data) - set(_FIELD_TYPES))
         if unknown:
             raise InvalidCoupling(f"unknown config keys {unknown}")
         if "experiment" not in data:
             raise InvalidCoupling("config names no 'experiment'")
+        for key, value in data.items():
+            if not isinstance(value, _FIELD_TYPES[key]):
+                raise InvalidCoupling(f"config key {key!r} has the wrong type: {value!r}")
         return cls(**data)
 
     def config_hash(self) -> str:
@@ -74,12 +87,6 @@ class ExperimentConfig:
             raise InvalidCoupling("threads must be >= 1")
         if not isinstance(self.theta, (int, float)) or not math.isfinite(self.theta):
             raise InvalidCoupling(f"theta must be a finite number, got {self.theta!r}")
-
-
-def sweep_seeds(seed: int, count: int) -> list:
-    """Expand one 64-bit seed into per-sweep seeds, counter-based (Philox)."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return [int(s) for s in gen.integers(0, 2**63 - 1, size=count)]
 
 
 def resolve_frequency_spec(spec: str, param: str = "frequency"):
@@ -486,6 +493,10 @@ def verify(suite_path: str, stream=None) -> int:
     entries = suite.get("suite", []) if isinstance(suite, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("a suite is a JSON object whose 'suite' is a list of objects")
+    for i, entry in enumerate(entries):
+        for key, kind, what in (("name", str, "a string"), ("expect", dict, "an object")):
+            if not isinstance(entry.get(key, kind()), kind):
+                raise ValueError(f"suite entry {i}: {key!r} must be {what}, got {entry[key]!r}")
     if not entries:
         stream.write("WARNING: empty suite, vacuous PASS\n")
         return 0

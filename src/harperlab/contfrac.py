@@ -235,16 +235,6 @@ class ContinuedFraction:
         data = json.loads(text)
         return cls([int_from_decimal(s) for s in data], origin=origin)
 
-    def convergents_to_json(self, depth: int) -> str:
-        """Convergents as JSON pairs of decimal strings [[p, q], ...]."""
-        self.ensure(depth)
-        return json.dumps(
-            [
-                [int_to_decimal(p), int_to_decimal(q)]
-                for p, q in self._convergents[: depth + 1]
-            ]
-        )
-
     def __repr__(self):
         head = ",".join(int_to_decimal(a) for a in self._digits[:6])
         more = ",..." if len(self._digits) > 6 else ""
@@ -512,14 +502,9 @@ class ConstantBeta:
 
 @dataclass(frozen=True)
 class SingleBurst:
-    """One digit floor(e^(beta * q_{n-1})) followed by a constant tail.
-
-    burst_level is the absolute digit index of the burst; None places it at
-    the first forged level.
-    """
+    """One digit floor(e^(beta * q_{n-1})) at the first forged level, then a constant tail."""
 
     beta: float
-    burst_level: Optional[int] = None
     tail: int = 1
 
     def __post_init__(self):
@@ -635,10 +620,9 @@ def forge(
             return floor_exp(_s.beta, conv[n - 1][1], cap_decimal)
 
     else:
-        burst = schedule.burst_level if schedule.burst_level is not None else n0 + 1
 
-        def provider(n, conv, _s=schedule, _b=burst):
-            if n == _b:
+        def provider(n, conv, _s=schedule):
+            if n == n0 + 1:
                 return floor_exp(_s.beta, conv[n - 1][1], cap_decimal)
             return _s.tail
 

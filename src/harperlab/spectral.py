@@ -18,8 +18,7 @@ import numpy as np
 from ._tridiag import (
     FULL_DRIVER,
     bisect_eigenvalues,
-    slice_masses,
-    squared_components,
+    eigenpairs,
     sturm_count,
 )
 from .cocycle import (
@@ -93,6 +92,11 @@ def _map_phases(sample, size, theta_list, threads, fn):
     return [one(th) for th in theta_list]
 
 
+def _mass(rows):
+    """Per column, the sum of squares of ``rows`` of an eigenvector array."""
+    return np.einsum("ij,ij->j", rows, rows)
+
+
 def truncated_spectrum(
     sample: OperatorSample,
     size: int,
@@ -146,15 +150,17 @@ def _aggregate_bulk_spectrum(sample, size, theta_list, threads, edge_mass_max, z
     Zero-boundary windows bind states inside spectral gaps; an eigenvalue
     whose eigenvector carries more than edge_mass_max of its mass within
     the outer ``zone`` rows at either end is such a boundary mode and is
-    dropped from the aggregate (counted in the second return value).
+    dropped from the aggregate (counted in the second return value).  Each
+    phase's eigenpairs come from one ?STEMR call (_tridiag.eigenpairs), a
+    size-by-size array per window in flight.
     """
 
     def bulk(diag, absoff):
-        vals = bisect_eigenvalues(diag, absoff)
         if edge_mass_max >= 1.0:
-            return vals, 0
-        edges = (slice(None, zone), slice(-zone, None))
-        kept = vals[slice_masses(diag, absoff, vals, edges).sum(axis=0) <= edge_mass_max]
+            return bisect_eigenvalues(diag, absoff), 0
+        vals, vecs = eigenpairs(diag, absoff)
+        edge = _mass(vecs[:zone]) + _mass(vecs[-zone:])
+        kept = vals[edge <= edge_mass_max]
         return kept, size - len(kept)
 
     parts = _map_phases(sample, size, theta_list, threads, bulk)
@@ -575,8 +581,9 @@ def decay_fit(
     eigenvectors carry middle-third mass 1 - O(1e-15), and among such tied
     maxima the lower median by eigenvalue (index T[len(T) // 2] of the
     ascending tied set T) is taken, so the pick does not hang on rounding.
-    Eigenvalues come from one ?STEVD call and eigenvector components from a
-    twisted factorization (_tridiag.squared_components).  The fit regresses
+    The eigenvalues and unit eigenvectors come from one ?STEMR call
+    (_tridiag.eigenpairs), which holds a size-by-size array: 5 MB at the
+    default size 800.  The fit regresses
     (1/2) ln(phi(n)^2 + phi(n+1)^2) on -|n - peak|, excluding the outer 10%
     of the window and everything below the relative noise floor
     DECAY_FLOOR_REL; r^2 below DECAY_R2_MIN raises PoorlyLocalized.
@@ -586,17 +593,16 @@ def decay_fit(
     x1 = -(size // 2)
     trunc = build_truncation(sample, x1, x1 + size - 1)
     diag, absoff = trunc.gauge_symmetric()
-    vals = bisect_eigenvalues(diag, absoff)
+    vals, vecs = eigenpairs(diag, absoff)
     if which_eigenvector == "auto":
         third = size // 3
-        mass = np.round(slice_masses(diag, absoff, vals, [slice(third, 2 * third)])[0], 9)
+        mass = np.round(_mass(vecs[third : 2 * third]), 9)
         tied = np.flatnonzero(mass == mass.max())
         index = int(tied[len(tied) // 2])
     else:
         index = _eig_index(which_eigenvector, size)
     energy = float(vals[index])
-    ((_, w),) = squared_components(diag, absoff, vals[index : index + 1])
-    phi2 = w[:, 0]
+    phi2 = vecs[:, index] ** 2
     peak = int(np.argmax(phi2))
     pair = phi2[:-1] + phi2[1:]
     ys = 0.5 * np.log(np.maximum(pair, 1e-320))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from harperlab.cli import (
     build_parser,
     main,
     run,
-    sweep_seeds,
     verify,
 )
 from harperlab.contfrac import golden
@@ -61,11 +61,6 @@ def test_spectrum_csv_export(tmp_path, capsys):
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 5
     assert float(lines[1].split(",")[1]) == record["result"]["min"]
-
-
-def test_sweep_seeds_deterministic():
-    assert sweep_seeds(42, 5) == sweep_seeds(42, 5)
-    assert sweep_seeds(42, 5) != sweep_seeds(43, 5)
 
 
 def test_le_command_matches_formula(tmp_path):
@@ -237,14 +232,6 @@ def test_bundled_acceptance_suite_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("PASS") == 7
     assert "FAIL" not in proc.stdout
-
-
-def test_convergent_serialization():
-    from harperlab.contfrac import golden
-
-    data = json.loads(golden().convergents_to_json(5))
-    assert data[0] == ["0", "1"]
-    assert data[5] == ["5", "8"]
 
 
 def test_module_warnings_surface_in_record():
@@ -622,3 +609,35 @@ def test_verify_malformed_suite_exits_2(top, tmp_path, capsys):
     path.write_text(json.dumps(top))
     assert main(["verify", str(path)]) == 2
     assert "suite error" in capsys.readouterr().err
+
+
+MALFORMED = [
+    # (key the error names, command, JSON file content)
+    ("config", "run-config", 5),
+    ("params", "run-config", dict(SPECTRUM, params=5)),
+    ("coupling", "run-config", dict(SPECTRUM, coupling=5)),
+    ("out", "run-config", dict(SPECTRUM, out=["x"])),
+    ("name", "verify", {"suite": [{"name": 5, "config": SPECTRUM}]}),
+    ("expect", "verify", {"suite": [{"name": "x", "config": SPECTRUM, "expect": [1]}]}),
+]
+
+
+@pytest.mark.parametrize("key,command,content", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_json_exits_2_naming_the_key(key, command, content, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    assert main([command, str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_every_config_field_has_a_json_type():
+    assert set(cli_module._FIELD_TYPES) == {f.name for f in fields(ExperimentConfig)}
+
+
+def test_cli_import_loads_neither_scipy_nor_mpmath():
+    # both load on first use, so importing the package stays cheap
+    code = ("import sys, harperlab.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from harperlab._tridiag import bisect_eigenvalues, inverse_iteration
+from harperlab import spectral
+from harperlab._tridiag import bisect_eigenvalues, eigenpairs, inverse_iteration
 from harperlab.cocycle import _dist_to_positions, lyapunov_formula
 from harperlab.contfrac import ConstantBeta, beta_exponent, forge, golden, silver
 from harperlab.errors import (
@@ -684,6 +685,34 @@ def test_decay_fit_auto_tie_rule_matches_dense_oracle():
     assert len(tied) > 10
     fit = decay_fit(s, size)
     assert fit.eigenvalue == pytest.approx(w[tied[len(tied) // 2]], abs=1e-9)
+
+
+@pytest.mark.parametrize("size", [400, 800])
+@pytest.mark.parametrize("triple", [(0, 0.4, 0), (0.1, 0.5, 0.2)])
+def test_eigenpairs_match_dense_eigh_in_decay_fit_and_edge_zones(triple, size, monkeypatch):
+    s = sample(triple)
+    x1 = -(size // 2)
+    trunc = build_truncation(s, x1, x1 + size - 1)
+    w, v = np.linalg.eigh(trunc.dense())
+    v2 = np.abs(v) ** 2
+    vals, vecs = eigenpairs(*trunc.gauge_symmetric())
+    assert np.max(np.abs(vals - w)) <= 1e-12
+    # the masses behind decay_fit's "auto" pick and duality_check's boundary filter
+    third = size // 3
+    zone = max(10, int(size * spectral.EDGE_FRAC))
+    for rows in (slice(third, 2 * third), slice(None, zone), slice(-zone, None)):
+        assert np.max(np.abs(spectral._mass(vecs[rows]) - v2[rows].sum(axis=0))) <= 1e-12
+    mass = np.round(v2[third : 2 * third].sum(axis=0), 9)
+    tied = np.flatnonzero(mass == mass.max())
+    best = int(tied[len(tied) // 2])
+    fit = decay_fit(s, size)
+    assert fit.eigenvalue == pytest.approx(w[best], abs=1e-12)
+    # the same fit read from the dense eigenvectors
+    monkeypatch.setattr(spectral, "eigenpairs", lambda diag, off: (w, np.abs(v)))
+    ref = decay_fit(s, size)
+    assert ref.eigenvalue == w[best] and ref.window == fit.window
+    assert fit.slope == pytest.approx(ref.slope, rel=1e-9)
+    assert fit.r2 == pytest.approx(ref.r2, rel=1e-9)
 
 
 def test_decay_fit_index_out_of_range():

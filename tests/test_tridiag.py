@@ -11,8 +11,6 @@ from harperlab._tridiag import (
     log_minors,
     scaled_det_backward,
     scaled_det_forward,
-    slice_masses,
-    squared_components,
     sturm_count,
 )
 
@@ -110,37 +108,6 @@ def test_log_minors_match_dense_determinants(mat, shift, reverse):
     assert neg[0 if reverse else n - 1, 0] == np.count_nonzero(eigs < shift)
 
 
-def _gapped_spectrum(dense, gap=1e-3):
-    w, v = np.linalg.eigh(dense)
-    assume(len(w) < 2 or np.min(np.diff(w)) >= gap)
-    return w, np.abs(v) ** 2
-
-
-@examples
-@given(hermitian_tridiagonals(max_n=40, min_n=6), st.data())
-def test_squared_components_match_dense_eigh_across_chunks(mat, data):
-    diag, off, dense = mat
-    n = len(diag)
-    b = np.abs(off)
-    w, ref = _gapped_spectrum(dense)
-    chunk = data.draw(st.integers(1, n // 3))  # at least three chunks
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_tridiag, "PIVOT_CELLS", chunk * n)
-        starts = []
-        for start, got in squared_components(diag, b, w):
-            assert got.shape == (n, min(chunk, n - start))
-            assert np.max(np.abs(got - ref[:, start : start + got.shape[1]])) <= 1e-9
-            starts.append(start)
-        assert starts == list(range(0, n, chunk)) and len(starts) >= 3
-        lo = data.draw(st.integers(0, n - 1))
-        hi = data.draw(st.integers(lo + 1, n))
-        slices = (slice(lo, hi), slice(None, lo + 1), slice(-(n - lo), None))
-        masses = slice_masses(diag, b, w, slices)
-    expect = np.array([ref[rows].sum(axis=0) for rows in slices])
-    assert masses.shape == (3, n)
-    assert np.max(np.abs(masses - expect)) <= 1e-9
-
-
 def _guarded_pivots(diag, off2, shifts):
     """The guarded Sturm pivot loop, one row at a time: (pivots, whether the guard fired).
 
@@ -166,15 +133,14 @@ _repeated_entry = st.one_of(st.sampled_from([0.0, 1.0, -0.5]), _diag_entry)
 
 @st.composite
 def guard_cases(draw):
-    """(diag, off, shifts, chunk): repeated diagonal entries, splits, shifts on them, NaN."""
+    """(diag, off, shifts): repeated diagonal entries, splits, shifts on them, NaN."""
     n = draw(st.integers(1, 80))  # past the first 64-row guard block
     diag = np.array(draw(st.lists(_repeated_entry, min_size=n, max_size=n)))
     off = np.array(draw(st.lists(_off_modulus, min_size=n - 1, max_size=n - 1)))
     on_diag = st.integers(0, n - 1).map(lambda i: diag[i])
     shift = st.one_of(st.floats(-4.0, 4.0), on_diag, st.just(np.nan))
     shifts = np.array(draw(st.lists(shift, min_size=1, max_size=8)))
-    chunk = draw(st.integers(1, len(shifts)))
-    return diag, off, shifts, chunk
+    return diag, off, shifts
 
 
 def _split_at(n, row):
@@ -189,14 +155,13 @@ _SPLIT_DIAG = np.linspace(-1.0, 1.0, 130)
 
 # the guard-firing cases: a shift on the first diagonal entry, a shift on the
 # entry that starts a split-off block (past the first guard block), a NaN shift
-@example((_SPLIT_DIAG, np.full(129, 0.7), np.array([-1.0, 0.3]), 1))
-@example((_SPLIT_DIAG, _split_at(130, 100), np.array([0.2, _SPLIT_DIAG[100], 0.4]), 2))
-@example((_SPLIT_DIAG, np.full(129, 0.7), np.array([0.1, np.nan, 0.5, 0.6]), 3))
+@example((_SPLIT_DIAG, np.full(129, 0.7), np.array([-1.0, 0.3])))
+@example((_SPLIT_DIAG, _split_at(130, 100), np.array([0.2, _SPLIT_DIAG[100], 0.4])))
+@example((_SPLIT_DIAG, np.full(129, 0.7), np.array([0.1, np.nan, 0.5, 0.6])))
 @examples
 @given(guard_cases())
 def test_sweep_equals_the_guarded_row_loop_bit_for_bit(case):
-    diag, off, shifts, chunk = case
-    n = len(diag)
+    diag, off, shifts = case
     off2 = off * off
     real_sweep, real_guarded = _tridiag._sweep, _tridiag._guarded_sweep
     reruns = []
@@ -205,14 +170,11 @@ def test_sweep_equals_the_guarded_row_loop_bit_for_bit(case):
         reruns.append(args[-1])
         return real_guarded(*args)
 
-    def checked_sweep(both, both2, lam, out):
+    def checked_sweep(d, b2, lam):
         before = len(reruns)
-        real_sweep(both, both2, lam, out)
-        fired = False
-        for j in range(both.shape[1]):
-            ref, fired_j = _guarded_pivots(both[:, j], both2[:, j], lam)
-            assert out[:, j].tobytes() == ref.tobytes()
-            fired |= fired_j
+        out = real_sweep(d, b2, lam)
+        ref, fired = _guarded_pivots(d, b2, lam)
+        assert out.tobytes() == ref.tobytes()
         # the guarded rerun runs exactly when the guarded loop would fire
         assert (len(reruns) > before) == fired
         return out
@@ -225,9 +187,5 @@ def test_sweep_equals_the_guarded_row_loop_bit_for_bit(case):
             piv = _tridiag._pivots(diag, off2, shifts, reverse)
             ref, _ = _guarded_pivots(diag[order], off2[order], shifts)
             assert piv.tobytes() == ref[order].tobytes()
-        # chunks of `chunk` eigenvalues, so several chunks cross PIVOT_CELLS
-        mp.setattr(_tridiag, "PIVOT_CELLS", chunk * n)
-        starts = [start for start, _ in squared_components(diag, off, shifts)]
-    assert starts == list(range(0, len(shifts), chunk))
     if np.isnan(shifts).any() or np.isin(shifts, diag[:1]).any():
         assert reruns
