@@ -10,11 +10,9 @@ eigenvectors fill one n-by-n array: 0.5 MB at n = 256, 5 MB at n = 800 and
 
 Eigenvalue counts and minors read the Sturm pivots of T - s,
 d_i = (a_i - s) - b_{i-1}^2 / d_{i-1}, swept from either end of the matrix
-over a vector of shifts s by ``_sweep``.  Its row step is two numpy calls (a
-divide and an in-place subtract) over every shift at once; the pivmin guard
-that keeps a vanishing pivot from failing the next division is checked once
-after the sweep, and only a sweep that met it is redone with the guard at
-every row.  The pivots give:
+for each of a few shifts s by ``_sweep``, one guarded row per step on Python
+floats: a pivot that vanishes is replaced by -pivmin before the next
+division.  The pivots give:
 
 - eigenvalue counts: the number of negative pivots (Sylvester's law of
   inertia, which holds in any elimination order);
@@ -46,57 +44,35 @@ INDEX_DRIVER = "stebz"  # eigenvalues by index
 VECTOR_DRIVER = "stemr"  # all eigenvalues with their eigenvectors
 
 
-def _sweep(diag, off2, shifts):
-    """Sturm pivots of one tridiagonal, one row per Python step: (n, len(shifts)).
-
-    diag: length-n diagonal and off2: length-(n-1) squared couplings, in the
-    row order of the sweep; row k holds d_k = (a_k - s) - b_{k-1}^2 / d_{k-1}.
-    A pivot below pivmin in modulus is replaced by -pivmin, so no division
-    ever fails.
-
-    One subtraction fills the pivots with a - s; each row then costs two numpy
-    calls, d_k -= b_{k-1}^2 / d_{k-1}, with no guard.  The guard is checked
-    once afterwards, 64 rows at a time so that no temporary is as large as the
-    pivots.  Only if some pivot fails |d| >= pivmin (a NaN fails too) are the
-    rows from that block on swept again by _guarded_sweep; rows before it never
-    met the guard, so the pivots are bit-for-bit those of the guarded
-    recurrence.
-    """
-    pivmin = max(float(off2.max(initial=0.0)), 1.0) * 2.0e-300
-    out = np.subtract(diag[:, None], shifts)
-    rows = list(out)
-    with np.errstate(all="ignore"):  # a vanishing pivot is caught below
-        for prev, d, b2 in zip(rows, rows[1:], off2):
-            d -= b2 / prev
-    for r0 in range(0, len(rows), 64):
-        if not np.abs(out[r0 : r0 + 64]).min(initial=np.inf) >= pivmin:
-            _guarded_sweep(diag, off2, shifts, out, pivmin, r0)
-            break
-    return out
-
-
-def _guarded_sweep(diag, off2, shifts, out, pivmin, start):
-    """Rows start.. of _sweep with the pivmin guard applied at every row."""
-    for k in range(start, len(out)):
-        d = np.subtract(diag[k], shifts, out=out[k])
-        if k:
-            d -= off2[k - 1] / out[k - 1]
-        np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-
-
-def _pivots(diag, off2, shifts, reverse=False):
+def _sweep(diag, off2, shifts, reverse=False):
     """Sturm pivots of T - s for every shift s: an (n, len(shifts)) array.
 
     diag: length-n diagonal; off2: length-(n-1) squared off-diagonal.  Row i
     holds det[0, i] / det[0, i-1], the pivot of row i when rows are
     eliminated from the top; with ``reverse`` they are eliminated from the
-    bottom and row i holds det[i, n-1] / det[i+1, n-1].
+    bottom and row i holds det[i, n-1] / det[i+1, n-1].  A pivot below
+    pivmin in modulus is replaced by -pivmin, so no division ever fails.
+
+    The recurrence d_k = (a_k - s) - b_{k-1}^2 / d_{k-1} runs on Python
+    floats, one row per step for each shift: the callers pass one to three
+    shifts, where a numpy call per row costs more than the row's arithmetic.
+    The first row reads b^2 = 0, which leaves a_0 - s unchanged bit for bit.
     """
-    diag = np.asarray(diag, dtype=np.float64)
     off2 = np.asarray(off2, dtype=np.float64)
-    shifts = np.asarray(shifts, dtype=np.float64)
+    pivmin = max(float(off2.max(initial=0.0)), 1.0) * 2.0e-300
     order = slice(None, None, -1) if reverse else slice(None)
-    return _sweep(diag[order], off2[order], shifts)[order]
+    rows = np.asarray(diag, dtype=np.float64)[order].tolist()
+    b2s = [0.0] + off2[order].tolist()
+    shifts = np.asarray(shifts, dtype=np.float64).tolist()
+    piv = []
+    for s in shifts:
+        d = 1.0
+        for a, b2 in zip(rows, b2s):
+            d = a - s - b2 / d
+            if abs(d) < pivmin:
+                d = -pivmin
+            piv.append(d)
+    return np.array(piv).reshape(len(shifts), len(rows)).T[order]
 
 
 def sturm_count(diag, off2, shifts):
@@ -106,7 +82,7 @@ def sturm_count(diag, off2, shifts):
     shifts: scalar or array of evaluation points.
     """
     scalar = np.isscalar(shifts)
-    cnt = np.count_nonzero(_pivots(diag, off2, np.atleast_1d(shifts)) < 0, axis=0)
+    cnt = np.count_nonzero(_sweep(diag, off2, np.atleast_1d(shifts)) < 0, axis=0)
     return int(cnt[0]) if scalar else cnt
 
 
@@ -118,7 +94,7 @@ def log_minors(diag, off2, shifts, reverse=False):
     pivots in it, so its sign is (-1)**neg and the last row's neg (reverse:
     row 0's) counts the eigenvalues below s.
     """
-    piv = _pivots(diag, off2, shifts, reverse)
+    piv = _sweep(diag, off2, shifts, reverse)
     order = slice(None, None, -1) if reverse else slice(None)
     logabs = np.cumsum(np.log(np.abs(piv[order])), axis=0)[order]
     neg = np.cumsum(piv[order] < 0, axis=0)[order]
@@ -181,7 +157,7 @@ def scaled_det_forward(dshift, off2):
     dshift: diagonal minus energy (length n); off2: squared off-diagonals.
     Returns (mant, expo) with det of the leading k-by-k block equal to
     mant[k] * 2**expo[k]; index 0 is the empty block (determinant 1).  A
-    vanishing minor reads as one of modulus about pivmin (see _pivots).
+    vanishing minor reads as one of modulus about pivmin (see _sweep).
     """
     logabs, neg = log_minors(dshift, off2, [0.0])
     mant, expo = _scaled(logabs[:, 0], neg[:, 0])

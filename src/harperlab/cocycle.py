@@ -5,11 +5,15 @@ renormalization, the closed-form and Birkhoff Lyapunov exponents, fibered
 rotation numbers, topological degree, conjugation residuals, the
 small-divisor cohomological solver, and the commutant divisor scan.
 
-Long products run in real arithmetic for both kinds.  A diagonal unitary
-conjugacy takes each raw matrix to a real companion matrix R_k times a unit
-phase, and each normalized matrix is a positive multiple of the same R_k,
-so one real product serves both (_product_sweep).  Rotation numbers read
-the vectors A_k...A_0 v0 from a blocked prefix scan (_scan_vectors).
+One builder (_sweep_cells) yields the transfer entries of every sweep: the
+real companion matrices R_k = [[a_k, b_k], [1, 0]] and the unit phases (or
+moduli) of c.  A diagonal unitary conjugacy takes each raw matrix to R_k
+times a unit phase, and each normalized matrix is a positive multiple of
+the same R_k, so one real product serves both kinds (_product_sweep).
+Rotation numbers scan R_k itself, since a positive factor moves no angle,
+and read the vectors R_k...R_0 v0 from a blocked prefix scan
+(_scan_vectors).  transfer and the perturbation experiment rebuild explicit
+matrices from the same entries (_transfer_matrices).
 """
 
 from __future__ import annotations
@@ -118,26 +122,6 @@ def _sampling(coupling, alpha_f, x, kind):
     raise ValueError(f"unknown cocycle kind {kind!r}")
 
 
-def _transfer_entries(energy, x, cur, prev, kind):
-    """Transfer matrices at phases x of any shape, as a (2, 2, *x.shape) array.
-
-    cur and prev are _sampling at x and at x - alpha.
-    """
-    m = np.zeros((2, 2) + x.shape, dtype=cur.dtype)
-    diag = energy - 2.0 * np.cos(2.0 * np.pi * x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "raw":
-            m[0, 0] = diag / cur
-            m[0, 1] = -np.conj(prev) / cur
-            m[1, 0] = 1.0
-        else:
-            s = np.sqrt(cur * prev)
-            m[0, 0] = diag / s
-            m[0, 1] = -prev / s
-            m[1, 0] = cur / s
-    return m
-
-
 def transfer(
     sample: OperatorSample,
     energy: float,
@@ -153,8 +137,8 @@ def transfer(
     zero of c raises SingularSamplingPoint.
     """
     thetas = np.array([wrap01(float(theta))])
-    a, _ = next(_sweep_chunks(sample, energy, thetas, 1, kind, zero_guard, "raise"))
-    return a[:, :, 0, 0].copy()
+    a, b, s, s0, _, _ = next(_sweep_cells(sample, energy, thetas, 1, kind, zero_guard, "raise"))
+    return _transfer_matrices(a, b, s, s0, kind)[:, :, 0, 0]
 
 
 def _mul(a, b):
@@ -199,17 +183,20 @@ def _guard(zero_pos, x, zero_guard, on_singular):
     return bad
 
 
-def _sweep_cells(sample, thetas, n, kind, zero_guard, on_singular):
-    """Phases and samplings of the sweep th, ..., th+(n-1)a, chunk by chunk.
+def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
+    """Transfer entries of the sweep th, ..., th+(n-1)a, chunk by chunk.
 
-    Yields (x, cur, prev, dead, alive) per chunk of K sites x g lanes with
-    K g <= SWEEP_CELLS: the (K, g) phases x, cur = _sampling at x, prev its
-    (g,) row at the site before the chunk, dead the cells from a lane's
-    first guarded site on (None when c has no zero) and alive the lanes
-    alive after the chunk.  A lane whose orbit (or, for "normalized",
-    predecessor phase) enters the zero guard is dead; with
-    on_singular="raise" the earliest such site (then the lowest lane)
-    raises SingularSamplingPoint instead.
+    The one builder of transfer entries.  Yields (a, b, s, s0, dead, alive)
+    per chunk of K sites x g lanes with K g <= SWEEP_CELLS: the (K, g)
+    entries a_k = d_k/|c_k| and b_k = -|c_{k-1}|/|c_k| of the real companion
+    matrix R_k = [[a_k, b_k], [1, 0]], with d_k = E - 2cos 2pi x_k; s, also
+    (K, g), the unit phase c/|c| (raw; 1 where c = 0) or |c| (normalized),
+    and s0 its (g,) row at the site before the chunk; dead the cells from a
+    lane's first guarded site on (None when c has no zero), which hold
+    a = b = 0 and, raw, s = 1; and alive the lanes alive after the chunk.
+    A lane whose orbit (or, for "normalized", predecessor phase) enters the
+    zero guard is dead; with on_singular="raise" the earliest such site
+    (then the lowest lane) raises SingularSamplingPoint instead.
     """
     if n < 1:
         return
@@ -224,34 +211,57 @@ def _sweep_cells(sample, thetas, n, kind, zero_guard, on_singular):
     alive = np.ones(g, dtype=bool)
     if zero_pos and kind == "normalized":
         alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
+    if kind == "raw":
+        prev_abs = np.abs(prev)
+        with np.errstate(divide="ignore"):
+            s0 = _unit_phase(prev, 1.0 / prev_abs)
+    else:
+        prev_abs = s0 = prev
     chunk = max(1, SWEEP_CELLS // g)
     dead = None
     for k0 in range(0, n, chunk):
         x = thetas[None, :] + ka[k0 : k0 + chunk, None]
         x -= np.floor(x)
-        cur = _sampling(sample.coupling, alpha_f, x, kind)
+        c = _sampling(sample.coupling, alpha_f, x, kind)
         if zero_pos:
             dead = _guard(zero_pos, x, zero_guard, on_singular)
             dead[0] |= ~alive
             np.logical_or.accumulate(dead, axis=0, out=dead)
             alive = ~dead[-1]
-        yield x, cur, prev, dead, alive
-        prev = cur[-1]
-
-
-def _sweep_chunks(sample, energy, thetas, n, kind, zero_guard, on_singular):
-    """Transfer matrices A(th), ..., A(th+(n-1)a) over a batch of phases.
-
-    Yields (a, alive) per _sweep_cells chunk, a as (2, 2, K, g); a dead
-    lane holds the identity from its first guarded site on.
-    """
-    for x, cur, prev, dead, alive in _sweep_cells(
-        sample, thetas, n, kind, zero_guard, on_singular
-    ):
-        a = _transfer_entries(energy, x, cur, np.concatenate([prev[None], cur[:-1]]), kind)
+        abs_c = np.abs(c) if kind == "raw" else c
+        b = np.empty(x.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / abs_c
+            a = (energy - 2.0 * np.cos(2.0 * np.pi * x)) * inv
+            b[0] = -prev_abs
+            np.negative(abs_c[:-1], out=b[1:])
+            b *= inv
+        s = _unit_phase(c, inv) if kind == "raw" else c
         if dead is not None:
-            a[:, :, dead] = np.eye(2)[:, :, None]
-        yield a, alive
+            a[dead] = b[dead] = 0.0  # finite entries under the held cells
+            if kind == "raw":
+                s[dead] = 1.0
+        yield a, b, s, s0, dead, alive
+        prev_abs, s0 = abs_c[-1], s[-1]
+
+
+def _companion(a, b):
+    """Real companion matrices [[a, b], [1, 0]] as a (2, 2, *a.shape) array."""
+    return np.array([[a, b], [np.ones_like(a), np.zeros_like(a)]])
+
+
+def _transfer_matrices(a, b, s, s0, kind):
+    """Explicit transfer matrices, (2, 2, K, g), from one _sweep_cells chunk.
+
+    With w = c~/|c| the conjugate unit phase, the raw matrix
+    (1/c_k) [[d_k, -c~_{k-1}], [c_k, 0]] is [[a_k w_k, b_k w_k w_{k-1}], [1, 0]];
+    the normalized one is sqrt(|c_k|/|c_{k-1}|) R_k.
+    """
+    s_prev = np.concatenate([s0[None], s[:-1]])
+    if kind == "raw":
+        w = np.conj(s)
+        return _companion(a * w, b * w * np.conj(s_prev))
+    return np.sqrt(s / s_prev) * _companion(a, b)
 
 
 def _unit_phase(c, inv_abs):
@@ -325,30 +335,18 @@ def _product_sweep(
     lognorm = np.zeros(g)
     alive = np.ones(g, dtype=bool)
     turn = np.ones(g, dtype=np.complex128)  # prod of e^{i w_k} over live sites
-    first = last = None  # c (or |c|) before the orbit and at its last live site
-    cells = _sweep_cells(sample, thetas, n, kind, zero_guard, on_singular)
-    for x, c, prev, dead, alive in cells:
+    first = last = None  # unit phase (or |c|) before the orbit and at its last live site
+    cells = _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular)
+    for a, b, s, s0, dead, alive in cells:
         if first is None:
-            first = last = prev
-        abs_c = np.abs(c) if kind == "raw" else c
-        b = np.empty(x.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / abs_c
-            a = (energy - 2.0 * np.cos(2.0 * np.pi * x)) * inv
-            b[0] = -np.abs(prev)
-            np.negative(abs_c[:-1], out=b[1:])
-            b *= inv
+            first = last = s0
         if dead is None:
-            last = c[-1]
+            last = s[-1]
         else:
-            a[dead] = b[dead] = 0.0  # finite entries under the held cells
-            live = len(x) - np.count_nonzero(dead, axis=0)
-            last = np.where(live > 0, c[live - 1, np.arange(g)], last)
+            live = len(s) - np.count_nonzero(dead, axis=0)
+            last = np.where(live > 0, s[live - 1, np.arange(g)], last)
         if kind == "raw":
-            u = _unit_phase(c, inv)
-            if dead is not None:
-                u[dead] = 1.0
-            turn *= np.prod(u, axis=0)
+            turn *= np.prod(s, axis=0)
         p, logs = _reduce_sites(_companion_blocks(a, b, dead))
         mats = _mul(p, mats)
         lognorm += logs + _normalize(mats)
@@ -357,13 +355,9 @@ def _product_sweep(
     if kind != "raw":  # a lane with no live site keeps last = first, maybe 0
         lognorm += 0.5 * np.log(np.divide(last, first, out=np.ones(g), where=last != first))
         return np.moveaxis(mats, 2, 0).copy(), lognorm, alive
-    ends = np.array([first, last])
-    with np.errstate(divide="ignore"):
-        inv_ends = 1.0 / np.abs(ends)
-    ends = _unit_phase(ends, inv_ends)
     phase = np.conj(turn) / np.abs(turn)
-    left = np.stack([np.ones(g), ends[1]])
-    right = np.stack([np.ones(g), np.conj(ends[0])])
+    left = np.stack([np.ones(g), last])
+    right = np.stack([np.ones(g), np.conj(first)])
     out = phase * left[:, None] * mats * right[None, :]
     return np.moveaxis(out, 2, 0).copy(), lognorm, alive
 
@@ -577,14 +571,15 @@ def rotation_number(
 ) -> RotationEstimate:
     """Rotation number of the normalized transfer cocycle.
 
-    The matrices come from the product sweep's chunk builder, so the earliest
+    It scans the real companion matrices R_k of the product sweep's entry
+    builder, positive multiples of the normalized matrices, so the earliest
     orbit or predecessor phase in the zero guard raises SingularSamplingPoint.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     thetas = np.array([wrap01(float(theta0))])
-    chunks = _sweep_chunks(sample, energy, thetas, n_steps, "normalized", zero_guard, "raise")
-    return _lift_increments((a[:, :, :, 0] for a, _ in chunks), y0)
+    cells = _sweep_cells(sample, energy, thetas, n_steps, "normalized", zero_guard, "raise")
+    return _lift_increments((_companion(a[:, 0], b[:, 0]) for a, b, *_ in cells), y0)
 
 
 def _polar_angles(matrix_map, thetas):

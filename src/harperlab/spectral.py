@@ -24,7 +24,8 @@ from ._tridiag import (
 from .cocycle import (
     DEFAULT_ZERO_GUARD,
     _guard,
-    _sweep_chunks,
+    _sweep_cells,
+    _transfer_matrices,
     lyapunov_formula,
 )
 from .contfrac import (
@@ -484,11 +485,12 @@ def perturbation_experiment(
     energy = _nearest_eig(diag, absoff, e_prime)
 
     def matrices(s, e):  # the 2N+1 raw transfer matrices from site -N on
-        return _sweep_chunks(s, e, s.phases(-N, 1), 2 * N + 1, "raw", DEFAULT_ZERO_GUARD, "raise")
+        cells = _sweep_cells(s, e, s.phases(-N, 1), 2 * N + 1, "raw", DEFAULT_ZERO_GUARD, "raise")
+        return (_transfer_matrices(a, b, u, u0, "raw") for a, b, u, u0, _, _ in cells)
 
     dev_m = max(
         float(np.max(np.linalg.norm(m1 - m2, 2, axis=(0, 1))))
-        for (m1, _), (m2, _) in zip(matrices(sample, energy), matrices(sample_p, e_prime))
+        for m1, m2 in zip(matrices(sample, energy), matrices(sample_p, e_prime))
     )
 
     u = _basis_solutions(sample, [energy], N, DEFAULT_ZERO_GUARD)[0, :, 0]

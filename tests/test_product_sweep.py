@@ -14,7 +14,6 @@ from harperlab.cocycle import (
     SWEEP_CELLS,
     _normalize,
     _product_sweep,
-    _transfer_entries,
     constant_rotation,
     lyapunov_numeric,
     n_step,
@@ -401,12 +400,28 @@ def phase_and_predecessor(sample, theta):
 
 
 def transfer_oracle(sample, energy, theta, kind):
-    """A(theta) from _transfer_entries at one phase and its predecessor."""
+    """A(theta) by the companion formulas, from c at one phase and its predecessor.
+
+    With a = d/|c| and b = -|c_prev|/|c| for d = E - 2cos 2pi theta: raw is
+    [[a w, b w w_prev], [1, 0]] with w = c~/|c|, normalized is
+    sqrt(|c|/|c_prev|) [[a, b], [1, 0]].  Each quotient by |c| is a product
+    with 1/|c|, as in the sweep, so the two agree bit for bit.
+    """
     af = sample.alpha_float
     f = c_function if kind == "raw" else abs_c_function
     x, xm = (np.array([p]) for p in phase_and_predecessor(sample, theta))
     cur, prev = f(sample.coupling, af, x), f(sample.coupling, af, xm)
-    return _transfer_entries(energy, x, cur, prev, kind)[:, :, 0]
+    mod, mod_prev = np.abs(cur), np.abs(prev)
+    inv = 1.0 / mod
+    a = (energy - 2.0 * np.cos(2.0 * np.pi * x)) * inv
+    b = -mod_prev * inv
+    if kind == "raw":
+        w, w_prev = np.conj(cur * inv), np.conj(prev * (1.0 / mod_prev))
+        return np.array([[a * w, b * w * w_prev], [np.ones(1, complex), np.zeros(1, complex)]])[
+            :, :, 0
+        ]
+    scale = np.sqrt(mod / mod_prev)
+    return np.array([[scale * a, scale * b], [scale, np.zeros(1)]])[:, :, 0]
 
 
 @examples
