@@ -50,13 +50,10 @@ def _sweep(diag, off2, shifts, reverse=False):
     diag: length-n diagonal; off2: length-(n-1) squared off-diagonal.  Row i
     holds det[0, i] / det[0, i-1], the pivot of row i when rows are
     eliminated from the top; with ``reverse`` they are eliminated from the
-    bottom and row i holds det[i, n-1] / det[i+1, n-1].  A pivot below
-    pivmin in modulus is replaced by -pivmin, so no division ever fails.
-
-    The recurrence d_k = (a_k - s) - b_{k-1}^2 / d_{k-1} runs on Python
-    floats, one row per step for each shift: the callers pass one to three
-    shifts, where a numpy call per row costs more than the row's arithmetic.
-    The first row reads b^2 = 0, which leaves a_0 - s unchanged bit for bit.
+    bottom and row i holds det[i, n-1] / det[i+1, n-1].  The recurrence
+    d_k = (a_k - s) - b_{k-1}^2 / d_{k-1} (b_{-1} = 0) runs on Python floats,
+    cheaper than a numpy call per row for the few shifts callers pass; a
+    pivot below pivmin in modulus becomes -pivmin, so no division fails.
     """
     off2 = np.asarray(off2, dtype=np.float64)
     pivmin = max(float(off2.max(initial=0.0)), 1.0) * 2.0e-300

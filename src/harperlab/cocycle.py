@@ -5,15 +5,12 @@ renormalization, the closed-form and Birkhoff Lyapunov exponents, fibered
 rotation numbers, topological degree, conjugation residuals, the
 small-divisor cohomological solver, and the commutant divisor scan.
 
-One builder (_sweep_cells) yields the transfer entries of every sweep: the
-real companion matrices R_k = [[a_k, b_k], [1, 0]] and the unit phases (or
-moduli) of c.  A diagonal unitary conjugacy takes each raw matrix to R_k
-times a unit phase, and each normalized matrix is a positive multiple of
-the same R_k, so one real product serves both kinds (_product_sweep).
-Rotation numbers scan R_k itself, since a positive factor moves no angle,
-and read the vectors R_k...R_0 v0 from a blocked prefix scan
-(_scan_vectors).  transfer and the perturbation experiment rebuild explicit
-matrices from the same entries (_transfer_matrices).
+One builder (_sweep_cells) yields every sweep's entries: real companion
+matrices R_k and the unit phases (or moduli) of c.  A diagonal unitary
+conjugacy takes each raw matrix to R_k times a unit phase, and each
+normalized matrix is a positive multiple of the same R_k, so one real
+product serves both (_product_sweep).  Rotation numbers scan R_k itself, as
+a positive factor moves no angle (_scan_vectors).
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from .errors import (
     BranchAmbiguity,
     DivisorFloorViolated,
     GridTooCoarse,
+    FloatRangeExceeded,
     ResonantDivisor,
     SingularSamplingPoint,
     TooManyExclusions,
@@ -156,10 +154,10 @@ def _normalize(m):
 def _reduce_sites(m):
     """Product A_{K-1}...A_0 of a (2, 2, K, g) stack by pairwise levels.
 
-    Returns the (2, 2, g) product, each level scaled to unit norm, and the
-    accumulated log-scale.
+    Returns the (2, 2, g) product, the stack and each level scaled to unit
+    norm, and the accumulated log-scale.
     """
-    logs = np.zeros(m.shape[3])
+    logs = np.sum(_normalize(m), axis=0)
     while m.shape[2] > 1:
         half = m.shape[2] // 2
         p = _mul(m[:, :, 1 : 2 * half : 2], m[:, :, 0 : 2 * half : 2])
@@ -184,19 +182,17 @@ def _guard(zero_pos, x, zero_guard, on_singular):
 
 
 def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
-    """Transfer entries of the sweep th, ..., th+(n-1)a, chunk by chunk.
+    """The transfer entries of the sweep th, ..., th+(n-1)a, chunk by chunk.
 
-    The one builder of transfer entries.  Yields (a, b, s, s0, dead, alive)
-    per chunk of K sites x g lanes with K g <= SWEEP_CELLS: the (K, g)
-    entries a_k = d_k/|c_k| and b_k = -|c_{k-1}|/|c_k| of the real companion
-    matrix R_k = [[a_k, b_k], [1, 0]], with d_k = E - 2cos 2pi x_k; s, also
-    (K, g), the unit phase c/|c| (raw; 1 where c = 0) or |c| (normalized),
-    and s0 its (g,) row at the site before the chunk; dead the cells from a
-    lane's first guarded site on (None when c has no zero), which hold
-    a = b = 0 and, raw, s = 1; and alive the lanes alive after the chunk.
-    A lane whose orbit (or, for "normalized", predecessor phase) enters the
-    zero guard is dead; with on_singular="raise" the earliest such site
-    (then the lowest lane) raises SingularSamplingPoint instead.
+    Yields (a, b, s, s0, dead, alive) per chunk of K sites x g lanes with
+    K g <= SWEEP_CELLS: a_k = d_k/|c_k| and b_k = -|c_{k-1}|/|c_k|, for
+    d_k = E - 2cos 2pi x_k, of R_k = [[a_k, b_k], [1, 0]]; s = c/|c| (raw;
+    1 where c = 0) or |c| (normalized), and s0 its row at the site before;
+    dead the cells from a lane's first guarded site on (None when c has no
+    zero), inert (a = b = 0, s = 1); alive the lanes alive after the
+    chunk.  A lane whose orbit (or, for "normalized", predecessor phase)
+    enters the zero guard dies; with on_singular="raise" the earliest such
+    site (then the lowest lane) raises SingularSamplingPoint instead.
     """
     if n < 1:
         return
@@ -211,12 +207,9 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     alive = np.ones(g, dtype=bool)
     if zero_pos and kind == "normalized":
         alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
-    if kind == "raw":
-        prev_abs = np.abs(prev)
-        with np.errstate(divide="ignore"):
-            s0 = _unit_phase(prev, 1.0 / prev_abs)
-    else:
-        prev_abs = s0 = prev
+    prev_abs = np.abs(prev)
+    with np.errstate(divide="ignore"):
+        s0 = _unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
     chunk = max(1, SWEEP_CELLS // g)
     dead = None
     for k0 in range(0, n, chunk):
@@ -230,7 +223,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
             alive = ~dead[-1]
         abs_c = np.abs(c) if kind == "raw" else c
         b = np.empty(x.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = 1.0 / abs_c
             a = (energy - 2.0 * np.cos(2.0 * np.pi * x)) * inv
             b[0] = -prev_abs
@@ -239,8 +232,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
         s = _unit_phase(c, inv) if kind == "raw" else c
         if dead is not None:
             a[dead] = b[dead] = 0.0  # finite entries under the held cells
-            if kind == "raw":
-                s[dead] = 1.0
+            s[dead] = 1.0
         yield a, b, s, s0, dead, alive
         prev_abs, s0 = abs_c[-1], s[-1]
 
@@ -253,9 +245,8 @@ def _companion(a, b):
 def _transfer_matrices(a, b, s, s0, kind):
     """Explicit transfer matrices, (2, 2, K, g), from one _sweep_cells chunk.
 
-    With w = c~/|c| the conjugate unit phase, the raw matrix
-    (1/c_k) [[d_k, -c~_{k-1}], [c_k, 0]] is [[a_k w_k, b_k w_k w_{k-1}], [1, 0]];
-    the normalized one is sqrt(|c_k|/|c_{k-1}|) R_k.
+    Raw: [[a_k w_k, b_k w_k w_{k-1}], [1, 0]] with w = c~/|c|; normalized:
+    sqrt(|c_k|/|c_{k-1}|) R_k.
     """
     s_prev = np.concatenate([s0[None], s[:-1]])
     if kind == "raw":
@@ -307,6 +298,10 @@ def _companion_blocks(a, b, hold):
     return np.array([[x1, y1], [x0, y0]])
 
 
+def _overflow(sample, energy):
+    return FloatRangeExceeded(f"the product at E={energy!r} for {sample.coupling} overflows")
+
+
 def _product_sweep(
     sample: OperatorSample,
     energy: float,
@@ -340,16 +335,16 @@ def _product_sweep(
     for a, b, s, s0, dead, alive in cells:
         if first is None:
             first = last = s0
-        if dead is None:
-            last = s[-1]
-        else:
-            live = len(s) - np.count_nonzero(dead, axis=0)
-            last = np.where(live > 0, s[live - 1, np.arange(g)], last)
+        live = len(s) - (0 if dead is None else np.count_nonzero(dead, axis=0))
+        last = np.where(live > 0, s[live - 1, np.arange(g)], last)
         if kind == "raw":
             turn *= np.prod(s, axis=0)
-        p, logs = _reduce_sites(_companion_blocks(a, b, dead))
-        mats = _mul(p, mats)
-        lognorm += logs + _normalize(mats)
+        with np.errstate(all="ignore"):  # an overflow is caught below
+            p, logs = _reduce_sites(_companion_blocks(a, b, dead))
+            mats = _mul(p, mats)
+            lognorm += logs + _normalize(mats)
+    if not np.isfinite(lognorm).all():
+        raise _overflow(sample, energy)
     if first is None:  # n = 0
         first = last = np.ones(g)
     if kind != "raw":  # a lane with no live site keeps last = first, maybe 0
@@ -502,26 +497,30 @@ def _scan_vectors(m, v):
     return w.swapaxes(1, 2).reshape(2, -1)[:, :k]
 
 
-def _lift_increments(chunks, y0):
+def _lift_increments(chunks, y0, overflow):
     """Birkhoff average of lift increments along (2, 2, K) matrix chunks.
 
     _scan_vectors moves the unit vector carried from the previous chunk
     through each chunk, so y_k = arg(A_k...A_0 v0) / 2 pi with v0 at angle
     y0.  The lift increment is the principal branch |y_k - y_{k-1}| < 1/2;
-    the first one within BRANCH_TOL of the cut raises BranchAmbiguity.
+    the first one within BRANCH_TOL of the cut raises BranchAmbiguity, and
+    a product past the float64 range raises the exception ``overflow``.
     """
     y = float(y0)
     v = np.array([math.cos(2 * math.pi * y), math.sin(2 * math.pi * y)])
     parts = []
     for m in chunks:
-        w = _scan_vectors(m, v)
-        ys = np.arctan2(w[1], w[0]) / (2 * math.pi)
-        parts.append(np.diff(ys, prepend=y))
-        y = ys[-1]
-        v = w[:, -1] / math.hypot(w[0, -1], w[1, -1])
+        with np.errstate(all="ignore"):  # an overflow is caught below
+            w = _scan_vectors(m, v)
+            ys = np.arctan2(w[1], w[0]) / (2 * math.pi)
+            parts.append(np.diff(ys, prepend=y))
+            y = ys[-1]
+            v = w[:, -1] / math.hypot(w[0, -1], w[1, -1])
         # drop this chunk before the builder makes the next: one chunk at a time
         del m, w, ys
     incs = np.concatenate(parts)
+    if not np.isfinite(incs).all():
+        raise overflow
     incs -= np.floor(incs + 0.5)  # principal branch in [-1/2, 1/2)
     bad = np.abs(np.abs(incs) - 0.5) < BRANCH_TOL
     if bad.any():
@@ -558,7 +557,7 @@ def rotation_number_map(
     if np.iscomplexobj(m):
         raise TypeError("rotation_number_map needs a real matrix map")
     chunks = (m[:, :, k : k + SWEEP_CELLS] for k in range(0, n_steps, SWEEP_CELLS))
-    return _lift_increments(chunks, y0)
+    return _lift_increments(chunks, y0, FloatRangeExceeded("the map's product overflows"))
 
 
 def rotation_number(
@@ -579,7 +578,8 @@ def rotation_number(
         raise ValueError("n_steps must be >= 2")
     thetas = np.array([wrap01(float(theta0))])
     cells = _sweep_cells(sample, energy, thetas, n_steps, "normalized", zero_guard, "raise")
-    return _lift_increments((_companion(a[:, 0], b[:, 0]) for a, b, *_ in cells), y0)
+    chunks = (_companion(a[:, 0], b[:, 0]) for a, b, *_ in cells)
+    return _lift_increments(chunks, y0, _overflow(sample, energy))
 
 
 def _polar_angles(matrix_map, thetas):

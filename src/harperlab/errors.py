@@ -63,6 +63,10 @@ class TooManyExclusions(HarperlabError):
     """More than the tolerated fraction of grid points hit the zero guard."""
 
 
+class FloatRangeExceeded(HarperlabError):
+    """A transfer product or a badness window mass left the float64 range."""
+
+
 class BranchAmbiguity(HarperlabError):
     """A rotation-number lift increment landed on the branch-cut boundary."""
 

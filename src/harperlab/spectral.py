@@ -35,7 +35,7 @@ from .contfrac import (
     log_of_int,
     norm_numerator,
 )
-from .errors import NoBulkSpectrum, PoorlyLocalized
+from .errors import FloatRangeExceeded, NoBulkSpectrum, PoorlyLocalized
 from .model import (
     CouplingTriple,
     OperatorSample,
@@ -382,19 +382,25 @@ def badness_scan(
         e_grid = [float(e) for e in energies]
     if not e_grid:
         raise ValueError("badness_scan needs at least one energy")
-    U = _basis_solutions(sample, e_grid, N, 1e-9)
-    W = np.concatenate([U[:, 1:N], U[:, N + 2 :]], axis=1)  # k in [-N, N] \ {0, -1}
-    A = np.concatenate([W.real, W.imag], axis=1)
-    if refine:
-        _, s, vh = np.linalg.svd(A, full_matrices=False)
-        masses = 1.0 + s[:, -1] ** 2
-        phis = (np.arctan2(vh[:, -1, 1], vh[:, -1, 0]) / (2 * np.pi)) % 0.5
-    else:
-        grid = np.arange(angles) / angles
-        v = np.stack([np.cos(2 * np.pi * grid), np.sin(2 * np.pi * grid)])
-        mass_grid = 1.0 + np.sum((A @ v) ** 2, axis=1)
-        j = np.argmin(mass_grid, axis=1)
-        masses, phis = mass_grid[np.arange(len(e_grid)), j], grid[j]
+    overflow = FloatRangeExceeded(f"a window mass at N={N} leaves the float64 range")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass raises
+        U = _basis_solutions(sample, e_grid, N, 1e-9)
+        W = np.concatenate([U[:, 1:N], U[:, N + 2 :]], axis=1)  # k in [-N, N] \ {0, -1}
+        A = np.concatenate([W.real, W.imag], axis=1)
+        if not np.isfinite(A).all():
+            raise overflow
+        if refine:
+            _, s, vh = np.linalg.svd(A, full_matrices=False)
+            masses = 1.0 + s[:, -1] ** 2
+            phis = (np.arctan2(vh[:, -1, 1], vh[:, -1, 0]) / (2 * np.pi)) % 0.5
+        else:
+            grid = np.arange(angles) / angles
+            v = np.stack([np.cos(2 * np.pi * grid), np.sin(2 * np.pi * grid)])
+            mass_grid = 1.0 + np.sum((A @ v) ** 2, axis=1)
+            j = np.argmin(mass_grid, axis=1)
+            masses, phis = mass_grid[np.arange(len(e_grid)), j], grid[j]
+    if not np.isfinite(masses).all():
+        raise overflow
     i = int(np.argmin(masses))
     min_mass, we, wa = float(masses[i]), e_grid[i], float(phis[i])
     bad = min_mass >= C * C

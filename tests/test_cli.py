@@ -546,6 +546,36 @@ def test_rotation_predecessor_on_a_zero_exits_3(capsys):
     assert "SingularSamplingPoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["le", "--E", "1e10", "--coupling", "0.1,0.5,0.2", "--grid", "2", "--n", "1000"],
+         ["E=10000000000.0", "lambda1=0.1, lambda2=0.5, lambda3=0.2"]),
+        (["rotation", "--E", "1e10", "--coupling", "0.1,0.5,0.2", "--n", "1000"],
+         ["E=10000000000.0", "lambda1=0.1, lambda2=0.5, lambda3=0.2"]),
+        (["le", "--E", "0.3", "--coupling", "1e-300,1e-300,1e-300", "--grid", "2", "--n", "1000"],
+         ["E=0.3", "lambda1=1e-300, lambda2=1e-300, lambda3=1e-300"]),
+        (["rotation", "--E", "0.3", "--coupling", "1e-300,1e-300,1e-300", "--n", "1000"],
+         ["E=0.3", "lambda1=1e-300, lambda2=1e-300, lambda3=1e-300"]),
+        (["badness", "--coupling", "0.05,0.2,0.05", "--N", "1000"], ["N=1000"]),
+        (["badness", "--coupling", "0.05,0.2,0.05", "--N", "400"], ["N=400"]),
+        (["badness", "--coupling", "1e-300,1e-300,1e-300", "--N", "4"], ["N=4"]),
+    ],
+)
+def test_past_the_float_range_exits_3_naming_the_cause(argv, named, capsys):
+    # a product or window mass past float64 is a numeric error, never a NaN estimate or verdict
+    assert exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert "FloatRangeExceeded" in err
+    assert all(name in err for name in named)
+
+
+def test_le_at_a_large_energy_exits_0_with_a_finite_value(capsys):
+    argv = ["le", "--coupling", "0.1,0.5,0.2", "--E", "1e4", "--n", "1000", "--grid", "2"]
+    assert exit_code(argv) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["result"]["estimate"]["value"])
+
+
 def test_delta_on_a_rational_literal_exits_3(capsys):
     # 0.5 = [0; 2] ends at depth 1, below the two levels a delta estimate needs
     argv = ["delta", "--coupling", "0.1,0.5,0.2", "--freq", "0.5"]

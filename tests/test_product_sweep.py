@@ -23,7 +23,12 @@ from harperlab.cocycle import (
     transfer,
 )
 from harperlab.contfrac import golden
-from harperlab.errors import BranchAmbiguity, SingularSamplingPoint, TooManyExclusions
+from harperlab.errors import (
+    BranchAmbiguity,
+    FloatRangeExceeded,
+    SingularSamplingPoint,
+    TooManyExclusions,
+)
 from harperlab.model import (
     CouplingTriple,
     OperatorSample,
@@ -388,6 +393,40 @@ def test_branch_step_counts_sites_across_chunks():
     step = branch_step(lambda: angle_walk(m, 0.0))
     assert step > 2 * SWEEP_CELLS
     assert branch_step(lambda: rotation_number_map(half_turn_on_arc, golden(), n)) == step
+
+
+@pytest.mark.parametrize("energy", [1e3, 1e4, 1e6, 1e8])
+def test_large_energies_match_the_sitewise_oracles(energy):
+    # entries reach |E| / |c| = 5e8 here: each block product is rescaled before the
+    # blocks are paired, so neither it nor its square leaves the float64 range
+    sample = OperatorSample(CouplingTriple(0.1, 0.5, 0.2), golden())
+    thetas = (np.arange(4) + 0.5) / 4
+    for kind in ("raw", "normalized"):
+        _, growth = assert_products_match(sample, energy, thetas, 1000, kind, 1e-7)
+        m, lognorm = n_step(sample, energy, float(thetas[0]), 1000, kind)
+        assert abs(lognorm + math.log(np.linalg.norm(m, 2)) - growth[0]) <= 1e-9 * growth[0]
+        est = lyapunov_numeric(sample, energy, 1000, len(thetas), kind)
+        assert est.value == pytest.approx(float(np.mean(growth)) / 1000, rel=1e-9)
+    value, stderr = angle_walk(normalized_orbit(sample, energy, 0.125, 1000), 0.3)
+    est = rotation_number(sample, energy, 1000, 0.125, 0.3)
+    assert abs((est.value - value + 0.5) % 1.0 - 0.5) <= 1e-12
+    assert est.stderr == pytest.approx(stderr, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "triple, energy", [((0.1, 0.5, 0.2), 1e10), ((1e-300, 1e-300, 1e-300), 0.3)]
+)
+def test_products_past_the_float_range_raise(triple, energy):
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    calls = [
+        lambda: lyapunov_numeric(sample, energy, 1000, 2, "raw"),
+        lambda: lyapunov_numeric(sample, energy, 1000, 2, "normalized"),
+        lambda: n_step(sample, energy, 0.25, 1000),
+        lambda: rotation_number(sample, energy, 1000),
+    ]
+    for call in calls:
+        with pytest.raises(FloatRangeExceeded, match=rf"E={energy!r} for .*lambda1={triple[0]!r}"):
+            call()
 
 
 # -- one transfer matrix ------------------------------------------------------------

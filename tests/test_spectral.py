@@ -11,6 +11,7 @@ from harperlab._tridiag import bisect_eigenvalues, eigenpairs, inverse_iteration
 from harperlab.cocycle import _dist_to_positions, lyapunov_formula
 from harperlab.contfrac import ConstantBeta, beta_exponent, forge, golden, silver
 from harperlab.errors import (
+    FloatRangeExceeded,
     NoBulkSpectrum,
     PoorlyLocalized,
     ResolventSingular,
@@ -436,6 +437,21 @@ def test_badness_requires_an_energy():
     for kwargs in ({"energies": []}, {"E_count": 0}):
         with pytest.raises(ValueError):
             badness_scan(sample(), C=3.0, N=8, **kwargs)
+
+
+# the basis solutions, or the squares that sum to a window mass, pass 1.8e308
+@pytest.mark.parametrize(
+    "triple, N, refine",
+    [
+        ((0.05, 0.2, 0.05), 1000, False),  # the solutions overflow
+        ((0.05, 0.2, 0.05), 400, False),  # the solutions fit, their squares do not
+        ((0.05, 0.2, 0.05), 400, True),
+        ((1e-300, 1e-300, 1e-300), 4, False),
+    ],
+)
+def test_badness_mass_past_the_float_range_raises_naming_n(triple, N, refine):
+    with pytest.raises(FloatRangeExceeded, match=f"at N={N} "):
+        badness_scan(OperatorSample(CouplingTriple(*triple), golden()), 3.0, N, refine=refine)
 
 
 def test_badness_refine_localized_solution_exact():
