@@ -208,7 +208,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     if zero_pos and kind == "normalized":
         alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
     prev_abs = np.abs(prev)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         s0 = _unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
     chunk = max(1, SWEEP_CELLS // g)
     dead = None
@@ -225,11 +225,11 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
         b = np.empty(x.shape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = 1.0 / abs_c
-            a = (energy - 2.0 * np.cos(2.0 * np.pi * x)) * inv
             b[0] = -prev_abs
             np.negative(abs_c[:-1], out=b[1:])
             b *= inv
-        s = _unit_phase(c, inv) if kind == "raw" else c
+            s = _unit_phase(c, inv) if kind == "raw" else c
+            a = np.multiply(energy - 2.0 * np.cos(2.0 * np.pi * x), inv, out=inv)
         if dead is not None:
             a[dead] = b[dead] = 0.0  # finite entries under the held cells
             s[dead] = 1.0
@@ -257,8 +257,7 @@ def _transfer_matrices(a, b, s, s0, kind):
 
 def _unit_phase(c, inv_abs):
     """c / |c| from c and 1 / |c|, with the phase 1 where c = 0."""
-    with np.errstate(invalid="ignore"):
-        u = c * inv_abs
+    u = c * inv_abs  # NaN where c = 0, replaced below
     u[np.isinf(inv_abs)] = 1.0
     return u
 
@@ -330,10 +329,10 @@ def _product_sweep(
     lognorm = np.zeros(g)
     alive = np.ones(g, dtype=bool)
     turn = np.ones(g, dtype=np.complex128)  # prod of e^{i w_k} over live sites
-    first = last = None  # unit phase (or |c|) before the orbit and at its last live site
+    first = last = np.ones(g)  # unit phase (or |c|) before the orbit and at its last live site
     cells = _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular)
-    for a, b, s, s0, dead, alive in cells:
-        if first is None:
+    for i, (a, b, s, s0, dead, alive) in enumerate(cells):
+        if i == 0:
             first = last = s0
         live = len(s) - (0 if dead is None else np.count_nonzero(dead, axis=0))
         last = np.where(live > 0, s[live - 1, np.arange(g)], last)
@@ -345,8 +344,6 @@ def _product_sweep(
             lognorm += logs + _normalize(mats)
     if not np.isfinite(lognorm).all():
         raise _overflow(sample, energy)
-    if first is None:  # n = 0
-        first = last = np.ones(g)
     if kind != "raw":  # a lane with no live site keeps last = first, maybe 0
         lognorm += 0.5 * np.log(np.divide(last, first, out=np.ones(g), where=last != first))
         return np.moveaxis(mats, 2, 0).copy(), lognorm, alive
@@ -370,7 +367,7 @@ def n_step(
     The product is reduced in real arithmetic (_product_sweep); for
     kind="raw" the complex matrix is rebuilt exactly from the real product,
     the phases of c before the orbit and at its last site, and the running
-    unit phase prod c_k/|c_k|.
+    unit phase prod c_k/|c_k|.  Past float64 it raises FloatRangeExceeded.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -426,7 +423,8 @@ def lyapunov_numeric(
     """Phase-averaged (1/n) log ||A_n|| over an equispaced theta grid.
 
     Grid points whose orbit enters the zero guard are excluded and counted;
-    more than max_excluded of them aborts with TooManyExclusions.
+    more than max_excluded of them aborts with TooManyExclusions, and a
+    product past the float64 range with FloatRangeExceeded.
     """
     if n_steps < 1000:
         raise ValueError("n_steps must be >= 1000")
@@ -570,9 +568,10 @@ def rotation_number(
 ) -> RotationEstimate:
     """Rotation number of the normalized transfer cocycle.
 
-    It scans the real companion matrices R_k of the product sweep's entry
-    builder, positive multiples of the normalized matrices, so the earliest
-    orbit or predecessor phase in the zero guard raises SingularSamplingPoint.
+    It scans the companion matrices R_k, positive multiples of the normalized
+    ones, from _sweep_cells: the earliest orbit or predecessor phase in the
+    zero guard raises SingularSamplingPoint, a product past float64
+    FloatRangeExceeded.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")

@@ -456,11 +456,11 @@ def transfer_oracle(sample, energy, theta, kind):
     b = -mod_prev * inv
     if kind == "raw":
         w, w_prev = np.conj(cur * inv), np.conj(prev * (1.0 / mod_prev))
-        return np.array([[a * w, b * w * w_prev], [np.ones(1, complex), np.zeros(1, complex)]])[
-            :, :, 0
-        ]
-    scale = np.sqrt(mod / mod_prev)
-    return np.array([[scale * a, scale * b], [scale, np.zeros(1)]])[:, :, 0]
+        m = [[a * w, b * w * w_prev], [np.ones(1, complex), np.zeros(1, complex)]]
+    else:
+        scale = np.sqrt(mod / mod_prev)
+        m = [[scale * a, scale * b], [scale, np.zeros(1)]]
+    return np.array(m)[:, :, 0]
 
 
 @examples
