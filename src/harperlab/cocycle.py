@@ -234,7 +234,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
             a[dead] = b[dead] = 0.0  # finite entries under the held cells
             s[dead] = 1.0
         yield a, b, s, s0, dead, alive
-        prev_abs, s0 = abs_c[-1], s[-1]
+        prev_abs, s0 = abs_c[-1].copy(), s[-1].copy()  # views would pin the chunk
 
 
 def _companion(a, b):
@@ -320,8 +320,7 @@ def _product_sweep(
     back from the two boundary phases and one running unit phase per lane.
     The normalized matrix is sqrt(|c_k|/|c_{k-1}|) R_k, so its product is
     the real one scaled by sqrt(|c_{n-1}|/|c_{-1}|).  A dead lane's product
-    stops at its last live site, which is its boundary.  Each chunk is
-    reduced by _companion_blocks and then _reduce_sites.  Returns
+    stops at its last live site, which is its boundary.  Returns
     (matrices, lognorms, alive): exact product = matrix * e^lognorm per lane.
     """
     g = len(thetas)
@@ -342,6 +341,7 @@ def _product_sweep(
             p, logs = _reduce_sites(_companion_blocks(a, b, dead))
             mats = _mul(p, mats)
             lognorm += logs + _normalize(mats)
+        del a, b, s  # the builder frees each array as it makes the next
     if not np.isfinite(lognorm).all():
         raise _overflow(sample, energy)
     if kind != "raw":  # a lane with no live site keeps last = first, maybe 0

@@ -363,7 +363,8 @@ def badness_scan(
     over all normalized initial data, 1 + sigma_min(A)^2, and the witness
     angle (in [0, 1/2), as u and -u carry the same mass) from the right
     singular vector.  The Gram matrix A^T A is never formed: its entries
-    reach e^(2 L N), which swamps the O(1) minimum.
+    reach e^(2 L N), which swamps the O(1) minimum.  A mass past the float64
+    range raises FloatRangeExceeded.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
