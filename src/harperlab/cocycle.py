@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .contfrac import ContinuedFraction, norm_numerator
+from .contfrac import SCREEN_BLOCK, ContinuedFraction, _screen_norms, norm_numerator
 from .errors import (
     BranchAmbiguity,
     DivisorFloorViolated,
@@ -132,11 +132,16 @@ def transfer(
     kind="raw" gives the complex matrix (1/c) [[E-2cos, -c~(.-a)], [c, 0]];
     kind="normalized" its real unit-determinant cousin built from |c|.  A
     phase (or, for "normalized", its predecessor) within zero_guard of a
-    zero of c raises SingularSamplingPoint.
+    zero of c raises SingularSamplingPoint, and an entry past the float64
+    range FloatRangeExceeded.
     """
     thetas = np.array([wrap01(float(theta))])
     a, b, s, s0, _, _ = next(_sweep_cells(sample, energy, thetas, 1, kind, zero_guard, "raise"))
-    return _transfer_matrices(a, b, s, s0, kind)[:, :, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises
+        m = _transfer_matrices(a, b, s, s0, kind)[:, :, 0, 0]
+    if not np.isfinite(m).all():
+        raise _overflow(sample, energy)
+    return m
 
 
 def _mul(a, b):
@@ -675,6 +680,14 @@ def solve_cohomological(
     coefficient sums for j = 0..s_max (s_max < 0 raises ValueError).  A
     divisor with ||k alpha|| < RESONANCE_TOL under a nonzero phi_hat(k)
     raises ResonantDivisor.
+
+    The turns t = r/q = frac(k p/q) come without big-integer division:
+    with A = floor(frac(p/q) 2^w), w = 80 + bitlength(K), and n = k A mod
+    2^w, r/q lies between n/2^w and (n + k)/2^w.  When the bracket does not
+    wrap and its two ends round to the same float, that float is r/q
+    rounded, and the resonance test is read from the bracket of
+    ||k alpha|| the same way; otherwise t and the test take the exact
+    residue k p mod q.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
@@ -694,18 +707,31 @@ def solve_cohomological(
         raise ValueError("phi_hat(0) must vanish (mean-zero right-hand side)")
     a = _alpha_proxy(alpha)
     p, q = a.numerator, a.denominator
+    w = 80 + K.bit_length()
+    one = 1 << w
+    frac_a = ((p % q) << w) // q  # frac(alpha) 2^w, rounded down
     psi = np.zeros_like(phi)
     min_div = float("inf")
     for k in range(-K, K + 1):
         if k == 0:
             continue
-        r = k * p % q  # k*alpha mod 1 = r/q
-        norm_ka = norm_numerator(r, q) / q
-        if norm_ka < RESONANCE_TOL:
+        # k alpha mod 1 = r/q lies in [lo, hi] / 2^w unless the bracket wraps
+        n = k * frac_a % one
+        lo, hi = (n, n + k) if k > 0 else (n + k, n)
+        t = math.ldexp(lo, -w)
+        norm_lo = math.ldexp(min(lo, one - hi), -w)
+        norm_hi = math.ldexp(min(hi, one - lo), -w)
+        if (lo < 0 or hi > one or t != math.ldexp(hi, -w)
+                or norm_lo < RESONANCE_TOL <= norm_hi):
+            r = k * p % q  # the bracket cannot tell: read r/q exactly
+            t = r / q
+            resonant = norm_numerator(r, q) / q < RESONANCE_TOL
+        else:
+            resonant = norm_hi < RESONANCE_TOL
+        if resonant:
             if abs(phi[k + K]) > 0:
                 raise ResonantDivisor(k)
             continue
-        t = r / q
         div = complex(math.cos(2 * math.pi * t) - 1.0, math.sin(2 * math.pi * t))
         min_div = min(min_div, abs(div))
         psi[k + K] = phi[k + K] / div
@@ -783,7 +809,21 @@ def commutant_rigidity_check(
     DivisorFloorViolated at the first failing mode.  The diagonal (k=0,
     phase-free) modes always remain and are reported, not flagged.  A
     negative bandwidth or tau, or a gamma <= 0 (a floor every divisor
-    passes), raises ValueError.
+    passes), raises ValueError, and so does a bandwidth of 2^52 or more.
+
+    Modes run in blocks of SCREEN_BLOCK k's, each screened in float64 for
+    both signs (contfrac._screen_norms, error eps in t).  A screened
+    divisor is within 2 pi eps + 2^-46 of the exact 2 sin(pi t), which
+    covers the slope of 2 sin(pi t) and the rounding of pi t and of numpy's
+    sin against math.sin; a screened floor times (1 - 1e-12) is within
+    2^-45 x + 2^-48 of the exact one for x = pi gamma/(|k|+1)^tau <= 4,
+    which covers numpy's pow and sin against Python's.  The exact loop
+    then runs, in scan order (k from -bandwidth up, sign +1 before -1),
+    over the k = 0 modes, every mode the screen cannot place above its
+    floor (x > 4 or not finite included), and every mode within twice the
+    divisor margin of the least screened divisor so far (k != 0), which
+    holds the first exact minimum.  So the first violation, min_divisor,
+    the argmin and modes_checked are those of the exact scan.
     """
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
@@ -799,25 +839,43 @@ def commutant_rigidity_check(
     qs = a.denominator * two_rho.denominator
     min_div, arg_k, arg_s = float("inf"), 0, +1
     unconstrained = [(0, "diagonal")]  # b(th+a)=b(th): constants always pass
-    checked = 0
-    for k in range(-bandwidth, bandwidth + 1):
+    screened_min, margin = float("inf"), None
+    for k0 in range(-bandwidth, bandwidth + 1, SCREEN_BLOCK):
+        ks = np.arange(k0, min(k0 + SCREEN_BLOCK, bandwidth + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.pi * gamma / (np.abs(ks) + 1.0) ** tau
+            floor_hi = 2.0 * np.sin(x) * (1.0 - 1e-12) + (2.0**-45 * x + 2.0**-48)
+        divs = []
         for sign in (+1, -1):
-            t = norm_numerator(k * ps - sign * rq, qs) / qs
-            div = 2.0 * math.sin(math.pi * t)
-            if k == 0 and t < 1e-14:
-                # 2 rho integer: the k=0 off-diagonal equation degenerates
-                # to b=b and constants survive (enlarged commutant).
-                unconstrained.append((0, f"off-diagonal sign {sign:+d}"))
-                continue
-            try:
-                floor = 2.0 * math.sin(math.pi * gamma / (abs(k) + 1) ** tau)
-            except OverflowError:  # (|k|+1)^tau past the float range
-                floor = 0.0
-            checked += 1
-            if div < floor * (1.0 - 1e-12):
-                raise DivisorFloorViolated(k, div, floor)
-            if div < min_div:
-                min_div, arg_k, arg_s = div, k, sign
+            t, eps = _screen_norms(a.numerator, a.denominator, ks, sign * two_rho)
+            divs.append(2.0 * np.sin(np.pi * t))
+        if margin is None:  # the first block holds k = -bandwidth, whose eps is the largest
+            margin = 2.0 * np.pi * eps + 2.0**-46
+        off = ks != 0
+        screened_min = min(screened_min, float(np.min(divs[0][off], initial=np.inf)),
+                           float(np.min(divs[1][off], initial=np.inf)))
+        recheck = [~((div - margin >= floor_hi) & (x <= 4.0))
+                   | (div <= screened_min + 2.0 * margin) | ~off for div in divs]
+        for i in np.flatnonzero(recheck[0] | recheck[1]):
+            k = int(ks[i])
+            for sign, todo in zip((+1, -1), recheck):
+                if not todo[i]:
+                    continue
+                t = norm_numerator(k * ps - sign * rq, qs) / qs
+                div = 2.0 * math.sin(math.pi * t)
+                if k == 0 and t < 1e-14:
+                    # 2 rho integer: the k=0 off-diagonal equation degenerates
+                    # to b=b and constants survive (enlarged commutant).
+                    unconstrained.append((0, f"off-diagonal sign {sign:+d}"))
+                    continue
+                try:
+                    floor = 2.0 * math.sin(math.pi * gamma / (abs(k) + 1) ** tau)
+                except OverflowError:  # (|k|+1)^tau past the float range
+                    floor = 0.0
+                if div < floor * (1.0 - 1e-12):
+                    raise DivisorFloorViolated(k, div, floor)
+                if div < min_div:
+                    min_div, arg_k, arg_s = div, k, sign
     return CommutantReport(
         bandwidth=bandwidth,
         tau=tau,
@@ -825,7 +883,7 @@ def commutant_rigidity_check(
         min_divisor=min_div,
         argmin_k=arg_k,
         argmin_sign=arg_s,
-        modes_checked=checked,
+        modes_checked=2 * (2 * bandwidth + 1) - len(unconstrained) + 1,
         unconstrained_modes=unconstrained,
     )
 

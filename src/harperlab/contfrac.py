@@ -17,6 +17,8 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import DepthInsufficient, PrecisionExhausted, RationalDetected
 
 __all__ = [
@@ -49,6 +51,8 @@ DIGIT_CAP_DECIMAL = 10**6
 # The rational stand-in for a digit stream is its first convergent with q at
 # least this (or its deepest one): read by float(cf) and model._alpha_proxy.
 PROXY_MIN_Q = 1 << 60
+# Modes a Diophantine scan screens in float64 at once (_screen_norms).
+SCREEN_BLOCK = 1 << 16
 
 
 def log_of_int(q: int) -> float:
@@ -435,38 +439,114 @@ def _norm_interval(
     return max(mid - width, 0), mid + width, sd * qa * qb
 
 
+def _screen_norms(p: int, q: int, ks: np.ndarray, shift: Fraction) -> tuple[np.ndarray, float]:
+    """Float64 ||shift - k p/q|| for the integer modes ks, and an absolute error bound.
+
+    With K = max |k| (K < 2^52, else ValueError), frac(p/q) is cut into m
+    chunks of c = 53 - bitlength(K) bits, frac(p/q) = sum_j x_j 2^(-cj) +
+    tail with 0 <= tail < 2^(-cm), taken exactly by integer shifts and //;
+    m is the least with cm >= 53 + bitlength(K).  Each |k| x_j < K 2^c
+    <= 2^53 is an exact float64, and so is the fractional part of
+    |k| x_j 2^(-cj).  What rounds: the dropped tail, |k| tail < 2^-53; the
+    m - 1 sums of those parts, each reduced mod 1, 2^-53 each; shift read
+    as a float, 2^-54; and shift -+ frac(|k| p/q), 2^-53.  The circle norm
+    is 1-Lipschitz and its own step is exact, so every value lies within
+    eps = (m + 2) 2^-53 of the exact norm; eps grows with K.
+    """
+    K = int(np.max(np.abs(ks), initial=0))
+    bits = K.bit_length()
+    if bits > 52:
+        raise ValueError(f"a float64 screen needs |k| < 2^52, got |k| = {K}")
+    c = 53 - bits
+    m = -(-(53 + bits) // c)
+    x = ((p % q) << (c * m)) // q  # floor(frac(p/q) 2^(cm))
+    absk = np.abs(ks).astype(np.float64)
+    u = np.zeros(len(ks))  # frac(|k| p/q)
+    for j in range(1, m + 1):
+        chunk = (x >> (c * (m - j))) & ((1 << c) - 1)
+        if chunk:
+            part = absk * float(chunk) * 2.0 ** (-c * j)
+            part -= np.floor(part)
+            u += part
+            u -= np.floor(u)
+    d = float(shift - math.floor(shift)) - np.sign(ks) * u
+    d -= np.rint(d)
+    return np.abs(d), (m + 2) * 2.0**-53
+
+
+def _dc_certified(cf, tau, gamma, ks, shift) -> np.ndarray:
+    """Modes of ks whose DC inequality the float64 screen certifies.
+
+    The screen reads ||shift - k p_N/q_N|| at the deepest materialized
+    convergent N (_screen_norms, error eps).  _norm_interval's lower bound at
+    depth N is at least that minus 2|k|/(q_{N-1} q_N): once for alpha's
+    interval and once for the endpoint it reads.  A mode is certified when
+    the value minus eps, that width and 2^-50 for the rounding here still
+    reaches the threshold widened by 2^-40 relative (numpy's pow against
+    Python's); its exact check at depth N, or at any deeper one, then
+    certifies it too without extending the stream.  k = 0, a threshold
+    whose pow leaves the float range and a stream shallower than 2 are
+    never certified.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if cf.depth < 2:
+        return np.zeros(len(ks), dtype=bool)
+    (_, qa), (p, q) = cf.convergent(cf.depth - 1), cf.convergent(cf.depth)
+    vals, eps = _screen_norms(p, q, ks, shift)
+    absk = np.abs(ks).astype(np.float64)
+    width = math.ldexp(1.0, 2 - qa.bit_length() - q.bit_length())  # >= 1/(q_{N-1} q_N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = (absk + 1.0) ** tau
+        thr = gamma / power * (1.0 + 2.0**-40)
+        return (vals - (eps + 2.0 * absk * width + 2.0**-50) >= thr) & np.isfinite(power) & (ks != 0)
+
+
 def _dc_scan(cf, tau, gamma, ks, shift=Fraction(0)) -> DCVerdict:
+    """First k of ks (in order) with ||shift - k alpha|| < gamma/(|k|+1)^tau.
+
+    Blocks of SCREEN_BLOCK modes are screened in float64 first
+    (_dc_certified).  Every mode the screen does not certify runs the exact
+    check, in order: the integer interval of _norm_interval at the current
+    depth, two digits deeper while it straddles the threshold, and
+    DepthInsufficient once the stream ends.  A certified mode would pass
+    that check at its first depth, so the verdict, the exception and the
+    stream's materialized depth are those of the exact scan.
+    """
     K = max((abs(k) for k in ks), default=0)
-    for k in ks:
-        thr = gamma / (abs(k) + 1) ** tau
-        tn, td = thr.as_integer_ratio()  # thr exactly, so every verdict is exact
-        if k == 0:
-            d = shift.denominator
-            m = norm_numerator(shift.numerator, d)
-            if m * td < tn * d:
-                return DCVerdict(False, 0, m / d, K)
-            continue
-        depth = max(2, cf.depth)
-        while True:
-            exhausted = False
-            try:
-                cf.ensure(depth)
-            except DepthInsufficient:
-                if cf.depth < 2:
-                    raise
-                depth = cf.depth
-                exhausted = True
-            lo_n, hi_n, den = _norm_interval(cf, k, shift, depth)
-            if lo_n * td >= tn * den:
-                break  # inequality certified at this k
-            if hi_n * td < tn * den:
-                return DCVerdict(False, k, hi_n / den, K)
-            if exhausted:
-                raise DepthInsufficient(
-                    f"||k alpha|| in [{lo_n / den:.3e}, {hi_n / den:.3e}] "
-                    f"straddles DC threshold {thr:.3e} at k={k}, digits exhausted"
-                )
-            depth += 2
+    for b0 in range(0, len(ks), SCREEN_BLOCK):
+        block = ks[b0 : b0 + SCREEN_BLOCK]
+        certified = _dc_certified(cf, tau, gamma, block, shift)
+        for i in np.flatnonzero(~certified):
+            k = block[i]
+            thr = gamma / (abs(k) + 1) ** tau
+            tn, td = thr.as_integer_ratio()  # thr exactly, so every verdict is exact
+            if k == 0:
+                d = shift.denominator
+                m = norm_numerator(shift.numerator, d)
+                if m * td < tn * d:
+                    return DCVerdict(False, 0, m / d, K)
+                continue
+            depth = max(2, cf.depth)
+            while True:
+                exhausted = False
+                try:
+                    cf.ensure(depth)
+                except DepthInsufficient:
+                    if cf.depth < 2:
+                        raise
+                    depth = cf.depth
+                    exhausted = True
+                lo_n, hi_n, den = _norm_interval(cf, k, shift, depth)
+                if lo_n * td >= tn * den:
+                    break  # inequality certified at this k
+                if hi_n * td < tn * den:
+                    return DCVerdict(False, k, hi_n / den, K)
+                if exhausted:
+                    raise DepthInsufficient(
+                        f"||k alpha|| in [{lo_n / den:.3e}, {hi_n / den:.3e}] "
+                        f"straddles DC threshold {thr:.3e} at k={k}, digits exhausted"
+                    )
+                depth += 2
     return DCVerdict(True, K=K)
 
 

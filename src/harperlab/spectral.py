@@ -477,7 +477,8 @@ def perturbation_experiment(
     eigenvalue of the matched truncation at alpha; the deviations are the
     maxima over |m| <= N of the transfer-matrix difference and of the
     solution-vector difference grown from the same initial data
-    (u(0), u(-1)) = (1, 0).
+    (u(0), u(-1)) = (1, 0).  A solution deviation past the float64 range
+    raises FloatRangeExceeded.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got N={N}")
@@ -500,10 +501,13 @@ def perturbation_experiment(
         for m1, m2 in zip(matrices(sample, energy), matrices(sample_p, e_prime))
     )
 
-    u = _basis_solutions(sample, [energy], N, DEFAULT_ZERO_GUARD)[0, :, 0]
-    v = _basis_solutions(sample_p, [e_prime], N, DEFAULT_ZERO_GUARD)[0, :, 0]
-    w = np.abs(u - v) ** 2  # sites -N-1..N
-    dev_s = float(np.sqrt(np.max(w[1:] + w[:-1])))  # pairs (u(k), u(k-1)), |k| <= N
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises
+        u = _basis_solutions(sample, [energy], N, DEFAULT_ZERO_GUARD)[0, :, 0]
+        v = _basis_solutions(sample_p, [e_prime], N, DEFAULT_ZERO_GUARD)[0, :, 0]
+        w = np.abs(u - v) ** 2  # sites -N-1..N
+        dev_s = float(np.sqrt(np.max(w[1:] + w[:-1])))  # pairs (u(k), u(k-1)), |k| <= N
+    if not math.isfinite(dev_s):
+        raise FloatRangeExceeded(f"a solution deviation at N={N} leaves the float64 range")
     return PerturbationReport(
         epsilon=eps,
         energy=energy,

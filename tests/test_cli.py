@@ -560,10 +560,12 @@ def test_rotation_predecessor_on_a_zero_exits_3(capsys):
         (["badness", "--coupling", "0.05,0.2,0.05", "--N", "1000"], ["N=1000"]),
         (["badness", "--coupling", "0.05,0.2,0.05", "--N", "400"], ["N=400"]),
         (["badness", "--coupling", "1e-300,1e-300,1e-300", "--N", "4"], ["N=4"]),
+        (["perturb", "--coupling", "0.05,0.2,0.05", "--freq", "golden",
+          "--freq-prime", "0.618034", "--N", "600"], ["N=600"]),
     ],
 )
 def test_past_the_float_range_exits_3_naming_the_cause(argv, named, capsys):
-    # a product or window mass past float64 is a numeric error, never a NaN estimate or verdict
+    # a product, window mass or solution past float64 is a numeric error, never a NaN
     assert exit_code(argv) == 3
     err = capsys.readouterr().err
     assert "FloatRangeExceeded" in err

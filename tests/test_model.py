@@ -454,10 +454,13 @@ def test_every_layer_reads_one_alpha_proxy(name, theta0, n, K, rho):
 
     phi = np.ones(2 * K + 1, dtype=complex)
     phi[K] = 0.0
-    with mock.patch.object(cocycle, "norm_numerator", wraps=norm_numerator) as spy:
-        cocycle.solve_cohomological(phi, cf, s_max=1)
-    ks = [k for k in range(-K, K + 1) if k]
-    assert [c.args for c in spy.call_args_list] == [(k * p % q, q) for k in ks]
+    psi, _ = cocycle.solve_cohomological(phi, cf, s_max=1)
+    # psi_hat(k) = phi_hat(k) / (e^{2 pi i t} - 1) at the proxy's turns t = (k p mod q)/q
+    want = np.zeros_like(phi)
+    for k in (k for k in range(-K, K + 1) if k):
+        t = (k * p % q) / q
+        want[k + K] = phi[k + K] / complex(math.cos(2 * math.pi * t) - 1.0, math.sin(2 * math.pi * t))
+    assert psi.tobytes() == want.tobytes()
 
     two_rho = 2 * Fraction(rho)
     with mock.patch.object(cocycle, "norm_numerator", wraps=norm_numerator) as spy:

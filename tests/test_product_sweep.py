@@ -432,6 +432,15 @@ def test_products_past_the_float_range_raise(triple, energy):
 # -- one transfer matrix ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kind", ["raw", "normalized"])
+def test_transfer_past_the_float_range_raises(kind):
+    # E/|c| near 1e310: no numpy warning escapes and no inf or NaN entry comes back
+    sample = OperatorSample(CouplingTriple(1e-300, 1e-300, 1e-300), golden())
+    with pytest.raises(FloatRangeExceeded, match=r"E=10000000000.0 for .*lambda1=1e-300"):
+        transfer(sample, 1e10, 0.3, kind)
+
+
+
 def phase_and_predecessor(sample, theta):
     """The phase in [0, 1) a transfer matrix is built at, and the one before it."""
     x = wrap01(theta) % 1.0

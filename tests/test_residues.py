@@ -15,12 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harperlab import cocycle, contfrac
 from harperlab.cocycle import commutant_rigidity_check, solve_cohomological
 from harperlab.contfrac import (
+    SCREEN_BLOCK,
     ContinuedFraction,
     DCVerdict,
     _dc_scan,
     _norm_interval,
+    _screen_norms,
     circle_norm,
     div_by_big,
     expand,
@@ -305,6 +308,159 @@ def test_cohomological_resonant_divisor(q):
     psi_ref, min_ref = cohomological_ref(phi, Fraction(1, q))
     assert psi.tobytes() == psi_ref.tobytes()
     assert report.min_divisor == min_ref
+
+
+# -- the float64 screen -----------------------------------------------------------
+
+
+DEEP = from_digits([1] * 80)  # golden to 80 digits: a q far past 2^60, no lazy extension
+
+
+def commutant_fields(rep):
+    return (rep.min_divisor, rep.argmin_k, rep.argmin_sign, rep.modes_checked,
+            rep.unconstrained_modes)
+
+
+def commutant_outcome(*args):
+    got = outcome(commutant_rigidity_check, *args)
+    return got if isinstance(got, tuple) else commutant_fields(got)
+
+
+@pytest.mark.parametrize("k", [2**26, 2**40, 2**52 - 1])
+def test_screen_norms_within_eps_at_every_chunk_width(k):
+    p, q = from_digits([2, 10**100, 3, 7, 10**40, 5]).convergent(6)
+    shift = Fraction(-7, 3) + Fraction(1, 10**30)
+    ks = np.array([-k, -k + 1, k - 1, k], dtype=np.int64)
+    vals, eps = _screen_norms(p, q, ks, shift)
+    assert eps < 2.0**-45
+    for kk, v in zip(ks.tolist(), vals.tolist()):
+        x = shift - kk * Fraction(p, q)
+        exact = Fraction(norm_numerator(x.numerator, x.denominator), x.denominator)
+        assert abs(Fraction(v) - exact) <= eps
+    with pytest.raises(ValueError, match="2\\^52"):
+        _screen_norms(p, q, np.array([2**52]), shift)
+
+
+def test_commutant_floor_inside_the_margin_is_decided_exactly():
+    # tau = 0 makes the floor constant: gamma from the least divisor puts the
+    # floor within ulps of it, far inside the screen's margin
+    rho = 0.3
+    rep = commutant_rigidity_check(rho, DEEP, 40, 0.0, 1e-6)
+    gamma0 = math.asin(rep.min_divisor / (2.0 * (1.0 - 1e-12))) / math.pi
+    kinds = set()
+    for j in range(-8, 9):
+        gamma = gamma0 * (1.0 + j * 2.0**-52)
+        got = commutant_outcome(rho, DEEP, 40, 0.0, gamma)
+        assert got == outcome(commutant_ref, rho, DEEP, 40, 0.0, gamma)
+        kinds.add(got[0] if isinstance(got[0], type) else "passes")
+        if got[0] is DivisorFloorViolated:
+            assert got[1].endswith(f"at mode k={rep.argmin_k}")
+    assert kinds == {"passes", DivisorFloorViolated}
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.25, 0.3, Fraction(1, 3)])
+def test_commutant_argmin_ties_go_to_the_first_mode_in_scan_order(rho):
+    # (k, +1) and (-k, -1) always tie; at 2 rho in {0, 1/2} so do (k, +1) and (k, -1)
+    got = commutant_rigidity_check(rho, DEEP, 50, 2.0, 1e-6)
+    assert commutant_fields(got) == commutant_ref(rho, DEEP, 50, 2.0, 1e-6)
+    assert got.argmin_k < 0
+    if 2 * Fraction(rho) in (0, Fraction(1, 2)):
+        assert got.argmin_sign == +1
+
+
+@pytest.mark.parametrize("rho", [0, Fraction(1, 2), -1, Fraction(3, 2)])
+def test_commutant_with_2rho_an_integer_frees_the_k0_modes(rho):
+    got = commutant_rigidity_check(rho, DEEP, 30, 2.0, 1e-6)
+    assert commutant_fields(got) == commutant_ref(rho, DEEP, 30, 2.0, 1e-6)
+    assert got.unconstrained_modes == [(0, "diagonal"), (0, "off-diagonal sign +1"),
+                                       (0, "off-diagonal sign -1")]
+    assert got.modes_checked == 2 * 61 - 2
+
+
+def test_commutant_bandwidth_just_past_the_block_size():
+    # 2B + 1 = SCREEN_BLOCK + 3 modes, and 2 rho puts the least divisor on the
+    # last one, (B, +1), in the second block; its twin (-B, -1) opens the first
+    B = SCREEN_BLOCK // 2 + 1
+    rho = (B * _alpha_proxy(DEEP) + Fraction(1, 10**10)) / 2
+    got = commutant_rigidity_check(rho, DEEP, B, 2.0, 1e-3)
+    assert commutant_fields(got) == commutant_ref(rho, DEEP, B, 2.0, 1e-3)
+    assert (got.argmin_k, got.argmin_sign) == (-B, -1)
+    assert got.min_divisor < commutant_rigidity_check(rho, DEEP, B - 1, 2.0, 1e-3).min_divisor
+
+
+def test_dc_scan_just_past_the_block_size():
+    # the shift puts the one violation on the last mode, alone in the second block
+    K = SCREEN_BLOCK + 1
+    p, q = DEEP.convergent(DEEP.depth)
+    shift = K * Fraction(p, q) + Fraction(1, 10**12)
+    ks = list(range(1, K + 1))
+    got = _dc_scan(from_digits([1] * 80), 0.5, 1e-6, ks, shift)
+    assert got == dc_scan_ref(from_digits([1] * 80), 0.5, 1e-6, ks, shift)
+    assert (got.holds, got.k) == (False, K)
+
+
+def test_screen_blocks_of_a_few_modes_match_the_references(monkeypatch):
+    # tiny blocks: violations, minima and ties fall in every block position
+    monkeypatch.setattr(contfrac, "SCREEN_BLOCK", 5)
+    monkeypatch.setattr(cocycle, "SCREEN_BLOCK", 5)
+    alphas = [DEEP, Fraction(355, 113), from_digits([2, 10**100, 3])]
+    for alpha in alphas:
+        for rho in (0.3, 0, Fraction(1, 4), Fraction(1, 2), Fraction(2, 7)):
+            for bandwidth in (0, 2, 3, 7, 23):
+                for tau, gamma in ((0.0, 1e-6), (2.0, 0.05), (1.0, 0.3)):
+                    args = (rho, alpha, bandwidth, tau, gamma)
+                    ref = outcome(commutant_ref, *args)
+                    assert commutant_outcome(*args) == ref
+        if isinstance(alpha, ContinuedFraction):
+            for ks in (list(range(1, 24)), sorted(range(-11, 12), key=abs)):
+                for gamma in (1e-4, 0.02, 0.3):
+                    got = outcome(_dc_scan, from_digits(alpha.digits(alpha.depth)), 1.0, gamma,
+                                  ks, Fraction(2, 7))
+                    assert got == outcome(dc_scan_ref, from_digits(alpha.digits(alpha.depth)),
+                                          1.0, gamma, ks, Fraction(2, 7))
+
+
+def short_stream():
+    """[3, 2, 5, 5] with the last two digits forged on demand, then exhausted."""
+    return ContinuedFraction([3, 2], provider=lambda n, conv: 5 if n <= 4 else None)
+
+
+def test_dc_scan_order_of_a_violation_and_a_straddle():
+    # at the stream's end, mode `bad` violates a constant threshold and mode
+    # `open_` straddles it; modes the screen certifies sit between them
+    cf = short_stream()
+    cf.ensure(4)
+    rows = {k: norm_interval_ref(cf, k, Fraction(0), 4) for k in range(1, 60)}
+    bad, open_ = None, None
+    for thr in sorted({float(lo + hi) / 2 for lo, hi in rows.values()}):
+        bad = next((k for k, (lo, hi) in rows.items() if hi < thr), None)
+        open_ = next((k for k, (lo, hi) in rows.items() if lo < thr <= hi), None)
+        if bad and open_:
+            break
+    assert bad and open_
+    passing = [k for k, (lo, hi) in rows.items() if lo >= thr][:5]
+    assert passing
+    for ks, verdict in ((passing + [bad] + passing + [open_], DCVerdict),
+                        (passing + [open_] + passing + [bad], DepthInsufficient)):
+        cf_got, cf_ref = short_stream(), short_stream()
+        got = outcome(_dc_scan, cf_got, 0.0, thr, ks, Fraction(0))
+        assert got == outcome(dc_scan_ref, cf_ref, 0.0, thr, ks, Fraction(0))
+        assert cf_got.depth == cf_ref.depth == 4
+        assert (type(got) if verdict is DCVerdict else got[0]) is verdict
+        if verdict is DCVerdict:
+            assert (got.holds, got.k) == (False, bad)
+
+
+def test_screen_pow_overflow_stays_inside_the_scans():
+    # (|k|+1)^300 leaves the float range for |k| >= 11; no numpy warning escapes
+    # (the warning gate), the commutant floors read 0 there and the DC scan
+    # raises Python's OverflowError at the first such mode, as the exact loop does
+    got = commutant_rigidity_check(0.3, DEEP, 60, 300.0, 1e-12)
+    assert commutant_fields(got) == commutant_ref(0.3, DEEP, 60, 0.0, 1e-12)
+    with pytest.raises(OverflowError):
+        _dc_scan(from_digits([1] * 80), 300.0, 1e-12, list(range(1, 61)), Fraction(0))
+    with pytest.raises(OverflowError):
+        dc_scan_ref(from_digits([1] * 80), 300.0, 1e-12, list(range(1, 61)), Fraction(0))
 
 
 # -- delta levels -------------------------------------------------------------------
