@@ -51,8 +51,9 @@ DIGIT_CAP_DECIMAL = 10**6
 # The rational stand-in for a digit stream is its first convergent with q at
 # least this (or its deepest one): read by float(cf) and model._alpha_proxy.
 PROXY_MIN_Q = 1 << 60
-# Modes a Diophantine scan screens in float64 at once (_screen_norms).
-SCREEN_BLOCK = 1 << 16
+# Modes a Diophantine scan screens in float64 at once (_screen_norms); small
+# blocks keep its working arrays (8 KB each) from raising peak memory.
+SCREEN_BLOCK = 1 << 10
 
 
 def log_of_int(q: int) -> float:

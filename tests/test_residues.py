@@ -381,7 +381,7 @@ def test_commutant_bandwidth_just_past_the_block_size():
     # 2B + 1 = SCREEN_BLOCK + 3 modes, and 2 rho puts the least divisor on the
     # last one, (B, +1), in the second block; its twin (-B, -1) opens the first
     B = SCREEN_BLOCK // 2 + 1
-    rho = (B * _alpha_proxy(DEEP) + Fraction(1, 10**10)) / 2
+    rho = (B * _alpha_proxy(DEEP) + Fraction(1, 10**6)) / 2
     got = commutant_rigidity_check(rho, DEEP, B, 2.0, 1e-3)
     assert commutant_fields(got) == commutant_ref(rho, DEEP, B, 2.0, 1e-3)
     assert (got.argmin_k, got.argmin_sign) == (-B, -1)
