@@ -42,6 +42,7 @@ __all__ = [
 FULL_DRIVER = "stevd"  # all eigenvalues
 INDEX_DRIVER = "stebz"  # eigenvalues by index
 VECTOR_DRIVER = "stemr"  # all eigenvalues with their eigenvectors
+INVERSE_ITERATIONS = 3  # banded solves of inverse_iteration
 
 
 def _sweep(diag, off2, shifts, reverse=False):
@@ -172,12 +173,12 @@ def scaled_det_backward(dshift, off2):
     return np.concatenate([mant, [1.0]]), np.concatenate([expo, [0]])
 
 
-def inverse_iteration(diag, off, energy, iters=3, rng=None):
+def inverse_iteration(diag, off, energy, rng=None):
     """Unit eigenvector estimate for the eigenvalue nearest ``energy``.
 
-    Plain inverse iteration on the real symmetric tridiagonal via banded LU;
-    deterministic when given a seeded rng.  The library itself reads
-    eigenvectors from eigenpairs.
+    INVERSE_ITERATIONS steps of plain inverse iteration on the real symmetric
+    tridiagonal via banded LU; deterministic when given a seeded rng.  The
+    library itself reads eigenvectors from eigenpairs.
     """
     from scipy.linalg import solve_banded
 
@@ -191,7 +192,7 @@ def inverse_iteration(diag, off, energy, iters=3, rng=None):
         rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    for _ in range(iters):
+    for _ in range(INVERSE_ITERATIONS):
         v = solve_banded((1, 1), ab, v)
         v /= np.linalg.norm(v)
     return v

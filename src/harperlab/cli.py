@@ -51,7 +51,7 @@ class ExperimentConfig:
     out: Optional[str] = None
     format: str = "json"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # read and hashed with a recorded config; it has no effect
     schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
@@ -169,7 +169,7 @@ def _run_spectrum(cfg, p):
     phases = None
     if nphases != 1:  # duality's grid; exactly (k + 0.5)/N at theta = 0
         phases = list((cfg.theta + (np.arange(nphases) + 0.5) / nphases) % 1.0)
-    spec = spectral.truncated_spectrum(sample, size, phases, threads=cfg.threads)
+    spec = spectral.truncated_spectrum(sample, size, phases)
     rows = [
         {"index": i, "eigenvalue": float(v)} for i, v in enumerate(spec.eigenvalues)
     ]
@@ -193,7 +193,6 @@ def _run_duality(cfg, p):
         phases=p["phases"],
         theta0=cfg.theta,
         seed=cfg.seed if p["seeded_phases"] else None,
-        threads=cfg.threads,
     )
     result = {
         "distance": dist,
@@ -484,10 +483,8 @@ def _lookup(record: dict, path: str):
     return cur
 
 
-def verify(suite_path: str, stream=None) -> int:
-    """Run a suite of configs with expectations; return count of failures."""
-    if stream is None:
-        stream = sys.stdout
+def verify(suite_path: str) -> int:
+    """Run a suite of configs with expectations, print a PASS/FAIL table; return the failures."""
     with open(suite_path) as fh:
         suite = json.load(fh)
     entries = suite.get("suite", []) if isinstance(suite, dict) else None
@@ -498,7 +495,7 @@ def verify(suite_path: str, stream=None) -> int:
             if not isinstance(entry.get(key, kind()), kind):
                 raise ValueError(f"suite entry {i}: {key!r} must be {what}, got {entry[key]!r}")
     if not entries:
-        stream.write("WARNING: empty suite, vacuous PASS\n")
+        print("WARNING: empty suite, vacuous PASS")
         return 0
     failures = 0
     width = max(len(e.get("name", "?")) for e in entries)
@@ -508,9 +505,9 @@ def verify(suite_path: str, stream=None) -> int:
             record = run(ExperimentConfig.from_dict(entry.get("config", {})))
         except (HarperlabError, ValueError, OSError) as exc:
             if type(exc).__name__ == entry.get("expect_error"):
-                stream.write(f"PASS  {name:<{width}}  raised {type(exc).__name__}\n")
+                print(f"PASS  {name:<{width}}  raised {type(exc).__name__}")
                 continue
-            stream.write(f"FAIL  {name:<{width}}  error {type(exc).__name__}: {exc}\n")
+            print(f"FAIL  {name:<{width}}  error {type(exc).__name__}: {exc}")
             failures += 1
             continue
         ok = True
@@ -530,7 +527,7 @@ def verify(suite_path: str, stream=None) -> int:
                 continue
             notes.append(f"{path}={got!r}")
             ok &= good
-        stream.write(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {'; '.join(notes)}\n")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {'; '.join(notes)}")
         failures += 0 if ok else 1
     return failures
 
@@ -547,7 +544,6 @@ def _add_common(sp):
     sp.add_argument("--out", help="payload output path")
     sp.add_argument("--format", choices=FORMATS, default=default["format"])
     sp.add_argument("--seed", type=int, default=default["seed"])
-    sp.add_argument("--threads", type=int, default=default["threads"])
 
 
 def _add_params(sp, table):
@@ -591,7 +587,6 @@ def config_from_args(args) -> ExperimentConfig:
         out=args.out,
         format=args.format,
         seed=args.seed,
-        threads=args.threads,
     )
 
 

@@ -669,17 +669,19 @@ def solve_cohomological(
     phi_hat: Union[np.ndarray, Sequence[complex], dict],
     alpha: Union[float, Fraction, ContinuedFraction],
     s_max: int = 3,
-    block_bounds: Optional[tuple] = None,
 ) -> tuple[np.ndarray, NormReport]:
     """Solve psi(th + alpha) - psi(th) = phi(th) mode by mode.
 
     phi_hat holds Fourier coefficients indexed -K..K (array of length 2K+1,
-    or {k: coeff} dict); the mean phi_hat(0) must vanish.  Returns psi_hat
-    in the same layout, with psi_hat(k) = phi_hat(k)/(e^{2 pi i k alpha}-1)
-    at alpha's rational proxy (model._alpha_proxy) and a report of weighted
-    coefficient sums for j = 0..s_max (s_max < 0 raises ValueError).  A
-    divisor with ||k alpha|| < RESONANCE_TOL under a nonzero phi_hat(k)
-    raises ResonantDivisor.
+    or {k: coeff} dict), all finite; the mean phi_hat(0) must vanish
+    (ValueError otherwise).  Returns psi_hat in the same layout, with
+    psi_hat(k) = phi_hat(k)/(e^{2 pi i k alpha}-1) at alpha's rational
+    proxy (model._alpha_proxy), and a report of weighted coefficient sums
+    for j = 0..s_max (s_max < 0 raises ValueError).  For a ContinuedFraction
+    alpha the sums are also split into three blocks at (q_{n-1}, q_n), n the
+    level of the largest materialized digit (n >= 2).  A divisor with
+    ||k alpha|| < RESONANCE_TOL under a nonzero phi_hat(k) raises
+    ResonantDivisor.
 
     The turns t = r/q = frac(k p/q) come without big-integer division:
     with A = floor(frac(p/q) 2^w), w = 80 + bitlength(K), and n = k A mod
@@ -702,6 +704,9 @@ def solve_cohomological(
         if phi.ndim != 1 or len(phi) % 2 == 0:
             raise ValueError("phi_hat must have odd length 2K+1, indexed -K..K")
         K = (len(phi) - 1) // 2
+    if not np.isfinite(phi).all():
+        k = int(np.flatnonzero(~np.isfinite(phi))[0]) - K
+        raise ValueError(f"phi_hat must be finite, got phi_hat({k}) = {phi[k + K]}")
     scale = float(np.max(np.abs(phi))) if len(phi) else 0.0
     if abs(phi[K]) > 1e-13 * max(scale, 1.0):
         raise ValueError("phi_hat(0) must vanish (mean-zero right-hand side)")
@@ -738,8 +743,8 @@ def solve_cohomological(
     ks = np.abs(np.arange(-K, K + 1))
     mags = np.abs(psi)
     totals = [float(np.sum(ks**j * mags)) for j in range(s_max + 1)]
-    block_sums = None
-    if block_bounds is None and isinstance(alpha, ContinuedFraction):
+    block_bounds = block_sums = None
+    if isinstance(alpha, ContinuedFraction):
         # burst level = largest digit within the materialized stream
         depth = alpha.depth
         if depth >= 2:
@@ -757,7 +762,6 @@ def solve_cohomological(
             )
             for j in range(s_max + 1)
         ]
-        block_bounds = (int(k1), int(k2))
     report = NormReport(
         s_max=s_max,
         totals=totals,

@@ -230,10 +230,9 @@ class ContinuedFraction:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self, depth: Optional[int] = None) -> str:
-        """Digit stream as a JSON array of decimal strings."""
-        d = self._digits if depth is None else self.digits(depth)
-        return json.dumps([int_to_decimal(a) for a in d])
+    def to_json(self) -> str:
+        """The materialized digit stream as a JSON array of decimal strings."""
+        return json.dumps([int_to_decimal(a) for a in self._digits])
 
     @classmethod
     def from_json(cls, text: str, origin: str = "digit-file") -> "ContinuedFraction":
@@ -502,23 +501,28 @@ def _dc_certified(cf, tau, gamma, ks, shift) -> np.ndarray:
         return (vals - (eps + 2.0 * absk * width + 2.0**-50) >= thr) & np.isfinite(power) & (ks != 0)
 
 
-def _dc_scan(cf, tau, gamma, ks, shift=Fraction(0)) -> DCVerdict:
-    """First k of ks (in order) with ||shift - k alpha|| < gamma/(|k|+1)^tau.
+def _index_blocks(n):
+    """0, 1, ..., n - 1 as int64 arrays of SCREEN_BLOCK entries (the last one shorter)."""
+    return (np.arange(j0, min(j0 + SCREEN_BLOCK, n)) for j0 in range(0, n, SCREEN_BLOCK))
 
-    Blocks of SCREEN_BLOCK modes are screened in float64 first
-    (_dc_certified).  Every mode the screen does not certify runs the exact
-    check, in order: the integer interval of _norm_interval at the current
-    depth, two digits deeper while it straddles the threshold, and
-    DepthInsufficient once the stream ends.  A certified mode would pass
-    that check at its first depth, so the verdict, the exception and the
-    stream's materialized depth are those of the exact scan.
+
+def _dc_scan(cf, tau, gamma, K, blocks, shift=Fraction(0)) -> DCVerdict:
+    """First k (in order) with ||shift - k alpha|| < gamma/(|k|+1)^tau.
+
+    ``blocks`` yields the modes in scan order, a block of integers at a
+    time; K, their largest |k|, goes into the verdict.  Each block is
+    screened in float64 first (_dc_certified).  Every mode the screen does
+    not certify runs the exact check, in order: the integer interval of
+    _norm_interval at the current depth, two digits deeper while it
+    straddles the threshold, and DepthInsufficient once the stream ends.  A
+    certified mode would pass that check at its first depth, so the verdict,
+    the exception and the stream's materialized depth are those of the
+    exact scan.
     """
-    K = max((abs(k) for k in ks), default=0)
-    for b0 in range(0, len(ks), SCREEN_BLOCK):
-        block = ks[b0 : b0 + SCREEN_BLOCK]
+    for block in blocks:
         certified = _dc_certified(cf, tau, gamma, block, shift)
         for i in np.flatnonzero(~certified):
-            k = block[i]
+            k = int(block[i])
             thr = gamma / (abs(k) + 1) ** tau
             tn, td = thr.as_integer_ratio()  # thr exactly, so every verdict is exact
             if k == 0:
@@ -557,18 +561,20 @@ def dc_membership(
     """Check ||k alpha|| >= gamma/(|k|+1)^tau for 1 <= k <= K, exactly."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    return _dc_scan(cf, tau, gamma, range(1, K + 1))
+    return _dc_scan(cf, tau, gamma, K, (j + 1 for j in _index_blocks(K)))
 
 
 def dc_alpha_membership(
     theta: RealLike, cf: ContinuedFraction, tau: float, gamma: float, K: int
 ) -> DCVerdict:
-    """Check ||2 theta - k alpha|| >= gamma/(|k|+1)^tau for |k| <= K."""
+    """Check ||2 theta - k alpha|| >= gamma/(|k|+1)^tau for |k| <= K.
+
+    Modes run 0, -1, 1, -2, 2, ..., generated a block at a time (_index_blocks).
+    """
     if K < 0:
         raise ValueError("K must be >= 0")
-    shift = 2 * Fraction(theta)
-    ks = sorted(range(-K, K + 1), key=abs)
-    return _dc_scan(cf, tau, gamma, [k for k in ks], shift=shift)
+    blocks = ((j + 1) // 2 * (1 - 2 * (j % 2)) for j in _index_blocks(2 * K + 1))
+    return _dc_scan(cf, tau, gamma, K, blocks, shift=2 * Fraction(theta))
 
 
 # -- digit schedules and forging ------------------------------------------

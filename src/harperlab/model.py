@@ -54,6 +54,9 @@ FrequencyLike = Union[float, Fraction, ContinuedFraction]
 BOUNDARY_TOL = 1e-12
 ORBIT_ANCHOR = 4096  # sites between exact rational re-anchorings of an orbit
 RESOLVENT_GUARD = 1e-10  # |E - eigenvalue| below which a resolvent is singular
+ADMISSIBLE_DEPTH = 40  # digits theta_admissible expands a target to
+ADMISSIBLE_TOL = 1e-2  # a growth exponent above this makes a phase inadmissible
+ADMISSIBLE_PRECISION = 30  # decimal digits of theta_admissible's targets
 
 
 def wrap01(x: float) -> float:
@@ -113,17 +116,18 @@ class Classification:
     boundary: bool  # within tolerance of a region-defining equality
 
 
-def classify(coupling: CouplingTriple, tol: float = BOUNDARY_TOL) -> Classification:
+def classify(coupling: CouplingTriple) -> Classification:
     """Locate the coupling in the region diagram.
 
     Interiors are assigned only when every defining inequality holds with
-    margin > tol; equalities within tol land on the lines.  The corner
+    margin > BOUNDARY_TOL; equalities within it land on the lines.  The corner
     lambda2 = sum = 1 goes to L_II (the line the duality map fixes).  The
     lambda2 = 0 edge, which the region display leaves unassigned, maps to
     the adjacent region with the boundary flag set.
     """
     l1, l2, l3 = coupling.astuple()
     s = coupling.sum13
+    tol = BOUNDARY_TOL
 
     def near(a, b):
         return abs(a - b) <= tol
@@ -205,27 +209,28 @@ class ZeroStructure:
         return [wrap01(o - 0.5 * alpha) for o in self.offsets]
 
 
-def zero_structure(coupling: CouplingTriple, tol: float = BOUNDARY_TOL) -> ZeroStructure:
+def zero_structure(coupling: CouplingTriple) -> ZeroStructure:
     """Classify the zero set of c on the circle.
 
     Writing z = e^{2 pi i (theta + alpha/2)}, zeros solve
     l3 z^2 + l2 z + l1 = 0 on |z| = 1: no roots there unless l1 + l3 = l2
-    (z = -1) or l1 = l3 > l2/2 (a conjugate pair).
+    (z = -1) or l1 = l3 > l2/2 (a conjugate pair), each equality read
+    within BOUNDARY_TOL.
     """
     l1, l2, l3 = coupling.astuple()
-    if abs(l1 + l3 - l2) <= tol:
-        if abs(l1 - l3) <= tol:
+    if abs(l1 + l3 - l2) <= BOUNDARY_TOL:
+        if abs(l1 - l3) <= BOUNDARY_TOL:
             return ZeroStructure(ZeroKind.DOUBLE, (0.5,))
         return ZeroStructure(ZeroKind.SINGLE, (0.5,))
-    if abs(l1 - l3) <= tol and l1 > 0.5 * l2 + tol:
+    if abs(l1 - l3) <= BOUNDARY_TOL and l1 > 0.5 * l2 + BOUNDARY_TOL:
         a = math.acos(max(-1.0, min(1.0, -l2 / (2.0 * l1)))) / (2.0 * math.pi)
         return ZeroStructure(ZeroKind.PAIR, (a, wrap01(-a)))
     return ZeroStructure(ZeroKind.NONE, ())
 
 
-def c_zeros(coupling: CouplingTriple, tol: float = BOUNDARY_TOL) -> list:
-    """Offsets o with c(o - alpha/2) = 0, for every alpha at once."""
-    return list(zero_structure(coupling, tol).offsets)
+def c_zeros(coupling: CouplingTriple) -> list:
+    """Offsets o with c(o - alpha/2) = 0, for every alpha at once (zero_structure)."""
+    return list(zero_structure(coupling).offsets)
 
 
 # -- admissible phases ------------------------------------------------------
@@ -237,20 +242,15 @@ class Admissibility(enum.Enum):
     UNDECIDED = "undecided"
 
 
-def theta_admissible(
-    coupling: CouplingTriple,
-    theta: Union[float, Fraction],
-    depth: int = 40,
-    tol: float = 1e-2,
-    precision: int = 30,
-) -> Admissibility:
+def theta_admissible(coupling: CouplingTriple, theta: Union[float, Fraction]) -> Admissibility:
     """Finite-depth test of membership in the full-measure phase set.
 
     No zeros of c: every phase is admissible.  Single zero: requires the
     growth exponent of 2*theta to vanish; zero pair: the same for
-    2*theta +- arccos(-l2/(2 l1))/pi.  "Vanish" means the finite-depth
-    exponent past a warmup index stays below tol.  The colliding-zeros
-    coupling (l1 = l3 = l2/2) is reported as undecided.
+    2*theta +- arccos(-l2/(2 l1))/pi.  "Vanish" means the exponent of an
+    expansion to ADMISSIBLE_DEPTH digits at ADMISSIBLE_PRECISION decimal
+    digits stays below ADMISSIBLE_TOL past a warmup index.  The
+    colliding-zeros coupling (l1 = l3 = l2/2) is reported as undecided.
     """
     import mpmath
 
@@ -260,23 +260,25 @@ def theta_admissible(
     if zs.kind is ZeroKind.DOUBLE:
         return Admissibility.UNDECIDED
 
-    with mpmath.workdps(precision + 10):
+    with mpmath.workdps(ADMISSIBLE_PRECISION + 10):
         t2 = 2 * Fraction(theta)
         if zs.kind is ZeroKind.SINGLE:
             targets = [t2]
         else:
             shift = mpmath.acos(-coupling.lambda2 / (2 * coupling.lambda1)) / mpmath.pi
-            shift_frac = Fraction(mpmath.nstr(shift, precision + 5, strip_zeros=False))
+            shift_frac = Fraction(mpmath.nstr(shift, ADMISSIBLE_PRECISION + 5, strip_zeros=False))
             targets = [t2 + shift_frac, t2 - shift_frac]
 
     verdicts = []
     for t in targets:
         t = t - (t.numerator // t.denominator)
-        if t == 0 or min(t, 1 - t) < Fraction(1, 10**precision):
+        if t == 0 or min(t, 1 - t) < Fraction(1, 10**ADMISSIBLE_PRECISION):
             verdicts.append(Admissibility.OUT)  # resonant (rational) target
             continue
         try:
-            cf = contfrac.expand(t, max_depth=depth, precision=precision, partial=True)
+            cf = contfrac.expand(
+                t, max_depth=ADMISSIBLE_DEPTH, precision=ADMISSIBLE_PRECISION, partial=True
+            )
         except RationalDetected:
             verdicts.append(Admissibility.OUT)
             continue
@@ -287,7 +289,7 @@ def theta_admissible(
             verdicts.append(Admissibility.UNDECIDED)
             continue
         fe = contfrac.beta_exponent(cf, depth=cf.depth, warmup=max(2, cf.depth // 2))
-        if fe.beta_estimate > tol:
+        if fe.beta_estimate > ADMISSIBLE_TOL:
             verdicts.append(Admissibility.OUT)
         elif len([1 for n, _ in fe.per_level if n >= fe.warmup]) < 2:
             verdicts.append(Admissibility.UNDECIDED)

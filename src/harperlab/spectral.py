@@ -8,7 +8,6 @@ stability, Green's-function regularity, and eigenfunction decay fits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -65,6 +64,7 @@ __all__ = [
 ]
 
 EDGE_FRAC = 0.05  # share of a duality window at each end that counts as its edge
+EDGE_MASS_MAX = 0.25  # an eigenvector with more of its mass in the edges is a boundary mode
 OFFSET_PRECISION = 60  # decimal digits of a delta_exponent zero offset
 DECAY_FLOOR_REL = 1e-12  # decay_fit drops |phi| below this times its peak
 DECAY_R2_MIN = 0.9  # decay_fit's r^2 below this raises PoorlyLocalized
@@ -80,16 +80,13 @@ class SpectrumApproximation:
     method: str = FULL_DRIVER  # the LAPACK driver behind the eigenvalues
 
 
-def _map_phases(sample, size, theta_list, threads, fn):
+def _map_phases(sample, size, theta_list, fn):
     """[fn(diag, absoff)] over the window [0, size-1] re-phased at each theta."""
 
     def one(theta):
         s = OperatorSample(sample.coupling, sample.alpha, theta)
         return fn(*build_truncation(s, 0, size - 1).gauge_symmetric())
 
-    if threads > 1 and len(theta_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(one, theta_list))
     return [one(th) for th in theta_list]
 
 
@@ -102,7 +99,6 @@ def truncated_spectrum(
     sample: OperatorSample,
     size: int,
     phases: Optional[Sequence[float]] = None,
-    threads: int = 1,
 ) -> SpectrumApproximation:
     """Eigenvalues of the window [0, size-1].
 
@@ -115,7 +111,7 @@ def truncated_spectrum(
     theta_list = [sample.theta] if phases is None else list(phases)
     if not theta_list:
         raise ValueError("phases must hold at least one phase")
-    parts = _map_phases(sample, size, theta_list, threads, bisect_eigenvalues)
+    parts = _map_phases(sample, size, theta_list, bisect_eigenvalues)
     eigs = np.sort(np.concatenate(parts))
     return SpectrumApproximation(
         eigenvalues=eigs, size=size, phases=[float(t) for t in theta_list]
@@ -145,11 +141,11 @@ class DualityReport:
     boundary_filtered: tuple = (0, 0)  # edge states dropped on each side
 
 
-def _aggregate_bulk_spectrum(sample, size, theta_list, threads, edge_mass_max, zone):
+def _aggregate_bulk_spectrum(sample, size, theta_list, zone):
     """Phase-aggregated truncation eigenvalues, boundary modes removed.
 
     Zero-boundary windows bind states inside spectral gaps; an eigenvalue
-    whose eigenvector carries more than edge_mass_max of its mass within
+    whose eigenvector carries more than EDGE_MASS_MAX of its mass within
     the outer ``zone`` rows at either end is such a boundary mode and is
     dropped from the aggregate (counted in the second return value).  Each
     phase's eigenpairs come from one ?STEMR call (_tridiag.eigenpairs), a
@@ -157,14 +153,12 @@ def _aggregate_bulk_spectrum(sample, size, theta_list, threads, edge_mass_max, z
     """
 
     def bulk(diag, absoff):
-        if edge_mass_max >= 1.0:
-            return bisect_eigenvalues(diag, absoff), 0
         vals, vecs = eigenpairs(diag, absoff)
         edge = _mass(vecs[:zone]) + _mass(vecs[-zone:])
-        kept = vals[edge <= edge_mass_max]
+        kept = vals[edge <= EDGE_MASS_MAX]
         return kept, size - len(kept)
 
-    parts = _map_phases(sample, size, theta_list, threads, bulk)
+    parts = _map_phases(sample, size, theta_list, bulk)
     eigs = np.sort(np.concatenate([p[0] for p in parts]))
     return eigs, sum(p[1] for p in parts)
 
@@ -176,8 +170,6 @@ def duality_check(
     phases: Union[int, Sequence[float]] = 16,
     theta0: float = 0.0,
     seed: Optional[int] = None,
-    threads: int = 1,
-    edge_mass_max: float = 0.25,
 ) -> tuple[float, DualityReport]:
     """Hausdorff distance between Spec(lambda) and lambda2 * Spec(dual).
 
@@ -185,11 +177,11 @@ def duality_check(
     integer ``phases`` means that many equispaced points (or seeded uniform
     draws when ``seed`` is given) shifted by theta0.  Boundary modes of the
     zero-boundary windows (in-gap pollution that no finite phase grid can
-    match across the two sides) are filtered by edge-mass before the
-    comparison; set edge_mass_max=1.0 to compare the raw aggregates.  The
-    edge zones span the outer EDGE_FRAC of the window, at least 10 rows each,
-    so ``size`` must exceed the two of them; NoBulkSpectrum is raised when
-    every eigenvalue of one side is filtered.
+    match across the two sides) are filtered before the comparison: an
+    eigenvalue goes when its eigenvector has more than EDGE_MASS_MAX of its
+    mass in the edge zones.  The edge zones span the outer EDGE_FRAC of the
+    window, at least 10 rows each, so ``size`` must exceed the two of them;
+    NoBulkSpectrum is raised when every eigenvalue of one side is filtered.
     """
     dual = duality(coupling)  # raises Lambda2Zero when undefined
     l2 = coupling.lambda2
@@ -209,15 +201,13 @@ def duality_check(
         if not theta_list:
             raise ValueError("phases must hold at least one phase")
     ea, da = _aggregate_bulk_spectrum(
-        OperatorSample(coupling, alpha, theta0), size, theta_list, threads, edge_mass_max, zone
+        OperatorSample(coupling, alpha, theta0), size, theta_list, zone
     )
-    eb, db = _aggregate_bulk_spectrum(
-        OperatorSample(dual, alpha, theta0), size, theta_list, threads, edge_mass_max, zone
-    )
+    eb, db = _aggregate_bulk_spectrum(OperatorSample(dual, alpha, theta0), size, theta_list, zone)
     if len(ea) == 0 or len(eb) == 0:
         raise NoBulkSpectrum(
             f"every eigenvalue of the {'dual' if len(ea) else 'given'} side has more than "
-            f"edge_mass_max={edge_mass_max} of its mass in the edge zones"
+            f"EDGE_MASS_MAX={EDGE_MASS_MAX} of its mass in the edge zones"
         )
     dist = hausdorff_sorted(ea, l2 * eb)
     report = DualityReport(
@@ -347,18 +337,17 @@ def badness_scan(
     N: int,
     E_count: int = 8,
     angles: int = 64,
-    trunc_size: Optional[int] = None,
     energies: Optional[Sequence[float]] = None,
     refine: bool = False,
 ) -> BadnessReport:
     """Scan energies and normalized initial data for window mass below C^2.
 
-    The energy grid is drawn from a truncation of size >= 4N (or supplied
-    explicitly via ``energies``, e.g. eigenvalues whose eigenvectors sit
-    near the origin).  A solution is linear in its initial data v, so its
-    mass over |k| <= N is 1 + ||A v||^2, where the rows of A are the real
-    and imaginary parts of the two basis solutions (_basis_solutions) at
-    k != 0, -1.  Without ``refine`` each energy takes the first minimum over
+    The energy grid is E_count eigenvalues spread evenly over the spectrum
+    of the window [0, max(4N, 256) - 1] (or supplied explicitly via
+    ``energies``, e.g. eigenvalues whose eigenvectors sit near the origin).
+    A solution is linear in its initial data v, so its mass over |k| <= N
+    is 1 + ||A v||^2, where the rows of A are the real and imaginary parts
+    of the two basis solutions (_basis_solutions) at k != 0, -1.  Without ``refine`` each energy takes the first minimum over
     ``angles`` equispaced phi; with ``refine`` it takes the exact infimum
     over all normalized initial data, 1 + sigma_min(A)^2, and the witness
     angle (in [0, 1/2), as u and -u carry the same mass) from the right
@@ -370,9 +359,7 @@ def badness_scan(
         raise ValueError("N must be >= 1")
     if angles < 1:
         raise ValueError(f"angles must be >= 1, got angles={angles}")
-    size = trunc_size if trunc_size is not None else max(4 * N, 256)
-    if size < 4 * N:
-        raise ValueError("trunc_size must be at least 4N")
+    size = max(4 * N, 256)
     if energies is None:
         if E_count < 1:
             raise ValueError(f"E_count must be >= 1, got E_count={E_count}")

@@ -137,18 +137,22 @@ def test_numeric_error_exit_3():
     assert "DivisorFloorViolated" in proc.stderr
 
 
-def test_record_determinism_and_threads():
+def test_record_determinism_and_recorded_threads():
+    # `threads` stays a config key so that recorded configs load and hash as
+    # before; it has no effect on the run
     base = dict(
         experiment="duality",
         coupling=[0.1, 0.5, 0.2],
         frequency="golden",
         params={"size": 48, "phases": 3},
     )
-    r1 = run(ExperimentConfig(**base, threads=1))
-    r2 = run(ExperimentConfig(**base, threads=2))
-    del r1["meta"], r2["meta"]
-    del r1["config"], r2["config"]  # differ only in the threads knob
-    r1.pop("config_hash"), r2.pop("config_hash")
+    r1 = run(ExperimentConfig(**base))
+    recorded = ExperimentConfig.from_json(json.dumps(dict(base, threads=2)))
+    r2 = run(recorded)
+    assert (r1["config_hash"], r2["config_hash"]) == ("f38e94dc7c98ac69", "8b5a011c92d4244c")
+    assert r2["config"]["threads"] == 2
+    for r in (r1, r2):
+        del r["meta"], r["config"], r["config_hash"]
     assert canonical_json(r1) == canonical_json(r2)
 
 
@@ -608,6 +612,16 @@ def test_duality_with_every_mode_on_the_edges_exits_3(capsys):
     argv = ["duality", "--coupling", "0.1,0.5,0.2", "--size", "21", "--phases", "1"]
     assert exit_code(argv) == 3
     assert "NoBulkSpectrum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_fourier_file_exits_2(bad, tmp_path, capsys):
+    # json reads NaN and Infinity; the record would print them as non-JSON
+    path = tmp_path / "f.json"
+    path.write_text(f"[[{bad}, 0], [0, 0], [{bad}, 0]]")
+    assert exit_code(["cohomology", "--freq", "golden", "--phi", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "phi" in err
 
 
 def test_decay_index_out_of_range_exits_2(capsys):

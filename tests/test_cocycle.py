@@ -373,6 +373,15 @@ def test_cohomological_requires_mean_zero():
         solve_cohomological(phi, GOLD)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_cohomological_non_finite_coefficient_raises(bad):
+    # a NaN or an infinity would pass into psi_hat and the norm sums
+    with pytest.raises(ValueError, match=r"phi_hat\(1\)"):
+        solve_cohomological(np.array([0.5, 0.0, bad], dtype=complex), golden())
+    with pytest.raises(ValueError, match=r"phi_hat\(-2\)"):
+        solve_cohomological({-2: bad, 1: 0.5}, GOLD)
+
+
 def test_cohomological_negative_s_max_raises():
     phi = np.array([0.5, 0.0, 0.5], dtype=complex)
     with pytest.raises(ValueError, match="s_max"):

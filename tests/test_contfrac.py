@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,18 @@ def test_dc_alpha_half_alpha_resonant():
     assert not verdict.holds
     assert verdict.k == 1
     assert verdict.value < 1e-9
+
+
+def test_dc_alpha_scan_memory_stays_per_block():
+    # the order 0, -1, 1, -2, 2, ... comes a block at a time, not as a list of 2K + 1 modes
+    tracemalloc.start()
+    try:
+        verdict = dc_alpha_membership(0.25, golden(), tau=2.0, gamma=0.05, K=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.K == 10**5
+    assert peak < 1e6
 
 
 def test_forge_first_scheduled_digit():

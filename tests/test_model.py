@@ -209,14 +209,14 @@ def test_theta_admissible_no_zero_case():
 
 def test_theta_admissible_golden_half():
     theta = GOLD / 2
-    res = theta_admissible(CouplingTriple(0.2, 0.5, 0.3), theta, tol=1e-2)
+    res = theta_admissible(CouplingTriple(0.2, 0.5, 0.3), theta)
     assert res is Admissibility.IN_THETA
 
 
 def test_theta_admissible_forged_out():
     cf = forge(golden(), n0=2, schedule=ConstantBeta(0.5), levels=3)
     theta = float(cf.fraction(10**12)) / 2
-    res = theta_admissible(CouplingTriple(0.2, 0.5, 0.3), theta, tol=1e-2)
+    res = theta_admissible(CouplingTriple(0.2, 0.5, 0.3), theta)
     assert res is Admissibility.OUT
 
 
@@ -227,7 +227,7 @@ def test_theta_admissible_degenerate_undecided():
 
 def test_theta_admissible_pair_case():
     c = CouplingTriple(0.5, 0.5, 0.5)
-    assert theta_admissible(c, GOLD / 2, tol=1e-2) in (
+    assert theta_admissible(c, GOLD / 2) in (
         Admissibility.IN_THETA,
         Admissibility.OUT,
         Admissibility.UNDECIDED,

@@ -25,6 +25,8 @@ from harperlab.contfrac import (
     _norm_interval,
     _screen_norms,
     circle_norm,
+    dc_alpha_membership,
+    dc_membership,
     div_by_big,
     expand,
     from_digits,
@@ -78,6 +80,13 @@ def norm_interval_ref(cf, k, shift, depth):
     base = circle_norm_ref(lo_v)
     lo_n = base - width
     return (lo_n if lo_n > 0 else Fraction(0)), base + width
+
+
+def dc_scan(cf, tau, gamma, ks, shift):
+    """_dc_scan over the mode list ks, cut into blocks of SCREEN_BLOCK modes."""
+    B = contfrac.SCREEN_BLOCK  # read per call, so a monkeypatched size applies
+    blocks = (ks[i : i + B] for i in range(0, len(ks), B))
+    return _dc_scan(cf, tau, gamma, max((abs(k) for k in ks), default=0), blocks, shift)
 
 
 def dc_scan_ref(cf, tau, gamma, ks, shift):
@@ -231,7 +240,7 @@ def test_dc_scan_matches_fraction_formula(digits, tau, gamma, K, shift):
         (sorted(range(-K, K + 1), key=abs), shift),
     ]
     for ks, s in scans:
-        got = outcome(_dc_scan, from_digits(digits), tau, gamma, list(ks), s)
+        got = outcome(dc_scan, from_digits(digits), tau, gamma, list(ks), s)
         ref = outcome(dc_scan_ref, from_digits(digits), tau, gamma, list(ks), s)
         assert got == ref
 
@@ -241,7 +250,7 @@ def test_dc_scan_thresholds_around_a_wide_interval():
     for k, shift in ((1, Fraction(0)), (-2, Fraction(1, 7))):
         lo, hi = norm_interval_ref(from_digits([3, 2]), k, shift, 2)
         for gamma, kind in ((lo / 2, True), ((lo + hi) / 2, DepthInsufficient), (2 * hi, False)):
-            got = outcome(_dc_scan, from_digits([3, 2]), 0.0, float(gamma), [k], shift)
+            got = outcome(dc_scan, from_digits([3, 2]), 0.0, float(gamma), [k], shift)
             ref = outcome(dc_scan_ref, from_digits([3, 2]), 0.0, float(gamma), [k], shift)
             assert got == ref
             assert (got.holds if isinstance(got, DCVerdict) else got[0]) is kind
@@ -394,7 +403,7 @@ def test_dc_scan_just_past_the_block_size():
     p, q = DEEP.convergent(DEEP.depth)
     shift = K * Fraction(p, q) + Fraction(1, 10**12)
     ks = list(range(1, K + 1))
-    got = _dc_scan(from_digits([1] * 80), 0.5, 1e-6, ks, shift)
+    got = dc_scan(from_digits([1] * 80), 0.5, 1e-6, ks, shift)
     assert got == dc_scan_ref(from_digits([1] * 80), 0.5, 1e-6, ks, shift)
     assert (got.holds, got.k) == (False, K)
 
@@ -412,9 +421,23 @@ def test_screen_blocks_of_a_few_modes_match_the_references(monkeypatch):
                     ref = outcome(commutant_ref, *args)
                     assert commutant_outcome(*args) == ref
         if isinstance(alpha, ContinuedFraction):
+            for K in (0, 4, 5, 11):
+                for gamma in (1e-4, 0.02, 0.3):
+                    # the public scans, whose mode orders cross the 5-mode blocks
+                    for scan, ks, shift in (
+                        (lambda cf: dc_membership(cf, 1.0, gamma, K),
+                         range(1, K + 1), Fraction(0)),
+                        (lambda cf: dc_alpha_membership(Fraction(1, 7), cf, 1.0, gamma, K),
+                         sorted(range(-K, K + 1), key=abs), Fraction(2, 7)),
+                    ):
+                        cf_got = from_digits(alpha.digits(alpha.depth))
+                        cf_ref = from_digits(alpha.digits(alpha.depth))
+                        got = outcome(scan, cf_got)
+                        assert got == outcome(dc_scan_ref, cf_ref, 1.0, gamma, list(ks), shift)
+                        assert cf_got.depth == cf_ref.depth
             for ks in (list(range(1, 24)), sorted(range(-11, 12), key=abs)):
                 for gamma in (1e-4, 0.02, 0.3):
-                    got = outcome(_dc_scan, from_digits(alpha.digits(alpha.depth)), 1.0, gamma,
+                    got = outcome(dc_scan, from_digits(alpha.digits(alpha.depth)), 1.0, gamma,
                                   ks, Fraction(2, 7))
                     assert got == outcome(dc_scan_ref, from_digits(alpha.digits(alpha.depth)),
                                           1.0, gamma, ks, Fraction(2, 7))
@@ -443,7 +466,7 @@ def test_dc_scan_order_of_a_violation_and_a_straddle():
     for ks, verdict in ((passing + [bad] + passing + [open_], DCVerdict),
                         (passing + [open_] + passing + [bad], DepthInsufficient)):
         cf_got, cf_ref = short_stream(), short_stream()
-        got = outcome(_dc_scan, cf_got, 0.0, thr, ks, Fraction(0))
+        got = outcome(dc_scan, cf_got, 0.0, thr, ks, Fraction(0))
         assert got == outcome(dc_scan_ref, cf_ref, 0.0, thr, ks, Fraction(0))
         assert cf_got.depth == cf_ref.depth == 4
         assert (type(got) if verdict is DCVerdict else got[0]) is verdict
@@ -458,7 +481,7 @@ def test_screen_pow_overflow_stays_inside_the_scans():
     got = commutant_rigidity_check(0.3, DEEP, 60, 300.0, 1e-12)
     assert commutant_fields(got) == commutant_ref(0.3, DEEP, 60, 0.0, 1e-12)
     with pytest.raises(OverflowError):
-        _dc_scan(from_digits([1] * 80), 300.0, 1e-12, list(range(1, 61)), Fraction(0))
+        dc_scan(from_digits([1] * 80), 300.0, 1e-12, list(range(1, 61)), Fraction(0))
     with pytest.raises(OverflowError):
         dc_scan_ref(from_digits([1] * 80), 300.0, 1e-12, list(range(1, 61)), Fraction(0))
 

@@ -135,9 +135,10 @@ def test_duality_boundary_filter_matches_dense_oracle():
     assert rep.boundary_filtered == (da, db)
     assert da > 0
     assert d == pytest.approx(hausdorff_sorted(ea, c.lambda2 * eb), abs=1e-9)
-    d_raw, rep_raw = duality_check(c, golden(), 48, thetas, edge_mass_max=1.0)
-    assert rep_raw.boundary_filtered == (0, 0)
-    assert d_raw == pytest.approx(hausdorff_sorted(ra, c.lambda2 * rb), abs=1e-9)
+    # the raw aggregates, every eigenvalue of every phase, on both sides
+    for cpl, every in ((c, ra), (CouplingTriple(*rep.dual_coupling), rb)):
+        raw = truncated_spectrum(OperatorSample(cpl, golden()), 48, thetas).eigenvalues
+        np.testing.assert_allclose(raw, every, rtol=0, atol=1e-9)
 
 
 def test_duality_rejects_empty_phases_and_covered_windows():
@@ -149,18 +150,9 @@ def test_duality_rejects_empty_phases_and_covered_windows():
         duality_check(c, golden(), 20, 2)
     with pytest.raises(ValueError, match="phases"):
         truncated_spectrum(OperatorSample(c, golden()), 8, [])
-    # every eigenvector has some mass on the edges, so none is kept
-    with pytest.raises(NoBulkSpectrum):
-        duality_check(c, golden(), 48, 2, edge_mass_max=0.0)
-
-
-def test_duality_threads_bytewise_with_filtering():
-    c = CouplingTriple(0.1, 0.5, 0.2)
-    d1, rep1 = duality_check(c, golden(), 160, 4, theta0=0.3, threads=1)
-    d2, rep2 = duality_check(c, golden(), 160, 4, theta0=0.3, threads=2)
-    assert rep1.boundary_filtered[0] > 0
-    assert np.float64(d1).tobytes() == np.float64(d2).tobytes()
-    assert rep1 == rep2
+    # two 10-row edge zones leave one bulk row of 21: every mode is a boundary mode
+    with pytest.raises(NoBulkSpectrum, match="given side"):
+        duality_check(c, golden(), 21, 1)
 
 
 def test_duality_distance_improves_with_size():
