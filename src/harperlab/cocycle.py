@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .contfrac import SCREEN_BLOCK, ContinuedFraction, _screen_norms, norm_numerator
+from .contfrac import ContinuedFraction, _index_blocks, _screen_norms, norm_numerator
 from .errors import (
     BranchAmbiguity,
     DivisorFloorViolated,
@@ -40,6 +40,7 @@ from .model import (
     abs_c_function,
     c_function,
     orbit_phases,
+    unit_phase,
     wrap01,
     zero_structure,
 )
@@ -213,8 +214,8 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     if zero_pos and kind == "normalized":
         alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
     prev_abs = np.abs(prev)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s0 = _unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
+    with np.errstate(divide="ignore", over="ignore"):
+        s0 = unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
     chunk = max(1, SWEEP_CELLS // g)
     dead = None
     for k0 in range(0, n, chunk):
@@ -233,7 +234,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
             b[0] = -prev_abs
             np.negative(abs_c[:-1], out=b[1:])
             b *= inv
-            s = _unit_phase(c, inv) if kind == "raw" else c
+            s = unit_phase(c, inv) if kind == "raw" else c
             a = np.multiply(energy - 2.0 * np.cos(2.0 * np.pi * x), inv, out=inv)
         if dead is not None:
             a[dead] = b[dead] = 0.0  # finite entries under the held cells
@@ -258,13 +259,6 @@ def _transfer_matrices(a, b, s, s0, kind):
         w = np.conj(s)
         return _companion(a * w, b * w * np.conj(s_prev))
     return np.sqrt(s / s_prev) * _companion(a, b)
-
-
-def _unit_phase(c, inv_abs):
-    """c / |c| from c and 1 / |c|, with the phase 1 where c = 0."""
-    u = c * inv_abs  # NaN where c = 0, replaced below
-    u[np.isinf(inv_abs)] = 1.0
-    return u
 
 
 def _companion_blocks(a, b, hold):
@@ -815,11 +809,12 @@ def commutant_rigidity_check(
     negative bandwidth or tau, or a gamma <= 0 (a floor every divisor
     passes), raises ValueError, and so does a bandwidth of 2^52 or more.
 
-    Modes run in blocks of SCREEN_BLOCK k's, each screened in float64 for
-    both signs (contfrac._screen_norms, error eps in t).  A screened
-    divisor is within 2 pi eps + 2^-46 of the exact 2 sin(pi t), which
-    covers the slope of 2 sin(pi t) and the rounding of pi t and of numpy's
-    sin against math.sin; a screened floor times (1 - 1e-12) is within
+    Modes run in blocks of SCREEN_BLOCK k's (contfrac._index_blocks shifted
+    by -bandwidth), each screened in float64 for both signs
+    (contfrac._screen_norms, error eps in t).  A screened divisor is
+    within 2 pi eps + 2^-46 of the exact 2 sin(pi t), which covers the
+    slope of 2 sin(pi t) and the rounding of pi t and of numpy's sin
+    against math.sin; a screened floor times (1 - 1e-12) is within
     2^-45 x + 2^-48 of the exact one for x = pi gamma/(|k|+1)^tau <= 4,
     which covers numpy's pow and sin against Python's.  The exact loop
     then runs, in scan order (k from -bandwidth up, sign +1 before -1),
@@ -844,8 +839,8 @@ def commutant_rigidity_check(
     min_div, arg_k, arg_s = float("inf"), 0, +1
     unconstrained = [(0, "diagonal")]  # b(th+a)=b(th): constants always pass
     screened_min, margin = float("inf"), None
-    for k0 in range(-bandwidth, bandwidth + 1, SCREEN_BLOCK):
-        ks = np.arange(k0, min(k0 + SCREEN_BLOCK, bandwidth + 1))
+    for j in _index_blocks(2 * bandwidth + 1):
+        ks = j - bandwidth
         with np.errstate(over="ignore", invalid="ignore"):
             x = np.pi * gamma / (np.abs(ks) + 1.0) ** tau
             floor_hi = 2.0 * np.sin(x) * (1.0 - 1e-12) + (2.0**-45 * x + 2.0**-48)

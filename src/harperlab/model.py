@@ -40,6 +40,7 @@ __all__ = [
     "c_function",
     "c_tilde_function",
     "abs_c_function",
+    "unit_phase",
     "c_zeros",
     "zero_structure",
     "theta_admissible",
@@ -189,6 +190,20 @@ def abs_c_function(coupling: CouplingTriple, alpha: float, theta):
     """|c|(theta) = sqrt(c * c~) = |c(theta)|, real and nonnegative."""
     re, im = _c_parts(coupling, alpha, theta)
     return np.sqrt(re * re + im * im)
+
+
+def unit_phase(c: np.ndarray, inv_abs: np.ndarray) -> np.ndarray:
+    """c/|c| from c and 1/|c|, with the phase 1 where c = 0.
+
+    Bit for bit c * inv_abs wherever inv_abs is finite; where 1/|c|
+    overflows (|c| subnormal), c is first scaled by 2^64 into the normal range.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = c * inv_abs  # not finite where inv_abs is not, replaced below
+        tiny = np.isinf(inv_abs)
+        ct = c[tiny] * 2.0**64
+        u[tiny] = np.where(ct == 0, 1.0, ct * (1.0 / np.abs(ct)))
+    return u
 
 
 class ZeroKind(enum.Enum):
@@ -375,9 +390,9 @@ class OperatorSample:
 class Truncation:
     """Restriction to [x1, x2] with zero boundary conditions.
 
-    diag[i] = 2 cos 2 pi (theta + (x1+i) alpha); offdiag[i] couples sites
-    x1+i and x1+i+1 and equals c(theta + (x1+i) alpha); the sub-diagonal is
-    its conjugate, so the matrix is Hermitian.
+    phases[i] = theta + (x1+i) alpha mod 1 (the orbit), diag[i] = 2 cos 2 pi
+    phases[i]; offdiag[i] couples sites x1+i and x1+i+1 and equals
+    c(phases[i]); the sub-diagonal is its conjugate, so H is Hermitian.
     """
 
     sample: OperatorSample
@@ -385,6 +400,7 @@ class Truncation:
     x2: int
     diag: np.ndarray
     offdiag: np.ndarray
+    phases: np.ndarray
 
     @property
     def size(self) -> int:
@@ -393,13 +409,6 @@ class Truncation:
     def gauge_symmetric(self) -> tuple[np.ndarray, np.ndarray]:
         """(diag, |offdiag|): the unitarily equivalent real symmetric matrix."""
         return self.diag, np.abs(self.offdiag)
-
-    def gauge_phases(self) -> np.ndarray:
-        """Unit phases d with d[0]=1, d[i+1] = d[i] * c_i/|c_i| (1 where c_i=0)."""
-        absc = np.abs(self.offdiag)
-        unit = np.ones(self.size, dtype=np.complex128)
-        np.divide(self.offdiag, absc, out=unit[1:], where=absc > 0)
-        return np.cumprod(unit)
 
     def dense(self) -> np.ndarray:
         """Dense Hermitian matrix (for oracles and small windows)."""
@@ -422,7 +431,7 @@ def build_truncation(sample: OperatorSample, x1: int, x2: int) -> Truncation:
     offdiag = np.asarray(
         c_function(sample.coupling, alpha_f, phases[:-1]), dtype=np.complex128
     ).reshape(-1)
-    return Truncation(sample, x1, x2, diag, offdiag)
+    return Truncation(sample, x1, x2, diag, offdiag, phases)
 
 
 def green_function(trunc: Truncation, energy: float, x: int, y: int) -> complex:
@@ -432,9 +441,10 @@ def green_function(trunc: Truncation, energy: float, x: int, y: int) -> complex:
     matrix is (-1)^(i+j) b_i..b_{j-1} det[x1, i-1] det[j+1, x2] / det[x1, x2],
     read from the nested minors swept in from both ends of the window (in
     log form, so entries far below eps never underflow in between); the
-    result is then re-phased.  No dense inversion.  Raises
-    ResolventSingular when E is within RESOLVENT_GUARD of an eigenvalue (the
-    eigenvalue count changes across E -+ RESOLVENT_GUARD).
+    result is then re-phased by the unit phases of c_i .. c_{j-1}
+    (unit_phase).  No dense inversion.  Raises ResolventSingular when E is
+    within RESOLVENT_GUARD of an eigenvalue (the eigenvalue count changes
+    across E -+ RESOLVENT_GUARD).
     """
     if not (trunc.x1 <= x <= trunc.x2 and trunc.x1 <= y <= trunc.x2):
         raise IndexError("sites outside the truncation window")
@@ -453,13 +463,12 @@ def green_function(trunc: Truncation, energy: float, x: int, y: int) -> complex:
     bwd, bneg = log_minors(diag[j + 1 :], off2[j + 1 :], [energy], reverse=True)
     left = (fwd[i - 1, 1], fneg[i - 1, 1]) if i > 0 else (0.0, 0)
     right = (bwd[0, 0], bneg[0, 0]) if len(bwd) else (0.0, 0)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         logb = float(np.sum(np.log(absoff[i:j])))
+        turn = np.prod(unit_phase(trunc.offdiag[i:j], 1.0 / absoff[i:j]))
     logmag = logb + left[0] + right[0] - fwd[-1, 1]
     flips = (i + j) + left[1] + right[1] + fneg[-1, 1]
-    val = (-1.0 if flips % 2 else 1.0) * math.exp(logmag)
-    phases = trunc.gauge_phases()
-    g = np.conj(phases[i]) * val * phases[j]
+    g = (-1.0 if flips % 2 else 1.0) * math.exp(logmag) * turn
     if swapped:
         g = np.conj(g)
     return complex(g)

@@ -41,7 +41,6 @@ from .model import (
     ZeroKind,
     _edge_green_logs,
     build_truncation,
-    c_function,
     duality,
     zero_structure,
 )
@@ -303,26 +302,23 @@ class BadnessReport:
     note: str = ""
 
 
-def _basis_solutions(sample, energies, N, zero_guard):
+def _basis_solutions(trunc, energies, zero_guard):
     """Solutions grown from the basis initial data (u(0), u(-1)) = e1, e2.
 
-    Returns U of shape (len(energies), 2N+2, 2) with u(k) = U[:, k+N+1] @
-    (u(0), u(-1)) for k in [-N-1, N]: the three-term recurrence of the
-    truncation [-N-1, N] (the sample's phases and c) runs N steps forward
-    and N steps backward, with energies x basis vectors as lanes.  Raises
+    trunc is the window [-N-1, N].  Returns U of shape (len(energies),
+    2N+2, 2) with u(k) = U[:, k+N+1] @ (u(0), u(-1)) for k in [-N-1, N]:
+    the three-term recurrence of the window's rows runs N steps forward and
+    N steps backward, with energies x basis vectors as lanes.  Raises
     SingularSamplingPoint at the earliest phase it reads c at (sites
     -N-1 .. N-1) that lies within zero_guard of a zero of c.
     """
-    alpha_f = sample.alpha_float
-    xs = sample.phases(-N - 1, 2 * N + 1)
-    zero_pos = zero_structure(sample.coupling).positions(alpha_f)
+    N, c = trunc.x2, trunc.offdiag
+    zero_pos = zero_structure(trunc.sample.coupling).positions(trunc.sample.alpha_float)
     if zero_pos:
-        _guard(zero_pos, xs[:, None], zero_guard, "raise")
-    c = np.asarray(c_function(sample.coupling, alpha_f, xs), dtype=np.complex128)
-    diag = 2.0 * np.cos(2 * np.pi * xs)[:, None]
-    d = np.asarray(energies, dtype=np.float64)[:, None, None] - diag  # (E, sites, 1)
+        _guard(zero_pos, trunc.phases[:-1, None], zero_guard, "raise")
+    d = np.asarray(energies, dtype=np.float64)[:, None, None] - trunc.diag[:, None]
     U = np.zeros((len(energies), 2 * N + 2, 2), dtype=np.complex128)
-    o = N + 1  # index of site 0, in U and in xs
+    o = N + 1  # index of site 0, in U and in the window
     U[:, o, 0] = U[:, o - 1, 1] = 1.0
     for j in range(N):
         f, b = o + j, o - 1 - j  # sites n = j (forward) and n = -1-j (backward)
@@ -347,8 +343,9 @@ def badness_scan(
     ``energies``, e.g. eigenvalues whose eigenvectors sit near the origin).
     A solution is linear in its initial data v, so its mass over |k| <= N
     is 1 + ||A v||^2, where the rows of A are the real and imaginary parts
-    of the two basis solutions (_basis_solutions) at k != 0, -1.  Without ``refine`` each energy takes the first minimum over
-    ``angles`` equispaced phi; with ``refine`` it takes the exact infimum
+    of the two basis solutions (_basis_solutions over the window [-N-1, N])
+    at k != 0, -1.  Without ``refine`` each energy takes the first minimum
+    over ``angles`` equispaced phi; with ``refine`` it takes the exact infimum
     over all normalized initial data, 1 + sigma_min(A)^2, and the witness
     angle (in [0, 1/2), as u and -u carry the same mass) from the right
     singular vector.  The Gram matrix A^T A is never formed: its entries
@@ -372,7 +369,7 @@ def badness_scan(
         raise ValueError("badness_scan needs at least one energy")
     overflow = FloatRangeExceeded(f"a window mass at N={N} leaves the float64 range")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass raises
-        U = _basis_solutions(sample, e_grid, N, 1e-9)
+        U = _basis_solutions(build_truncation(sample, -N - 1, N), e_grid, 1e-9)
         W = np.concatenate([U[:, 1:N], U[:, N + 2 :]], axis=1)  # k in [-N, N] \ {0, -1}
         A = np.concatenate([W.real, W.imag], axis=1)
         if not np.isfinite(A).all():
@@ -463,9 +460,9 @@ def perturbation_experiment(
     index, 0 <= eig_index < size, else IndexError), E the nearest
     eigenvalue of the matched truncation at alpha; the deviations are the
     maxima over |m| <= N of the transfer-matrix difference and of the
-    solution-vector difference grown from the same initial data
-    (u(0), u(-1)) = (1, 0).  A solution deviation past the float64 range
-    raises FloatRangeExceeded.
+    solution-vector difference grown over the window [-N-1, N] from the
+    same initial data (u(0), u(-1)) = (1, 0).  A transfer matrix or
+    deviation past the float64 range raises FloatRangeExceeded.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got N={N}")
@@ -483,18 +480,16 @@ def perturbation_experiment(
         cells = _sweep_cells(s, e, s.phases(-N, 1), 2 * N + 1, "raw", DEFAULT_ZERO_GUARD, "raise")
         return (_transfer_matrices(a, b, u, u0, "raw") for a, b, u, u0, _, _ in cells)
 
-    dev_m = max(
-        float(np.max(np.linalg.norm(m1 - m2, 2, axis=(0, 1))))
-        for m1, m2 in zip(matrices(sample, energy), matrices(sample_p, e_prime))
-    )
+    def solution(s, e):  # u(k) at sites -N-1..N from (u(0), u(-1)) = (1, 0)
+        return _basis_solutions(build_truncation(s, -N - 1, N), [e], DEFAULT_ZERO_GUARD)[0, :, 0]
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises
-        u = _basis_solutions(sample, [energy], N, DEFAULT_ZERO_GUARD)[0, :, 0]
-        v = _basis_solutions(sample_p, [e_prime], N, DEFAULT_ZERO_GUARD)[0, :, 0]
-        w = np.abs(u - v) ** 2  # sites -N-1..N
+        diffs = [m1 - m2 for m1, m2 in zip(matrices(sample, energy), matrices(sample_p, e_prime))]
+        w = np.abs(solution(sample, energy) - solution(sample_p, e_prime)) ** 2
         dev_s = float(np.sqrt(np.max(w[1:] + w[:-1])))  # pairs (u(k), u(k-1)), |k| <= N
-    if not math.isfinite(dev_s):
-        raise FloatRangeExceeded(f"a solution deviation at N={N} leaves the float64 range")
+    if not (math.isfinite(dev_s) and all(np.isfinite(m).all() for m in diffs)):
+        raise FloatRangeExceeded(f"a deviation at N={N} leaves the float64 range")
+    dev_m = max(float(np.max(np.linalg.norm(m, 2, axis=(0, 1)))) for m in diffs)
     return PerturbationReport(
         epsilon=eps,
         energy=energy,

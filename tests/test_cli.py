@@ -426,7 +426,8 @@ BASE_COUPLING = [0.1, 0.5, 0.2]
 FLOATS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 0.5, 1e6]
 # the config keys outside the table, each with the values it may take
 COMMON = {
-    "coupling": st.sampled_from([[0, 0, 0], [0, 1, 0], [0.3, 0, 0.3], [1, 0, 1], [0.1, 0.5]]),
+    "coupling": st.sampled_from([[0, 0, 0], [0, 1, 0], [0.3, 0, 0.3], [1, 0, 1], [0.1, 0.5],
+                                 [0, 1e-310, 0], [1e-320, 1e-320, 1e-320]]),
     "frequency": st.sampled_from(["silver", "0.5", "1e-9", "0.999999", "1", "x"]),
     "theta": st.sampled_from(FLOATS),
 }
@@ -566,6 +567,14 @@ def test_rotation_predecessor_on_a_zero_exits_3(capsys):
         (["badness", "--coupling", "1e-300,1e-300,1e-300", "--N", "4"], ["N=4"]),
         (["perturb", "--coupling", "0.05,0.2,0.05", "--freq", "golden",
           "--freq-prime", "0.618034", "--N", "600"], ["N=600"]),
+        # a subnormal |c|: 1/|c| overflows, with no numpy warning leaking
+        (["le", "--coupling", "0,1e-310,0", "--E", "0", "--n", "1000", "--grid", "2"],
+         ["E=0.0", "lambda1=0.0, lambda2=1e-310, lambda3=0.0"]),
+        (["rotation", "--coupling", "0,1e-310,0", "--E", "0", "--n", "1000"],
+         ["E=0.0", "lambda1=0.0, lambda2=1e-310, lambda3=0.0"]),
+        (["perturb", "--coupling", "0,1e-310,0", "--freq-prime", "0.6180339", "--N", "3"],
+         ["N=3"]),
+        (["badness", "--coupling", "0,1e-310,0", "--N", "4"], ["N=4"]),
     ],
 )
 def test_past_the_float_range_exits_3_naming_the_cause(argv, named, capsys):

@@ -40,6 +40,7 @@ from harperlab.model import (
     green_function,
     orbit_phases,
     theta_admissible,
+    unit_phase,
     zero_structure,
 )
 from harperlab.model import _alpha_proxy, _edge_green_logs
@@ -158,6 +159,24 @@ def test_c_trio_agree_exactly(triple, alpha, theta):
     assert np.array_equal(c_tilde_function(c, alpha, x), np.conj(cv))
     ref = np.abs(cv)
     assert np.all(np.abs(abs_c_function(c, alpha, x) - ref) <= 2 * np.spacing(ref))
+
+
+def test_unit_phase_for_every_c():
+    import mpmath
+
+    # c * (1/|c|) bit for bit where 1/|c| is finite; 1 at c = 0; |u| = 1 at a subnormal |c|
+    normal = np.array([1 + 1j, -2e-300, 3e5 - 4e5j, 1e-307j, 0.5 - 0j])
+    tiny = np.array([1e-310, 1e-310j, 3e-320 - 4e-320j, -5e-324 + 5e-324j])
+    c = np.concatenate([normal, tiny, [0j]])
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / np.abs(c)
+    u = unit_phase(c, inv)
+    assert np.array_equal(u[: len(normal)], normal * inv[: len(normal)])
+    assert np.all(np.abs(np.abs(u) - 1.0) <= 4 * np.finfo(float).eps)
+    ref = np.array([complex(mpmath.mpc(z) / abs(mpmath.mpc(z))) for z in tiny])
+    assert np.all(np.abs(u[len(normal) : -1] - ref) <= 4 * np.finfo(float).eps)
+    assert u[-1] == 1.0
+    assert unit_phase(c[:0], inv[:0]).shape == (0,)
 
 
 def test_zero_structure_classes():
@@ -295,19 +314,23 @@ def test_green_one_site_scalar_inverse():
 
 def test_green_matches_dense_inverse():
     rng = np.random.default_rng(9)
+    windows = []
     for _ in range(20):
         x1 = int(rng.integers(-30, 30))
         tr = build_truncation(sample(theta=float(rng.random())), x1, x1 + 5)
-        e = float(rng.uniform(-3, 3))
-        d, b = tr.gauge_symmetric()
+        windows.append((tr, float(rng.uniform(-3, 3))))
+    # a subnormal |c|: 1/|c| overflows, and G is 0 off the diagonal
+    subnormal = OperatorSample(CouplingTriple(0, 1e-310, 0), golden(), 0.3)
+    windows.append((build_truncation(subnormal, 0, 9), 0.1))
+    for tr, e in windows:
         counts = np.linalg.eigvalsh(tr.dense())
         if np.min(np.abs(counts - e)) < 1e-6:
             continue
         dense = np.linalg.inv(tr.dense() - e * np.eye(tr.size))
-        for x in range(x1, x1 + 6):
-            for y in range(x1, x1 + 6):
+        for x in range(tr.x1, tr.x2 + 1):
+            for y in range(tr.x1, tr.x2 + 1):
                 g = green_function(tr, e, x, y)
-                assert abs(g - dense[x - x1, y - x1]) < 1e-10
+                assert abs(g - dense[x - tr.x1, y - tr.x1]) < 1e-10
 
 
 def test_green_hermitian_symmetry():

@@ -414,7 +414,10 @@ def test_large_energies_match_the_sitewise_oracles(energy):
 
 
 @pytest.mark.parametrize(
-    "triple, energy", [((0.1, 0.5, 0.2), 1e10), ((1e-300, 1e-300, 1e-300), 0.3)]
+    "triple, energy",
+    [((0.1, 0.5, 0.2), 1e10), ((1e-300, 1e-300, 1e-300), 0.3),
+     # a subnormal |c|: 1/|c| overflows, and no numpy warning may leak
+     ((0, 1e-310, 0), 0.0), ((1e-320, 1e-320, 1e-320), 0.0)],
 )
 def test_products_past_the_float_range_raise(triple, energy):
     sample = OperatorSample(CouplingTriple(*triple), golden())
@@ -438,6 +441,15 @@ def test_transfer_past_the_float_range_raises(kind):
     sample = OperatorSample(CouplingTriple(1e-300, 1e-300, 1e-300), golden())
     with pytest.raises(FloatRangeExceeded, match=r"E=10000000000.0 for .*lambda1=1e-300"):
         transfer(sample, 1e10, 0.3, kind)
+
+
+@pytest.mark.parametrize("kind", ["raw", "normalized"])
+@pytest.mark.parametrize("triple", [(0, 1e-310, 0), (1e-320, 1e-320, 1e-320)])
+def test_transfer_at_a_subnormal_coupling_raises(triple, kind):
+    # 1/|c| overflows; the warning gate turns a leaked numpy warning into an error
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    with pytest.raises(FloatRangeExceeded, match=r"E=0.0 for .*lambda2="):
+        transfer(sample, 0.0, 0.3, kind)
 
 
 

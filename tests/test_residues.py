@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harperlab import cocycle, contfrac
+from harperlab import contfrac
 from harperlab.cocycle import commutant_rigidity_check, solve_cohomological
 from harperlab.contfrac import (
     SCREEN_BLOCK,
@@ -411,7 +411,6 @@ def test_dc_scan_just_past_the_block_size():
 def test_screen_blocks_of_a_few_modes_match_the_references(monkeypatch):
     # tiny blocks: violations, minima and ties fall in every block position
     monkeypatch.setattr(contfrac, "SCREEN_BLOCK", 5)
-    monkeypatch.setattr(cocycle, "SCREEN_BLOCK", 5)
     alphas = [DEEP, Fraction(355, 113), from_digits([2, 10**100, 3])]
     for alpha in alphas:
         for rho in (0.3, 0, Fraction(1, 4), Fraction(1, 2), Fraction(2, 7)):

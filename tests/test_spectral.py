@@ -344,7 +344,7 @@ def test_basis_solutions_match_scalar_recurrence(triple, alpha, theta, energy, N
     a = s.alpha_fraction()
     init = (math.cos(2 * math.pi * angle), math.sin(2 * math.pi * angle))
     try:
-        U = _basis_solutions(s, [energy], N, 1e-9)[0]
+        U = _basis_solutions(build_truncation(s, -N - 1, N), [energy], 1e-9)[0]
     except SingularSamplingPoint:
         assume(False)
     ref = _two_sided_vectors(s.coupling, a, theta, energy, N, init)
@@ -378,11 +378,11 @@ STREAMS = {"golden": golden, "silver": silver,
        st.integers(1, 40))
 def test_basis_solutions_run_the_truncation_rows(triple, freq, theta, energies, N):
     s = sample(triple, theta=theta, alpha=STREAMS[freq]())
+    tr = build_truncation(s, -N - 1, N)
     try:
-        U = _basis_solutions(s, energies, N, 1e-9)
+        U = _basis_solutions(tr, energies, 1e-9)
     except SingularSamplingPoint:
         assume(False)
-    tr = build_truncation(s, -N - 1, N)
     for e, Ue in zip(energies, U):
         scale = np.maximum(1.0, np.linalg.norm(Ue, axis=1))
         for b, init in enumerate([(1.0, 0.0), (0.0, 1.0)]):
@@ -541,6 +541,14 @@ def test_perturbation_identical_frequencies():
     assert rep.epsilon == 0.0
     assert rep.matrix_deviation == 0.0
     assert rep.solution_deviation == 0.0
+
+
+@pytest.mark.parametrize("triple", [(0, 1e-310, 0), (1e-320, 1e-320, 1e-320)])
+def test_perturbation_past_the_float_range_raises_naming_n(triple):
+    # at a subnormal |c| the raw transfer matrices are not finite: a numeric
+    # error, not the LinAlgError (a ValueError) of their 2-norm
+    with pytest.raises(FloatRangeExceeded, match="at N=3 "):
+        perturbation_experiment(CouplingTriple(*triple), golden(), 0.6180339, 0.0, 3)
 
 
 def test_perturbation_scaling_rough():
