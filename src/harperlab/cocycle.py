@@ -71,6 +71,7 @@ __all__ = [
 # cells (sites x lanes) a sweep chunk holds at once
 SWEEP_CELLS = 2**15
 SCAN_BLOCK = 16  # sites per block of the product reduction and the rotation scan
+TABLE_BLOCK = 64  # sites between re-anchorings of the sweep's rotation table
 DEFAULT_ZERO_GUARD = 1e-7
 BRANCH_TOL = 1e-9  # a lift increment this close to +-1/2 is ambiguous
 RESONANCE_TOL = 1e-14  # ||k alpha|| below this is a resonant divisor
@@ -187,6 +188,13 @@ def _guard(zero_pos, x, zero_guard, on_singular):
     return bad
 
 
+def _unit_phase(c, inv, out=None):
+    """model.unit_phase(c, inv), skipping its fix-up when every 1/|c| is finite."""
+    if np.isinf(inv.max()):  # c = 0, or a subnormal |c|
+        return unit_phase(c, inv)
+    return np.multiply(c, inv, out=out)
+
+
 def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     """The transfer entries of the sweep th, ..., th+(n-1)a, chunk by chunk.
 
@@ -198,7 +206,21 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     zero), inert (a = b = 0, s = 1); alive the lanes alive after the
     chunk.  A lane whose orbit (or, for "normalized", predecessor phase)
     enters the zero guard dies; with on_singular="raise" the earliest such
-    site (then the lowest lane) raises SingularSamplingPoint instead.
+    site (then the lowest lane) raises SingularSamplingPoint instead.  The
+    yielded arrays are buffers the next chunk overwrites.
+
+    A rotation table stands in for per-cell trigonometry.  With ka the
+    orbit_phases of the sweep and B = TABLE_BLOCK (or K, if shorter), site
+    k = mB + j reads e^{2 pi i x_k} = e^{2 pi i ka[mB]} T_x[j] and c's
+    e^{i phi_k} = e^{2 pi i ka[mB]} T_phi[j], phi = 2pi(x + a/2), where T
+    holds the direct expressions (np.cos and np.sin, as the diagonal and
+    _c_parts read them) at the first B sites.  The table is re-anchored
+    every B sites, so its error does not grow along the orbit, and the
+    first B sites (all of a one-site transfer) are the direct evaluation
+    bit for bit.  Elsewhere d_k and c_k differ from the direct expressions
+    at x_k by at most (2 pi e_k + 32 eps) max(|E| + 2, l1 + l2 + l3), where
+    e_k = |ka[mB] + ka[j] - ka[k]| (mod 1) is orbit_phases' own rounding,
+    below 2 ORBIT_ANCHOR eps.  The zero guard reads x_k itself.
     """
     if n < 1:
         return
@@ -213,39 +235,82 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     alive = np.ones(g, dtype=bool)
     if zero_pos and kind == "normalized":
         alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
-    prev_abs = np.abs(prev)
+    prev_abs = np.abs(prev) if kind == "raw" else prev
     with np.errstate(divide="ignore", over="ignore"):
-        s0 = unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
-    chunk = max(1, SWEEP_CELLS // g)
+        s0 = _unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
+    chunk = min(n, max(1, SWEEP_CELLS // g))
+    block = min(chunk, TABLE_BLOCK)
+    # one trig pass over the anchors ka[mB], then x and x + a/2 at the first B sites
+    anchors = -(-n // block)
+    turns = np.empty(anchors + 2 * block * g)
+    turns[:anchors] = ka[::block]
+    x0, xc = turns[anchors:].reshape(2, block, g)
+    np.add(ka[:block, None], thetas, out=x0)
+    x0 -= np.floor(x0)
+    np.add(x0, 0.5 * alpha_f, out=xc)
+    turns *= 2.0 * np.pi
+    cis = np.empty(len(turns), dtype=np.complex128)  # cos + i sin, each np.cos or np.sin itself
+    np.cos(turns, out=cis.real)
+    np.sin(turns, out=cis.imag)
+    coarse = cis[:anchors, None, None]
+    table = cis[anchors:].reshape(2, block, g)
+    l1, l2, l3 = sample.coupling.astuple()
+    # a chunk's sites sit at an offset below B in whole table blocks
+    cbuf = np.empty(((-(-chunk // block) + 1) * block, g), dtype=np.complex128)
+    abuf, bbuf, mbuf = np.empty((chunk, g)), np.empty((chunk, g)), np.empty((chunk, g))
+    xbuf = np.empty((chunk, g)) if zero_pos else None
     dead = None
     for k0 in range(0, n, chunk):
-        x = thetas[None, :] + ka[k0 : k0 + chunk, None]
-        x -= np.floor(x)
-        c = _sampling(sample.coupling, alpha_f, x, kind)
+        k = min(chunk, n - k0)
+        first, end = k0 // block, -(-(k0 + k) // block)
+        off = k0 - first * block
+        a, b, m, c = abuf[:k], bbuf[:k], mbuf[:k], cbuf[off : off + k]
         if zero_pos:
+            x = xbuf[:k]
+            np.add(thetas, ka[k0 : k0 + k, None], out=x)
+            x -= np.floor(x, out=a)  # a is scratch until d is written
             dead = _guard(zero_pos, x, zero_guard, on_singular)
             dead[0] |= ~alive
             np.logical_or.accumulate(dead, axis=0, out=dead)
             alive = ~dead[-1]
-        abs_c = np.abs(c) if kind == "raw" else c
-        b = np.empty(x.shape)
+        site = coarse[first:end]
+        z = cbuf[: (end - first) * block].reshape(end - first, block, g)
+        np.multiply(site, table[0], out=z)
+        np.subtract(energy, np.multiply(c.real, 2.0, out=b), out=a)  # d = E - 2cos 2pi x
+        np.multiply(site, table[1], out=z)  # e^{i phi}, made c in place
+        re, im = c.real, c.imag
+        re *= l1 + l3
+        re += l2
+        if l3 == l1:
+            im[...] = 0.0  # +0, as c_function's re + 1j * im reads 0 * sin
+        else:
+            im *= l3 - l1
+        if kind == "raw":
+            np.abs(c, out=m)
+        else:  # abs_c_function's own formula, not hypot
+            np.multiply(re, re, out=m)
+            m += np.multiply(im, im, out=b)
+            np.sqrt(m, out=m)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv = 1.0 / abs_c
-            b[0] = -prev_abs
-            np.negative(abs_c[:-1], out=b[1:])
-            b *= inv
-            s = unit_phase(c, inv) if kind == "raw" else c
-            a = np.multiply(energy - 2.0 * np.cos(2.0 * np.pi * x), inv, out=inv)
+            inv = np.divide(1.0, m, out=b)
+            a *= inv
+            s = _unit_phase(c, inv, out=c) if kind == "raw" else m
+            b[1:] *= m[:-1]  # b = -|c_prev| / |c|, in 1/|c|'s buffer
+            b[0] *= prev_abs
+            np.negative(b, out=b)
+        prev_abs = m[-1].copy()
         if dead is not None:
             a[dead] = b[dead] = 0.0  # finite entries under the held cells
             s[dead] = 1.0
         yield a, b, s, s0, dead, alive
-        prev_abs, s0 = abs_c[-1].copy(), s[-1].copy()  # views would pin the chunk
+        s0 = s[-1].copy()
 
 
 def _companion(a, b):
-    """Real companion matrices [[a, b], [1, 0]] as a (2, 2, *a.shape) array."""
-    return np.array([[a, b], [np.ones_like(a), np.zeros_like(a)]])
+    """Companion matrices [[a, b], [1, 0]] as a (2, 2, *a.shape) array."""
+    m = np.empty((2, 2, *a.shape), dtype=np.result_type(a, b))
+    m[0, 0], m[0, 1], m[1, 0], m[1, 1] = a, b, 1.0, 0.0
+    return m
 
 
 def _transfer_matrices(a, b, s, s0, kind):
@@ -258,7 +323,9 @@ def _transfer_matrices(a, b, s, s0, kind):
     if kind == "raw":
         w = np.conj(s)
         return _companion(a * w, b * w * np.conj(s_prev))
-    return np.sqrt(s / s_prev) * _companion(a, b)
+    m = _companion(a, b)
+    m *= np.sqrt(s / s_prev)
+    return m
 
 
 def _companion_blocks(a, b, hold):
@@ -340,7 +407,6 @@ def _product_sweep(
             p, logs = _reduce_sites(_companion_blocks(a, b, dead))
             mats = _mul(p, mats)
             lognorm += logs + _normalize(mats)
-        del a, b, s  # the builder frees each array as it makes the next
     if not np.isfinite(lognorm).all():
         raise _overflow(sample, energy)
     if kind != "raw":  # a lane with no live site keeps last = first, maybe 0
@@ -476,12 +542,15 @@ def _scan_vectors(m, v):
     and K half ones, against K log2 K for a Hillis-Steele scan.
     """
     k = m.shape[2]
-    nb = -(-k // SCAN_BLOCK)
-    q = np.empty((2, 2, nb * SCAN_BLOCK))
-    q[:, :, :k] = m
-    q[:, :, k:] = np.eye(2)[:, :, None]
-    # (2, 2, site in block, block): one scan step is one row of blocks
-    q = q.reshape(2, 2, nb, SCAN_BLOCK).swapaxes(2, 3).copy()
+    whole, tail = divmod(k, SCAN_BLOCK)
+    nb = whole + (tail > 0)
+    # (2, 2, site in block, block): one scan step is one row of blocks; filled
+    # in place, the last block padded with identities
+    q = np.empty((2, 2, SCAN_BLOCK, nb))
+    q[:, :, :, :whole] = m[:, :, : k - tail].reshape(2, 2, whole, SCAN_BLOCK).swapaxes(2, 3)
+    if tail:
+        q[:, :, :tail, -1] = m[:, :, k - tail :]
+        q[:, :, tail:, -1] = np.eye(2)[:, :, None]
     for j in range(1, SCAN_BLOCK):
         q[:, :, j] = _mul(q[:, :, j], q[:, :, j - 1])
     vin = v[:, None]
@@ -490,7 +559,10 @@ def _scan_vectors(m, v):
         _normalize(totals)
         w = _scan_vectors(totals, v)
         vin = np.concatenate([vin, w / np.hypot(w[0], w[1])], axis=1)
-    w = q[:, 0] * vin[0] + q[:, 1] * vin[1]
+    q[:, 0] *= vin[0]
+    q[:, 1] *= vin[1]
+    w = q[:, 0] + q[:, 1]
+    del q  # freed before w is copied into site order
     return w.swapaxes(1, 2).reshape(2, -1)[:, :k]
 
 

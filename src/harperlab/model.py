@@ -229,15 +229,17 @@ def zero_structure(coupling: CouplingTriple) -> ZeroStructure:
 
     Writing z = e^{2 pi i (theta + alpha/2)}, zeros solve
     l3 z^2 + l2 z + l1 = 0 on |z| = 1: no roots there unless l1 + l3 = l2
-    (z = -1) or l1 = l3 > l2/2 (a conjugate pair), each equality read
-    within BOUNDARY_TOL.
+    (z = -1) or l1 = l3 > l2/2 (a conjugate pair).  Scaling the coupling
+    moves no zero, so each equality is read within BOUNDARY_TOL times
+    max(l1, l2, l3).
     """
     l1, l2, l3 = coupling.astuple()
-    if abs(l1 + l3 - l2) <= BOUNDARY_TOL:
-        if abs(l1 - l3) <= BOUNDARY_TOL:
+    tol = BOUNDARY_TOL * max(l1, l2, l3)
+    if abs(l1 + l3 - l2) <= tol:
+        if abs(l1 - l3) <= tol:
             return ZeroStructure(ZeroKind.DOUBLE, (0.5,))
         return ZeroStructure(ZeroKind.SINGLE, (0.5,))
-    if abs(l1 - l3) <= BOUNDARY_TOL and l1 > 0.5 * l2 + BOUNDARY_TOL:
+    if abs(l1 - l3) <= tol and l1 > 0.5 * l2 + tol:
         a = math.acos(max(-1.0, min(1.0, -l2 / (2.0 * l1)))) / (2.0 * math.pi)
         return ZeroStructure(ZeroKind.PAIR, (a, wrap01(-a)))
     return ZeroStructure(ZeroKind.NONE, ())

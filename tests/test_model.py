@@ -219,6 +219,47 @@ def test_c_vanishes_at_reported_zeros():
                 assert abs(c_function(c, alpha, pos)) < 1e-10
 
 
+# a coupling of each zero class, each defining (in)equality held with a margin
+ZERO_CLASSES = st.one_of(
+    st.floats(0.05, 1.0).map(lambda l: ((l, 2 * l, l), ZeroKind.DOUBLE)),
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.01, 1.0)).map(
+        lambda t: ((t[0], 2 * t[0] + t[1], t[0] + t[1]), ZeroKind.SINGLE)
+    ),
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.9)).map(
+        lambda t: ((t[0], t[1] * t[0], t[0]), ZeroKind.PAIR)
+    ),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 2.0)).map(
+        lambda t: ((t[0], (t[0] + t[1]) * (1 + t[2]) + 0.01, t[1]), ZeroKind.NONE)
+    ),
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 0.9)).map(
+        lambda t: ((t[0], t[1], t[0] * (1 + t[2])), ZeroKind.NONE)
+    ).filter(lambda case: abs(case[0][0] + case[0][2] - case[0][1]) > 1e-3),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(ZERO_CLASSES, st.floats(-13.0, 3.0))
+def test_zero_structure_is_invariant_under_scaling(case, exponent):
+    # the zeros of c do not move when the coupling is scaled
+    triple, kind = case
+    zs = zero_structure(CouplingTriple(*triple))
+    assert zs.kind is kind
+    scale = 10.0**exponent
+    scaled = zero_structure(CouplingTriple(*(scale * v for v in triple)))
+    assert scaled.kind is kind
+    assert scaled.offsets == pytest.approx(zs.offsets, rel=0, abs=1e-12)
+
+
+def test_a_small_coupling_without_zeros_has_none():
+    # c = 1e-13 at every phase: no zero, so no phase is singular or undecided
+    coupling = CouplingTriple(0, 1e-13, 0)
+    assert zero_structure(coupling).kind is ZeroKind.NONE
+    sample = OperatorSample(coupling, golden())
+    m = cocycle.transfer(sample, 0.5, 0.5 - sample.alpha_float / 2)
+    assert np.isfinite(m).all()
+    assert theta_admissible(coupling, 0.3) is Admissibility.IN_THETA
+
+
 def test_theta_admissible_no_zero_case():
     assert (
         theta_admissible(CouplingTriple(0.1, 0.7, 0.2), 0.42)

@@ -12,8 +12,10 @@ from harperlab.cocycle import (
     DEFAULT_ZERO_GUARD,
     SCAN_BLOCK,
     SWEEP_CELLS,
+    TABLE_BLOCK,
     _normalize,
     _product_sweep,
+    _sweep_cells,
     constant_rotation,
     lyapunov_numeric,
     n_step,
@@ -274,6 +276,60 @@ def test_phases_on_a_zero_of_c():
     for kind, lives in (("raw", [True, False, True]), ("normalized", [False, False, True])):
         alive, _ = assert_products_match(sample, 0.3, thetas, 50, kind, 1e-9)
         assert alive.tolist() == lives
+
+
+# -- the rotation table against the direct evaluation ----------------------------
+
+
+def table_mismatch(ka):
+    """|ka[mB] + ka[j] - ka[k]| mod 1 per site k = mB + j, B = TABLE_BLOCK.
+
+    The rounding of orbit_phases between the phase the table holds and the
+    orbit phase the direct evaluation reads; 0 at every re-anchored site.
+    """
+    j = np.arange(len(ka)) % TABLE_BLOCK
+    e = ka[np.arange(len(ka)) - j] + ka[j] - ka
+    return np.abs(e - np.round(e))
+
+
+@pytest.mark.parametrize("kind", ["raw", "normalized"])
+@pytest.mark.parametrize("g", [1, 64])
+@pytest.mark.parametrize(
+    "triple, energy", [((0.1, 0.5, 0.2), 0.3), ((0.3, 0.4, 0.3), -1.1), ((0.1, 2.0, 0.1), 2.5)]
+)
+def test_rotation_table_matches_the_direct_evaluation(triple, energy, g, kind):
+    # the bound of _sweep_cells' docstring: d_k and c_k within (2 pi e_k + 32 eps) M of
+    # the direct expressions at the orbit phases, so to first order a, b and c/|c| within
+    # that times (1 + |entry|) / |c_k| (b reads c_{k-1} too) and |c| within it
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    coupling, af = sample.coupling, sample.alpha_float
+    chunk = SWEEP_CELLS // g
+    n = 2 * chunk + 37  # two whole chunks and a ragged tail of 37 sites
+    thetas = (np.arange(g) + 0.37) / g
+    f = c_function if kind == "raw" else abs_c_function
+    ka = orbit_phases(0.0, sample.alpha_fraction(), 0, n)
+    x = (thetas + ka[:, None]) % 1.0
+    c, c_before = f(coupling, af, x), f(coupling, af, (thetas - af) % 1.0)
+    mod = np.abs(c)
+    inv = 1.0 / mod
+    want = {
+        "a": (energy - 2.0 * np.cos(2.0 * np.pi * x)) * inv,
+        "b": -np.concatenate([np.abs(c_before)[None], mod[:-1]]) * inv,
+        "s": c * inv if kind == "raw" else c,
+    }
+    # no guard: the cells next to the zeros of (0.3, 0.4, 0.3) are compared too
+    cells = _sweep_cells(sample, energy, thetas, n, kind, 0.0, "exclude")
+    chunks = [(a.copy(), b.copy(), s.copy()) for a, b, s, *_ in cells]  # buffers are reused
+    got = dict(zip("abs", (np.concatenate(parts) for parts in zip(*chunks))))
+    eps = np.finfo(float).eps
+    bound = (2 * np.pi * table_mismatch(ka) + 32 * eps) * max(abs(energy) + 2, sum(triple))
+    bound = bound[:, None]
+    bound_b = np.maximum(bound, np.concatenate([np.zeros((1, 1)), bound[:-1]]))
+    for key, tol in (("a", bound), ("b", bound_b), ("s", bound)):
+        # the first table block is the direct evaluation itself
+        assert got[key][:TABLE_BLOCK].tobytes() == want[key][:TABLE_BLOCK].tobytes()
+        scale = (1 + np.abs(want[key])) * inv if key != "s" or kind == "raw" else 1.0
+        assert np.all(np.abs(got[key] - want[key]) <= tol * scale), key
 
 
 # -- rotation numbers against the sitewise angle walk ---------------------------
