@@ -188,11 +188,26 @@ def _guard(zero_pos, x, zero_guard, on_singular):
     return bad
 
 
-def _unit_phase(c, inv, out=None):
-    """model.unit_phase(c, inv), skipping its fix-up when every 1/|c| is finite."""
-    if np.isinf(inv.max()):  # c = 0, or a subnormal |c|
-        return unit_phase(c, inv)
-    return np.multiply(c, inv, out=out)
+def _site_factors(ka, block, first, end, coarse, ubuf):
+    """u_k = e^{2 pi i ka[mB]} (1 + 2 pi i e_k) over table blocks first..end-1.
+
+    e_k = ka[k] - ka[mB] - ka[j] (mod 1) at site k = mB + j, B = block, is
+    the rounding of the orbit phases between a site and its table entry (0
+    on the padding past the orbit); coarse holds e^{2 pi i ka[mB]}.
+    Returns (M, B, 1) in ubuf.
+    """
+    lo, hi = first * block, min(end * block, len(ka))
+    flat = ubuf[: (end - first) * block]
+    flat.imag[: hi - lo], flat.imag[hi - lo :] = ka[lo:hi], 0.0
+    u = flat.reshape(end - first, block, 1)
+    e = u.imag
+    e -= ka[:block, None]
+    e -= ka[lo:hi:block, None, None]
+    e -= np.round(e, out=u.real)  # the real part is scratch until set below
+    e *= 2.0 * np.pi
+    u.real = 1.0  # e^{2 pi i e} to first order: |e| < 2 ORBIT_ANCHOR eps < 2e-12
+    u *= coarse[first:end, None, None]
+    return u
 
 
 def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
@@ -211,16 +226,17 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
 
     A rotation table stands in for per-cell trigonometry.  With ka the
     orbit_phases of the sweep and B = TABLE_BLOCK (or K, if shorter), site
-    k = mB + j reads e^{2 pi i x_k} = e^{2 pi i ka[mB]} T_x[j] and c's
-    e^{i phi_k} = e^{2 pi i ka[mB]} T_phi[j], phi = 2pi(x + a/2), where T
-    holds the direct expressions (np.cos and np.sin, as the diagonal and
-    _c_parts read them) at the first B sites.  The table is re-anchored
-    every B sites, so its error does not grow along the orbit, and the
-    first B sites (all of a one-site transfer) are the direct evaluation
-    bit for bit.  Elsewhere d_k and c_k differ from the direct expressions
-    at x_k by at most (2 pi e_k + 32 eps) max(|E| + 2, l1 + l2 + l3), where
-    e_k = |ka[mB] + ka[j] - ka[k]| (mod 1) is orbit_phases' own rounding,
-    below 2 ORBIT_ANCHOR eps.  The zero guard reads x_k itself.
+    k = mB + j reads e^{2 pi i x_k} = u_k T_x[j] and c's e^{i phi_k} =
+    u_k T_phi[j], phi = 2pi(x + a/2).  T holds the direct expressions
+    (np.cos and np.sin, as the diagonal and _c_parts read them) at the
+    first B sites, and u_k (_site_factors) is e^{2 pi i ka[mB]} times the
+    first-order factor of the orbit phases' rounding between ka[k] and
+    ka[mB] + ka[j].  So the table is re-anchored every B sites on the very
+    phases the direct evaluation reads, its error does not grow along the
+    orbit, and d_k and c_k stay within 32 eps max(|E| + 2, l1 + l2 + l3) of
+    the direct expressions at x_k.  A sweep of at most B sites (every
+    one-site transfer) reads the table itself: the direct evaluation bit
+    for bit.  The zero guard reads x_k itself.
     """
     if n < 1:
         return
@@ -237,34 +253,35 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
         alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
     prev_abs = np.abs(prev) if kind == "raw" else prev
     with np.errstate(divide="ignore", over="ignore"):
-        s0 = _unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
+        s0 = unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
     chunk = min(n, max(1, SWEEP_CELLS // g))
     block = min(chunk, TABLE_BLOCK)
-    # one trig pass over the anchors ka[mB], then x and x + a/2 at the first B sites
+    # one trig pass over the anchors ka[mB] past the first, then x and x + a/2 at the first B sites
     anchors = -(-n // block)
-    turns = np.empty(anchors + 2 * block * g)
-    turns[:anchors] = ka[::block]
-    x0, xc = turns[anchors:].reshape(2, block, g)
-    np.add(ka[:block, None], thetas, out=x0)
+    x0 = ka[:block, None] + thetas
     x0 -= np.floor(x0)
-    np.add(x0, 0.5 * alpha_f, out=xc)
+    turns = np.concatenate((ka[block::block], x0.ravel(), x0.ravel() + 0.5 * alpha_f))
     turns *= 2.0 * np.pi
-    cis = np.empty(len(turns), dtype=np.complex128)  # cos + i sin, each np.cos or np.sin itself
-    np.cos(turns, out=cis.real)
-    np.sin(turns, out=cis.imag)
-    coarse = cis[:anchors, None, None]
-    table = cis[anchors:].reshape(2, block, g)
+    cis = np.empty(len(turns) + 1, dtype=np.complex128)  # cos + i sin, each np.cos or np.sin itself
+    cis[0] = 1.0  # the anchor of the first block, ka[0] = 0
+    np.cos(turns, out=cis.real[1:])
+    np.sin(turns, out=cis.imag[1:])
+    coarse, table = cis[:anchors], cis[anchors:].reshape(2, block, g)
+    if n > block:  # a chunk's sites sit at an offset below B in whole table blocks
+        rows = (-(-chunk // block) + 1) * block
+        cbuf = np.empty((rows, g), dtype=np.complex128)
+        ubuf = cbuf[:, 0] if g == 1 else np.empty(rows, dtype=np.complex128)  # g = 1: u is c's row
+    else:
+        rows = chunk
     l1, l2, l3 = sample.coupling.astuple()
-    # a chunk's sites sit at an offset below B in whole table blocks
-    cbuf = np.empty(((-(-chunk // block) + 1) * block, g), dtype=np.complex128)
-    abuf, bbuf, mbuf = np.empty((chunk, g)), np.empty((chunk, g)), np.empty((chunk, g))
+    abuf, bbuf, mbuf = np.empty((rows, g)), np.empty((rows, g)), np.empty((rows, g))
     xbuf = np.empty((chunk, g)) if zero_pos else None
     dead = None
     for k0 in range(0, n, chunk):
         k = min(chunk, n - k0)
         first, end = k0 // block, -(-(k0 + k) // block)
         off = k0 - first * block
-        a, b, m, c = abuf[:k], bbuf[:k], mbuf[:k], cbuf[off : off + k]
+        a, b, m = abuf[off : off + k], bbuf[off : off + k], mbuf[off : off + k]
         if zero_pos:
             x = xbuf[:k]
             np.add(thetas, ka[k0 : k0 + k, None], out=x)
@@ -273,18 +290,22 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
             dead[0] |= ~alive
             np.logical_or.accumulate(dead, axis=0, out=dead)
             alive = ~dead[-1]
-        site = coarse[first:end]
-        z = cbuf[: (end - first) * block].reshape(end - first, block, g)
-        np.multiply(site, table[0], out=z)
-        np.subtract(energy, np.multiply(c.real, 2.0, out=b), out=a)  # d = E - 2cos 2pi x
-        np.multiply(site, table[1], out=z)  # e^{i phi}, made c in place
+        if n <= block:  # one block at anchor e^0 = 1: the table is the chunk
+            np.subtract(energy, np.multiply(table[0].real, 2.0, out=b), out=a)
+            c = table[1]
+        else:
+            u = _site_factors(ka, block, first, end, coarse, ubuf)
+            whole = (-1, block, g)  # the chunk's whole table blocks; its sites from row off on
+            cos_x = np.multiply(u.real, table[0].real, out=abuf[: u.size].reshape(whole))
+            cos_x -= np.multiply(u.imag, table[0].imag, out=bbuf[: u.size].reshape(whole))
+            np.subtract(energy, np.multiply(a, 2.0, out=b), out=a)  # d = E - 2 Re(u T_x)
+            np.multiply(u, table[1], out=cbuf[: u.size].reshape(whole))  # e^{i phi}, made c below
+            c = cbuf[off : off + k]
         re, im = c.real, c.imag
         re *= l1 + l3
         re += l2
-        if l3 == l1:
-            im[...] = 0.0  # +0, as c_function's re + 1j * im reads 0 * sin
-        else:
-            im *= l3 - l1
+        im *= l3 - l1
+        im += 0.0  # c_function's re + 1j * im reads -0 as +0
         if kind == "raw":
             np.abs(c, out=m)
         else:  # abs_c_function's own formula, not hypot
@@ -294,7 +315,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = np.divide(1.0, m, out=b)
             a *= inv
-            s = _unit_phase(c, inv, out=c) if kind == "raw" else m
+            s = unit_phase(c, inv, out=c) if kind == "raw" else m
             b[1:] *= m[:-1]  # b = -|c_prev| / |c|, in 1/|c|'s buffer
             b[0] *= prev_abs
             np.negative(b, out=b)

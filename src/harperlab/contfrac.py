@@ -9,6 +9,7 @@ frequencies whose denominators grow at a prescribed exponential rate.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import threading
@@ -214,7 +215,8 @@ class ContinuedFraction:
         finite stream represents exactly that rational.  The library reads
         it at min_q = PROXY_MIN_Q only (float(cf), model._alpha_proxy).
         """
-        n = 1
+        # q_n rises strictly from n = 1 on (digits are positive): skip the materialized q < min_q
+        n = bisect.bisect_left(self._convergents, min_q, lo=1, key=lambda pq: pq[1])
         while True:
             try:
                 p, q = self.convergent(n)

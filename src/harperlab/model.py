@@ -192,16 +192,19 @@ def abs_c_function(coupling: CouplingTriple, alpha: float, theta):
     return np.sqrt(re * re + im * im)
 
 
-def unit_phase(c: np.ndarray, inv_abs: np.ndarray) -> np.ndarray:
+def unit_phase(c: np.ndarray, inv_abs: np.ndarray, out=None) -> np.ndarray:
     """c/|c| from c and 1/|c|, with the phase 1 where c = 0.
 
     Bit for bit c * inv_abs wherever inv_abs is finite; where 1/|c|
     overflows (|c| subnormal), c is first scaled by 2^64 into the normal range.
+    The result goes to out if given, which may be c itself.
     """
+    if np.max(inv_abs, initial=0.0) < np.inf:
+        return np.multiply(c, inv_abs, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = c * inv_abs  # not finite where inv_abs is not, replaced below
         tiny = np.isinf(inv_abs)
-        ct = c[tiny] * 2.0**64
+        ct = c[tiny] * 2.0**64  # read before out overwrites c
+        u = np.multiply(c, inv_abs, out=out)  # not finite where inv_abs is not, replaced below
         u[tiny] = np.where(ct == 0, 1.0, ct * (1.0 / np.abs(ct)))
     return u
 
@@ -336,14 +339,15 @@ def orbit_phases(
     t = Fraction(theta)
     a = Fraction(alpha)
     af = float(a)
+    # the anchor (t + n a) mod 1 over the common denominator: int / int rounds as float(Fraction)
+    den = t.denominator * a.denominator
+    tn, an = t.numerator * a.denominator, a.numerator * t.denominator
     out = np.empty(count)
     pos = 0
     while pos < count:
         n = start + pos
-        x0 = t + n * a
-        x0 -= x0.numerator // x0.denominator
         m = min(ORBIT_ANCHOR, count - pos)
-        x = float(x0) + af * np.arange(m)
+        x = (tn + n * an) % den / den + af * np.arange(m)
         out[pos : pos + m] = x - np.floor(x)  # == x % 1.0 bit for bit, cheaper
         pos += m
     return out

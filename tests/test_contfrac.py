@@ -414,6 +414,26 @@ def test_fraction_resolution_margin():
     assert lo <= fr <= hi or abs(fr - lo) < Fraction(1, 10**10)
 
 
+@pytest.mark.parametrize("stream", [golden, lambda: from_digits([2, 3, 1, 4, 1, 5])])
+def test_fraction_is_the_first_convergent_reaching_min_q(stream):
+    # or the deepest one when a finite stream ends first; fresh and deeper streams agree
+    ref = stream()
+    for min_q in [1, 2, 3, 5, 12, 13, 14, 10**6, 2**200]:
+        n = 1
+        while True:
+            try:
+                q = ref.q(n)
+            except DepthInsufficient:
+                n -= 1
+                break
+            if q >= min_q:
+                break
+            n += 1
+        want = Fraction(*ref.convergent(n))
+        assert stream().fraction(min_q) == want
+        assert ref.fraction(min_q) == want
+
+
 def test_json_round_trip_past_int_str_limit():
     small = from_digits([1, 2, 10**30])
     assert small.to_json() == json.dumps([str(a) for a in small.digits(3)])

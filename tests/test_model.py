@@ -43,7 +43,7 @@ from harperlab.model import (
     unit_phase,
     zero_structure,
 )
-from harperlab.model import _alpha_proxy, _edge_green_logs
+from harperlab.model import ORBIT_ANCHOR, _alpha_proxy, _edge_green_logs
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -485,6 +485,18 @@ def test_orbit_phases_no_drift():
         exact = Fraction(0.135) + n * a
         exact -= exact.numerator // exact.denominator
         assert abs(xs[n] - float(exact)) < 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.135, -0.7, Fraction(1, 3)])
+@pytest.mark.parametrize("start", [0, -5000, 10**12])
+def test_orbit_anchors_are_the_exact_phases_rounded(theta, start):
+    # every ORBIT_ANCHOR-th phase from start is (theta + n alpha) mod 1 rounded once
+    alpha = golden().fraction(min_q=2**60)
+    xs = orbit_phases(theta, alpha, start, 3 * ORBIT_ANCHOR + 5)
+    for pos in range(0, len(xs), ORBIT_ANCHOR):
+        exact = Fraction(theta) + (start + pos) * alpha
+        exact -= exact.numerator // exact.denominator
+        assert xs[pos] == float(exact)
 
 
 # -- the alpha proxy ---------------------------------------------------------------
