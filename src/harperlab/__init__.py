@@ -7,7 +7,6 @@ from .contfrac import (
     ContinuedFraction,
     ConstantBeta,
     SingleBurst,
-    ExplicitTail,
     beta_exponent,
     dc_alpha_membership,
     dc_membership,

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, cocycle, contfrac, model, spectral
-from .errors import DepthInsufficient, HarperlabError, InvalidCoupling
+from .errors import DepthInsufficient, HarperlabError, InvalidCoupling, SingularSamplingPoint
 
 SCHEMA_VERSION = 1
 FORMATS = ("csv", "json")
@@ -251,6 +251,12 @@ def _run_delta(cfg, p):
         )
         depth = freq.depth
     dest, dlevels = spectral.delta_exponent(cpl, freq, cfg.theta, depth, warmup)
+    for n, d in dlevels:
+        if d == -math.inf:  # ||q_n (theta - theta_zero)|| = 0: ln 0 at this level
+            err = SingularSamplingPoint(cfg.theta, 0.0)
+            err.args = (f"delta level {n}: the orbit of theta={cfg.theta!r} under "
+                        f"p_{n}/q_{n} meets a zero of c",)
+            raise err
     fe = contfrac.beta_exponent(freq, depth, warmup)
     rows = [
         {"level": n, "beta": b, "delta": d}
@@ -333,7 +339,7 @@ def _run_cohomology(cfg, p):
         "norm_totals": report.totals,
         "block_bounds": report.block_bounds,
         "block_sums": report.block_sums,
-        "min_divisor": report.min_divisor,
+        "min_divisor": _minimum(report.min_divisor),
     }
     return result, None, []
 
@@ -354,7 +360,12 @@ def _run_commutant(cfg, p):
         tau=p["tau"],
         gamma=p["gamma"],
     )
-    return asdict(rep), None, []
+    return {**asdict(rep), "min_divisor": _minimum(rep.min_divisor)}, None, []
+
+
+def _minimum(value: float):
+    """A minimum as the record holds it: null (None) when it ran over no value."""
+    return None if value == math.inf else value
 
 
 # -- the parameter table ---------------------------------------------------------
@@ -612,8 +623,12 @@ def main(argv=None) -> int:
     except HarperlabError as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    json.dump(record, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity is not JSON
+        print(f"numeric error: the record holds a non-finite number: {exc}", file=sys.stderr)
+        return 3
+    sys.stdout.write(text + "\n")
     return 0
 
 

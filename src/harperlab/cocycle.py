@@ -138,7 +138,7 @@ def transfer(
     range FloatRangeExceeded.
     """
     thetas = np.array([wrap01(float(theta))])
-    a, b, s, s0, _, _ = next(_sweep_cells(sample, energy, thetas, 1, kind, zero_guard, "raise"))
+    a, b, s, s0, _ = next(_sweep_cells(sample, energy, thetas, 1, kind, zero_guard, "raise"))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises
         m = _transfer_matrices(a, b, s, s0, kind)[:, :, 0, 0]
     if not np.isfinite(m).all():
@@ -213,16 +213,16 @@ def _site_factors(ka, block, first, end, coarse, ubuf):
 def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     """The transfer entries of the sweep th, ..., th+(n-1)a, chunk by chunk.
 
-    Yields (a, b, s, s0, dead, alive) per chunk of K sites x g lanes with
+    Yields (a, b, s, s0, alive) per chunk of K sites x g lanes with
     K g <= SWEEP_CELLS: a_k = d_k/|c_k| and b_k = -|c_{k-1}|/|c_k|, for
     d_k = E - 2cos 2pi x_k, of R_k = [[a_k, b_k], [1, 0]]; s = c/|c| (raw;
     1 where c = 0) or |c| (normalized), and s0 its row at the site before;
-    dead the cells from a lane's first guarded site on (None when c has no
-    zero), inert (a = b = 0, s = 1); alive the lanes alive after the
-    chunk.  A lane whose orbit (or, for "normalized", predecessor phase)
-    enters the zero guard dies; with on_singular="raise" the earliest such
-    site (then the lowest lane) raises SingularSamplingPoint instead.  The
-    yielded arrays are buffers the next chunk overwrites.
+    alive the lanes alive after the chunk.  A lane whose orbit (or, for
+    "normalized", predecessor phase) enters the zero guard dies, and its
+    entries from then on mean nothing and may be non-finite; with
+    on_singular="raise" the earliest such site (then the lowest lane)
+    raises SingularSamplingPoint instead.  The yielded arrays are buffers
+    the next chunk overwrites.
 
     A rotation table stands in for per-cell trigonometry.  With ka the
     orbit_phases of the sweep and B = TABLE_BLOCK (or K, if shorter), site
@@ -276,7 +276,6 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     l1, l2, l3 = sample.coupling.astuple()
     abuf, bbuf, mbuf = np.empty((rows, g)), np.empty((rows, g)), np.empty((rows, g))
     xbuf = np.empty((chunk, g)) if zero_pos else None
-    dead = None
     for k0 in range(0, n, chunk):
         k = min(chunk, n - k0)
         first, end = k0 // block, -(-(k0 + k) // block)
@@ -286,10 +285,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
             x = xbuf[:k]
             np.add(thetas, ka[k0 : k0 + k, None], out=x)
             x -= np.floor(x, out=a)  # a is scratch until d is written
-            dead = _guard(zero_pos, x, zero_guard, on_singular)
-            dead[0] |= ~alive
-            np.logical_or.accumulate(dead, axis=0, out=dead)
-            alive = ~dead[-1]
+            alive = alive & ~_guard(zero_pos, x, zero_guard, on_singular).any(axis=0)
         if n <= block:  # one block at anchor e^0 = 1: the table is the chunk
             np.subtract(energy, np.multiply(table[0].real, 2.0, out=b), out=a)
             c = table[1]
@@ -320,10 +316,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
             b[0] *= prev_abs
             np.negative(b, out=b)
         prev_abs = m[-1].copy()
-        if dead is not None:
-            a[dead] = b[dead] = 0.0  # finite entries under the held cells
-            s[dead] = 1.0
-        yield a, b, s, s0, dead, alive
+        yield a, b, s, s0, alive
         s0 = s[-1].copy()
 
 
@@ -349,39 +342,30 @@ def _transfer_matrices(a, b, s, s0, kind):
     return m
 
 
-def _companion_blocks(a, b, hold):
+def _companion_blocks(a, b):
     """Products of R_k = [[a_k, b_k], [1, 0]] over blocks of SCAN_BLOCK sites.
 
-    a, b and hold are (K, g); a cell of hold (a dead cell, or None for
-    none) acts as the identity, and so does the padding of the last block.
-    A stack shorter than SCAN_BLOCK is one block.  Returns the
-    (2, 2, blocks, g) block products, unnormalized.  P_j = R_j P_{j-1}
-    takes a new top row a_j top + b_j bottom, and its old top row moves
-    down, so a step is four products and two sums per block.
+    a and b are (K, g).  A ragged tail past the whole blocks is reduced as a
+    short block of its own, and a stack shorter than SCAN_BLOCK is one
+    block.  Returns the (2, 2, blocks, g) block products, unnormalized; on
+    an excluded lane they mean nothing and may be non-finite.  P_j =
+    R_j P_{j-1} takes a new top row a_j top + b_j bottom, and its old top
+    row moves down, so a step is four products and two sums per block.
     """
     k, g = a.shape
     size = min(k, SCAN_BLOCK)
-    pad = -k % size
-    if pad:
-        a, b = (np.concatenate([m, np.zeros((pad, g))]) for m in (a, b))
-        held = np.zeros((k, g), dtype=bool) if hold is None else hold
-        hold = np.concatenate([held, np.ones((pad, g), dtype=bool)])
-    nb = (k + pad) // size
-    a, b = a.reshape(nb, size, g), b.reshape(nb, size, g)
+    nb = k // size
+    whole = nb * size
+    ab, bb = a[:whole].reshape(nb, size, g), b[:whole].reshape(nb, size, g)
     x1, y1 = np.ones((nb, g)), np.zeros((nb, g))  # top row of P_j
     x0, y0 = np.zeros((nb, g)), np.ones((nb, g))  # its bottom row
-    if hold is not None:
-        hold = hold.reshape(nb, size, g)
     for j in range(size):
-        aj, bj = a[:, j], b[:, j]
-        nx, ny = aj * x1 + bj * x0, aj * y1 + bj * y0
-        if hold is None:
-            x0, y0, x1, y1 = x1, y1, nx, ny
-        else:
-            h = hold[:, j]
-            x0, y0 = np.where(h, x0, x1), np.where(h, y0, y1)
-            x1, y1 = np.where(h, x1, nx), np.where(h, y1, ny)
-    return np.array([[x1, y1], [x0, y0]])
+        aj, bj = ab[:, j], bb[:, j]
+        x0, y0, x1, y1 = x1, y1, aj * x1 + bj * x0, aj * y1 + bj * y0
+    blocks = np.array([[x1, y1], [x0, y0]])
+    if whole < k:
+        blocks = np.concatenate([blocks, _companion_blocks(a[whole:], b[whole:])], axis=2)
+    return blocks
 
 
 def _overflow(sample, energy):
@@ -406,32 +390,32 @@ def _product_sweep(
     so A_{n-1}...A_0 = e^{-i sum w_k} D_n R_{n-1}...R_0 D_0^-1, and comes
     back from the two boundary phases and one running unit phase per lane.
     The normalized matrix is sqrt(|c_k|/|c_{k-1}|) R_k, so its product is
-    the real one scaled by sqrt(|c_{n-1}|/|c_{-1}|).  A dead lane's product
-    stops at its last live site, which is its boundary.  Returns
-    (matrices, lognorms, alive): exact product = matrix * e^lognorm per lane.
+    the real one scaled by sqrt(|c_{n-1}|/|c_{-1}|).  Returns (matrices,
+    lognorms, alive): exact product = matrix * e^lognorm per live lane; an
+    excluded lane's matrix and lognorm mean nothing and may be non-finite.
     """
     g = len(thetas)
     mats = np.repeat(np.eye(2)[:, :, None], g, axis=2)
     lognorm = np.zeros(g)
     alive = np.ones(g, dtype=bool)
-    turn = np.ones(g, dtype=np.complex128)  # prod of e^{i w_k} over live sites
-    first = last = np.ones(g)  # unit phase (or |c|) before the orbit and at its last live site
+    turn = np.ones(g, dtype=np.complex128)  # prod of e^{i w_k} over the sites
+    first = last = np.ones(g)  # unit phase (or |c|) before the orbit and at its last site
     cells = _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular)
-    for i, (a, b, s, s0, dead, alive) in enumerate(cells):
+    for i, (a, b, s, s0, alive) in enumerate(cells):
         if i == 0:
-            first = last = s0
-        live = len(s) - (0 if dead is None else np.count_nonzero(dead, axis=0))
-        last = np.where(live > 0, s[live - 1, np.arange(g)], last)
+            first = s0
+        last = s[-1].copy()
         if kind == "raw":
             turn *= np.prod(s, axis=0)
         with np.errstate(all="ignore"):  # an overflow is caught below
-            p, logs = _reduce_sites(_companion_blocks(a, b, dead))
+            p, logs = _reduce_sites(_companion_blocks(a, b))
             mats = _mul(p, mats)
             lognorm += logs + _normalize(mats)
-    if not np.isfinite(lognorm).all():
+    if not np.isfinite(lognorm[alive]).all():
         raise _overflow(sample, energy)
-    if kind != "raw":  # a lane with no live site keeps last = first, maybe 0
-        lognorm += 0.5 * np.log(np.divide(last, first, out=np.ones(g), where=last != first))
+    if kind != "raw":
+        with np.errstate(divide="ignore", invalid="ignore"):  # on excluded lanes
+            lognorm += 0.5 * np.log(last / first)
         return np.moveaxis(mats, 2, 0).copy(), lognorm, alive
     phase = np.conj(turn) / np.abs(turn)
     left = np.stack([np.ones(g), last])
@@ -508,9 +492,10 @@ def lyapunov_numeric(
 ) -> LyapunovEstimate:
     """Phase-averaged (1/n) log ||A_n|| over an equispaced theta grid.
 
-    Grid points whose orbit enters the zero guard are excluded and counted;
-    more than max_excluded of them aborts with TooManyExclusions, and a
-    product past the float64 range with FloatRangeExceeded.
+    Grid points whose orbit enters the zero guard are excluded and counted,
+    and their products are not kept; more than max_excluded of them, or all
+    of them, aborts with TooManyExclusions, and a product past the float64
+    range with FloatRangeExceeded.
     """
     if n_steps < 1000:
         raise ValueError("n_steps must be >= 1000")
@@ -521,12 +506,12 @@ def lyapunov_numeric(
         sample, energy, thetas, n_steps, kind, zero_guard, on_singular="exclude"
     )
     excluded = 1.0 - float(np.count_nonzero(alive)) / theta_grid
-    if excluded > max_excluded:
+    if excluded > max_excluded or not alive.any():
         raise TooManyExclusions(
             f"{excluded:.1%} of grid orbits entered the zero guard"
         )
-    total = lognorm + np.log(np.maximum(np.linalg.norm(mats, 2, axis=(1, 2)), 1e-300))
-    vals = total[alive] / n_steps
+    # a unit-Frobenius product of invertible matrices has 2-norm >= 1/sqrt(2)
+    vals = (lognorm[alive] + np.log(np.linalg.norm(mats[alive], 2, axis=(1, 2)))) / n_steps
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return LyapunovEstimate(

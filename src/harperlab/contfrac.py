@@ -28,7 +28,6 @@ __all__ = [
     "DCVerdict",
     "ConstantBeta",
     "SingleBurst",
-    "ExplicitTail",
     "expand",
     "golden",
     "silver",
@@ -601,17 +600,7 @@ class SingleBurst:
             raise ValueError(f"SingleBurst tail digit must be >= 1, got {self.tail}")
 
 
-@dataclass(frozen=True)
-class ExplicitTail:
-    """Forged digits given literally."""
-
-    digits: tuple
-
-    def __init__(self, digits):
-        object.__setattr__(self, "digits", tuple(int(a) for a in digits))
-
-
-DigitSchedule = Union[ConstantBeta, SingleBurst, ExplicitTail]
+DigitSchedule = Union[ConstantBeta, SingleBurst]
 
 
 def _exp_int_enclosure(k: int, prec: int) -> tuple:
@@ -698,11 +687,6 @@ def forge(
         raise ValueError("n0 must be >= 1")
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    if isinstance(schedule, ExplicitTail):
-        if levels > len(schedule.digits):
-            raise ValueError("ExplicitTail shorter than requested levels")
-        digits = base.digits(n0) + list(schedule.digits[:levels])
-        return ContinuedFraction(digits, origin=f"forged({schedule!r}, n0={n0})")
     if isinstance(schedule, ConstantBeta):
 
         def provider(n, conv, _s=schedule):

@@ -478,7 +478,7 @@ def perturbation_experiment(
 
     def matrices(s, e):  # the 2N+1 raw transfer matrices from site -N on
         cells = _sweep_cells(s, e, s.phases(-N, 1), 2 * N + 1, "raw", DEFAULT_ZERO_GUARD, "raise")
-        return (_transfer_matrices(a, b, u, u0, "raw") for a, b, u, u0, _, _ in cells)
+        return (_transfer_matrices(a, b, u, u0, "raw") for a, b, u, u0, _ in cells)
 
     def solution(s, e):  # u(k) at sites -N-1..N from (u(0), u(-1)) = (1, 0)
         return _basis_solutions(build_truncation(s, -N - 1, N), [e], DEFAULT_ZERO_GUARD)[0, :, 0]

@@ -605,6 +605,43 @@ def test_commutant_floor_past_the_float_range_exits_0(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["modes_checked"] == 4 * 64 + 2
 
 
+def test_delta_level_on_a_zero_exits_3_naming_the_level(tmp_path, capsys):
+    # alpha = [0; 3, 1] = 1/4 and theta = 1/2 - alpha/2: the orbit sits on c's zero
+    path = tmp_path / "d.json"
+    path.write_text('["3", "1"]')
+    argv = ["delta", "--coupling", "0.25,0.5,0.25", "--freq", str(path), "--theta", "0.375",
+            "--depth", "2"]
+    assert exit_code(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "SingularSamplingPoint" in err and "delta level 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, phi",
+    [
+        (["commutant", "--rho", "0.5", "--bandwidth", "0"], None),  # every mode unconstrained
+        (["cohomology"], "[[0, 0]]"),  # phi has no mode k != 0
+    ],
+)
+def test_an_empty_minimum_reads_null(argv, phi, tmp_path, capsys):
+    if phi is not None:
+        path = tmp_path / "phi.json"
+        path.write_text(phi)
+        argv = argv + ["--phi", str(path)]
+    assert exit_code(argv) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert record["result"]["min_divisor"] is None
+
+
+def test_a_non_finite_record_exits_3(monkeypatch, capsys):
+    # main prints strict JSON only: a NaN or an infinity in a record is a numeric error
+    monkeypatch.setattr(cli_module, "run", lambda config: {"result": {"value": math.nan}})
+    assert exit_code(["spectrum", "--coupling", "0.1,0.5,0.2", "--size", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "non-finite" in err
+
+
 def test_spectrum_phase_grid_starts_at_theta(capsys):
     argv = ["spectrum", "--coupling", "0.1,0.5,0.2", "--size", "16", "--phases", "2"]
     assert main(argv) == 0

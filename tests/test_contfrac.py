@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from harperlab.contfrac import (
     ConstantBeta,
     ContinuedFraction,
-    ExplicitTail,
     SingleBurst,
     beta_exponent,
     _exp_int_enclosure,
@@ -259,13 +258,6 @@ def test_forge_digit_cap_truncates():
     cf = forge(golden(), n0=4, schedule=ConstantBeta(2.0), levels=8, cap_decimal=50)
     assert cf.truncated
     assert cf.depth < 12
-
-
-def test_forge_explicit_tail():
-    cf = forge(golden(), n0=3, schedule=ExplicitTail([7, 8, 9]), levels=3)
-    assert cf.digits(6) == [1, 1, 1, 7, 8, 9]
-    with pytest.raises(DepthInsufficient):
-        cf.ensure(7)
 
 
 @pytest.mark.parametrize("tail", [0, -1])

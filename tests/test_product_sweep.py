@@ -104,14 +104,16 @@ def sequential(sample, energy, thetas, n, kind, zero_guard):
 
 
 def assert_products_match(sample, energy, thetas, n, kind, zero_guard):
+    # an excluded lane's product means nothing: only live lanes are compared
     mats, lognorm, alive = _product_sweep(sample, energy, thetas, n, kind, zero_guard)
     growth, ref_mats, ref_alive = sequential(sample, energy, thetas, n, kind, zero_guard)
     assert np.array_equal(alive, ref_alive)
+    mats, lognorm, ref_mats = mats[alive], lognorm[alive], ref_mats[alive]
     got = lognorm + np.log(np.linalg.norm(mats, 2, axis=(1, 2)))
-    assert np.max(np.abs(got - growth) / np.maximum(1.0, np.abs(growth))) <= 1e-9
+    assert np.all(np.abs(got - growth[alive]) / np.maximum(1.0, np.abs(growth[alive])) <= 1e-9)
     unit = mats / np.linalg.norm(mats, 2, axis=(1, 2))[:, None, None]
     ref_unit = ref_mats / np.linalg.norm(ref_mats, 2, axis=(1, 2))[:, None, None]
-    assert np.max(np.abs(unit - ref_unit)) <= 1e-7
+    assert np.all(np.abs(unit - ref_unit) <= 1e-7)
     return alive, growth
 
 
@@ -212,6 +214,32 @@ def test_exclusions_present_and_all_lanes_dead_raises():
     assert 0 < np.count_nonzero(alive) < 64
     with pytest.raises(TooManyExclusions):
         lyapunov_numeric(sample, 0.3, 1200, 64, zero_guard=0.05)
+
+
+def test_every_lane_excluded_raises_whatever_max_excluded():
+    # no lane lives to average over, so there is no estimate to return
+    sample = OperatorSample(CouplingTriple(0.25, 0.5, 0.25), golden())
+    with pytest.raises(TooManyExclusions):
+        lyapunov_numeric(sample, 0.3, 1000, 4096, zero_guard=1e-3, max_excluded=1.0)
+
+
+@pytest.mark.parametrize("g", [7, 40, 64])
+@pytest.mark.parametrize("kind", ["raw", "normalized"])
+@pytest.mark.parametrize("triple", [(0.25, 0.5, 0.25), (0.3, 0.4, 0.3), (0.2, 0.7, 0.5)])
+def test_a_live_lane_does_not_depend_on_the_guard(triple, kind, g):
+    # lanes are independent: a lane the guard spares is reduced bit for bit as if no
+    # lane had been excluded, over two whole chunks and a tail of ragged scan blocks
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    n = 2 * (SWEEP_CELLS // g) + 37
+    assert n % (SWEEP_CELLS // g) % SCAN_BLOCK != 0
+    thetas = (np.arange(g) + 0.5) / g
+    mats, lognorm, alive = _product_sweep(sample, 0.3, thetas, n, kind, 1e-12)
+    cut_mats, cut_lognorm, cut_alive = _product_sweep(sample, 0.3, thetas, n, kind, 0.1 / n)
+    if (triple, kind, g) == ((0.25, 0.5, 0.25), "raw", 64):
+        assert 0 < np.count_nonzero(cut_alive) < g
+    both = alive & cut_alive
+    assert np.array_equal(mats[both], cut_mats[both])
+    assert np.array_equal(lognorm[both], cut_lognorm[both])
 
 
 def first_guarded_phase(sample, thetas, n, kind, zero_guard):
