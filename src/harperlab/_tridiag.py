@@ -1,12 +1,11 @@
 """Symmetric-tridiagonal kernels: LAPACK eigenpairs and one Sturm pivot sweep.
 
 Eigenvalues and eigenvectors of truncations come from LAPACK through scipy:
-the full spectrum from ?STEVD and index picks from ?STEBZ (Sturm bisection),
-both by ``eigvalsh_tridiagonal``; eigenvalues with their unit eigenvectors
-from ?STEMR (multiple relatively robust representations, the compiled form
-of Dhillon & Parlett's twisted factorizations) by ``eigh_tridiagonal``.  The
-eigenvectors fill one n-by-n array: 0.5 MB at n = 256, 5 MB at n = 800 and
-128 MB at n = 4096.
+the full spectrum from ?STEVD (divide and conquer) and index picks from
+?STEBZ (Sturm bisection), both by ``eigvalsh_tridiagonal``; eigenvalues with
+their unit eigenvectors from ?STEVD too, by ``eigh_tridiagonal``.  During
+that call the eigenvectors and LAPACK's workspace hold two n-by-n arrays,
+16 n^2 bytes: 1 MB at n = 256, 10 MB at n = 800 and 256 MB at n = 4096.
 
 Eigenvalue counts and minors read the Sturm pivots of T - s,
 d_i = (a_i - s) - b_{i-1}^2 / d_{i-1}, swept from either end of the matrix
@@ -26,10 +25,11 @@ import math
 
 import numpy as np
 
+from .errors import WindowTooLarge
+
 __all__ = [
     "FULL_DRIVER",
     "INDEX_DRIVER",
-    "VECTOR_DRIVER",
     "sturm_count",
     "log_minors",
     "bisect_eigenvalues",
@@ -39,9 +39,8 @@ __all__ = [
     "inverse_iteration",
 ]
 
-FULL_DRIVER = "stevd"  # all eigenvalues
+FULL_DRIVER = "stevd"  # all eigenvalues, with or without their eigenvectors
 INDEX_DRIVER = "stebz"  # eigenvalues by index
-VECTOR_DRIVER = "stemr"  # all eigenvalues with their eigenvectors
 INVERSE_ITERATIONS = 3  # banded solves of inverse_iteration
 
 
@@ -126,19 +125,24 @@ def bisect_eigenvalues(diag, off, indices=None):
 
 
 def eigenpairs(diag, off):
-    """All eigenvalues, ascending, and their unit eigenvectors, from ?STEMR.
+    """All eigenvalues, ascending, and their unit eigenvectors, from ?STEVD.
 
     Returns (vals, vecs) with vecs[:, j] the eigenvector of vals[j], an n-by-n
-    array (8 n^2 bytes).  Only squared components are meaningful: the sign of
-    each column is LAPACK's.
+    array (8 n^2 bytes, twice that during the call).  Only squared
+    components are meaningful: the sign of each column is LAPACK's.  A
+    window whose arrays cannot be allocated raises WindowTooLarge.
     """
     from scipy.linalg import eigh_tridiagonal  # on first use, as in bisect_eigenvalues
 
-    return eigh_tridiagonal(
-        np.asarray(diag, dtype=np.float64),
-        np.asarray(off, dtype=np.float64),
-        lapack_driver=VECTOR_DRIVER,
-    )
+    diag = np.asarray(diag, dtype=np.float64)
+    try:
+        return eigh_tridiagonal(diag, np.asarray(off, dtype=np.float64), lapack_driver=FULL_DRIVER)
+    except MemoryError:
+        n = len(diag)
+        raise WindowTooLarge(
+            f"the eigenvectors of a size-{n} window need 16 n^2 = {16 * n * n} bytes "
+            f"({16 * n * n / 2**30:.3g} GiB) during the eigensolve"
+        ) from None
 
 
 def _scaled(logabs, neg):

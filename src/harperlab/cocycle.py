@@ -863,8 +863,8 @@ class CommutantReport:
     tau: float
     gamma: float
     min_divisor: float
-    argmin_k: int
-    argmin_sign: int
+    argmin_k: Optional[int]  # None, with min_divisor inf, when no mode was compared
+    argmin_sign: Optional[int]
     modes_checked: int
     unconstrained_modes: list = field(default_factory=list)
 
@@ -914,7 +914,7 @@ def commutant_rigidity_check(
     ps = a.numerator * two_rho.denominator
     rq = two_rho.numerator * a.denominator
     qs = a.denominator * two_rho.denominator
-    min_div, arg_k, arg_s = float("inf"), 0, +1
+    min_div, arg_k, arg_s = float("inf"), None, None
     unconstrained = [(0, "diagonal")]  # b(th+a)=b(th): constants always pass
     screened_min, margin = float("inf"), None
     for j in _index_blocks(2 * bandwidth + 1):

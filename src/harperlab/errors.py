@@ -95,6 +95,10 @@ class DivisorFloorViolated(HarperlabError):
         self.floor = floor
 
 
+class WindowTooLarge(HarperlabError):
+    """A truncation window's eigenvectors and solver workspace do not fit in memory."""
+
+
 class NoBulkSpectrum(HarperlabError):
     """Every eigenvalue of a duality window was filtered as a boundary mode."""
 

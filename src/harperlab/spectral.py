@@ -147,8 +147,8 @@ def _aggregate_bulk_spectrum(sample, size, theta_list, zone):
     whose eigenvector carries more than EDGE_MASS_MAX of its mass within
     the outer ``zone`` rows at either end is such a boundary mode and is
     dropped from the aggregate (counted in the second return value).  Each
-    phase's eigenpairs come from one ?STEMR call (_tridiag.eigenpairs), a
-    size-by-size array per window in flight.
+    phase's eigenpairs come from one ?STEVD call (_tridiag.eigenpairs), which
+    holds two size-by-size arrays, eigenvectors and workspace, while it runs.
     """
 
     def bulk(diag, absoff):
@@ -576,11 +576,11 @@ def decay_fit(
     eigenvectors carry middle-third mass 1 - O(1e-15), and among such tied
     maxima the lower median by eigenvalue (index T[len(T) // 2] of the
     ascending tied set T) is taken, so the pick does not hang on rounding.
-    The eigenvalues and unit eigenvectors come from one ?STEMR call
-    (_tridiag.eigenpairs), which holds a size-by-size array: 5 MB at the
-    default size 800.  The fit regresses
-    (1/2) ln(phi(n)^2 + phi(n+1)^2) on -|n - peak|, excluding the outer 10%
-    of the window and everything below the relative noise floor
+    The eigenvalues and unit eigenvectors come from one ?STEVD call
+    (_tridiag.eigenpairs), which holds two size-by-size arrays, eigenvectors
+    and workspace, while it runs: 10 MB at the default size 800.  The fit
+    regresses (1/2) ln(phi(n)^2 + phi(n+1)^2) on -|n - peak|, excluding the
+    outer 10% of the window and everything below the relative noise floor
     DECAY_FLOOR_REL; r^2 below DECAY_R2_MIN raises PoorlyLocalized.
     """
     if size < 400:

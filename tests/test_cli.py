@@ -634,6 +634,36 @@ def test_an_empty_minimum_reads_null(argv, phi, tmp_path, capsys):
     assert record["result"]["min_divisor"] is None
 
 
+def test_an_empty_commutant_minimum_names_no_mode(capsys):
+    # every mode is unconstrained at 2 rho = 1 and bandwidth 0, so none was compared
+    assert exit_code(["commutant", "--rho", "0.5", "--bandwidth", "0"]) == 0
+    result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["result"]
+    assert (result["min_divisor"], result["argmin_k"], result["argmin_sign"]) == (None, None, None)
+    assert result["modes_checked"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay", "--coupling", "0,0.4,0", "--theta", "0.135", "--size", "400"],
+        ["duality", "--coupling", "0.1,0.5,0.2", "--size", "64", "--phases", "2"],
+    ],
+)
+def test_eigenvectors_past_memory_exit_3(argv, monkeypatch, capsys):
+    # the eigensolve's allocation fails: a numeric error naming the window, not a traceback
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+    assert exit_code(argv) == 3
+    out, err = capsys.readouterr()
+    size = argv[argv.index("--size") + 1]
+    assert out == ""
+    assert "WindowTooLarge" in err and f"size-{size} window" in err
+
+
 def test_a_non_finite_record_exits_3(monkeypatch, capsys):
     # main prints strict JSON only: a NaN or an infinity in a record is a numeric error
     monkeypatch.setattr(cli_module, "run", lambda config: {"result": {"value": math.nan}})

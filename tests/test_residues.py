@@ -123,7 +123,7 @@ def dc_scan_ref(cf, tau, gamma, ks, shift):
 def commutant_ref(rho, alpha, bandwidth, tau, gamma):
     a = _alpha_proxy(alpha)
     two_rho = 2 * Fraction(rho)
-    min_div, arg_k, arg_s = float("inf"), 0, +1
+    min_div, arg_k, arg_s = float("inf"), None, None
     unconstrained = [(0, "diagonal")]
     checked = 0
     for k in range(-bandwidth, bandwidth + 1):
@@ -384,6 +384,14 @@ def test_commutant_with_2rho_an_integer_frees_the_k0_modes(rho):
     assert got.unconstrained_modes == [(0, "diagonal"), (0, "off-diagonal sign +1"),
                                        (0, "off-diagonal sign -1")]
     assert got.modes_checked == 2 * 61 - 2
+
+
+@pytest.mark.parametrize("rho", [0, Fraction(1, 2), -1, Fraction(3, 2)])
+def test_commutant_with_no_mode_compared_names_no_argmin(rho):
+    # bandwidth 0 and 2 rho an integer: all three k = 0 modes are unconstrained
+    got = commutant_rigidity_check(rho, DEEP, 0, 2.0, 1e-6)
+    assert commutant_fields(got) == (math.inf, None, None, 0, [
+        (0, "diagonal"), (0, "off-diagonal sign +1"), (0, "off-diagonal sign -1")])
 
 
 def test_commutant_bandwidth_just_past_the_block_size():

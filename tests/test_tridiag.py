@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from harperlab import _tridiag
 from harperlab._tridiag import (
     bisect_eigenvalues,
+    eigenpairs,
     log_minors,
     scaled_det_backward,
     scaled_det_forward,
@@ -54,6 +55,51 @@ def test_index_picks_equal_full_spectrum(mat, data):
     picks = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     got = bisect_eigenvalues(diag, np.abs(off), indices=picks)
     assert np.max(np.abs(got - full[sorted(picks)])) <= 1e-12
+
+
+def _chain(n, seed, grade, splits):
+    """(diag, off) of a random symmetric tridiagonal of order n.
+
+    grade != 0 scales row i by 10**(grade * i / n), so the entries span
+    |grade| decades along the diagonal; each index in ``splits`` (mod n - 1)
+    zeroes that off-diagonal, so the matrix splits into blocks there.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** (grade * np.arange(n) / n)
+    diag = rng.uniform(-3.0, 3.0, n) * scale
+    off = rng.uniform(-2.0, 2.0, n - 1) * np.sqrt(scale[:-1] * scale[1:])
+    if n > 1:
+        off[np.asarray(splits, dtype=np.int64) % (n - 1)] = 0.0
+    return diag, off
+
+
+# orders 1 and 2, and both sides of n = 25, where LAPACK's divide and conquer
+# hands a block to implicit QL
+@example(1, 0, 0.0, [])
+@example(2, 0, 0.0, [])
+@example(25, 1, 0.0, [])
+@example(26, 1, 0.0, [])
+@example(26, 2, 6.0, [12])
+@example(400, 3, -6.0, [0, 199, 200, 398])
+@examples
+@given(
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.just(0.0), st.floats(-6.0, 6.0)),
+    st.lists(st.integers(0, 398), max_size=8),
+)
+def test_eigenpairs_are_orthonormal_eigenvectors_of_the_full_spectrum(n, seed, grade, splits):
+    diag, off = _chain(n, seed, grade, splits)
+    vals, vecs = eigenpairs(diag, off)
+    tol = 1e-12 * max(1.0, abs(vals[0]), abs(vals[-1]))  # the 2-norm of T
+    assert vals.shape == (n,) and vecs.shape == (n, n)
+    assert np.all(np.diff(vals) >= 0)
+    tv = diag[:, None] * vecs
+    tv[:-1] += off[:, None] * vecs[1:]
+    tv[1:] += off[:, None] * vecs[:-1]
+    assert np.max(np.linalg.norm(tv - vecs * vals, axis=0)) <= tol
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(vals - bisect_eigenvalues(diag, off))) <= tol
 
 
 @examples
