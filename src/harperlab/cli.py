@@ -166,9 +166,7 @@ def _run_le(cfg, p):
 def _run_spectrum(cfg, p):
     sample = _sample(cfg)
     size, nphases = p["size"], p["phases"]
-    phases = None
-    if nphases != 1:  # duality's grid; exactly (k + 0.5)/N at theta = 0
-        phases = list((cfg.theta + (np.arange(nphases) + 0.5) / nphases) % 1.0)
+    phases = None if nphases == 1 else spectral._phase_grid(cfg.theta, nphases)  # duality's grid
     spec = spectral.truncated_spectrum(sample, size, phases)
     rows = [
         {"index": i, "eigenvalue": float(v)} for i, v in enumerate(spec.eigenvalues)

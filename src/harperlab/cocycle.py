@@ -30,13 +30,15 @@ from .errors import (
     GridTooCoarse,
     FloatRangeExceeded,
     ResonantDivisor,
-    SingularSamplingPoint,
     TooManyExclusions,
 )
 from .model import (
+    MAX_EXCLUDED,
+    ZERO_GUARD,
     CouplingTriple,
     OperatorSample,
     _alpha_proxy,
+    _guard,
     abs_c_function,
     c_function,
     orbit_phases,
@@ -72,7 +74,6 @@ __all__ = [
 SWEEP_CELLS = 2**15
 SCAN_BLOCK = 16  # sites per block of the product reduction and the rotation scan
 TABLE_BLOCK = 64  # sites between re-anchorings of the sweep's rotation table
-DEFAULT_ZERO_GUARD = 1e-7
 BRANCH_TOL = 1e-9  # a lift increment this close to +-1/2 is ambiguous
 RESONANCE_TOL = 1e-14  # ||k alpha|| below this is a resonant divisor
 
@@ -101,18 +102,6 @@ def constant_rotation(alpha: float, rho: float) -> Cocycle:
     return Cocycle(alpha, lambda theta, _m=m: _m)
 
 
-def _dist_to_positions(positions, x: np.ndarray):
-    """Circle distance from phases x to the nearest of the given points."""
-    x = np.asarray(x, dtype=np.float64)
-    dist = np.full(x.shape, np.inf)
-    for z in positions:
-        d = x - z + 0.5
-        d -= np.floor(d)  # == d % 1.0 bit for bit (fmod is exact), and cheaper
-        d = np.abs(d - 0.5)
-        dist = np.minimum(dist, d)
-    return dist
-
-
 def _sampling(coupling, alpha_f, x, kind):
     """c (raw) or |c| (normalized) at phases x: the entries a site hands on."""
     if kind == "raw":
@@ -127,18 +116,17 @@ def transfer(
     energy: float,
     theta: float,
     kind: str = "raw",
-    zero_guard: float = DEFAULT_ZERO_GUARD,
 ) -> np.ndarray:
     """One transfer matrix at phase theta: a one-site chunk of the product sweep.
 
     kind="raw" gives the complex matrix (1/c) [[E-2cos, -c~(.-a)], [c, 0]];
     kind="normalized" its real unit-determinant cousin built from |c|.  A
-    phase (or, for "normalized", its predecessor) within zero_guard of a
-    zero of c raises SingularSamplingPoint, and an entry past the float64
-    range FloatRangeExceeded.
+    phase (or, for "normalized", its predecessor) within model.ZERO_GUARD
+    of a zero of c raises SingularSamplingPoint, and an entry past the
+    float64 range FloatRangeExceeded.
     """
     thetas = np.array([wrap01(float(theta))])
-    a, b, s, s0, _ = next(_sweep_cells(sample, energy, thetas, 1, kind, zero_guard, "raise"))
+    a, b, s, s0, _ = next(_sweep_cells(sample, energy, thetas, 1, kind, ZERO_GUARD, "raise"))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises
         m = _transfer_matrices(a, b, s, s0, kind)[:, :, 0, 0]
     if not np.isfinite(m).all():
@@ -175,19 +163,6 @@ def _reduce_sites(m):
     return m[:, :, 0], logs
 
 
-def _guard(zero_pos, x, zero_guard, on_singular):
-    """Cells of x within zero_guard of a zero of c; raise mode names the first.
-
-    x is (sites, lanes); "first" is the earliest site, then the lowest lane.
-    """
-    d = _dist_to_positions(zero_pos, x)
-    bad = d < zero_guard
-    if on_singular == "raise" and bad.any():
-        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise SingularSamplingPoint(float(x[i]), float(d[i]))
-    return bad
-
-
 def _site_factors(ka, block, first, end, coarse, ubuf):
     """u_k = e^{2 pi i ka[mB]} (1 + 2 pi i e_k) over table blocks first..end-1.
 
@@ -222,7 +197,8 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     entries from then on mean nothing and may be non-finite; with
     on_singular="raise" the earliest such site (then the lowest lane)
     raises SingularSamplingPoint instead.  The yielded arrays are buffers
-    the next chunk overwrites.
+    the next chunk overwrites.  zero_guard is model.ZERO_GUARD on every
+    library path; the exclusion tests draw other values.
 
     A rotation table stands in for per-cell trigonometry.  With ka the
     orbit_phases of the sweep and B = TABLE_BLOCK (or K, if shorter), site
@@ -243,14 +219,15 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     g = len(thetas)
     alpha_frac = sample.alpha_fraction()
     alpha_f = float(alpha_frac)
-    zero_pos = zero_structure(sample.coupling).positions(alpha_f)
+    has_zeros = bool(zero_structure(sample.coupling).offsets)
     ka = orbit_phases(0.0, alpha_frac, 0, n)
     xm = thetas - alpha_f
     xm -= np.floor(xm)
     prev = _sampling(sample.coupling, alpha_f, xm, kind)
     alive = np.ones(g, dtype=bool)
-    if zero_pos and kind == "normalized":
-        alive = ~_guard(zero_pos, xm[None, :], zero_guard, on_singular)[0]
+    if has_zeros and kind == "normalized":
+        bad = _guard(sample.coupling, alpha_f, xm[None, :], zero_guard, on_singular=on_singular)
+        alive = ~bad[0]
     prev_abs = np.abs(prev) if kind == "raw" else prev
     with np.errstate(divide="ignore", over="ignore"):
         s0 = unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
@@ -275,17 +252,18 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
         rows = chunk
     l1, l2, l3 = sample.coupling.astuple()
     abuf, bbuf, mbuf = np.empty((rows, g)), np.empty((rows, g)), np.empty((rows, g))
-    xbuf = np.empty((chunk, g)) if zero_pos else None
+    xbuf = np.empty((chunk, g)) if has_zeros else None
     for k0 in range(0, n, chunk):
         k = min(chunk, n - k0)
         first, end = k0 // block, -(-(k0 + k) // block)
         off = k0 - first * block
         a, b, m = abuf[off : off + k], bbuf[off : off + k], mbuf[off : off + k]
-        if zero_pos:
+        if has_zeros:
             x = xbuf[:k]
             np.add(thetas, ka[k0 : k0 + k, None], out=x)
             x -= np.floor(x, out=a)  # a is scratch until d is written
-            alive = alive & ~_guard(zero_pos, x, zero_guard, on_singular).any(axis=0)
+            bad = _guard(sample.coupling, alpha_f, x, zero_guard, on_singular=on_singular)
+            alive = alive & ~bad.any(axis=0)
         if n <= block:  # one block at anchor e^0 = 1: the table is the chunk
             np.subtract(energy, np.multiply(table[0].real, 2.0, out=b), out=a)
             c = table[1]
@@ -430,14 +408,16 @@ def n_step(
     theta: float,
     n: int,
     kind: str = "raw",
-    zero_guard: float = DEFAULT_ZERO_GUARD,
 ) -> tuple[np.ndarray, float]:
     """n-step product and its absorbed log-scale: exact = matrix * e^lognorm.
 
     The product is reduced in real arithmetic (_product_sweep); for
     kind="raw" the complex matrix is rebuilt exactly from the real product,
     the phases of c before the orbit and at its last site, and the running
-    unit phase prod c_k/|c_k|.  Past float64 it raises FloatRangeExceeded.
+    unit phase prod c_k/|c_k|.  The earliest orbit phase (or, for
+    "normalized", the predecessor phase) within model.ZERO_GUARD of a zero
+    of c raises SingularSamplingPoint; past float64 it raises
+    FloatRangeExceeded.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -447,7 +427,7 @@ def n_step(
         np.array([wrap01(float(theta))]),
         n,
         kind,
-        zero_guard,
+        ZERO_GUARD,
         on_singular="raise",
     )
     return mats[0], float(lognorm[0])
@@ -487,15 +467,14 @@ def lyapunov_numeric(
     n_steps: int = 100_000,
     theta_grid: int = 64,
     kind: str = "raw",
-    zero_guard: float = DEFAULT_ZERO_GUARD,
-    max_excluded: float = 0.1,
 ) -> LyapunovEstimate:
     """Phase-averaged (1/n) log ||A_n|| over an equispaced theta grid.
 
-    Grid points whose orbit enters the zero guard are excluded and counted,
-    and their products are not kept; more than max_excluded of them, or all
-    of them, aborts with TooManyExclusions, and a product past the float64
-    range with FloatRangeExceeded.
+    Grid points whose orbit (or, for "normalized", predecessor phase) comes
+    within model.ZERO_GUARD of a zero of c are excluded, counted in
+    excluded_fraction, and their products are not kept.  A share above
+    model.MAX_EXCLUDED, or every point, aborts with TooManyExclusions, and
+    a product past the float64 range with FloatRangeExceeded.
     """
     if n_steps < 1000:
         raise ValueError("n_steps must be >= 1000")
@@ -503,10 +482,10 @@ def lyapunov_numeric(
         raise ValueError("theta_grid must be >= 1")
     thetas = (np.arange(theta_grid) + 0.5) / theta_grid
     mats, lognorm, alive = _product_sweep(
-        sample, energy, thetas, n_steps, kind, zero_guard, on_singular="exclude"
+        sample, energy, thetas, n_steps, kind, ZERO_GUARD, on_singular="exclude"
     )
     excluded = 1.0 - float(np.count_nonzero(alive)) / theta_grid
-    if excluded > max_excluded or not alive.any():
+    if excluded > MAX_EXCLUDED or not alive.any():
         raise TooManyExclusions(
             f"{excluded:.1%} of grid orbits entered the zero guard"
         )
@@ -641,19 +620,18 @@ def rotation_number(
     n_steps: int = 100_000,
     theta0: float = 0.0,
     y0: float = 0.0,
-    zero_guard: float = DEFAULT_ZERO_GUARD,
 ) -> RotationEstimate:
     """Rotation number of the normalized transfer cocycle.
 
     It scans the companion matrices R_k, positive multiples of the normalized
-    ones, from _sweep_cells: the earliest orbit or predecessor phase in the
-    zero guard raises SingularSamplingPoint, a product past float64
-    FloatRangeExceeded.
+    ones, from _sweep_cells: the earliest orbit or predecessor phase within
+    model.ZERO_GUARD of a zero of c raises SingularSamplingPoint, a product
+    past float64 FloatRangeExceeded.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     thetas = np.array([wrap01(float(theta0))])
-    cells = _sweep_cells(sample, energy, thetas, n_steps, "normalized", zero_guard, "raise")
+    cells = _sweep_cells(sample, energy, thetas, n_steps, "normalized", ZERO_GUARD, "raise")
     chunks = (_companion(a[:, 0], b[:, 0]) for a, b, *_ in cells)
     return _lift_increments(chunks, y0, _overflow(sample, energy))
 

@@ -21,8 +21,8 @@ from .contfrac import ContinuedFraction
 from .errors import (
     InvalidCoupling,
     Lambda2Zero,
-    RationalDetected,
     ResolventSingular,
+    SingularSamplingPoint,
     WindowEmpty,
 )
 
@@ -43,6 +43,7 @@ __all__ = [
     "unit_phase",
     "c_zeros",
     "zero_structure",
+    "zero_offsets",
     "theta_admissible",
     "build_truncation",
     "green_function",
@@ -57,7 +58,10 @@ ORBIT_ANCHOR = 4096  # sites between exact rational re-anchorings of an orbit
 RESOLVENT_GUARD = 1e-10  # |E - eigenvalue| below which a resolvent is singular
 ADMISSIBLE_DEPTH = 40  # digits theta_admissible expands a target to
 ADMISSIBLE_TOL = 1e-2  # a growth exponent above this makes a phase inadmissible
-ADMISSIBLE_PRECISION = 30  # decimal digits of theta_admissible's targets
+ADMISSIBLE_PRECISION = 30  # a theta_admissible target within 10^-this of an integer is resonant
+OFFSET_PRECISION = 60  # decimal digits of an exact zero offset (zero_offsets)
+ZERO_GUARD = 1e-7  # a phase closer than this to a zero of c is singular (_guard)
+MAX_EXCLUDED = 0.1  # share of lyapunov_numeric's grid orbits the zero guard may exclude
 
 
 def wrap01(x: float) -> float:
@@ -253,6 +257,49 @@ def c_zeros(coupling: CouplingTriple) -> list:
     return list(zero_structure(coupling).offsets)
 
 
+def zero_offsets(coupling: CouplingTriple) -> list:
+    """zero_structure's offsets as exact Fractions, for delta_exponent and theta_admissible.
+
+    A single or double zero sits at 1/2; a pair at +-arccos(-l2/(2 l1))/(2 pi)
+    of zero_structure's float quotient, kept to OFFSET_PRECISION digits
+    (mpmath, imported on first use).  No zeros: [].
+    """
+    zs = zero_structure(coupling)
+    if zs.kind is ZeroKind.NONE:
+        return []
+    if zs.kind is not ZeroKind.PAIR:
+        return [Fraction(1, 2)]
+    import mpmath
+
+    with mpmath.workdps(OFFSET_PRECISION + 10):
+        a = mpmath.acos(-coupling.lambda2 / (2 * coupling.lambda1)) / (2 * mpmath.pi)
+        off = Fraction(mpmath.nstr(a, OFFSET_PRECISION, strip_zeros=False))
+    return [off, -off]
+
+
+def _guard(coupling, alpha: float, x, guard=ZERO_GUARD, *, on_singular) -> np.ndarray:
+    """The one zero guard: which phases x lie within guard of a zero of c.
+
+    Every experiment that divides by c reads its phases through this, at
+    guard = ZERO_GUARD; the zeros sit at zero_structure's positions for the
+    float frequency alpha, and distances are taken on the circle.  Returns
+    a mask of x's shape under on_singular="exclude".  Under "raise" the
+    first masked phase in C order (of (sites, lanes): the earliest site,
+    then the lowest lane) raises SingularSamplingPoint instead.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    dist = np.full(x.shape, np.inf)
+    for z in zero_structure(coupling).positions(alpha):
+        d = x - z + 0.5
+        d -= np.floor(d)  # == d % 1.0 bit for bit (fmod is exact), and cheaper
+        dist = np.minimum(dist, np.abs(d - 0.5))
+    bad = dist < guard
+    if on_singular == "raise" and bad.any():
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise SingularSamplingPoint(float(x[i]), float(dist[i]))
+    return bad
+
+
 # -- admissible phases ------------------------------------------------------
 
 
@@ -265,59 +312,43 @@ class Admissibility(enum.Enum):
 def theta_admissible(coupling: CouplingTriple, theta: Union[float, Fraction]) -> Admissibility:
     """Finite-depth test of membership in the full-measure phase set.
 
-    No zeros of c: every phase is admissible.  Single zero: requires the
-    growth exponent of 2*theta to vanish; zero pair: the same for
-    2*theta +- arccos(-l2/(2 l1))/pi.  "Vanish" means the exponent of an
-    expansion to ADMISSIBLE_DEPTH digits at ADMISSIBLE_PRECISION decimal
-    digits stays below ADMISSIBLE_TOL past a warmup index.  The
-    colliding-zeros coupling (l1 = l3 = l2/2) is reported as undecided.
+    No zeros of c: every phase is admissible.  Otherwise each exact offset o
+    of zero_offsets gives the rational target 2 theta - 2 o mod 1 (theta read
+    exactly as a Fraction), and the growth exponent of every target must
+    vanish: stay below ADMISSIBLE_TOL past a warmup of half the depth, on at
+    least two levels.  A target is expanded exactly (no radius) to
+    ADMISSIBLE_DEPTH digits, so past some depth these are the digits of the
+    rational target, not of the real one it stands for.  A target within
+    10^-ADMISSIBLE_PRECISION of an integer, or whose expansion ends, is
+    resonant: OUT.  Colliding zeros (l1 = l3 = l2/2) are undecided.
     """
-    import mpmath
-
     zs = zero_structure(coupling)
     if zs.kind is ZeroKind.NONE:
         return Admissibility.IN_THETA
     if zs.kind is ZeroKind.DOUBLE:
         return Admissibility.UNDECIDED
+    t2 = 2 * Fraction(theta)
+    verdicts = {_target_verdict(t2 - 2 * off) for off in zero_offsets(coupling)}
+    for verdict in (Admissibility.OUT, Admissibility.UNDECIDED):
+        if verdict in verdicts:
+            return verdict
+    return Admissibility.IN_THETA
 
-    with mpmath.workdps(ADMISSIBLE_PRECISION + 10):
-        t2 = 2 * Fraction(theta)
-        if zs.kind is ZeroKind.SINGLE:
-            targets = [t2]
-        else:
-            shift = mpmath.acos(-coupling.lambda2 / (2 * coupling.lambda1)) / mpmath.pi
-            shift_frac = Fraction(mpmath.nstr(shift, ADMISSIBLE_PRECISION + 5, strip_zeros=False))
-            targets = [t2 + shift_frac, t2 - shift_frac]
 
-    verdicts = []
-    for t in targets:
-        t = t - (t.numerator // t.denominator)
-        if t == 0 or min(t, 1 - t) < Fraction(1, 10**ADMISSIBLE_PRECISION):
-            verdicts.append(Admissibility.OUT)  # resonant (rational) target
-            continue
-        try:
-            cf = contfrac.expand(
-                t, max_depth=ADMISSIBLE_DEPTH, precision=ADMISSIBLE_PRECISION, partial=True
-            )
-        except RationalDetected:
-            verdicts.append(Admissibility.OUT)
-            continue
-        if getattr(cf, "stop_reason", None) == "rational":
-            verdicts.append(Admissibility.OUT)
-            continue
-        if cf.depth < 4:
-            verdicts.append(Admissibility.UNDECIDED)
-            continue
-        fe = contfrac.beta_exponent(cf, depth=cf.depth, warmup=max(2, cf.depth // 2))
-        if fe.beta_estimate > ADMISSIBLE_TOL:
-            verdicts.append(Admissibility.OUT)
-        elif len([1 for n, _ in fe.per_level if n >= fe.warmup]) < 2:
-            verdicts.append(Admissibility.UNDECIDED)
-        else:
-            verdicts.append(Admissibility.IN_THETA)
-    if Admissibility.OUT in verdicts:
+def _target_verdict(t: Fraction) -> Admissibility:
+    """theta_admissible's verdict on one exact target t, read mod 1."""
+    t -= t.numerator // t.denominator
+    if t == 0 or min(t, 1 - t) < Fraction(1, 10**ADMISSIBLE_PRECISION):
+        return Admissibility.OUT  # resonant (rational) target
+    cf = contfrac.expand(t, max_depth=ADMISSIBLE_DEPTH, partial=True)  # exact: never raises
+    if getattr(cf, "stop_reason", None) == "rational":
         return Admissibility.OUT
-    if Admissibility.UNDECIDED in verdicts:
+    if cf.depth < 4:
+        return Admissibility.UNDECIDED
+    fe = contfrac.beta_exponent(cf, depth=cf.depth, warmup=max(2, cf.depth // 2))
+    if fe.beta_estimate > ADMISSIBLE_TOL:
+        return Admissibility.OUT
+    if len([1 for n, _ in fe.per_level if n >= fe.warmup]) < 2:
         return Admissibility.UNDECIDED
     return Admissibility.IN_THETA
 

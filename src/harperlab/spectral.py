@@ -20,13 +20,7 @@ from ._tridiag import (
     eigenpairs,
     sturm_count,
 )
-from .cocycle import (
-    DEFAULT_ZERO_GUARD,
-    _guard,
-    _sweep_cells,
-    _transfer_matrices,
-    lyapunov_formula,
-)
+from .cocycle import _sweep_cells, _transfer_matrices, lyapunov_formula
 from .contfrac import (
     ContinuedFraction,
     beta_exponent,
@@ -36,13 +30,14 @@ from .contfrac import (
 )
 from .errors import FloatRangeExceeded, NoBulkSpectrum, PoorlyLocalized
 from .model import (
+    ZERO_GUARD,
     CouplingTriple,
     OperatorSample,
-    ZeroKind,
     _edge_green_logs,
+    _guard,
     build_truncation,
     duality,
-    zero_structure,
+    zero_offsets,
 )
 
 __all__ = [
@@ -64,7 +59,6 @@ __all__ = [
 
 EDGE_FRAC = 0.05  # share of a duality window at each end that counts as its edge
 EDGE_MASS_MAX = 0.25  # an eigenvector with more of its mass in the edges is a boundary mode
-OFFSET_PRECISION = 60  # decimal digits of a delta_exponent zero offset
 DECAY_FLOOR_REL = 1e-12  # decay_fit drops |phi| below this times its peak
 DECAY_R2_MIN = 0.9  # decay_fit's r^2 below this raises PoorlyLocalized
 
@@ -115,6 +109,11 @@ def truncated_spectrum(
     return SpectrumApproximation(
         eigenvalues=eigs, size=size, phases=[float(t) for t in theta_list]
     )
+
+
+def _phase_grid(theta0: float, count: int) -> list:
+    """The equispaced phases (theta0 + (k + 1/2)/count) mod 1, k = 0..count-1."""
+    return list((theta0 + (np.arange(count) + 0.5) / count) % 1.0)
 
 
 def hausdorff_sorted(a: np.ndarray, b: np.ndarray) -> float:
@@ -194,7 +193,7 @@ def duality_check(
             rng = np.random.default_rng(seed)
             theta_list = list((theta0 + rng.random(phases)) % 1.0)
         else:
-            theta_list = list((theta0 + (np.arange(phases) + 0.5) / phases) % 1.0)
+            theta_list = _phase_grid(theta0, phases)
     else:
         theta_list = list(phases)
         if not theta_list:
@@ -236,30 +235,16 @@ def delta_exponent(
     Per level n the value is (sum_zeros ln||q_n (theta - theta_zero)|| +
     ln q_{n+1}) / q_n; with no zeros of c this reduces to the plain
     denominator exponent level by level.  The orbit distances are evaluated
-    in exact rational arithmetic against the deepest convergent of alpha.
+    in exact rational arithmetic against the deepest convergent of alpha and
+    the exact zero offsets of model.zero_offsets.
     """
     fe = beta_exponent(cf, depth, warmup)
-    zs = zero_structure(coupling)
-    if zs.kind is ZeroKind.NONE:
+    offsets = zero_offsets(coupling)
+    if not offsets:
         return fe.beta_estimate, list(fe.per_level)
-
-    if zs.kind in (ZeroKind.SINGLE, ZeroKind.DOUBLE):
-        offsets = [Fraction(1, 2)]
-    else:
-        import mpmath
-
-        with mpmath.workdps(OFFSET_PRECISION + 10):
-            a = mpmath.acos(-coupling.lambda2 / (2 * coupling.lambda1)) / (
-                2 * mpmath.pi
-            )
-            off = Fraction(mpmath.nstr(a, OFFSET_PRECISION, strip_zeros=False))
-        offsets = [off, -off]
-
     cf.ensure(depth)
-    pa, qa = cf.convergent(depth)
-    alpha_proxy = Fraction(pa, qa)
-    theta_frac = Fraction(theta)
-    xs = [theta_frac - off + alpha_proxy / 2 for off in offsets]
+    half_alpha = Fraction(*cf.convergent(depth)) / 2
+    xs = [Fraction(theta) - off + half_alpha for off in offsets]
     per_level = []
     for n in range(1, depth):
         qn = cf.q(n)
@@ -302,7 +287,7 @@ class BadnessReport:
     note: str = ""
 
 
-def _basis_solutions(trunc, energies, zero_guard):
+def _basis_solutions(trunc, energies):
     """Solutions grown from the basis initial data (u(0), u(-1)) = e1, e2.
 
     trunc is the window [-N-1, N].  Returns U of shape (len(energies),
@@ -310,12 +295,11 @@ def _basis_solutions(trunc, energies, zero_guard):
     the three-term recurrence of the window's rows runs N steps forward and
     N steps backward, with energies x basis vectors as lanes.  Raises
     SingularSamplingPoint at the earliest phase it reads c at (sites
-    -N-1 .. N-1) that lies within zero_guard of a zero of c.
+    -N-1 .. N-1) that lies within model.ZERO_GUARD of a zero of c, the
+    guard of every transfer product.
     """
-    N, c = trunc.x2, trunc.offdiag
-    zero_pos = zero_structure(trunc.sample.coupling).positions(trunc.sample.alpha_float)
-    if zero_pos:
-        _guard(zero_pos, trunc.phases[:-1, None], zero_guard, "raise")
+    N, c, s = trunc.x2, trunc.offdiag, trunc.sample
+    _guard(s.coupling, s.alpha_float, trunc.phases[:-1], on_singular="raise")
     d = np.asarray(energies, dtype=np.float64)[:, None, None] - trunc.diag[:, None]
     U = np.zeros((len(energies), 2 * N + 2, 2), dtype=np.complex128)
     o = N + 1  # index of site 0, in U and in the window
@@ -349,8 +333,9 @@ def badness_scan(
     over all normalized initial data, 1 + sigma_min(A)^2, and the witness
     angle (in [0, 1/2), as u and -u carry the same mass) from the right
     singular vector.  The Gram matrix A^T A is never formed: its entries
-    reach e^(2 L N), which swamps the O(1) minimum.  A mass past the float64
-    range raises FloatRangeExceeded.
+    reach e^(2 L N), which swamps the O(1) minimum.  A window phase within
+    model.ZERO_GUARD of a zero of c raises SingularSamplingPoint, and a mass
+    past the float64 range FloatRangeExceeded.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -369,7 +354,7 @@ def badness_scan(
         raise ValueError("badness_scan needs at least one energy")
     overflow = FloatRangeExceeded(f"a window mass at N={N} leaves the float64 range")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass raises
-        U = _basis_solutions(build_truncation(sample, -N - 1, N), e_grid, 1e-9)
+        U = _basis_solutions(build_truncation(sample, -N - 1, N), e_grid)
         W = np.concatenate([U[:, 1:N], U[:, N + 2 :]], axis=1)  # k in [-N, N] \ {0, -1}
         A = np.concatenate([W.real, W.imag], axis=1)
         if not np.isfinite(A).all():
@@ -461,8 +446,10 @@ def perturbation_experiment(
     eigenvalue of the matched truncation at alpha; the deviations are the
     maxima over |m| <= N of the transfer-matrix difference and of the
     solution-vector difference grown over the window [-N-1, N] from the
-    same initial data (u(0), u(-1)) = (1, 0).  A transfer matrix or
-    deviation past the float64 range raises FloatRangeExceeded.
+    same initial data (u(0), u(-1)) = (1, 0).  A phase either frequency's
+    window reads c at within model.ZERO_GUARD of a zero of c raises
+    SingularSamplingPoint, and a transfer matrix or deviation past the
+    float64 range FloatRangeExceeded.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got N={N}")
@@ -477,11 +464,11 @@ def perturbation_experiment(
     energy = _nearest_eig(diag, absoff, e_prime)
 
     def matrices(s, e):  # the 2N+1 raw transfer matrices from site -N on
-        cells = _sweep_cells(s, e, s.phases(-N, 1), 2 * N + 1, "raw", DEFAULT_ZERO_GUARD, "raise")
+        cells = _sweep_cells(s, e, s.phases(-N, 1), 2 * N + 1, "raw", ZERO_GUARD, "raise")
         return (_transfer_matrices(a, b, u, u0, "raw") for a, b, u, u0, _ in cells)
 
     def solution(s, e):  # u(k) at sites -N-1..N from (u(0), u(-1)) = (1, 0)
-        return _basis_solutions(build_truncation(s, -N - 1, N), [e], DEFAULT_ZERO_GUARD)[0, :, 0]
+        return _basis_solutions(build_truncation(s, -N - 1, N), [e])[0, :, 0]
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises
         diffs = [m1 - m2 for m1, m2 in zip(matrices(sample, energy), matrices(sample_p, e_prime))]
@@ -581,7 +568,11 @@ def decay_fit(
     and workspace, while it runs: 10 MB at the default size 800.  The fit
     regresses (1/2) ln(phi(n)^2 + phi(n+1)^2) on -|n - peak|, excluding the
     outer 10% of the window and everything below the relative noise floor
-    DECAY_FLOOR_REL; r^2 below DECAY_R2_MIN raises PoorlyLocalized.
+    DECAY_FLOOR_REL; r^2 below DECAY_R2_MIN raises PoorlyLocalized.  The
+    peak is the lowest site among the maxima of phi^2 rounded to 1e-9 of
+    the largest: on a window symmetric about the origin an eigenvector can
+    carry two mirrored peaks equal to rounding, and the pick must not hang
+    on which one LAPACK makes larger.
     """
     if size < 400:
         raise ValueError("size must be >= 400 for a stable fit")
@@ -598,7 +589,7 @@ def decay_fit(
         index = _eig_index(which_eigenvector, size)
     energy = float(vals[index])
     phi2 = vecs[:, index] ** 2
-    peak = int(np.argmax(phi2))
+    peak = int(np.argmax(np.round(phi2 / np.max(phi2), 9)))  # the first, lowest, tied site
     pair = phi2[:-1] + phi2[1:]
     ys = 0.5 * np.log(np.maximum(pair, 1e-320))
     ts = np.abs(np.arange(size - 1) - peak).astype(float)

@@ -551,6 +551,29 @@ def test_rotation_predecessor_on_a_zero_exits_3(capsys):
     assert "SingularSamplingPoint" in capsys.readouterr().err
 
 
+# badness, perturb and rotation each read c at site 0 of the orbit and divide by it
+GUARDED = [["badness", "--N", "16"], ["perturb", "--freq-prime", "0.618034", "--N", "20"],
+           ["rotation", "--E", "0.3", "--n", "1000"]]
+
+
+@pytest.mark.parametrize("coupling", ["0.3,0.5,0.2", "0.3,0.4,0.3"])  # a single zero, a pair
+@pytest.mark.parametrize("offset, refused", [(0.0, True), (5e-8, True), (-5e-8, True),
+                                             (2e-7, False), (-2e-7, False)])
+def test_badness_perturb_and_rotation_refuse_the_same_phases(coupling, offset, refused, capsys):
+    # one zero guard: a phase within model.ZERO_GUARD = 1e-7 of a zero of c exits 3 in
+    # every experiment that reads it, and a phase twice as far runs in all of them
+    sample = OperatorSample(CouplingTriple.parse(coupling), golden())
+    zeros = zero_structure(sample.coupling).positions(sample.alpha_float)
+    for zero in zeros:
+        theta = (zero + offset) % 1.0
+        for argv in GUARDED:
+            code = exit_code([*argv, "--coupling", coupling, "--freq", "golden",
+                              "--theta", repr(theta)])
+            err = capsys.readouterr().err
+            assert code == (3 if refused else 0), (argv, theta, err)
+            assert ("SingularSamplingPoint" in err) == refused
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

@@ -41,6 +41,7 @@ from harperlab.model import (
     orbit_phases,
     theta_admissible,
     unit_phase,
+    zero_offsets,
     zero_structure,
 )
 from harperlab.model import ORBIT_ANCHOR, _alpha_proxy, _edge_green_logs
@@ -248,6 +249,37 @@ def test_zero_structure_is_invariant_under_scaling(case, exponent):
     scaled = zero_structure(CouplingTriple(*(scale * v for v in triple)))
     assert scaled.kind is kind
     assert scaled.offsets == pytest.approx(zs.offsets, rel=0, abs=1e-12)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(-3, 2), st.floats(0.0, 1.999))
+def test_exact_zero_offsets_are_zeros_of_c(exponent, ratio):
+    # l1 = l3 = 2^exponent and l2 = ratio l1: a pair of zeros, and the float quotient
+    # l2/(2 l1) the offsets are read from is exact, so c vanishes at the exact offsets
+    # to their 60 digits
+    import mpmath
+
+    l1 = 2.0**exponent
+    coupling = CouplingTriple(l1, ratio * l1, l1)
+    zs = zero_structure(coupling)
+    assert zs.kind is ZeroKind.PAIR
+    exact = zero_offsets(coupling)
+    assert len(exact) == 2 and exact[0] == -exact[1]
+    with mpmath.workdps(70):
+        for off in exact:
+            turn = 2 * mpmath.pi * mpmath.mpf(off.numerator) / off.denominator
+            c = l1 * mpmath.expj(-turn) + coupling.lambda2 + l1 * mpmath.expj(turn)
+            assert abs(c) < mpmath.mpf(10) ** -55
+    # zero_structure's float offsets sit where the exact ones do, to rounding
+    for o, e in zip(zs.offsets, exact):
+        d = (Fraction(o) - e) % 1
+        assert min(d, 1 - d) <= 4e-16
+
+
+def test_zero_offsets_of_a_single_zero_and_of_none():
+    assert zero_offsets(CouplingTriple(0.3, 0.5, 0.2)) == [Fraction(1, 2)]
+    assert zero_offsets(CouplingTriple(0.25, 0.5, 0.25)) == [Fraction(1, 2)]  # colliding
+    assert zero_offsets(CouplingTriple(0.1, 0.5, 0.2)) == []
 
 
 def test_a_small_coupling_without_zeros_has_none():

@@ -2,14 +2,15 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from harperlab import cocycle
 from harperlab.cocycle import (
-    DEFAULT_ZERO_GUARD,
     SCAN_BLOCK,
     SWEEP_CELLS,
     TABLE_BLOCK,
@@ -32,6 +33,8 @@ from harperlab.errors import (
     TooManyExclusions,
 )
 from harperlab.model import (
+    MAX_EXCLUDED,
+    ZERO_GUARD,
     CouplingTriple,
     OperatorSample,
     _alpha_proxy,
@@ -52,6 +55,15 @@ ZERO_COUPLINGS = st.sampled_from([(0.25, 0.5, 0.25), (0.3, 0.4, 0.3), (0.2, 0.7,
 ZERO_FREE = st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.05, 1.0)).map(
     lambda t: (t[0], t[0] + t[1] + t[2], t[1])
 )
+
+
+def library_guard(zero_guard, max_excluded=MAX_EXCLUDED):
+    """The guard constants the public sweeps read, set to a drawn value.
+
+    The public functions take no guard: they read model.ZERO_GUARD and
+    MAX_EXCLUDED by name in cocycle, so a test patches them there.
+    """
+    return mock.patch.multiple(cocycle, ZERO_GUARD=zero_guard, MAX_EXCLUDED=max_excluded)
 
 
 def zero_distance(coupling, alpha_f, x):
@@ -183,17 +195,18 @@ def test_exclusion_path_matches_sequential(triple, energy, n, zero_guard, kind):
     thetas = (np.arange(g) + 0.5) / g
     alive, growth = assert_products_match(sample, energy, thetas, n, kind, zero_guard)
     excluded = 1.0 - np.count_nonzero(alive) / g
+    est = None
     if alive.any():
-        est = lyapunov_numeric(
-            sample, energy, n, g, kind, zero_guard=zero_guard, max_excluded=1.0
-        )
+        with library_guard(zero_guard, max_excluded=1.0):
+            est = lyapunov_numeric(sample, energy, n, g, kind)
         assert est.excluded_fraction == excluded
         assert est.value == pytest.approx(float(np.mean(growth[alive])) / n, rel=1e-9)
-    if excluded > 0:
-        with pytest.raises(TooManyExclusions):
-            lyapunov_numeric(
-                sample, energy, n, g, kind, zero_guard=zero_guard, max_excluded=excluded / 2
-            )
+    with library_guard(zero_guard):
+        if excluded > MAX_EXCLUDED or est is None:
+            with pytest.raises(TooManyExclusions):
+                lyapunov_numeric(sample, energy, n, g, kind)
+        else:
+            assert lyapunov_numeric(sample, energy, n, g, kind) == est
 
 
 def test_chunks_shorter_than_a_block_match_sequential():
@@ -212,15 +225,37 @@ def test_exclusions_present_and_all_lanes_dead_raises():
     thetas = (np.arange(64) + 0.5) / 64
     _, _, alive = _product_sweep(sample, 0.3, thetas, 1200, "raw", 1.5e-4)
     assert 0 < np.count_nonzero(alive) < 64
-    with pytest.raises(TooManyExclusions):
-        lyapunov_numeric(sample, 0.3, 1200, 64, zero_guard=0.05)
+    with library_guard(0.05), pytest.raises(TooManyExclusions):
+        lyapunov_numeric(sample, 0.3, 1200, 64)
 
 
 def test_every_lane_excluded_raises_whatever_max_excluded():
     # no lane lives to average over, so there is no estimate to return
     sample = OperatorSample(CouplingTriple(0.25, 0.5, 0.25), golden())
-    with pytest.raises(TooManyExclusions):
-        lyapunov_numeric(sample, 0.3, 1000, 4096, zero_guard=1e-3, max_excluded=1.0)
+    with library_guard(1e-3, max_excluded=1.0), pytest.raises(TooManyExclusions):
+        lyapunov_numeric(sample, 0.3, 1000, 4096)
+
+
+def test_too_many_exclusions_exactly_past_max_excluded():
+    # guards from 1e-6 to 1e-3 exclude from none to all of 64 grid orbits, among them
+    # 6 (9.4%) and 7 (10.9%): the estimate is refused exactly past MAX_EXCLUDED = 10%
+    sample = OperatorSample(CouplingTriple(0.25, 0.5, 0.25), golden())
+    thetas = (np.arange(64) + 0.5) / 64
+    shares = []
+    for zero_guard in np.geomspace(1e-6, 1e-3, 31):
+        _, _, alive = _product_sweep(sample, 0.3, thetas, 1000, "raw", zero_guard)
+        excluded = 1.0 - np.count_nonzero(alive) / 64
+        shares.append(excluded)
+        with library_guard(zero_guard):
+            if excluded > MAX_EXCLUDED:
+                with pytest.raises(TooManyExclusions):
+                    lyapunov_numeric(sample, 0.3, 1000, 64)
+            else:
+                assert lyapunov_numeric(sample, 0.3, 1000, 64).excluded_fraction == excluded
+    # both sides of the bound are reached, and a share just below and just above it
+    assert min(shares) == 0.0 and max(shares) > 2 * MAX_EXCLUDED
+    assert any(MAX_EXCLUDED - 1 / 64 < x <= MAX_EXCLUDED for x in shares)
+    assert any(MAX_EXCLUDED < x < MAX_EXCLUDED + 1 / 64 for x in shares)
 
 
 @pytest.mark.parametrize("g", [7, 40, 64])
@@ -274,12 +309,12 @@ def test_raise_reports_the_per_site_phase(triple, thetas, n, zero_guard, kind):
         _product_sweep(sample, 0.3, thetas, n, kind, zero_guard, on_singular="raise")
     assert err.value.theta == expect
     if len(thetas) == 1:
-        with pytest.raises(SingularSamplingPoint) as err:
-            n_step(sample, 0.3, float(thetas[0]), n, kind, zero_guard)
+        with library_guard(zero_guard), pytest.raises(SingularSamplingPoint) as err:
+            n_step(sample, 0.3, float(thetas[0]), n, kind)
         assert err.value.theta == expect
     if len(thetas) == 1 and kind == "normalized" and n >= 2:
-        with pytest.raises(SingularSamplingPoint) as err:
-            rotation_number(sample, 0.3, n, float(thetas[0]), zero_guard=zero_guard)
+        with library_guard(zero_guard), pytest.raises(SingularSamplingPoint) as err:
+            rotation_number(sample, 0.3, n, float(thetas[0]))
         assert err.value.theta == expect
 
 
@@ -589,10 +624,10 @@ def test_transfer_raises_at_the_oracle_phase(triple, which, offset, turns, on_pr
     af = sample.alpha_float
     zeros = zero_structure(sample.coupling).positions(af)
     z = zeros[which % len(zeros)]
-    theta = z + offset * DEFAULT_ZERO_GUARD + (af if on_predecessor else 0.0) + turns
+    theta = z + offset * ZERO_GUARD + (af if on_predecessor else 0.0) + turns
     x, xm = phase_and_predecessor(sample, theta)
     guarded = [xm, x] if kind == "normalized" else [x]  # the predecessor first
-    hits = [p for p in guarded if zero_distance(sample.coupling, af, p) < DEFAULT_ZERO_GUARD]
+    hits = [p for p in guarded if zero_distance(sample.coupling, af, p) < ZERO_GUARD]
     if not hits:
         assert transfer(sample, 1.0, theta, kind).tobytes() == transfer_oracle(
             sample, 1.0, theta, kind

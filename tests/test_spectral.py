@@ -1,14 +1,15 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harperlab import spectral
 from harperlab._tridiag import bisect_eigenvalues, eigenpairs, inverse_iteration
-from harperlab.cocycle import _dist_to_positions, lyapunov_formula
+from harperlab.cocycle import lyapunov_formula
 from harperlab.contfrac import ConstantBeta, beta_exponent, forge, golden, silver
 from harperlab.errors import (
     FloatRangeExceeded,
@@ -24,7 +25,6 @@ from harperlab.model import (
     c_function,
     green_function,
     orbit_phases,
-    zero_structure,
 )
 from harperlab.spectral import (
     _basis_solutions,
@@ -256,8 +256,12 @@ def test_badness_contrast_localized_side():
 # (u(k), u(k-1)) pairs grown from given initial data.
 
 
-def _solution_masses(sample, energy, N, phis, zero_guard=1e-9):
-    """sum_{|k|<=N} |u(k)|^2 for normalized initial angles phis (in turns)."""
+def _solution_masses(sample, energy, N, phis):
+    """sum_{|k|<=N} |u(k)|^2 for normalized initial angles phis (in turns).
+
+    Called only after badness_scan passed on the same window, whose zero
+    guard has then cleared every phase this divides by.
+    """
     coupling = sample.coupling
     alpha_frac = sample.alpha_fraction()
     alpha_f = float(alpha_frac)
@@ -266,12 +270,6 @@ def _solution_masses(sample, energy, N, phis, zero_guard=1e-9):
     um1 = np.sin(2 * np.pi * phis).astype(np.complex128)
     mass = np.abs(u0) ** 2 + np.abs(um1) ** 2
     xs = orbit_phases(sample.theta, alpha_frac, -N - 1, 2 * N + 3)
-    zero_pos = zero_structure(coupling).positions(alpha_f)
-    if zero_pos:
-        d = _dist_to_positions(zero_pos, xs)
-        i = int(np.argmin(d))
-        if d[i] < zero_guard:
-            raise SingularSamplingPoint(float(xs[i]), float(d[i]))
     cvals = np.asarray(c_function(coupling, alpha_f, xs), dtype=np.complex128).reshape(-1)
 
     def phase(n):
@@ -323,6 +321,55 @@ def _two_sided_vectors(coupling, alpha_frac, theta, energy, N, init):
     return out
 
 
+def _exact_solution(coupling, alpha_frac, theta, energy, N, init):
+    """u(k) for k in [-N-1, N] from (u(0), u(-1)) = init, at mpmath's precision.
+
+    The orbit, c and the diagonal are the float inputs _two_sided_vectors
+    builds; the recurrence runs on them without rounding.
+    """
+    xs = orbit_phases(theta, alpha_frac, -N - 1, 2 * N + 3)
+    cs = np.asarray(c_function(coupling, float(alpha_frac), xs), dtype=np.complex128).reshape(-1)
+    d = [mpmath.mpf(energy - 2.0 * math.cos(2 * math.pi * x)) for x in xs]
+    c = [mpmath.mpc(complex(z)) for z in cs]
+    o = N + 1  # index of site 0
+    u = [mpmath.mpc(0)] * (2 * N + 2)
+    u[o], u[o - 1] = mpmath.mpc(init[0]), mpmath.mpc(init[1])
+    for i in range(o, 2 * N + 1):
+        u[i + 1] = (d[i] * u[i] - c[i - 1].conjugate() * u[i - 1]) / c[i]
+    for i in range(o - 1, 0, -1):
+        u[i - 1] = (d[i] * u[i] - c[i] * u[i + 1]) / c[i - 1].conjugate()
+    return u
+
+
+EPS = np.finfo(float).eps
+ROUNDING = 16 * EPS  # one step: d and its cos, two products, a difference, a division
+
+
+def _rounding_bound(tr, energy, E, init):
+    """First-order bound on the rounding of _basis_solutions(tr, [energy])[0] @ init.
+
+    E holds the exact basis solutions, rows as in U.  The step that makes row
+    r rounds it, its float inputs included, by at most ROUNDING times mu_r,
+    the size of the step's terms; that moves row k by G[k, r] times as much,
+    where column r of G is the solution that is 1 at row r and 0 at the row
+    before it, run on in the same direction.  The combination with init adds
+    2 eps of each row.
+    """
+    d, c, o = energy - tr.diag, tr.offdiag, -tr.x1  # o: row of site 0
+    dmag = abs(energy) + np.abs(tr.diag)  # rounding of d, and a cos an ulp off
+    w, absE = np.abs(init), np.abs(E)
+    mu, G = np.zeros(tr.size), np.zeros((tr.size, tr.size), dtype=np.complex128)
+    for i in range(o, tr.size - 1):  # forward: row i + 1 from rows i and i - 1
+        mu[i + 1] = (dmag[i] * absE[i] + abs(c[i - 1]) * absE[i - 1]) @ w / abs(c[i])
+        G[i + 1] = (d[i] * G[i] - np.conj(c[i - 1]) * G[i - 1]) / c[i]
+        G[i + 1, i + 1] = 1.0
+    for i in range(o - 1, 0, -1):  # backward: row i - 1 from rows i and i + 1
+        mu[i - 1] = (dmag[i] * absE[i] + abs(c[i]) * absE[i + 1]) @ w / abs(c[i - 1])
+        G[i - 1] = (d[i] * G[i] - c[i] * G[i + 1]) / np.conj(c[i - 1])
+        G[i - 1, i - 1] = 1.0
+    return ROUNDING * (np.abs(G) @ mu) + 2 * EPS * (absE @ w)
+
+
 def _near_origin_energies(samp, size=512):
     """Eigenvalues of the centered window whose eigenvectors peak within 2 of 0."""
     tr = build_truncation(samp, -size // 2, size - 1 - size // 2)
@@ -339,21 +386,24 @@ energy_lists = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3)
 @recurrences
 @given(couplings, st.floats(0.05, 0.95), st.floats(0.0, 1.0), st.floats(-4.0, 4.0),
        st.integers(1, 40), st.floats(0.0, 1.0))
+# rows reach 1e3 between sites 0 and -7 and fall back to 1, so u(-8) rounds to
+# 1.7e-12 from its exact value, past 1e-12 |U_-8| but inside the rounding bound
+@example((0.0, 0.125, 0.0), 0.0625, 0.0, 0.0, 7, 1.0)
 def test_basis_solutions_match_scalar_recurrence(triple, alpha, theta, energy, N, angle):
     s = sample(triple, theta=theta, alpha=Fraction(alpha))
     a = s.alpha_fraction()
     init = (math.cos(2 * math.pi * angle), math.sin(2 * math.pi * angle))
+    tr = build_truncation(s, -N - 1, N)
     try:
-        U = _basis_solutions(build_truncation(s, -N - 1, N), [energy], 1e-9)[0]
+        U = _basis_solutions(tr, [energy])[0]
     except SingularSamplingPoint:
         assume(False)
-    ref = _two_sided_vectors(s.coupling, a, theta, energy, N, init)
-    u = U @ init
-    scale = np.linalg.norm(U, axis=1)  # |u(k)| can cancel down from |U_k|
-    for k in range(-N, N + 1):
-        got = np.array([u[k + N + 1], u[k + N]])
-        tol = 1e-12 * max(1.0, scale[k + N + 1], scale[k + N])
-        assert np.all(np.abs(got - ref[k]) <= tol), k
+    with mpmath.workdps(50):
+        E = [_exact_solution(s.coupling, a, theta, energy, N, e) for e in ((1, 0), (0, 1))]
+        exact = [complex(e0 * init[0] + e1 * init[1]) for e0, e1 in zip(*E)]
+    bound = _rounding_bound(tr, energy, np.array(E, dtype=np.complex128).T, init)
+    err = np.abs(U @ init - exact)
+    assert np.all(err <= bound), np.flatnonzero(err > bound) + tr.x1
 
 
 def _truncation_recurrence(tr, energy, init):
@@ -380,7 +430,7 @@ def test_basis_solutions_run_the_truncation_rows(triple, freq, theta, energies, 
     s = sample(triple, theta=theta, alpha=STREAMS[freq]())
     tr = build_truncation(s, -N - 1, N)
     try:
-        U = _basis_solutions(tr, energies, 1e-9)
+        U = _basis_solutions(tr, energies)
     except SingularSamplingPoint:
         assume(False)
     for e, Ue in zip(energies, U):
@@ -701,6 +751,30 @@ def test_decay_fit_auto_tie_rule_matches_dense_oracle():
     assert len(tied) > 10
     fit = decay_fit(s, size)
     assert fit.eigenvalue == pytest.approx(w[tied[len(tied) // 2]], abs=1e-9)
+
+
+def test_decay_fit_peak_does_not_hang_on_mirrored_rounding(monkeypatch):
+    # at theta = 0 the potential is even in n, and the picked eigenvector peaks at
+    # sites -3 and +3 with squares equal to rounding; the fit from +3 reads r^2 0.855
+    # (PoorlyLocalized), from -3 0.917.  Raising either entry to 1e-12 above its
+    # mirror must not move the peak, and so not the fit.
+    s = OperatorSample(CouplingTriple(0, 0.4, 0), silver(), 0.0)
+    size = 400
+    vals, vecs = eigenpairs(*build_truncation(s, -200, 199).gauge_symmetric())
+    fit = decay_fit(s, size)
+    index = int(np.flatnonzero(vals == fit.eigenvalue)[0])
+    minus, plus = 200 - 3, 200 + 3  # rows of sites -3 and +3
+    assert abs(vecs[minus, index]) == pytest.approx(abs(vecs[plus, index]), rel=1e-11)
+    assert np.sort(vecs[:, index] ** 2)[-3] < 0.5 * vecs[plus, index] ** 2
+    for raised, mirror in ((minus, plus), (plus, minus)):
+        v = vecs.copy()
+        v[raised, index] = math.copysign(abs(v[mirror, index]) * (1 + 1e-12), v[raised, index])
+        monkeypatch.setattr(spectral, "eigenpairs", lambda diag, off, v=v: (vals, v))
+        got = decay_fit(s, size)
+        assert got.eigenvalue == fit.eigenvalue and got.window == fit.window
+        assert got.slope == pytest.approx(fit.slope, rel=1e-9)
+        assert got.r2 == pytest.approx(fit.r2, rel=1e-9)
+    assert fit.r2 > 0.9
 
 
 @pytest.mark.parametrize("size", [400, 800])
