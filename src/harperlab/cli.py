@@ -168,9 +168,9 @@ def _run_spectrum(cfg, p):
     size, nphases = p["size"], p["phases"]
     phases = None if nphases == 1 else spectral._phase_grid(cfg.theta, nphases)  # duality's grid
     spec = spectral.truncated_spectrum(sample, size, phases)
-    rows = [
-        {"index": i, "eigenvalue": float(v)} for i, v in enumerate(spec.eigenvalues)
-    ]
+    rows = None
+    if cfg.out:  # a payload only for a file to write it to
+        rows = [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(spec.eigenvalues)]
     result = {
         "size": spec.size,
         "count": len(spec.eigenvalues),

@@ -39,7 +39,6 @@ from .model import (
     OperatorSample,
     _alpha_proxy,
     _guard,
-    abs_c_function,
     c_function,
     orbit_phases,
     unit_phase,
@@ -100,15 +99,6 @@ class Cocycle:
 def constant_rotation(alpha: float, rho: float) -> Cocycle:
     m = rotation_matrix(rho)
     return Cocycle(alpha, lambda theta, _m=m: _m)
-
-
-def _sampling(coupling, alpha_f, x, kind):
-    """c (raw) or |c| (normalized) at phases x: the entries a site hands on."""
-    if kind == "raw":
-        return np.asarray(c_function(coupling, alpha_f, x), dtype=np.complex128)
-    if kind == "normalized":
-        return np.asarray(abs_c_function(coupling, alpha_f, x), dtype=np.float64)
-    raise ValueError(f"unknown cocycle kind {kind!r}")
 
 
 def transfer(
@@ -192,12 +182,13 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     K g <= SWEEP_CELLS: a_k = d_k/|c_k| and b_k = -|c_{k-1}|/|c_k|, for
     d_k = E - 2cos 2pi x_k, of R_k = [[a_k, b_k], [1, 0]]; s = c/|c| (raw;
     1 where c = 0) or |c| (normalized), and s0 its row at the site before;
-    alive the lanes alive after the chunk.  A lane whose orbit (or, for
-    "normalized", predecessor phase) enters the zero guard dies, and its
-    entries from then on mean nothing and may be non-finite; with
-    on_singular="raise" the earliest such site (then the lowest lane)
-    raises SingularSamplingPoint instead.  The yielded arrays are buffers
-    the next chunk overwrites.  zero_guard is model.ZERO_GUARD on every
+    alive the lanes alive after the chunk.  |c| is np.abs(c) (hypot) for
+    both kinds, so a and b do not depend on the kind, bit for bit.  A lane
+    whose orbit (or, for "normalized", predecessor phase) enters the zero
+    guard dies, and its entries from then on mean nothing and may be
+    non-finite; with on_singular="raise" the earliest such site (then the
+    lowest lane) raises SingularSamplingPoint instead.  The yielded arrays
+    are buffers the next chunk overwrites.  zero_guard is model.ZERO_GUARD on every
     library path; the exclusion tests draw other values.
 
     A rotation table stands in for per-cell trigonometry.  With ka the
@@ -214,6 +205,8 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     one-site transfer) reads the table itself: the direct evaluation bit
     for bit.  The zero guard reads x_k itself.
     """
+    if kind not in ("raw", "normalized"):
+        raise ValueError(f"unknown cocycle kind {kind!r}")
     if n < 1:
         return
     g = len(thetas)
@@ -223,14 +216,14 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     ka = orbit_phases(0.0, alpha_frac, 0, n)
     xm = thetas - alpha_f
     xm -= np.floor(xm)
-    prev = _sampling(sample.coupling, alpha_f, xm, kind)
+    prev = c_function(sample.coupling, alpha_f, xm)
     alive = np.ones(g, dtype=bool)
     if has_zeros and kind == "normalized":
         bad = _guard(sample.coupling, alpha_f, xm[None, :], zero_guard, on_singular=on_singular)
         alive = ~bad[0]
-    prev_abs = np.abs(prev) if kind == "raw" else prev
+    prev_abs = np.abs(prev)
     with np.errstate(divide="ignore", over="ignore"):
-        s0 = unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev
+        s0 = unit_phase(prev, 1.0 / prev_abs) if kind == "raw" else prev_abs
     chunk = min(n, max(1, SWEEP_CELLS // g))
     block = min(chunk, TABLE_BLOCK)
     # one trig pass over the anchors ka[mB] past the first, then x and x + a/2 at the first B sites
@@ -280,12 +273,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
         re += l2
         im *= l3 - l1
         im += 0.0  # c_function's re + 1j * im reads -0 as +0
-        if kind == "raw":
-            np.abs(c, out=m)
-        else:  # abs_c_function's own formula, not hypot
-            np.multiply(re, re, out=m)
-            m += np.multiply(im, im, out=b)
-            np.sqrt(m, out=m)
+        np.abs(c, out=m)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = np.divide(1.0, m, out=b)
             a *= inv
@@ -361,12 +349,13 @@ def _product_sweep(
 ):
     """Products A(th+(n-1)a)...A(th) over a batch of phases, at unit norm.
 
-    Both kinds reduce the same real matrices: with w = arg c (0 where
-    c = 0) and d_k = E - 2cos 2pi(th+ka),
-    R_k = [[d_k/|c_k|, -|c_{k-1}|/|c_k|], [1, 0]].  The raw matrix is
-    A_k = e^{-i w_k} D_{k+1} R_k D_k^-1 for D_k = diag(1, e^{i w_{k-1}}),
-    so A_{n-1}...A_0 = e^{-i sum w_k} D_n R_{n-1}...R_0 D_0^-1, and comes
-    back from the two boundary phases and one running unit phase per lane.
+    Both kinds reduce the same real matrices, bit for bit, as both read |c|
+    as np.abs(c): with w = arg c (0 where c = 0) and
+    d_k = E - 2cos 2pi(th+ka), R_k = [[d_k/|c_k|, -|c_{k-1}|/|c_k|], [1, 0]].
+    The raw matrix is A_k = e^{-i w_k} D_{k+1} R_k D_k^-1 for
+    D_k = diag(1, e^{i w_{k-1}}), so
+    A_{n-1}...A_0 = e^{-i sum w_k} D_n R_{n-1}...R_0 D_0^-1, and comes back
+    from the two boundary phases and one running unit phase per lane.
     The normalized matrix is sqrt(|c_k|/|c_{k-1}|) R_k, so its product is
     the real one scaled by sqrt(|c_{n-1}|/|c_{-1}|).  Returns (matrices,
     lognorms, alive): exact product = matrix * e^lognorm per live lane; an
@@ -700,9 +689,7 @@ class NormReport:
     totals[j] = sum_k |k|^j |psi_hat(k)| for j = 0..s_max.  When block
     bounds (k1, k2) are known the same sums split into modes |k| < k1,
     k1 <= |k| < k2, and |k| >= k2, mirroring the three denominator regimes
-    of the small-divisor estimate.  tau/gamma/h_minus_hprime are reporting
-    slots for the Diophantine parameters in force; they are not used in the
-    computation.
+    of the small-divisor estimate.
     """
 
     s_max: int
@@ -710,9 +697,6 @@ class NormReport:
     block_bounds: Optional[tuple] = None
     block_sums: Optional[list] = None
     min_divisor: float = float("inf")
-    tau: Optional[float] = None
-    gamma: Optional[float] = None
-    h_minus_hprime: Optional[float] = None
 
 
 def solve_cohomological(

@@ -634,10 +634,15 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     Precision doubles until the enclosing interval no longer straddles an
     integer (e^(beta*q) is transcendental for beta*q != 0, so this ends).
     The e^k enclosure is a few ulps wider than mpmath's interval exp, which
-    can cost one more doubling but never changes a certified digit.
+    can cost one more doubling but never changes a certified digit.  The
+    interval steps are the mpmath.libmp primitives mpmath.iv calls, at an
+    explicit precision, so no global precision is read or set.
     """
-    from mpmath import iv
-    from mpmath.libmp import mpf_floor, round_ceiling, round_floor, to_int
+    from mpmath.libmp import from_int, mpf_floor, mpi_div, mpi_exp, mpi_mul, mpi_sqrt, to_int
+    from mpmath.libmp import round_ceiling, round_floor
+
+    def point(n, prec):  # the interval mpmath.iv makes of the integer n
+        return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
     t = Fraction(beta) * q
     if t <= 0:
@@ -648,23 +653,18 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     k = math.floor(t)
     r = t - k
     prec = max(64, int(float(t) * 1.4427) + 64)  # bits of e^t plus guard
-    old = iv.prec
-    try:
-        while True:
-            iv.prec = prec
-            v = iv.make_mpf(_exp_int_enclosure(k, prec))
-            if r == Fraction(1, 2):
-                v *= iv.sqrt(iv.exp(1))
-            elif r:
-                v *= iv.exp(iv.mpf(r.numerator) / r.denominator)
-            lo, hi = v._mpi_
-            flo = to_int(mpf_floor(lo, prec, round_floor))
-            fhi = to_int(mpf_floor(hi, prec, round_ceiling))
-            if flo == fhi:
-                return flo
-            prec *= 2
-    finally:
-        iv.prec = old
+    while True:
+        lo, hi = _exp_int_enclosure(k, prec)
+        if r == Fraction(1, 2):
+            lo, hi = mpi_mul((lo, hi), mpi_sqrt(mpi_exp(point(1, prec), prec), prec), prec)
+        elif r:
+            e_r = mpi_exp(mpi_div(point(r.numerator, prec), point(r.denominator, prec), prec), prec)
+            lo, hi = mpi_mul((lo, hi), e_r, prec)
+        flo = to_int(mpf_floor(lo, prec, round_floor))
+        fhi = to_int(mpf_floor(hi, prec, round_ceiling))
+        if flo == fhi:
+            return flo
+        prec *= 2
 
 
 def forge(

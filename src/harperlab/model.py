@@ -185,15 +185,13 @@ def c_function(coupling: CouplingTriple, alpha: float, theta):
 
 
 def c_tilde_function(coupling: CouplingTriple, alpha: float, theta):
-    """The conjugate sampling function; equals conj(c) for real theta."""
-    re, im = _c_parts(coupling, alpha, theta)
-    return re - 1j * im
+    """The conjugate sampling function: conj(c) for real theta."""
+    return np.conj(c_function(coupling, alpha, theta))
 
 
 def abs_c_function(coupling: CouplingTriple, alpha: float, theta):
-    """|c|(theta) = sqrt(c * c~) = |c(theta)|, real and nonnegative."""
-    re, im = _c_parts(coupling, alpha, theta)
-    return np.sqrt(re * re + im * im)
+    """|c|(theta) as np.abs(c) (hypot): the one modulus both cocycle kinds read."""
+    return np.abs(c_function(coupling, alpha, theta))
 
 
 def unit_phase(c: np.ndarray, inv_abs: np.ndarray, out=None) -> np.ndarray:

@@ -310,6 +310,26 @@ def test_floor_exp_matches_single_interval_exp(beta, q):
     assert floor_exp(beta, q) == _floor_exp_single_interval(beta, q)
 
 
+class _Untouchable:
+    """Stands in for mpmath.iv: reading any of its attributes raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read mpmath.iv.{name}")
+
+
+# r = 0, r = 1/2, other r, and the power path above 600 bits
+@pytest.mark.parametrize("beta, q", [(0.5, 2), (0.5, 3), (0.3, 91), (2 / 3, 89), (1.0, 377),
+                                     (0.5, 1001), (0.25, 10946)])
+def test_floor_exp_reads_no_interval_context(beta, q, monkeypatch):
+    # mpmath.iv holds one global precision: two threads forging at different
+    # precisions through it would race, so floor_exp works at an explicit precision
+    import mpmath
+
+    expected = _floor_exp_single_interval(beta, q)
+    monkeypatch.setattr(mpmath, "iv", _Untouchable())
+    assert floor_exp(beta, q) == expected
+
+
 @pytest.mark.parametrize("q", [1000, 1001])  # beta*q = 500 and 500.5, both above 600 bits
 def test_floor_exp_takes_one_power_of_e_per_precision(q, monkeypatch):
     # above 600 bits mpmath's exp(k) is the power mpf_pow_int(e, k); its

@@ -383,6 +383,25 @@ def test_rotation_table_matches_the_direct_evaluation(triple, energy, g, kind, c
         assert np.all(np.abs(got[key] - want[key]) <= tol * scale), key
 
 
+@pytest.mark.parametrize("g", [1, 5])
+@pytest.mark.parametrize("n", [1, 37, TABLE_BLOCK, "chunk"])
+@pytest.mark.parametrize("triple", [(0.1, 0.5, 0.2), (0.25, 0.5, 0.25), (0.3, 0.4, 0.3)])
+def test_both_kinds_build_the_same_companion_entries(triple, n, g):
+    # one modulus, np.abs(c), for both kinds: raw and normalized sweeps reduce
+    # the same R_k bit for bit; no guard, so the cells next to the zeros of c compare too
+    sample = OperatorSample(CouplingTriple(*triple), golden())
+    if n == "chunk":  # one whole chunk and 37 sites of the next
+        n = SWEEP_CELLS // g + 37
+    thetas = (np.arange(g) + 0.37) / g
+    raw = _sweep_cells(sample, 0.3, thetas, n, "raw", 0.0, "exclude")
+    normalized = _sweep_cells(sample, 0.3, thetas, n, "normalized", 0.0, "exclude")
+    chunks = 0
+    for (a, b, *_), (na, nb, *_) in zip(raw, normalized, strict=True):
+        assert a.tobytes() == na.tobytes() and b.tobytes() == nb.tobytes()
+        chunks += 1
+    assert chunks == -(-n // (SWEEP_CELLS // g))
+
+
 # -- rotation numbers against the sitewise angle walk ---------------------------
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -540,6 +559,12 @@ def test_products_past_the_float_range_raise(triple, energy):
 
 
 # -- one transfer matrix ------------------------------------------------------------
+
+
+def test_an_unknown_kind_is_refused():
+    sample = OperatorSample(CouplingTriple(0.1, 0.5, 0.2), golden())
+    with pytest.raises(ValueError, match="unknown cocycle kind 'complex'"):
+        transfer(sample, 0.3, 0.3, "complex")
 
 
 @pytest.mark.parametrize("kind", ["raw", "normalized"])
