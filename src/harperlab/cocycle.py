@@ -153,28 +153,6 @@ def _reduce_sites(m):
     return m[:, :, 0], logs
 
 
-def _site_factors(ka, block, first, end, coarse, ubuf):
-    """u_k = e^{2 pi i ka[mB]} (1 + 2 pi i e_k) over table blocks first..end-1.
-
-    e_k = ka[k] - ka[mB] - ka[j] (mod 1) at site k = mB + j, B = block, is
-    the rounding of the orbit phases between a site and its table entry (0
-    on the padding past the orbit); coarse holds e^{2 pi i ka[mB]}.
-    Returns (M, B, 1) in ubuf.
-    """
-    lo, hi = first * block, min(end * block, len(ka))
-    flat = ubuf[: (end - first) * block]
-    flat.imag[: hi - lo], flat.imag[hi - lo :] = ka[lo:hi], 0.0
-    u = flat.reshape(end - first, block, 1)
-    e = u.imag
-    e -= ka[:block, None]
-    e -= ka[lo:hi:block, None, None]
-    e -= np.round(e, out=u.real)  # the real part is scratch until set below
-    e *= 2.0 * np.pi
-    u.real = 1.0  # e^{2 pi i e} to first order: |e| < 2 ORBIT_ANCHOR eps < 2e-12
-    u *= coarse[first:end, None, None]
-    return u
-
-
 def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     """The transfer entries of the sweep th, ..., th+(n-1)a, chunk by chunk.
 
@@ -193,17 +171,17 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
 
     A rotation table stands in for per-cell trigonometry.  With ka the
     orbit_phases of the sweep and B = TABLE_BLOCK (or K, if shorter), site
-    k = mB + j reads e^{2 pi i x_k} = u_k T_x[j] and c's e^{i phi_k} =
-    u_k T_phi[j], phi = 2pi(x + a/2).  T holds the direct expressions
-    (np.cos and np.sin, as the diagonal and _c_parts read them) at the
-    first B sites, and u_k (_site_factors) is e^{2 pi i ka[mB]} times the
-    first-order factor of the orbit phases' rounding between ka[k] and
-    ka[mB] + ka[j].  So the table is re-anchored every B sites on the very
-    phases the direct evaluation reads, its error does not grow along the
-    orbit, and d_k and c_k stay within 32 eps max(|E| + 2, l1 + l2 + l3) of
-    the direct expressions at x_k.  A sweep of at most B sites (every
-    one-site transfer) reads the table itself: the direct evaluation bit
-    for bit.  The zero guard reads x_k itself.
+    k = mB + j reads e^{2 pi i x_k} = u_m T_x[j] and c's e^{i phi_k} =
+    u_m T_phi[j], phi = 2pi(x + a/2), with the block anchor u_m =
+    e^{2 pi i ka[mB]}.  T holds the direct expressions (np.cos and np.sin,
+    as the diagonal and _c_parts read them) at the first B sites.  The
+    orbit is summed in fixed point, so ka[mB] + ka[j] is ka[k] up to float
+    rounding: the table is re-anchored every B sites on the very phases the
+    direct evaluation reads, its error does not grow along the orbit, and
+    d_k and c_k stay within 32 eps max(|E| + 2, l1 + l2 + l3) of the direct
+    expressions at x_k.  The first anchor is exactly 1 + 0j, so a sweep of
+    at most B sites (every one-site transfer) reads the table's own bits:
+    the direct evaluation bit for bit.  The zero guard reads x_k itself.
     """
     if kind not in ("raw", "normalized"):
         raise ValueError(f"unknown cocycle kind {kind!r}")
@@ -236,15 +214,12 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     cis[0] = 1.0  # the anchor of the first block, ka[0] = 0
     np.cos(turns, out=cis.real[1:])
     np.sin(turns, out=cis.imag[1:])
-    coarse, table = cis[:anchors], cis[anchors:].reshape(2, block, g)
-    if n > block:  # a chunk's sites sit at an offset below B in whole table blocks
-        rows = (-(-chunk // block) + 1) * block
-        cbuf = np.empty((rows, g), dtype=np.complex128)
-        ubuf = cbuf[:, 0] if g == 1 else np.empty(rows, dtype=np.complex128)  # g = 1: u is c's row
-    else:
-        rows = chunk
+    coarse, table = cis[:anchors, None, None], cis[anchors:].reshape(2, block, g)
+    # a chunk's sites sit at an offset below B in whole table blocks
+    rows = min(anchors, -(-chunk // block) + 1) * block
     l1, l2, l3 = sample.coupling.astuple()
     abuf, bbuf, mbuf = np.empty((rows, g)), np.empty((rows, g)), np.empty((rows, g))
+    cbuf = np.empty((rows, g), dtype=np.complex128)
     xbuf = np.empty((chunk, g)) if has_zeros else None
     for k0 in range(0, n, chunk):
         k = min(chunk, n - k0)
@@ -257,17 +232,13 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
             x -= np.floor(x, out=a)  # a is scratch until d is written
             bad = _guard(sample.coupling, alpha_f, x, zero_guard, on_singular=on_singular)
             alive = alive & ~bad.any(axis=0)
-        if n <= block:  # one block at anchor e^0 = 1: the table is the chunk
-            np.subtract(energy, np.multiply(table[0].real, 2.0, out=b), out=a)
-            c = table[1]
-        else:
-            u = _site_factors(ka, block, first, end, coarse, ubuf)
-            whole = (-1, block, g)  # the chunk's whole table blocks; its sites from row off on
-            cos_x = np.multiply(u.real, table[0].real, out=abuf[: u.size].reshape(whole))
-            cos_x -= np.multiply(u.imag, table[0].imag, out=bbuf[: u.size].reshape(whole))
-            np.subtract(energy, np.multiply(a, 2.0, out=b), out=a)  # d = E - 2 Re(u T_x)
-            np.multiply(u, table[1], out=cbuf[: u.size].reshape(whole))  # e^{i phi}, made c below
-            c = cbuf[off : off + k]
+        u = coarse[first:end]  # the anchors of the chunk's table blocks
+        span = slice(0, (end - first) * block)  # the rows of those blocks; the chunk's from off on
+        cos_x = np.multiply(u.real, table[0].real, out=abuf[span].reshape(-1, block, g))
+        cos_x -= np.multiply(u.imag, table[0].imag, out=bbuf[span].reshape(-1, block, g))
+        np.subtract(energy, np.multiply(a, 2.0, out=b), out=a)  # d = E - 2 Re(u T_x)
+        np.multiply(u, table[1], out=cbuf[span].reshape(-1, block, g))  # e^{i phi}, made c below
+        c = cbuf[off : off + k]
         re, im = c.real, c.imag
         re *= l1 + l3
         re += l2

@@ -54,7 +54,6 @@ __all__ = [
 FrequencyLike = Union[float, Fraction, ContinuedFraction]
 
 BOUNDARY_TOL = 1e-12
-ORBIT_ANCHOR = 4096  # sites between exact rational re-anchorings of an orbit
 RESOLVENT_GUARD = 1e-10  # |E - eigenvalue| below which a resolvent is singular
 ADMISSIBLE_DEPTH = 40  # digits theta_admissible expands a target to
 ADMISSIBLE_TOL = 1e-2  # a growth exponent above this makes a phase inadmissible
@@ -362,23 +361,27 @@ def orbit_phases(
 ) -> np.ndarray:
     """Phases (theta + n*alpha) mod 1 for n = start..start+count-1.
 
-    Exact rational anchoring every ORBIT_ANCHOR sites bounds the float
-    accumulation drift by ORBIT_ANCHOR * eps, far below any zero guard.
+    The orbit runs in 64-bit fixed point: (theta + start*alpha) mod 1 and
+    alpha mod 1 are each rounded once, from exact integers, to a multiple
+    of 2^-64, and phase n is first + (n - start)*step in wrapping uint64
+    arithmetic, so sums of phases are exact mod 1.  Before its one rounding
+    to float, phase n lies within (n - start)*2^-65 + 2^-64 of the exact
+    value.
     """
     t = Fraction(theta)
     a = Fraction(alpha)
-    af = float(a)
-    # the anchor (t + n a) mod 1 over the common denominator: int / int rounds as float(Fraction)
     den = t.denominator * a.denominator
     tn, an = t.numerator * a.denominator, a.numerator * t.denominator
-    out = np.empty(count)
-    pos = 0
-    while pos < count:
-        n = start + pos
-        m = min(ORBIT_ANCHOR, count - pos)
-        x = (tn + n * an) % den / den + af * np.arange(m)
-        out[pos : pos + m] = x - np.floor(x)  # == x % 1.0 bit for bit, cheaper
-        pos += m
+
+    def fixed(num):  # num/den mod 1 to the nearest multiple of 2^-64, as an int below 2^64
+        return ((num % den << 65) + den) // (2 * den) % 2**64
+
+    fx = np.arange(count, dtype=np.uint64)
+    fx *= fixed(an)  # uint64 arrays wrap mod 2^64 (a numpy scalar would warn)
+    fx += fixed(tn + start * an)
+    out = fx.view(np.float64)
+    out[...] = fx  # in place: a 1-D assignment casts each element before it is overwritten
+    out *= 2.0**-64
     return out
 
 

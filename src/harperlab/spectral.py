@@ -417,17 +417,16 @@ def _eig_index(index, size):
     return index
 
 
-def _eig_by_index(sample, size, index):
-    diag, absoff = build_truncation(sample, 0, size - 1).gauge_symmetric()
+def _eig_at(diag, absoff, index):
+    """Eigenvalue `index` from ?STEBZ over that one index: every pick asks the
+    same range, as ?STEBZ's value depends on the range it is given."""
     return float(bisect_eigenvalues(diag, absoff, indices=[index])[0])
 
 
 def _nearest_eig(diag, absoff, target):
-    n = len(diag)
     j = int(sturm_count(diag, absoff * absoff, target))
-    cands = [i for i in (j - 1, j) if 0 <= i < n]
-    vals = bisect_eigenvalues(diag, absoff, indices=cands)
-    return float(vals[int(np.argmin(np.abs(vals - target)))])
+    vals = [_eig_at(diag, absoff, i) for i in (j - 1, j) if 0 <= i < len(diag)]
+    return min(vals, key=lambda v: abs(v - target))
 
 
 def perturbation_experiment(
@@ -458,10 +457,8 @@ def perturbation_experiment(
     sample_p = OperatorSample(coupling, alpha_prime, theta)
     eps = abs(float(sample.alpha_fraction() - sample_p.alpha_fraction()))
     index = _eig_index(size // 2 if eig_index == "median" else eig_index, size)
-    e_prime = _eig_by_index(sample_p, size, index)
-    trunc = build_truncation(sample, 0, size - 1)
-    diag, absoff = trunc.gauge_symmetric()
-    energy = _nearest_eig(diag, absoff, e_prime)
+    e_prime = _eig_at(*build_truncation(sample_p, 0, size - 1).gauge_symmetric(), index)
+    energy = _nearest_eig(*build_truncation(sample, 0, size - 1).gauge_symmetric(), e_prime)
 
     def matrices(s, e):  # the 2N+1 raw transfer matrices from site -N on
         cells = _sweep_cells(s, e, s.phases(-N, 1), 2 * N + 1, "raw", ZERO_GUARD, "raise")
@@ -472,8 +469,8 @@ def perturbation_experiment(
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation raises
         diffs = [m1 - m2 for m1, m2 in zip(matrices(sample, energy), matrices(sample_p, e_prime))]
-        w = np.abs(solution(sample, energy) - solution(sample_p, e_prime)) ** 2
-        dev_s = float(np.sqrt(np.max(w[1:] + w[:-1])))  # pairs (u(k), u(k-1)), |k| <= N
+        w = np.abs(solution(sample, energy) - solution(sample_p, e_prime))
+        dev_s = float(np.max(np.hypot(w[1:], w[:-1])))  # pairs (u(k), u(k-1)), |k| <= N
     if not (math.isfinite(dev_s) and all(np.isfinite(m).all() for m in diffs)):
         raise FloatRangeExceeded(f"a deviation at N={N} leaves the float64 range")
     dev_m = max(float(np.max(np.linalg.norm(m, 2, axis=(0, 1)))) for m in diffs)
@@ -570,9 +567,12 @@ def decay_fit(
     outer 10% of the window and everything below the relative noise floor
     DECAY_FLOOR_REL; r^2 below DECAY_R2_MIN raises PoorlyLocalized.  The
     peak is the lowest site among the maxima of phi^2 rounded to 1e-9 of
-    the largest: on a window symmetric about the origin an eigenvector can
-    carry two mirrored peaks equal to rounding, and the pick must not hang
-    on which one LAPACK makes larger.
+    the largest, and only the side of the peak away from the window centre
+    (the origin) is fitted.  On a window symmetric about the origin (theta =
+    0) localized eigenvectors come in pairs split below LAPACK's resolution,
+    so the picked one can carry two mirrored peaks, equal to rounding: the
+    pick must not hang on which one LAPACK makes larger, and the fit must
+    not read the mirror peak across the centre.
     """
     if size < 400:
         raise ValueError("size must be >= 400 for a stable fit")
@@ -592,10 +592,12 @@ def decay_fit(
     peak = int(np.argmax(np.round(phi2 / np.max(phi2), 9)))  # the first, lowest, tied site
     pair = phi2[:-1] + phi2[1:]
     ys = 0.5 * np.log(np.maximum(pair, 1e-320))
-    ts = np.abs(np.arange(size - 1) - peak).astype(float)
+    ts = (np.arange(size - 1) - peak).astype(float)
     edge = max(1, size // 10)
     mask = np.zeros(size - 1, dtype=bool)
     mask[edge : size - 1 - edge] = True
+    mask &= ts * (peak - size // 2) >= 0  # the side of the peak away from the centre
+    ts = np.abs(ts)
     mask &= pair > DECAY_FLOOR_REL**2 * phi2[peak]
     if int(np.count_nonzero(mask)) < 10:
         raise PoorlyLocalized("fewer than 10 usable points in the fit window")

@@ -44,7 +44,7 @@ from harperlab.model import (
     zero_offsets,
     zero_structure,
 )
-from harperlab.model import ORBIT_ANCHOR, _alpha_proxy, _edge_green_logs
+from harperlab.model import _alpha_proxy, _edge_green_logs
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -518,16 +518,23 @@ def test_orbit_phases_no_drift():
         assert abs(xs[n] - float(exact)) < 1e-10
 
 
+@pytest.mark.parametrize("stream", [golden, silver])
 @pytest.mark.parametrize("theta", [0.0, 0.135, -0.7, Fraction(1, 3)])
 @pytest.mark.parametrize("start", [0, -5000, 10**12])
-def test_orbit_anchors_are_the_exact_phases_rounded(theta, start):
-    # every ORBIT_ANCHOR-th phase from start is (theta + n alpha) mod 1 rounded once
-    alpha = golden().fraction(min_q=2**60)
-    xs = orbit_phases(theta, alpha, start, 3 * ORBIT_ANCHOR + 5)
-    for pos in range(0, len(xs), ORBIT_ANCHOR):
-        exact = Fraction(theta) + (start + pos) * alpha
+def test_orbit_phases_in_fixed_point(theta, start, stream):
+    # first + n step in 64-bit fixed point: phase start + n is within n 2^-65 of
+    # the exact value before its one rounding to float, and sums are exact mod 1
+    alpha = stream().fraction(min_q=2**60)
+    count = 3 * 4096 + 5
+    xs = orbit_phases(theta, alpha, start, count)
+    for n in [*range(0, count, 409), count - 1]:
+        exact = Fraction(theta) + (start + n) * alpha
         exact -= exact.numerator // exact.denominator
-        assert xs[pos] == float(exact)
+        assert abs(xs[n] - float(exact)) <= 2.0**-53 + n * 2.0**-65
+    ka = orbit_phases(0, alpha, 0, count)
+    i, j = np.random.default_rng(7).integers(0, count // 2, size=(2, 4096))
+    d = ka[i] + ka[j] - ka[i + j]
+    assert np.all(np.abs(d - np.round(d)) <= 2 * np.finfo(float).eps)
 
 
 # -- the alpha proxy ---------------------------------------------------------------

@@ -601,6 +601,12 @@ def test_perturbation_past_the_float_range_raises_naming_n(triple):
         perturbation_experiment(CouplingTriple(*triple), golden(), 0.6180339, 0.0, 3)
 
 
+def test_perturbation_solution_deviation_near_the_float_range():
+    # the solutions peak near 1e292: the deviation is a hypot of |du|, never squared
+    rep = perturbation_experiment(CouplingTriple(0.05, 0.2, 0.05), golden(), 0.618034, 0.0, 400)
+    assert 1e280 < rep.solution_deviation < math.inf
+
+
 def test_perturbation_scaling_rough():
     g = golden()
     alpha = g.fraction(min_q=10**12)
@@ -803,6 +809,16 @@ def test_eigenpairs_match_dense_eigh_in_decay_fit_and_edge_zones(triple, size, m
     assert ref.eigenvalue == w[best] and ref.window == fit.window
     assert fit.slope == pytest.approx(ref.slope, rel=1e-9)
     assert fit.r2 == pytest.approx(ref.r2, rel=1e-9)
+
+
+@pytest.mark.parametrize("triple, size", [((0, 0.5, 0), 800), ((0.1, 0.5, 0.2), 400)])
+def test_decay_fit_at_theta_zero(triple, size):
+    # the window is mirror-symmetric about the origin, and the picked eigenvector
+    # may carry both mirrored peaks: the fit reads the side away from the centre
+    fit = decay_fit(sample(triple, theta=0.0), size)
+    target = lyapunov_formula(CouplingTriple(*triple))
+    assert abs(-fit.slope - target) <= 0.1 * target
+    assert fit.r2 >= 0.95
 
 
 def test_decay_fit_index_out_of_range():
