@@ -24,7 +24,6 @@ from .model import (
     classify,
     duality,
     green_function,
-    theta_admissible,
 )
 from .cocycle import (
     degree,

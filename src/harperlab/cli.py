@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -71,7 +72,7 @@ class ExperimentConfig:
         if "experiment" not in data:
             raise InvalidCoupling("config names no 'experiment'")
         for key, value in data.items():
-            if not isinstance(value, _FIELD_TYPES[key]):
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[key]):
                 raise InvalidCoupling(f"config key {key!r} has the wrong type: {value!r}")
         return cls(**data)
 
@@ -115,7 +116,9 @@ def resolve_frequency_spec(spec: str, param: str = "frequency"):
 def _coupling(cfg: ExperimentConfig) -> model.CouplingTriple:
     if cfg.coupling is None:
         raise InvalidCoupling("experiment requires --coupling l1,l2,l3")
-    if len(cfg.coupling) != 3 or not all(isinstance(v, (int, float)) for v in cfg.coupling):
+    if len(cfg.coupling) != 3 or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg.coupling
+    ):
         raise InvalidCoupling(f"expected coupling [l1, l2, l3] of numbers, got {cfg.coupling!r}")
     return model.CouplingTriple(*cfg.coupling)
 
@@ -126,10 +129,11 @@ def _sample(cfg: ExperimentConfig) -> model.OperatorSample:
     )
 
 
-def _energy(sample: model.OperatorSample, energy, size: int = 512) -> float:
-    """The E param; "auto" is the median eigenvalue of a size-512 truncation."""
+def _energy(sample: model.OperatorSample, energy) -> float:
+    """The E param; "auto" is the median eigenvalue of a truncation of `spectrum`'s default size."""
     if energy != "auto":
         return energy
+    size = _EXPERIMENTS["spectrum"][1]["size"][1]
     spec = spectral.truncated_spectrum(sample, size)
     return float(spec.eigenvalues[size // 2])
 
@@ -390,34 +394,69 @@ def _or(word: str, number):
 
 _REQUIRED = object()  # default of a param that must be given
 
+
+def _default(fn, keyword: str):
+    """The default of fn's keyword: a param a runner passes on to it takes it from there."""
+    return inspect.signature(fn).parameters[keyword].default
+
+
 # experiment -> (runner, {param: (type, default)}).  The one source of every
 # param: argparse builds its flags from it (`_` becomes `-`), and run()
-# checks, coerces and completes config params against it.  A bool is a flag;
-# a None default stays None when the param is absent.
+# checks, coerces and completes config params against it.  A param that a
+# runner passes on to a library keyword reads its default from that
+# keyword's signature (_default); the table sets only the CLI's own.  A bool
+# is a flag; a None default stays None when the param is absent.
 _EXPERIMENTS = {
-    "le": (_run_le, {"E": (_or("auto", _finite), "auto"), "n": (int, 100000),
-                     "grid": (int, 64), "kind": (str, "raw")}),
+    "le": (_run_le, {"E": (_or("auto", _finite), "auto"),
+                     "n": (int, _default(cocycle.lyapunov_numeric, "n_steps")),
+                     "grid": (int, _default(cocycle.lyapunov_numeric, "theta_grid")),
+                     "kind": (str, _default(cocycle.lyapunov_numeric, "kind"))}),
     "spectrum": (_run_spectrum, {"size": (int, 512), "phases": (int, 1)}),
-    "duality": (_run_duality, {"size": (int, 512), "phases": (int, 16),
+    "duality": (_run_duality, {"size": (int, 512),
+                               "phases": (int, _default(spectral.duality_check, "phases")),
                                "seeded_phases": (bool, False)}),
     "forge": (_run_forge, {"base": (str, "golden"), "n0": (int, 5),
                            "schedule": (str, "constant"), "beta": (_finite, 0.5),
-                           "levels": (int, 3), "tail": (int, 1),
-                           "cap": (int, contfrac.DIGIT_CAP_DECIMAL)}),
-    "delta": (_run_delta, {"depth": (int, 12), "warmup": (int, 1)}),
-    "badness": (_run_badness, {"C": (_finite, 3.0), "N": (int, 16), "E_count": (int, 8),
-                               "angles": (int, 64), "refine": (bool, False)}),
-    "decay": (_run_decay, {"size": (int, 800), "which": (_or("auto", int), "auto")}),
-    "rotation": (_run_rotation, {"E": (_or("auto", _finite), "auto"), "n": (int, 100000),
-                                 "y0": (_finite, 0.0)}),
-    "perturb": (_run_perturb, {"freq_prime": (str, _REQUIRED), "N": (int, 20),
-                               "size": (int, None),
-                               "eig_index": (_or("median", int), "median")}),
-    "cohomology": (_run_cohomology, {"phi": (str, "cos"), "smax": (int, 3)}),
-    "commutant": (_run_commutant, {"rho": (str, "0.25"), "bandwidth": (int, 1000),
-                                   "tau": (_finite, 2.0), "gamma": (_finite, 1e-3)}),
+                           "levels": (int, 3), "tail": (int, _default(contfrac.SingleBurst, "tail")),
+                           "cap": (int, _default(contfrac.forge, "cap_decimal"))}),
+    "delta": (_run_delta, {"depth": (int, 12),
+                           "warmup": (int, _default(spectral.delta_exponent, "warmup"))}),
+    "badness": (_run_badness, {"C": (_finite, 3.0), "N": (int, 16),
+                               "E_count": (int, _default(spectral.badness_scan, "E_count")),
+                               "angles": (int, _default(spectral.badness_scan, "angles")),
+                               "refine": (bool, _default(spectral.badness_scan, "refine"))}),
+    "decay": (_run_decay, {"size": (int, 800), "which": (
+        _or("auto", int), _default(spectral.decay_fit, "which_eigenvector"))}),
+    "rotation": (_run_rotation, {"E": (_or("auto", _finite), "auto"),
+                                 "n": (int, _default(cocycle.rotation_number, "n_steps")),
+                                 "y0": (_finite, _default(cocycle.rotation_number, "y0"))}),
+    "perturb": (_run_perturb, {
+        "freq_prime": (str, _REQUIRED), "N": (int, 20),
+        "size": (int, _default(spectral.perturbation_experiment, "trunc_size")),
+        "eig_index": (_or("median", int), _default(spectral.perturbation_experiment, "eig_index"))}),
+    "cohomology": (_run_cohomology, {
+        "phi": (str, "cos"), "smax": (int, _default(cocycle.solve_cohomological, "s_max"))}),
+    "commutant": (_run_commutant, {
+        "rho": (str, "0.25"),
+        "bandwidth": (int, _default(cocycle.commutant_rigidity_check, "bandwidth")),
+        "tau": (_finite, _default(cocycle.commutant_rigidity_check, "tau")),
+        "gamma": (_finite, _default(cocycle.commutant_rigidity_check, "gamma"))}),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def _param(kind, value):
+    """One param value as its table type, without coercing a JSON value of another type.
+
+    A string is read by kind, as argparse reads a flag's.  Otherwise only a
+    flag takes a bool, and a flag takes nothing else; an int param (or an
+    _or of an int, named "int") takes no fractional number.
+    """
+    if isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"{value!r} is no {kind.__name__}")
+    if kind.__name__ == "int" and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is no integer")
+    return kind(value)
 
 
 def resolve_params(experiment: str, params: dict) -> dict:
@@ -433,7 +472,7 @@ def resolve_params(experiment: str, params: dict) -> dict:
             raise InvalidCoupling(f"{experiment} requires param {key!r}")
         if value is not None or default is not None:
             try:
-                value = kind(value)
+                value = _param(kind, value)
             except (TypeError, ValueError) as exc:
                 raise InvalidCoupling(f"{experiment} param {key!r}: {exc}") from None
         resolved[key] = value

@@ -1,8 +1,8 @@
 """The extended Harper operator family.
 
 Couplings and their region classification, the duality map, the off-diagonal
-sampling functions c/c~ and their zeros, admissible-phase tests, finite
-truncations with zero boundary conditions, and windowed Green's functions.
+sampling functions c/c~ and their zeros, finite truncations with zero
+boundary conditions, and windowed Green's functions.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "ZeroStructure",
     "OperatorSample",
     "Truncation",
-    "Admissibility",
     "classify",
     "duality",
     "c_function",
@@ -44,7 +43,6 @@ __all__ = [
     "c_zeros",
     "zero_structure",
     "zero_offsets",
-    "theta_admissible",
     "build_truncation",
     "green_function",
     "orbit_phases",
@@ -55,9 +53,6 @@ FrequencyLike = Union[float, Fraction, ContinuedFraction]
 
 BOUNDARY_TOL = 1e-12
 RESOLVENT_GUARD = 1e-10  # |E - eigenvalue| below which a resolvent is singular
-ADMISSIBLE_DEPTH = 40  # digits theta_admissible expands a target to
-ADMISSIBLE_TOL = 1e-2  # a growth exponent above this makes a phase inadmissible
-ADMISSIBLE_PRECISION = 30  # a theta_admissible target within 10^-this of an integer is resonant
 OFFSET_PRECISION = 60  # decimal digits of an exact zero offset (zero_offsets)
 ZERO_GUARD = 1e-7  # a phase closer than this to a zero of c is singular (_guard)
 MAX_EXCLUDED = 0.1  # share of lyapunov_numeric's grid orbits the zero guard may exclude
@@ -255,7 +250,7 @@ def c_zeros(coupling: CouplingTriple) -> list:
 
 
 def zero_offsets(coupling: CouplingTriple) -> list:
-    """zero_structure's offsets as exact Fractions, for delta_exponent and theta_admissible.
+    """zero_structure's offsets as exact Fractions, for delta_exponent.
 
     A single or double zero sits at 1/2; a pair at +-arccos(-l2/(2 l1))/(2 pi)
     of zero_structure's float quotient, kept to OFFSET_PRECISION digits
@@ -295,59 +290,6 @@ def _guard(coupling, alpha: float, x, guard=ZERO_GUARD, *, on_singular) -> np.nd
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise SingularSamplingPoint(float(x[i]), float(dist[i]))
     return bad
-
-
-# -- admissible phases ------------------------------------------------------
-
-
-class Admissibility(enum.Enum):
-    IN_THETA = "in_Theta"
-    OUT = "out"
-    UNDECIDED = "undecided"
-
-
-def theta_admissible(coupling: CouplingTriple, theta: Union[float, Fraction]) -> Admissibility:
-    """Finite-depth test of membership in the full-measure phase set.
-
-    No zeros of c: every phase is admissible.  Otherwise each exact offset o
-    of zero_offsets gives the rational target 2 theta - 2 o mod 1 (theta read
-    exactly as a Fraction), and the growth exponent of every target must
-    vanish: stay below ADMISSIBLE_TOL past a warmup of half the depth, on at
-    least two levels.  A target is expanded exactly (no radius) to
-    ADMISSIBLE_DEPTH digits, so past some depth these are the digits of the
-    rational target, not of the real one it stands for.  A target within
-    10^-ADMISSIBLE_PRECISION of an integer, or whose expansion ends, is
-    resonant: OUT.  Colliding zeros (l1 = l3 = l2/2) are undecided.
-    """
-    zs = zero_structure(coupling)
-    if zs.kind is ZeroKind.NONE:
-        return Admissibility.IN_THETA
-    if zs.kind is ZeroKind.DOUBLE:
-        return Admissibility.UNDECIDED
-    t2 = 2 * Fraction(theta)
-    verdicts = {_target_verdict(t2 - 2 * off) for off in zero_offsets(coupling)}
-    for verdict in (Admissibility.OUT, Admissibility.UNDECIDED):
-        if verdict in verdicts:
-            return verdict
-    return Admissibility.IN_THETA
-
-
-def _target_verdict(t: Fraction) -> Admissibility:
-    """theta_admissible's verdict on one exact target t, read mod 1."""
-    t -= t.numerator // t.denominator
-    if t == 0 or min(t, 1 - t) < Fraction(1, 10**ADMISSIBLE_PRECISION):
-        return Admissibility.OUT  # resonant (rational) target
-    cf = contfrac.expand(t, max_depth=ADMISSIBLE_DEPTH, partial=True)  # exact: never raises
-    if getattr(cf, "stop_reason", None) == "rational":
-        return Admissibility.OUT
-    if cf.depth < 4:
-        return Admissibility.UNDECIDED
-    fe = contfrac.beta_exponent(cf, depth=cf.depth, warmup=max(2, cf.depth // 2))
-    if fe.beta_estimate > ADMISSIBLE_TOL:
-        return Admissibility.OUT
-    if len([1 for n, _ in fe.per_level if n >= fe.warmup]) < 2:
-        return Admissibility.UNDECIDED
-    return Admissibility.IN_THETA
 
 
 # -- samples, orbits, truncations -------------------------------------------

@@ -287,6 +287,13 @@ class BadnessReport:
     note: str = ""
 
 
+def _window_size(N: int) -> int:
+    """The one window-size rule: an N-site experiment (badness_scan,
+    perturbation_experiment) draws its energies from the eigenvalues of the
+    window [0, max(4N, 256) - 1]."""
+    return max(4 * N, 256)
+
+
 def _basis_solutions(trunc, energies):
     """Solutions grown from the basis initial data (u(0), u(-1)) = e1, e2.
 
@@ -323,7 +330,7 @@ def badness_scan(
     """Scan energies and normalized initial data for window mass below C^2.
 
     The energy grid is E_count eigenvalues spread evenly over the spectrum
-    of the window [0, max(4N, 256) - 1] (or supplied explicitly via
+    of the window [0, _window_size(N) - 1] (or supplied explicitly via
     ``energies``, e.g. eigenvalues whose eigenvectors sit near the origin).
     A solution is linear in its initial data v, so its mass over |k| <= N
     is 1 + ||A v||^2, where the rows of A are the real and imaginary parts
@@ -341,7 +348,7 @@ def badness_scan(
         raise ValueError("N must be >= 1")
     if angles < 1:
         raise ValueError(f"angles must be >= 1, got angles={angles}")
-    size = max(4 * N, 256)
+    size = _window_size(N)
     if energies is None:
         if E_count < 1:
             raise ValueError(f"E_count must be >= 1, got E_count={E_count}")
@@ -441,7 +448,8 @@ def perturbation_experiment(
     """Compare transfer matrices and solutions at two nearby frequencies.
 
     E' is an eigenvalue of the truncated operator at alpha' (by sorted
-    index, 0 <= eig_index < size, else IndexError), E the nearest
+    index, 0 <= eig_index < size, else IndexError) on the window [0, size -
+    1], where size is trunc_size or else _window_size(N), E the nearest
     eigenvalue of the matched truncation at alpha; the deviations are the
     maxima over |m| <= N of the transfer-matrix difference and of the
     solution-vector difference grown over the window [-N-1, N] from the
@@ -452,7 +460,7 @@ def perturbation_experiment(
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got N={N}")
-    size = trunc_size if trunc_size is not None else max(256, 4 * N)
+    size = trunc_size if trunc_size is not None else _window_size(N)
     sample = OperatorSample(coupling, alpha, theta)
     sample_p = OperatorSample(coupling, alpha_prime, theta)
     eps = abs(float(sample.alpha_fraction() - sample_p.alpha_fraction()))
@@ -562,7 +570,7 @@ def decay_fit(
     ascending tied set T) is taken, so the pick does not hang on rounding.
     The eigenvalues and unit eigenvectors come from one ?STEVD call
     (_tridiag.eigenpairs), which holds two size-by-size arrays, eigenvectors
-    and workspace, while it runs: 10 MB at the default size 800.  The fit
+    and workspace, while it runs: 10 MB at size 800 (the CLI's default).  The fit
     regresses (1/2) ln(phi(n)^2 + phi(n+1)^2) on -|n - peak|, excluding the
     outer 10% of the window and everything below the relative noise floor
     DECAY_FLOOR_REL; r^2 below DECAY_R2_MIN raises PoorlyLocalized.  The

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harperlab import cli as cli_module
+from harperlab import cocycle, contfrac, spectral
 from harperlab.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -314,6 +316,47 @@ def test_cli_and_run_config_resolve_the_same_params(name, monkeypatch):
     assert len(EXPERIMENTS) == 11
 
 
+# the library callables each runner passes params on to
+LIBRARY_CALLS = {
+    "le": [(spectral, "truncated_spectrum"), (cocycle, "lyapunov_numeric")],
+    "spectrum": [(spectral, "truncated_spectrum")],
+    "duality": [(spectral, "duality_check")],
+    "forge": [(contfrac, "forge")],
+    "forge-burst": [(contfrac, "SingleBurst"), (contfrac, "forge")],
+    "delta": [(spectral, "delta_exponent"), (contfrac, "beta_exponent")],
+    "badness": [(spectral, "badness_scan")],
+    "decay": [(spectral, "decay_fit")],
+    "rotation": [(spectral, "truncated_spectrum"), (cocycle, "rotation_number")],
+    "perturb": [(spectral, "perturbation_experiment")],
+    "cohomology": [(cocycle, "solve_cohomological")],
+    "commutant": [(cocycle, "commutant_rigidity_check")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_CALLS))
+def test_runner_defaults_are_the_library_defaults(case, monkeypatch):
+    # with only its required params, a run hands every library keyword that
+    # has a default exactly that default: the CLI and the Python API agree
+    name = case.split("-")[0]
+    params = {"schedule": "burst"} if case == "forge-burst" else REQUIRED_PARAMS.get(name, {})
+    calls = []
+    for owner, attr in LIBRARY_CALLS[case]:
+        fn = getattr(owner, attr)
+
+        def spy(*args, _fn=fn, _attr=attr, **kwargs):
+            calls.append((_attr, inspect.signature(_fn).bind(*args, **kwargs)))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+    run(ExperimentConfig(experiment=name, coupling=[0, 0.4, 0], params=params))
+    assert sorted({attr for attr, _ in calls}) == sorted(attr for _, attr in LIBRARY_CALLS[case])
+    for attr, bound in calls:
+        for key, value in bound.arguments.items():
+            default = bound.signature.parameters[key].default
+            if default is not inspect.Parameter.empty:
+                assert (type(value), value) == (type(default), default), (attr, key)
+
+
 def test_rotation_starts_at_theta(tmp_path, capsys):
     flags = ["--coupling", "0.1,2.0,0.1", "--E", "1.0", "--n", "2000"]
     config = {"experiment": "rotation", "coupling": [0.1, 2.0, 0.1],
@@ -405,6 +448,30 @@ DEGENERATE = [
      {"experiment": "forge", "params": {"base": "no-such-file.json"}}),
     ("frequency", ["spectrum", "--coupling", "0,1,0", "--size", "8", "--freq", "no-such-file.json"],
      dict(SPECTRUM, frequency="no-such-file.json")),
+    # a run-config value of the wrong JSON type, refused rather than coerced
+    # (the error quotes the key)
+    ("'refine'", ["badness", "--coupling", "0,0.5,0", "--N", "4", "--refine", "false"],
+     {"experiment": "badness", "coupling": [0, 0.5, 0], "params": {"N": 4, "refine": "false"}}),
+    ("'size'", ["spectrum", "--coupling", "0,1,0", "--size", "true"],
+     dict(SPECTRUM, params={"size": True})),
+    ("'n'", ["rotation", "--coupling", "0.1,2.0,0.1", "--E", "1.0", "--n", "1000.7"],
+     {"experiment": "rotation", "coupling": [0.1, 2.0, 0.1], "params": {"E": 1.0, "n": 1000.7}}),
+    ("'grid'", ["le", "--coupling", "0.1,0.5,0.2", "--E", "0.3", "--n", "1000", "--grid", "inf"],
+     {"experiment": "le", "coupling": [0.1, 0.5, 0.2],
+      "params": {"E": 0.3, "n": 1000, "grid": math.inf}}),
+    ("'E'", ["le", "--coupling", "0.1,0.5,0.2", "--E", "true", "--n", "1000", "--grid", "2"],
+     {"experiment": "le", "coupling": [0.1, 0.5, 0.2],
+      "params": {"E": True, "n": 1000, "grid": 2}}),
+    ("'eig_index'", ["perturb", "--coupling", "0.1,0.5,0.2", "--freq-prime", "0.62", "--N", "4",
+                     "--size", "16", "--eig-index", "3.5"],
+     {"experiment": "perturb", "coupling": [0.1, 0.5, 0.2],
+      "params": {"freq_prime": "0.62", "N": 4, "size": 16, "eig_index": 3.5}}),
+    ("'theta'", ["spectrum", "--coupling", "0,1,0", "--size", "8", "--theta", "true"],
+     dict(SPECTRUM, theta=True)),
+    ("'seed'", ["spectrum", "--coupling", "0,1,0", "--size", "8", "--seed", "false"],
+     dict(SPECTRUM, seed=False)),
+    ("'threads'", ["spectrum", "--coupling", "0,1,0", "--size", "8", "--threads", "true"],
+     dict(SPECTRUM, threads=True)),
 ]
 
 
@@ -731,6 +798,11 @@ def test_decay_index_out_of_range_exits_2(capsys):
 
 def test_run_config_non_number_coupling_exits_2(tmp_path, capsys):
     assert run_config_main(tmp_path, dict(SPECTRUM, coupling=["a", 1, 0])) == 2
+    assert "coupling" in capsys.readouterr().err
+
+
+def test_run_config_bool_coupling_exits_2(tmp_path, capsys):
+    assert run_config_main(tmp_path, dict(SPECTRUM, coupling=[True, 1, 0])) == 2
     assert "coupling" in capsys.readouterr().err
 
 

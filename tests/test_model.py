@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 from unittest import mock
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harperlab
 from harperlab import cocycle
 from harperlab.contfrac import (
     PROXY_MIN_Q,
@@ -25,7 +28,6 @@ from harperlab.errors import (
     WindowEmpty,
 )
 from harperlab.model import (
-    Admissibility,
     CouplingTriple,
     OperatorSample,
     RegionTag,
@@ -39,7 +41,6 @@ from harperlab.model import (
     duality,
     green_function,
     orbit_phases,
-    theta_admissible,
     unit_phase,
     zero_offsets,
     zero_structure,
@@ -282,47 +283,19 @@ def test_zero_offsets_of_a_single_zero_and_of_none():
 
 
 def test_a_small_coupling_without_zeros_has_none():
-    # c = 1e-13 at every phase: no zero, so no phase is singular or undecided
+    # c = 1e-13 at every phase: no zero, so no phase is singular
     coupling = CouplingTriple(0, 1e-13, 0)
     assert zero_structure(coupling).kind is ZeroKind.NONE
     sample = OperatorSample(coupling, golden())
     m = cocycle.transfer(sample, 0.5, 0.5 - sample.alpha_float / 2)
     assert np.isfinite(m).all()
-    assert theta_admissible(coupling, 0.3) is Admissibility.IN_THETA
 
 
-def test_theta_admissible_no_zero_case():
-    assert (
-        theta_admissible(CouplingTriple(0.1, 0.7, 0.2), 0.42)
-        is Admissibility.IN_THETA
-    )
-
-
-def test_theta_admissible_golden_half():
-    theta = GOLD / 2
-    res = theta_admissible(CouplingTriple(0.2, 0.5, 0.3), theta)
-    assert res is Admissibility.IN_THETA
-
-
-def test_theta_admissible_forged_out():
-    cf = forge(golden(), n0=2, schedule=ConstantBeta(0.5), levels=3)
-    theta = float(cf.fraction(10**12)) / 2
-    res = theta_admissible(CouplingTriple(0.2, 0.5, 0.3), theta)
-    assert res is Admissibility.OUT
-
-
-def test_theta_admissible_degenerate_undecided():
-    res = theta_admissible(CouplingTriple(0.25, 0.5, 0.25), 0.3)
-    assert res is Admissibility.UNDECIDED
-
-
-def test_theta_admissible_pair_case():
-    c = CouplingTriple(0.5, 0.5, 0.5)
-    assert theta_admissible(c, GOLD / 2) in (
-        Admissibility.IN_THETA,
-        Admissibility.OUT,
-        Admissibility.UNDECIDED,
-    )
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(harperlab.__path__)))
+def test_every_public_name_resolves(name):
+    module = importlib.import_module(f"harperlab.{name}")
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []
 
 
 # -- truncations ----------------------------------------------------------------
