@@ -9,6 +9,7 @@ tolerances and reports a PASS/FAIL table.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -450,13 +451,18 @@ def _param(kind, value):
 
     A string is read by kind, as argparse reads a flag's.  Otherwise only a
     flag takes a bool, and a flag takes nothing else; an int param (or an
-    _or of an int, named "int") takes no fractional number.
+    _or of an int, named "int") takes no fractional number, and none of
+    magnitude 2^63 or more, which no numpy integer holds.
     """
     if isinstance(value, bool) != (kind is bool):
         raise ValueError(f"{value!r} is no {kind.__name__}")
     if kind.__name__ == "int" and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is no integer")
-    return kind(value)
+    value = kind(value)
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) >= 2**63:
+        raise ValueError(f"|value| >= 2^{abs(value).bit_length() - 1} is out of range: "
+                         "an int param must stay below 2^63")
+    return value
 
 
 def resolve_params(experiment: str, params: dict) -> dict:
@@ -605,7 +611,9 @@ def _add_params(sp, table):
             sp.add_argument(flag, type=kind, default=default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process from _EXPERIMENTS."""
     parser = argparse.ArgumentParser(
         prog="harperlab",
         description="extended Harper model experiments",

@@ -10,8 +10,10 @@ frequencies whose denominators grow at a prescribed exponential rate.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -86,24 +88,66 @@ def circle_norm(x: Fraction) -> Fraction:
     return Fraction(norm_numerator(x.numerator, x.denominator), x.denominator)
 
 
-def int_to_decimal(n: int) -> str:
-    """Decimal string of an int of any size.
+# Decimal strings are converted in pieces of at most this many digits (640):
+# no sys.set_int_max_str_digits() setting refuses str() or int() of a piece.
+DECIMAL_PIECE = sys.int_info.str_digits_check_threshold
 
-    Goes through decimal.Decimal, which is exact and, unlike str(int), not
-    bound by sys.get_int_max_str_digits().
+
+@functools.cache
+def _pow10(j: int) -> int:
+    """10^(DECIMAL_PIECE 2^j), the split points of the decimal conversions."""
+    return 10 ** (DECIMAL_PIECE << j)
+
+
+def int_to_decimal(n: int) -> str:
+    """Decimal string of an int of any size, as str(n) would write it.
+
+    Divide and conquer: n is split by divmod at 10^(DECIMAL_PIECE 2^j), the
+    low half zero padded, down to pieces that str() converts; unlike
+    str(n) this is not bound by sys.get_int_max_str_digits().
     """
-    return str(Decimal(n))
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+
+    def digits(x: int, width: int) -> str:  # x < 10^width when width > 0, padded to it
+        if x < _pow10(0):
+            return str(x).zfill(width)
+        # the largest m = DECIMAL_PIECE 2^j with m log2(10) < m 3.322 <= bitlength(x) - 1,
+        # so 10^m <= x (or j = 0, and x >= 10^m anyway): the high part is nonzero
+        j = max(((x.bit_length() - 1) * 1000 // (3322 * DECIMAL_PIECE)).bit_length() - 1, 0)
+        m = DECIMAL_PIECE << j
+        hi, lo = divmod(x, _pow10(j))
+        return digits(hi, max(width - m, 0)) + digits(lo, m)
+
+    return digits(n, 0)
 
 
 def int_from_decimal(s: Union[str, int]) -> int:
-    """Inverse of int_to_decimal, accepting what int() accepts for a digit string."""
+    """Inverse of int_to_decimal, accepting what int() accepts for a digit string.
+
+    decimal.Decimal validates s (signs, surrounding whitespace, "1_2");
+    a fraction or an exponent ("1.0", "1e5", "nan") is refused as int()
+    refuses it.  Its digits are then read by divide and conquer,
+    int(high) 10^m + int(low), in pieces of at most DECIMAL_PIECE digits.
+    """
     try:
         d = Decimal(s)
     except InvalidOperation:
         d = None
     if d is None or d.as_tuple().exponent != 0:  # int() rejects "1.0", "1e5", "nan" too
         raise ValueError(f"invalid integer literal {s!r:.40}")
-    return int(d)
+    text = format(d, "f")
+    negative = text.startswith("-")
+
+    def value(t: str) -> int:
+        if len(t) <= DECIMAL_PIECE:
+            return int(t)
+        j = ((len(t) - 1) // DECIMAL_PIECE).bit_length() - 1  # the largest split below len(t)
+        m = DECIMAL_PIECE << j
+        return value(t[:-m]) * _pow10(j) + value(t[-m:])
+
+    n = value(text.lstrip("-"))
+    return -n if negative else n
 
 
 class ContinuedFraction:
@@ -603,47 +647,154 @@ class SingleBurst:
 DigitSchedule = Union[ConstantBeta, SingleBurst]
 
 
-def _exp_int_enclosure(k: int, prec: int) -> tuple:
-    """Raw mpf interval [lo, hi] around e^k, k >= 0, from one power of e.
+# Products whose smaller factor has at least this many bits go through
+# _fft_product; below it Python's own product is faster (the measured
+# crossover with power-of-two lengths, numpy 2.4 on x86-64).
+FFT_MIN_BITS = 32_000
+# _fft_product's limbs (fixed by its byte packing), and its longest
+# transform: Percival's bound stays below 1/2 up to it.
+FFT_LIMB_BITS = 12
+FFT_MAX_LENGTH = 1 << 20
+# Guard bits of the ladder's working precision beyond prec + bitlength(k).
+LADDER_GUARD = 8
 
-    lo is mpmath's own lower endpoint, mpf_exp(k, prec, round_floor); above
-    600 bits that is one binary power mpf_pow_int(e, k). mpmath's interval
-    exp would run that power a second time, rounding up, for hi. Both of its
-    endpoints are the same power carried at prec + 4*bitcount(k) + 4 bits
-    (and below 600 bits the same series at prec + 14 bits), so each sits
-    within one ulp at prec of e^k, and e^k <= lo * (1 + 2^(2-prec)). hi
-    widens lo upward by the relative amount 2^(4-prec), rounded up, so
-    [lo, hi] contains mpmath's two-endpoint interval with a factor 4 to
-    spare.
+
+def _fft_limbs(x: int, nlimbs: int) -> np.ndarray:
+    """The nlimbs lowest 12-bit limbs of x >= 0, least significant first, as float64."""
+    npairs = -(-nlimbs // 2)
+    b = np.frombuffer(x.to_bytes(3 * npairs, "little"), dtype=np.uint8).reshape(-1, 3)
+    b = b.astype(np.int32)
+    limbs = np.empty((npairs, 2))
+    limbs[:, 0] = b[:, 0] | (b[:, 1] & 0xF) << 8
+    limbs[:, 1] = b[:, 1] >> 4 | b[:, 2] << 4
+    return limbs.reshape(-1)
+
+
+def _fft_product(a: int, b: int, b_spectra: Optional[dict] = None) -> Optional[int]:
+    """a * b for ints a, b >= 0, exactly, by a real FFT convolution; or None.
+
+    a and b are cut into la and lb 12-bit limbs and convolved by numpy's
+    rfft/irfft at the power-of-two length N = 2^n >= la + lb - 1.  For a
+    length-2^n transform in float64 (eps = 2^-53, twiddles within
+    beta = eps) Percival (Math. Comp. 72, 2003) bounds every coefficient's
+    error by |x|_2 |y|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1).
+    With limbs below 2^12, |x|_2 |y|_2 <= 4095^2 sqrt(la lb), and up to
+    N = FFT_MAX_LENGTH = 2^20 (sqrt(la lb) <= 2^19) the bound is at most
+    4095^2 sqrt(la lb) 2.85e-14 <= 0.26: 0.13 at the 10^6-digit cap's
+    3.3M-bit products and 0.004 at the 142k-bit products of the n0 = 26
+    stream.  Below 1/2, rounding each coefficient to the nearest integer is
+    exact.  numpy's real transforms are not the radix-2 algorithm of that
+    proof, so as a tripwire a product whose coefficients sit 1/4 or more
+    from an integer is refused.  None means a longer transform or a
+    tripped product.  The coefficients (below 2^44) are summed as four
+    interleaved classes c_{4m+j} 2^(48m), each packed into 6-byte records.
+    A dict b_spectra keeps b's transform by length, for a b that recurs.
     """
-    from mpmath.libmp import from_int, mpf_add, mpf_exp, mpf_shift, round_ceiling, round_floor
+    la = -(-a.bit_length() // FFT_LIMB_BITS)
+    lb = -(-b.bit_length() // FFT_LIMB_BITS)
+    n = 1 << (la + lb - 2).bit_length()
+    if n > FFT_MAX_LENGTH:
+        return None
+    import numpy.fft
 
-    lo = mpf_exp(from_int(k), prec, round_floor)
-    return lo, mpf_add(lo, mpf_shift(lo, 4 - prec), prec, round_ceiling)
+    fa = numpy.fft.rfft(_fft_limbs(a, la), n)
+    if a == b:
+        fb = fa
+    elif b_spectra is not None and n in b_spectra:
+        fb = b_spectra[n]
+    else:
+        fb = numpy.fft.rfft(_fft_limbs(b, lb), n)
+        if b_spectra is not None:
+            b_spectra[n] = fb
+    fa *= fb  # fa is this call's own, fb may be b_spectra's
+    c = numpy.fft.irfft(fa, n)
+    rounded = np.rint(c)
+    c -= rounded
+    if np.max(np.abs(c, out=c)) >= 0.25:
+        return None
+    # each coefficient's three low little-endian 16-bit words, grouped by class
+    classes = rounded.astype("<i8").view("<u2").reshape(-1, 4, 4)[:, :, :3]
+    records = np.ascontiguousarray(classes.transpose(1, 0, 2))
+    return sum(int.from_bytes(records[j].tobytes(), "little") << (FFT_LIMB_BITS * j)
+               for j in range(4))
+
+
+def _fft_mul(a: int, b: int, b_spectra: Optional[dict] = None) -> int:
+    """a * b for ints a, b >= 0: by _fft_product from FFT_MIN_BITS on, else Python's."""
+    if min(a.bit_length(), b.bit_length()) >= FFT_MIN_BITS:
+        product = _fft_product(a, b, b_spectra)
+        if product is not None:
+            return product
+    return a * b
+
+
+def _cut(m: int, s: int, w: int) -> tuple[int, int]:
+    """(m, s) with m cut down to its w leading bits: m 2^s rounded toward 0."""
+    drop = m.bit_length() - w
+    return (m >> drop, s + drop) if drop > 0 else (m, s)
+
+
+def _exp_ladder(k: int, half: bool, w: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo 2^s <= e^(k + half/2) <= hi 2^s, for k >= 0 and w >= b + 16.
+
+    b = bitlength(k), lo has w bits and hi = lo (1 + 2^(b+4-w)), rounded
+    up.  e^k is a left-to-right square-and-multiply ladder over the
+    bits of k on e's floor at w bits (mpmath's mpf_e, at an explicit
+    precision), cutting every product down to w bits (_cut); e^(1/2) is
+    the floor square root of e's floor.  Each value is a lower bound
+    x e^(-L) of its target x with a log-error L >= 0:
+      - e's floor and each cut product drop less than 2^(1-w) of their
+        value: L <= lam = -ln(1 - 2^(1-w)) each;
+      - a squaring doubles the L it inherits, a product with e's floor
+        adds e's;
+      - over the b - 1 levels after k's top bit the ladder cuts at most
+        twice a level, and a cut i levels before the end is doubled i
+        times, so e^k's floor carries L <= k lam + sum_{i<b-1} 2 2^i lam
+        < 2^(b+1) lam;
+      - the square root adds lam/2 + 2^(1-w) <= 1.5 lam and its product one
+        cut, so L < 2^(b+2) lam in every case (b = 0 included).
+    With w >= b + 16, L < 2^(b+3-w) (1 + 2^(2-w)) and e^L - 1 < 2^(b+4-w),
+    so hi bounds the target with a factor 2 to spare in the widening.
+    """
+    from mpmath.libmp import mpf_e, round_floor
+
+    _, e_man, e_exp, _ = mpf_e(w, round_floor)
+    lo, s = 1, 0
+    if k:
+        lo, s = e_man, e_exp
+        e_spectra: dict = {}
+        for bit in bin(k)[3:]:
+            lo, s = _cut(_fft_mul(lo, lo), 2 * s, w)
+            if bit == "1":
+                lo, s = _cut(_fft_mul(lo, e_man, e_spectra), s + e_exp, w)
+    if half:
+        sh = 2 * w - e_man.bit_length()
+        sh += (e_exp - sh) % 2  # an even exponent left for the root
+        root = math.isqrt(e_man << sh)
+        lo, s = _cut(_fft_mul(lo, root), s + (e_exp - sh) // 2, w)
+    pad = w - lo.bit_length()  # lo at w bits, so the widening's rounding is 2^(1-w) at most
+    lo, s = lo << pad, s - pad
+    return lo, lo + (lo >> (w - k.bit_length() - 4)) + 1, s
 
 
 def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Optional[int]:
-    """floor(e^(beta*q)) by interval arithmetic with certified rounding.
+    """floor(e^(beta*q)), certified by an enclosure of e^(beta*q).
 
-    e^t, t = beta*q, is enclosed as e^k * e^r with k = floor(t) and
-    r = t - k in [0, 1): e^k comes from a single power of e per precision
-    (see _exp_int_enclosure; much cheaper than a series at a fractional
-    argument), e^(1/2) is the interval square root of e, and any other
-    nonzero r takes one interval exp of a small argument.
-    Returns None when the result would exceed cap_decimal decimal digits.
-    Precision doubles until the enclosing interval no longer straddles an
-    integer (e^(beta*q) is transcendental for beta*q != 0, so this ends).
-    The e^k enclosure is a few ulps wider than mpmath's interval exp, which
-    can cost one more doubling but never changes a certified digit.  The
-    interval steps are the mpmath.libmp primitives mpmath.iv calls, at an
-    explicit precision, so no global precision is read or set.
+    t = beta*q is split as k + r with k = floor(t).  For r = 0 and r = 1/2
+    the enclosure [lo, hi] 2^s of e^t is _exp_ladder's, all in Python ints:
+    e^k from a square-and-multiply ladder on e's floor, times e^(1/2) from
+    one integer square root when r = 1/2, widened upward by the relative
+    2^(b+4-W) (b = bitlength(k); the derivation is in _exp_ladder).  Its
+    working precision W = prec + b + LADDER_GUARD bits, where prec is the
+    bit length of e^t plus 64, so every truncation sits far below the
+    integer part; ladder products of FFT_MIN_BITS or more are exact FFT
+    convolutions (_fft_product).  Any other r multiplies that enclosure by
+    mpmath's interval exp of r, at an explicit precision, so no global
+    precision is read or set.  Returns None when the result would exceed
+    cap_decimal decimal digits.  Precision doubles until the enclosure no
+    longer straddles an integer (e^(beta*q) is transcendental for
+    beta*q != 0, so this ends).
     """
-    from mpmath.libmp import from_int, mpf_floor, mpi_div, mpi_exp, mpi_mul, mpi_sqrt, to_int
-    from mpmath.libmp import round_ceiling, round_floor
-
-    def point(n, prec):  # the interval mpmath.iv makes of the integer n
-        return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
-
     t = Fraction(beta) * q
     if t <= 0:
         raise ValueError("schedule exponent beta*q must be positive")
@@ -654,14 +805,20 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     r = t - k
     prec = max(64, int(float(t) * 1.4427) + 64)  # bits of e^t plus guard
     while True:
-        lo, hi = _exp_int_enclosure(k, prec)
-        if r == Fraction(1, 2):
-            lo, hi = mpi_mul((lo, hi), mpi_sqrt(mpi_exp(point(1, prec), prec), prec), prec)
-        elif r:
-            e_r = mpi_exp(mpi_div(point(r.numerator, prec), point(r.denominator, prec), prec), prec)
-            lo, hi = mpi_mul((lo, hi), e_r, prec)
-        flo = to_int(mpf_floor(lo, prec, round_floor))
-        fhi = to_int(mpf_floor(hi, prec, round_ceiling))
+        lo, hi, s = _exp_ladder(k, r == Fraction(1, 2), prec + k.bit_length() + LADDER_GUARD)
+        if r in (0, Fraction(1, 2)):
+            flo, fhi = lo >> -s, hi >> -s  # s < 0: lo has W bits, more than e^t has
+        else:
+            from mpmath.libmp import from_int, from_man_exp, mpf_floor, mpi_div, mpi_exp
+            from mpmath.libmp import mpi_mul, round_ceiling, round_floor, to_int
+
+            def point(n):  # the interval mpmath.iv makes of the integer n
+                return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+            e_r = mpi_exp(mpi_div(point(r.numerator), point(r.denominator), prec), prec)
+            lo, hi = mpi_mul((from_man_exp(lo, s), from_man_exp(hi, s)), e_r, prec)
+            flo = to_int(mpf_floor(lo, prec, round_floor))
+            fhi = to_int(mpf_floor(hi, prec, round_ceiling))
         if flo == fhi:
             return flo
         prec *= 2

@@ -24,6 +24,7 @@ from .errors import (
     ResolventSingular,
     SingularSamplingPoint,
     WindowEmpty,
+    WindowTooLarge,
 )
 
 __all__ = [
@@ -405,12 +406,17 @@ def build_truncation(sample: OperatorSample, x1: int, x2: int) -> Truncation:
     if x1 > x2:
         raise WindowEmpty(f"window [{x1}, {x2}] is empty")
     m = x2 - x1 + 1
-    phases = sample.phases(x1, m)
-    alpha_f = sample.alpha_float
-    diag = 2.0 * np.cos(2.0 * np.pi * phases)
-    offdiag = np.asarray(
-        c_function(sample.coupling, alpha_f, phases[:-1]), dtype=np.complex128
-    ).reshape(-1)
+    try:
+        phases = sample.phases(x1, m)
+        diag = 2.0 * np.cos(2.0 * np.pi * phases)
+        offdiag = np.asarray(
+            c_function(sample.coupling, sample.alpha_float, phases[:-1]), dtype=np.complex128
+        ).reshape(-1)
+    except MemoryError:
+        raise WindowTooLarge(
+            f"the phases and entries of the size-{m} window [{x1}, {x2}] need at least "
+            f"32 m = {32 * m} bytes ({32 * m / 2**30:.3g} GiB)"
+        ) from None
     return Truncation(sample, x1, x2, diag, offdiag, phases)
 
 

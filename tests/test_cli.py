@@ -22,6 +22,7 @@ from harperlab.cli import (
     config_from_args,
     build_parser,
     main,
+    resolve_params,
     run,
     verify,
 )
@@ -752,6 +753,48 @@ def test_eigenvectors_past_memory_exit_3(argv, monkeypatch, capsys):
     size = argv[argv.index("--size") + 1]
     assert out == ""
     assert "WindowTooLarge" in err and f"size-{size} window" in err
+
+
+def test_a_window_past_memory_exits_3(monkeypatch, capsys):
+    # the window's phases cannot be allocated: a numeric error naming it, not a traceback
+    import harperlab.model as model_module
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(model_module, "orbit_phases", refuse)
+    assert exit_code(["decay", "--coupling", "0,0.4,0", "--size", "10000000000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "WindowTooLarge" in err and "size-10000000000 window" in err
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63), 10**20, 1e300])
+def test_an_int_param_past_int64_is_refused_by_name(value, tmp_path, capsys):
+    # at both entry points, before numpy sees it
+    config = {"experiment": "spectrum", "coupling": [0, 1, 0], "params": {"size": value}}
+    assert run_config_main(tmp_path, config) == 2
+    if isinstance(value, int):
+        assert exit_code(["spectrum", "--coupling", "0,1,0", "--size", str(value)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error: spectrum param 'size'") == (2 if isinstance(value, int) else 1)
+    assert "2^63" in err
+
+
+def test_int_params_up_to_int64_resolve():
+    for value in (2**63 - 1, -(2**63) + 1):
+        assert resolve_params("spectrum", {"size": value})["size"] == value
+
+
+def test_the_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    helps = []
+    for _ in range(2):  # a cached parser parses and prints help as a fresh one does
+        assert exit_code(["forge", "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--n0" in helps[0]
+    assert config_from_args(build_parser().parse_args(["forge", "--n0", "7"])).params["n0"] == 7
+    assert config_from_args(build_parser().parse_args(["forge"])).params["n0"] == 5
 
 
 def test_a_non_finite_record_exits_3(monkeypatch, capsys):

@@ -10,11 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harperlab.contfrac import (
+    FFT_LIMB_BITS,
+    FFT_MAX_LENGTH,
+    FFT_MIN_BITS,
+    _exp_ladder,
+    _fft_mul,
+    _fft_product,
     ConstantBeta,
     ContinuedFraction,
     SingleBurst,
     beta_exponent,
-    _exp_int_enclosure,
     circle_norm,
     dc_alpha_membership,
     dc_membership,
@@ -23,6 +28,8 @@ from harperlab.contfrac import (
     forge,
     from_digits,
     golden,
+    int_from_decimal,
+    int_to_decimal,
     silver,
 )
 from harperlab.errors import DepthInsufficient, PrecisionExhausted, RationalDetected
@@ -330,47 +337,119 @@ def test_floor_exp_reads_no_interval_context(beta, q, monkeypatch):
     assert floor_exp(beta, q) == expected
 
 
-@pytest.mark.parametrize("q", [1000, 1001])  # beta*q = 500 and 500.5, both above 600 bits
-def test_floor_exp_takes_one_power_of_e_per_precision(q, monkeypatch):
-    # above 600 bits mpmath's exp(k) is the power mpf_pow_int(e, k); its
-    # interval exp would take it twice (once per endpoint) at each precision
-    from mpmath.libmp import libelefun
-
-    expected = _floor_exp_single_interval(0.5, q)
-    powers = []
-    real = libelefun.mpf_pow_int
-
-    def counted(s, n, prec, *rnd):
-        powers.append((n, prec))
-        return real(s, n, prec, *rnd)
-
-    monkeypatch.setattr(libelefun, "mpf_pow_int", counted)
-    assert floor_exp(0.5, q) == expected
-    steps = sorted({prec for _, prec in powers})
-    # one e^500 per precision step; e^(1/2) rounds e itself (a power n = 1)
-    assert [prec for n, prec in sorted(powers) if n == 500] == steps
-    assert all(n in (1, 500) for n, _ in powers)
-    assert steps and steps[0] > 600
-
-
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(
     st.integers(0, 37512),  # up to k = floor(q_24 / 2), the n0 = 24 stream at beta = 1/2
-    st.one_of(st.integers(53, 600), st.integers(601, 54200)),  # series and power paths
+    st.booleans(),
+    st.one_of(st.integers(53, 600), st.integers(601, 54200)),  # Python and FFT products
 )
-def test_exp_int_enclosure_contains_interval_exp(k, prec):
+def test_exp_ladder_contains_interval_exp(k, half, prec):
+    # the ladder's enclosure of e^(k + half/2) at floor_exp's working precision
+    # holds mpmath's interval exp taken at twice that precision
     from mpmath import iv
-    from mpmath.libmp import mpf_le
+    from mpmath.libmp import from_man_exp, mpf_le
 
+    w = prec + k.bit_length() + 8
+    lo, hi, s = _exp_ladder(k, half, w)
+    assert lo.bit_length() == w and hi > lo
     old = iv.prec
     try:
-        iv.prec = prec
-        a, b = iv.exp(iv.mpf(k))._mpi_
+        iv.prec = 2 * w
+        a, b = iv.exp(iv.mpf(2 * k + half) / 2)._mpi_
     finally:
         iv.prec = old
-    lo, hi = _exp_int_enclosure(k, prec)
-    assert lo == a  # mpmath's own lower endpoint
-    assert mpf_le(b, hi)
+    assert mpf_le(from_man_exp(lo, s), a)
+    assert mpf_le(b, from_man_exp(hi, s))
+
+
+# sha256 of the decimal digits, first 16 hex digits, as read before the ladder
+@pytest.mark.parametrize("beta, q, digest", [(0.5, 196418, "82ee05b329270f26"),
+                                             (0.5, 75025, "e29a16a7365f2e5a"),
+                                             (1.0, 28657, "843886924fe597c9")])
+def test_floor_exp_pinned_digits(beta, q, digest):
+    import hashlib
+
+    digits = int_to_decimal(floor_exp(beta, q))
+    assert hashlib.sha256(digits.encode()).hexdigest()[:16] == digest
+
+
+def _count_transforms(monkeypatch):
+    import numpy.fft
+
+    calls = []
+    real = numpy.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numpy.fft, "irfft", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bits_a, bits_b", [(FFT_MIN_BITS - 1, FFT_MIN_BITS - 1),
+                                            (FFT_MIN_BITS - 1, 200_000),
+                                            (FFT_MIN_BITS, FFT_MIN_BITS),
+                                            (FFT_MIN_BITS + 1, 41_000),
+                                            (54_200, 54_200),
+                                            (141_900, 141_900),
+                                            (50_000, 300_000)])
+def test_fft_mul_matches_python_product(bits_a, bits_b, monkeypatch):
+    import random
+
+    rng = random.Random(bits_a * 1_000_003 + bits_b)
+    a = rng.getrandbits(bits_a) | 1 << (bits_a - 1)
+    b = rng.getrandbits(bits_b) | 1 << (bits_b - 1)
+    transforms = _count_transforms(monkeypatch)
+    assert _fft_mul(a, b) == a * b
+    assert _fft_mul(a, a) == a * a
+    # the FFT runs from FFT_MIN_BITS on, in both factors
+    assert len(transforms) == (2 if min(bits_a, bits_b) >= FFT_MIN_BITS else 0)
+    spectra = {}
+    for _ in range(2):  # b's transform, kept and reused
+        assert _fft_mul(a, b, spectra) == a * b
+    assert len(spectra) == (1 if min(bits_a, bits_b) >= FFT_MIN_BITS else 0)
+
+
+@pytest.mark.parametrize("nbits", [
+    FFT_LIMB_BITS * -(-int(10**6 * math.log2(10) + 200) // FFT_LIMB_BITS),  # the 10^6-digit cap
+    FFT_LIMB_BITS * FFT_MAX_LENGTH // 2,  # the longest transform
+])
+def test_fft_product_of_full_limbs(nbits):
+    # every 12-bit limb 4095: the largest coefficients a square of this length can have
+    x = (1 << nbits) - 1
+    assert FFT_MAX_LENGTH // 2 < 2 * nbits // FFT_LIMB_BITS <= FFT_MAX_LENGTH
+    assert _fft_product(x, x) == (1 << 2 * nbits) - (1 << nbits + 1) + 1
+
+
+def test_fft_product_refuses_a_longer_transform():
+    x = 1 << FFT_LIMB_BITS * FFT_MAX_LENGTH // 2  # one limb past half the longest transform
+    assert _fft_product(x, x) is None
+    assert _fft_mul(x, x) == x * x
+
+
+def test_percival_bound_stays_below_half():
+    # |err| <= |x|_2 |y|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1), beta = eps
+    eps = 2.0**-53
+
+    def bound(la, lb):
+        n = (la + lb - 2).bit_length()
+        growth = math.expm1(6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
+        return 4095**2 * math.sqrt(la * lb) * growth
+
+    assert bound(FFT_MAX_LENGTH // 2, FFT_MAX_LENGTH // 2) < 0.26  # the longest transform
+    assert bound(276_829, 276_829) < 0.14  # the 10^6-digit cap
+    assert bound(11_826, 11_826) < 0.005  # the n0 = 26 stream
+
+
+def test_fft_tripwire_falls_back_to_python_product(monkeypatch):
+    import numpy.fft
+
+    real = numpy.fft.irfft
+    monkeypatch.setattr(numpy.fft, "irfft", lambda *args, **kwargs: real(*args, **kwargs) + 0.3)
+    a, b = 3**30_000, 7**20_000
+    assert _fft_product(a, b) is None
+    assert _fft_mul(a, b) == a * b
 
 
 @pytest.mark.parametrize("q", [28657, 75025])  # golden q_22 and q_24 (the n0 = 24 stream)
@@ -444,6 +523,47 @@ def test_fraction_is_the_first_convergent_reaching_min_q(stream):
         want = Fraction(*ref.convergent(n))
         assert stream().fraction(min_q) == want
         assert ref.fraction(min_q) == want
+
+
+def test_decimal_round_trip_up_to_2e5_bits():
+    import random
+    from decimal import Decimal
+
+    rng = random.Random(5)
+    values = [0, 1, 9, 10]
+    for m in [639, 640, 641, 1280, 5000, 20_000, 60_206]:  # 10^60206 has 2.0e5 bits
+        values += [10**m - 1, 10**m, 10**m + 1]
+    values += [rng.getrandbits(rng.randint(1, 200_000)) for _ in range(8)]
+    for n in values:
+        for v in (n, -n):
+            text = int_to_decimal(v)
+            assert text == str(Decimal(v))  # the conversion it replaces
+            assert int_from_decimal(text) == v
+
+
+def test_decimal_conversion_under_the_lowest_str_limit():
+    # pieces of 640 digits pass any sys.set_int_max_str_digits() setting
+    import sys
+
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        n = 7**30_000 + 1
+        assert int_from_decimal(int_to_decimal(n)) == n
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("text, value", [("12", 12), (" 12\n", 12), ("+12", 12), ("-12", -12),
+                                         ("1_2", 12), ("-0", 0), ("007", 7), (12, 12)])
+def test_int_from_decimal_accepts(text, value):
+    assert int_from_decimal(text) == value
+
+
+@pytest.mark.parametrize("text", ["1.0", "1e5", "nan", "inf", "", "abc", "1 2"])
+def test_int_from_decimal_refuses(text):
+    with pytest.raises(ValueError):
+        int_from_decimal(text)
 
 
 def test_json_round_trip_past_int_str_limit():

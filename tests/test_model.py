@@ -26,6 +26,7 @@ from harperlab.errors import (
     Lambda2Zero,
     ResolventSingular,
     WindowEmpty,
+    WindowTooLarge,
 )
 from harperlab.model import (
     CouplingTriple,
@@ -337,6 +338,19 @@ def test_truncation_spectrum_real_complex_oracle():
 def test_truncation_empty_window():
     with pytest.raises(WindowEmpty):
         build_truncation(sample(), 3, 2)
+
+
+@pytest.mark.parametrize("where", ["orbit_phases", "c_function"])
+def test_truncation_past_memory_is_window_too_large(where, monkeypatch):
+    # an allocation that fails while the window is built names the window
+    import harperlab.model as model_module
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(model_module, where, refuse)
+    with pytest.raises(WindowTooLarge, match=r"size-12 window \[-5, 6\]"):
+        build_truncation(sample(), -5, 6)
 
 
 def test_gauge_symmetric_matches_dense_spectrum():
