@@ -665,7 +665,7 @@ def main(argv=None) -> int:
     except (InvalidCoupling, ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except HarperlabError as exc:
+    except (HarperlabError, MemoryError) as exc:  # an array that cannot be held is numeric
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     try:

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .model import (
     MAX_EXCLUDED,
-    ZERO_GUARD,
     CouplingTriple,
     OperatorSample,
     _alpha_proxy,
@@ -116,7 +115,7 @@ def transfer(
     float64 range FloatRangeExceeded.
     """
     thetas = np.array([wrap01(float(theta))])
-    a, b, s, s0, _ = next(_sweep_cells(sample, energy, thetas, 1, kind, ZERO_GUARD, "raise"))
+    a, b, s, s0, _ = next(_sweep_cells(sample, energy, thetas, 1, kind, "raise"))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises
         m = _transfer_matrices(a, b, s, s0, kind)[:, :, 0, 0]
     if not np.isfinite(m).all():
@@ -153,7 +152,7 @@ def _reduce_sites(m):
     return m[:, :, 0], logs
 
 
-def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
+def _sweep_cells(sample, energy, thetas, n, kind, on_singular):
     """The transfer entries of the sweep th, ..., th+(n-1)a, chunk by chunk.
 
     Yields (a, b, s, s0, alive) per chunk of K sites x g lanes with
@@ -166,8 +165,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     guard dies, and its entries from then on mean nothing and may be
     non-finite; with on_singular="raise" the earliest such site (then the
     lowest lane) raises SingularSamplingPoint instead.  The yielded arrays
-    are buffers the next chunk overwrites.  zero_guard is model.ZERO_GUARD on every
-    library path; the exclusion tests draw other values.
+    are buffers the next chunk overwrites.
 
     A rotation table stands in for per-cell trigonometry.  With ka the
     orbit_phases of the sweep and B = TABLE_BLOCK (or K, if shorter), site
@@ -197,7 +195,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
     prev = c_function(sample.coupling, alpha_f, xm)
     alive = np.ones(g, dtype=bool)
     if has_zeros and kind == "normalized":
-        bad = _guard(sample.coupling, alpha_f, xm[None, :], zero_guard, on_singular=on_singular)
+        bad = _guard(sample.coupling, alpha_f, xm[None, :], on_singular=on_singular)
         alive = ~bad[0]
     prev_abs = np.abs(prev)
     with np.errstate(divide="ignore", over="ignore"):
@@ -230,7 +228,7 @@ def _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular):
             x = xbuf[:k]
             np.add(thetas, ka[k0 : k0 + k, None], out=x)
             x -= np.floor(x, out=a)  # a is scratch until d is written
-            bad = _guard(sample.coupling, alpha_f, x, zero_guard, on_singular=on_singular)
+            bad = _guard(sample.coupling, alpha_f, x, on_singular=on_singular)
             alive = alive & ~bad.any(axis=0)
         u = coarse[first:end]  # the anchors of the chunk's table blocks
         span = slice(0, (end - first) * block)  # the rows of those blocks; the chunk's from off on
@@ -315,7 +313,6 @@ def _product_sweep(
     thetas: np.ndarray,
     n: int,
     kind: str,
-    zero_guard: float,
     on_singular: str = "exclude",
 ):
     """Products A(th+(n-1)a)...A(th) over a batch of phases, at unit norm.
@@ -338,7 +335,7 @@ def _product_sweep(
     alive = np.ones(g, dtype=bool)
     turn = np.ones(g, dtype=np.complex128)  # prod of e^{i w_k} over the sites
     first = last = np.ones(g)  # unit phase (or |c|) before the orbit and at its last site
-    cells = _sweep_cells(sample, energy, thetas, n, kind, zero_guard, on_singular)
+    cells = _sweep_cells(sample, energy, thetas, n, kind, on_singular)
     for i, (a, b, s, s0, alive) in enumerate(cells):
         if i == 0:
             first = s0
@@ -381,15 +378,8 @@ def n_step(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    mats, lognorm, _ = _product_sweep(
-        sample,
-        energy,
-        np.array([wrap01(float(theta))]),
-        n,
-        kind,
-        ZERO_GUARD,
-        on_singular="raise",
-    )
+    thetas = np.array([wrap01(float(theta))])
+    mats, lognorm, _ = _product_sweep(sample, energy, thetas, n, kind, on_singular="raise")
     return mats[0], float(lognorm[0])
 
 
@@ -418,7 +408,7 @@ class LyapunovEstimate:
     theta_grid: int
     stderr: float
     excluded_fraction: float
-    kind: str = "raw"
+    kind: str
 
 
 def lyapunov_numeric(
@@ -441,9 +431,7 @@ def lyapunov_numeric(
     if theta_grid < 1:
         raise ValueError("theta_grid must be >= 1")
     thetas = (np.arange(theta_grid) + 0.5) / theta_grid
-    mats, lognorm, alive = _product_sweep(
-        sample, energy, thetas, n_steps, kind, ZERO_GUARD, on_singular="exclude"
-    )
+    mats, lognorm, alive = _product_sweep(sample, energy, thetas, n_steps, kind)
     excluded = 1.0 - float(np.count_nonzero(alive)) / theta_grid
     if excluded > MAX_EXCLUDED or not alive.any():
         raise TooManyExclusions(
@@ -591,7 +579,7 @@ def rotation_number(
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     thetas = np.array([wrap01(float(theta0))])
-    cells = _sweep_cells(sample, energy, thetas, n_steps, "normalized", ZERO_GUARD, "raise")
+    cells = _sweep_cells(sample, energy, thetas, n_steps, "normalized", "raise")
     chunks = (_companion(a[:, 0], b[:, 0]) for a, b, *_ in cells)
     return _lift_increments(chunks, y0, _overflow(sample, energy))
 

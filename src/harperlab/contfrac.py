@@ -788,12 +788,14 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     working precision W = prec + b + LADDER_GUARD bits, where prec is the
     bit length of e^t plus 64, so every truncation sits far below the
     integer part; ladder products of FFT_MIN_BITS or more are exact FFT
-    convolutions (_fft_product).  Any other r multiplies that enclosure by
-    mpmath's interval exp of r, at an explicit precision, so no global
-    precision is read or set.  Returns None when the result would exceed
-    cap_decimal decimal digits.  Precision doubles until the enclosure no
-    longer straddles an integer (e^(beta*q) is transcendental for
-    beta*q != 0, so this ends).
+    convolutions (_fft_product).  Any other r multiplies lo by a floor of
+    e^(r's floor) and hi by a ceiling of e^(r's ceiling), in Python ints: r
+    is cut to prec fractional bits by integer division, and each exp is one
+    directed mpf_exp at an explicit precision, so no global precision is
+    read or set.  Every r ends in the same floor shift.  Returns None when the result would exceed cap_decimal
+    decimal digits.  Precision doubles until the enclosure no longer
+    straddles an integer (e^(beta*q) is transcendental for beta*q != 0, so
+    this ends).
     """
     t = Fraction(beta) * q
     if t <= 0:
@@ -806,19 +808,19 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     prec = max(64, int(float(t) * 1.4427) + 64)  # bits of e^t plus guard
     while True:
         lo, hi, s = _exp_ladder(k, r == Fraction(1, 2), prec + k.bit_length() + LADDER_GUARD)
-        if r in (0, Fraction(1, 2)):
-            flo, fhi = lo >> -s, hi >> -s  # s < 0: lo has W bits, more than e^t has
-        else:
-            from mpmath.libmp import from_int, from_man_exp, mpf_floor, mpi_div, mpi_exp
-            from mpmath.libmp import mpi_mul, round_ceiling, round_floor, to_int
+        if r not in (0, Fraction(1, 2)):
+            from mpmath.libmp import from_man_exp, mpf_exp, round_ceiling, round_floor
 
-            def point(n):  # the interval mpmath.iv makes of the integer n
-                return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+            def exp_cut(num, rnd):  # e^(num 2^-prec) rounded rnd, in units of 2^-prec
+                z = max((num & -num).bit_length() - 1, 0)  # from_man_exp strips 8 zeros a step
+                _, man, exp, _ = mpf_exp(from_man_exp(num >> z, z - prec), prec, rnd)
+                return man << (exp + prec)  # >= 1 with at most prec bits: exp > -prec
 
-            e_r = mpi_exp(mpi_div(point(r.numerator), point(r.denominator), prec), prec)
-            lo, hi = mpi_mul((from_man_exp(lo, s), from_man_exp(hi, s)), e_r, prec)
-            flo = to_int(mpf_floor(lo, prec, round_floor))
-            fhi = to_int(mpf_floor(hi, prec, round_ceiling))
+            n, d = r.numerator << prec, r.denominator
+            lo *= exp_cut(n // d, round_floor)
+            hi *= exp_cut(-(-n // d), round_ceiling)
+            s -= prec
+        flo, fhi = lo >> -s, hi >> -s  # s < 0: lo has W bits, more than e^t has
         if flo == fhi:
             return flo
         prec *= 2

@@ -270,15 +270,16 @@ def zero_offsets(coupling: CouplingTriple) -> list:
     return [off, -off]
 
 
-def _guard(coupling, alpha: float, x, guard=ZERO_GUARD, *, on_singular) -> np.ndarray:
-    """The one zero guard: which phases x lie within guard of a zero of c.
+def _guard(coupling, alpha: float, x, *, on_singular) -> np.ndarray:
+    """The one zero guard: which phases x lie within ZERO_GUARD of a zero of c.
 
-    Every experiment that divides by c reads its phases through this, at
-    guard = ZERO_GUARD; the zeros sit at zero_structure's positions for the
-    float frequency alpha, and distances are taken on the circle.  Returns
-    a mask of x's shape under on_singular="exclude".  Under "raise" the
-    first masked phase in C order (of (sites, lanes): the earliest site,
-    then the lowest lane) raises SingularSamplingPoint instead.
+    Every experiment that divides by c reads its phases through this, the
+    one reader of ZERO_GUARD (looked up at call time); the zeros sit at
+    zero_structure's positions for the float frequency alpha, and distances
+    are taken on the circle.  Returns a mask of x's shape under
+    on_singular="exclude".  Under "raise" the first masked phase in C order
+    (of (sites, lanes): the earliest site, then the lowest lane) raises
+    SingularSamplingPoint instead.
     """
     x = np.asarray(x, dtype=np.float64)
     dist = np.full(x.shape, np.inf)
@@ -286,7 +287,7 @@ def _guard(coupling, alpha: float, x, guard=ZERO_GUARD, *, on_singular) -> np.nd
         d = x - z + 0.5
         d -= np.floor(d)  # == d % 1.0 bit for bit (fmod is exact), and cheaper
         dist = np.minimum(dist, np.abs(d - 0.5))
-    bad = dist < guard
+    bad = dist < ZERO_GUARD
     if on_singular == "raise" and bad.any():
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise SingularSamplingPoint(float(x[i]), float(dist[i]))
@@ -309,7 +310,8 @@ def orbit_phases(
     of 2^-64, and phase n is first + (n - start)*step in wrapping uint64
     arithmetic, so sums of phases are exact mod 1.  Before its one rounding
     to float, phase n lies within (n - start)*2^-65 + 2^-64 of the exact
-    value.
+    value.  Returns exactly count phases: a count numpy cannot hold raises
+    MemoryError.
     """
     t = Fraction(theta)
     a = Fraction(alpha)
@@ -319,7 +321,15 @@ def orbit_phases(
     def fixed(num):  # num/den mod 1 to the nearest multiple of 2^-64, as an int below 2^64
         return ((num % den << 65) + den) // (2 * den) % 2**64
 
-    fx = np.arange(count, dtype=np.uint64)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    try:  # numpy refuses an array past the bytes an index reaches, and sizes an
+        # arange in floats, so one of 2^63 - 512 sites or more comes back empty
+        fx = np.arange(count, dtype=np.uint64)
+        if len(fx) != count:
+            raise ValueError("array is too big")
+    except ValueError:
+        raise MemoryError(f"numpy cannot hold an array of {count} phases") from None
     fx *= fixed(an)  # uint64 arrays wrap mod 2^64 (a numpy scalar would warn)
     fx += fixed(tn + start * an)
     out = fx.view(np.float64)

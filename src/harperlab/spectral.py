@@ -30,7 +30,6 @@ from .contfrac import (
 )
 from .errors import FloatRangeExceeded, NoBulkSpectrum, PoorlyLocalized
 from .model import (
-    ZERO_GUARD,
     CouplingTriple,
     OperatorSample,
     _edge_green_logs,
@@ -280,11 +279,11 @@ class BadnessReport:
     E_grid: list
     min_mass: float
     verdict: str
-    witness_E: Optional[float] = None
-    witness_angle: Optional[float] = None
-    angles: int = 64
-    trunc_size: int = 0
-    note: str = ""
+    witness_E: Optional[float]
+    witness_angle: Optional[float]
+    angles: int
+    trunc_size: int
+    note: str
 
 
 def _window_size(N: int) -> int:
@@ -469,7 +468,7 @@ def perturbation_experiment(
     energy = _nearest_eig(*build_truncation(sample, 0, size - 1).gauge_symmetric(), e_prime)
 
     def matrices(s, e):  # the 2N+1 raw transfer matrices from site -N on
-        cells = _sweep_cells(s, e, s.phases(-N, 1), 2 * N + 1, "raw", ZERO_GUARD, "raise")
+        cells = _sweep_cells(s, e, s.phases(-N, 1), 2 * N + 1, "raw", "raise")
         return (_transfer_matrices(a, b, u, u0, "raw") for a, b, u, u0, _ in cells)
 
     def solution(s, e):  # u(k) at sites -N-1..N from (u(0), u(-1)) = (1, 0)

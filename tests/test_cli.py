@@ -769,6 +769,28 @@ def test_a_window_past_memory_exits_3(monkeypatch, capsys):
     assert "WindowTooLarge" in err and "size-10000000000 window" in err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["spectrum", "--coupling", "0,1,0", "--size", str(2**63 - 1)],
+         f"WindowTooLarge: the phases and entries of the size-{2**63 - 1} window"),
+        (["spectrum", "--coupling", "0,1,0", "--size", str(2**62)],
+         f"WindowTooLarge: the phases and entries of the size-{2**62} window"),
+        (["le", "--coupling", "0.1,0.5,0.2", "--E", "0", "--n", str(2**63 - 1)],
+         f"MemoryError: numpy cannot hold an array of {2**63 - 1} phases"),
+        (["rotation", "--coupling", "0.1,0.5,0.2", "--E", "0", "--n", str(2**62)],
+         f"MemoryError: numpy cannot hold an array of {2**62} phases"),
+    ],
+)
+def test_an_orbit_numpy_cannot_hold_exits_3(argv, error, capsys):
+    # numpy cannot even index these arrays: a numeric error naming the window or the
+    # orbit, where numpy's ValueError, or an empty orbit at 2^63 - 1, exited 2
+    assert exit_code(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert error in err
+
+
 @pytest.mark.parametrize("value", [2**63, -(2**63), 10**20, 1e300])
 def test_an_int_param_past_int64_is_refused_by_name(value, tmp_path, capsys):
     # at both entry points, before numpy sees it

@@ -312,7 +312,7 @@ def _floor_exp_single_interval(beta, q):
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
-@given(st.sampled_from([0.5, 1.0, 1.5, 0.3, 0.7, 2 / 3]), st.integers(1, 2000))
+@given(st.sampled_from([0.5, 1.0, 1.5, 0.3, 0.7, 2 / 3, Fraction(2, 3)]), st.integers(1, 2000))
 def test_floor_exp_matches_single_interval_exp(beta, q):
     assert floor_exp(beta, q) == _floor_exp_single_interval(beta, q)
 
@@ -362,10 +362,13 @@ def test_exp_ladder_contains_interval_exp(k, half, prec):
     assert mpf_le(b, from_man_exp(hi, s))
 
 
-# sha256 of the decimal digits, first 16 hex digits, as read before the ladder
+# sha256 of the decimal digits, first 16 hex digits: r = 0 and r = 1/2 as read before
+# the ladder, other r as read before their directed exps replaced mpmath's interval exp
 @pytest.mark.parametrize("beta, q, digest", [(0.5, 196418, "82ee05b329270f26"),
                                              (0.5, 75025, "e29a16a7365f2e5a"),
-                                             (1.0, 28657, "843886924fe597c9")])
+                                             (1.0, 28657, "843886924fe597c9"),
+                                             (2 / 3, 75025, "1d21d519436ce036"),
+                                             (0.3, 28657, "5168c4fea3152a43")])
 def test_floor_exp_pinned_digits(beta, q, digest):
     import hashlib
 

@@ -524,6 +524,22 @@ def test_orbit_phases_in_fixed_point(theta, start, stream):
     assert np.all(np.abs(d - np.round(d)) <= 2 * np.finfo(float).eps)
 
 
+@pytest.mark.parametrize("count", [2**63 - 1, 2**62])
+def test_an_orbit_numpy_cannot_hold_raises(count):
+    # numpy sizes an arange in floats: at 2^63 - 1 it came back empty, at 2^62 it
+    # refused with a ValueError; both are an orbit of count phases or an error
+    with pytest.raises(MemoryError, match=f"{count} phases"):
+        orbit_phases(0.135, Fraction(1, 3), 0, count)
+    with pytest.raises(WindowTooLarge, match=rf"size-{count} window \[0, {count - 1}\]"):
+        build_truncation(sample(), 0, count - 1)
+
+
+def test_an_orbit_of_no_sites_is_empty_and_a_negative_count_is_refused():
+    assert orbit_phases(0.135, Fraction(1, 3), 0, 0).shape == (0,)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        orbit_phases(0.135, Fraction(1, 3), 0, -1)
+
+
 # -- the alpha proxy ---------------------------------------------------------------
 
 PROXY_STREAMS = {  # fresh streams, so no call sees digits another one forged

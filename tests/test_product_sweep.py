@@ -1,7 +1,9 @@
 """Property tests for the chunked transfer-product sweep against a sequential walk."""
 
+import contextlib
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from harperlab import cocycle
+from harperlab import cocycle, model
 from harperlab.cocycle import (
     SCAN_BLOCK,
     SWEEP_CELLS,
@@ -44,6 +46,7 @@ from harperlab.model import (
     wrap01,
     zero_structure,
 )
+from harperlab.spectral import badness_scan, perturbation_experiment
 
 # deterministic examples, so the suite gives the same verdict on every run
 examples = settings(deadline=None, derandomize=True, max_examples=20)
@@ -57,13 +60,23 @@ ZERO_FREE = st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.05, 
 )
 
 
+@contextlib.contextmanager
 def library_guard(zero_guard, max_excluded=MAX_EXCLUDED):
-    """The guard constants the public sweeps read, set to a drawn value.
+    """The guard constants the sweeps read, set to a drawn value.
 
-    The public functions take no guard: they read model.ZERO_GUARD and
-    MAX_EXCLUDED by name in cocycle, so a test patches them there.
+    No sweep takes a guard: model._guard reads model.ZERO_GUARD at call time,
+    and lyapunov_numeric reads MAX_EXCLUDED by name in cocycle, so a test
+    patches them there.
     """
-    return mock.patch.multiple(cocycle, ZERO_GUARD=zero_guard, MAX_EXCLUDED=max_excluded)
+    with mock.patch.object(model, "ZERO_GUARD", zero_guard):
+        with mock.patch.object(cocycle, "MAX_EXCLUDED", max_excluded):
+            yield
+
+
+def guarded_sweep(sample, energy, thetas, n, kind, zero_guard, on_singular="exclude"):
+    """_product_sweep under the drawn guard zero_guard."""
+    with library_guard(zero_guard):
+        return _product_sweep(sample, energy, thetas, n, kind, on_singular)
 
 
 def zero_distance(coupling, alpha_f, x):
@@ -117,7 +130,7 @@ def sequential(sample, energy, thetas, n, kind, zero_guard):
 
 def assert_products_match(sample, energy, thetas, n, kind, zero_guard):
     # an excluded lane's product means nothing: only live lanes are compared
-    mats, lognorm, alive = _product_sweep(sample, energy, thetas, n, kind, zero_guard)
+    mats, lognorm, alive = guarded_sweep(sample, energy, thetas, n, kind, zero_guard)
     growth, ref_mats, ref_alive = sequential(sample, energy, thetas, n, kind, zero_guard)
     assert np.array_equal(alive, ref_alive)
     mats, lognorm, ref_mats = mats[alive], lognorm[alive], ref_mats[alive]
@@ -168,7 +181,7 @@ def test_raw_and_normalized_growths_differ_by_the_end_couplings(triple, energy, 
     thetas = (theta0 + np.arange(g) / g) % 1.0
     growth = {}
     for kind in ("raw", "normalized"):
-        mats, lognorm, alive = _product_sweep(sample, energy, thetas, n, kind, 1e-7)
+        mats, lognorm, alive = guarded_sweep(sample, energy, thetas, n, kind, 1e-7)
         assert alive.all()
         growth[kind] = lognorm + np.log(np.linalg.norm(mats, 2, axis=(1, 2)))
     alpha = sample.alpha_fraction()
@@ -223,7 +236,7 @@ def test_exclusions_present_and_all_lanes_dead_raises():
     # the strategies above must actually reach both sides of the exclusion path
     sample = OperatorSample(CouplingTriple(0.25, 0.5, 0.25), golden())
     thetas = (np.arange(64) + 0.5) / 64
-    _, _, alive = _product_sweep(sample, 0.3, thetas, 1200, "raw", 1.5e-4)
+    _, _, alive = guarded_sweep(sample, 0.3, thetas, 1200, "raw", 1.5e-4)
     assert 0 < np.count_nonzero(alive) < 64
     with library_guard(0.05), pytest.raises(TooManyExclusions):
         lyapunov_numeric(sample, 0.3, 1200, 64)
@@ -243,7 +256,7 @@ def test_too_many_exclusions_exactly_past_max_excluded():
     thetas = (np.arange(64) + 0.5) / 64
     shares = []
     for zero_guard in np.geomspace(1e-6, 1e-3, 31):
-        _, _, alive = _product_sweep(sample, 0.3, thetas, 1000, "raw", zero_guard)
+        _, _, alive = guarded_sweep(sample, 0.3, thetas, 1000, "raw", zero_guard)
         excluded = 1.0 - np.count_nonzero(alive) / 64
         shares.append(excluded)
         with library_guard(zero_guard):
@@ -268,8 +281,8 @@ def test_a_live_lane_does_not_depend_on_the_guard(triple, kind, g):
     n = 2 * (SWEEP_CELLS // g) + 37
     assert n % (SWEEP_CELLS // g) % SCAN_BLOCK != 0
     thetas = (np.arange(g) + 0.5) / g
-    mats, lognorm, alive = _product_sweep(sample, 0.3, thetas, n, kind, 1e-12)
-    cut_mats, cut_lognorm, cut_alive = _product_sweep(sample, 0.3, thetas, n, kind, 0.1 / n)
+    mats, lognorm, alive = guarded_sweep(sample, 0.3, thetas, n, kind, 1e-12)
+    cut_mats, cut_lognorm, cut_alive = guarded_sweep(sample, 0.3, thetas, n, kind, 0.1 / n)
     if (triple, kind, g) == ((0.25, 0.5, 0.25), "raw", 64):
         assert 0 < np.count_nonzero(cut_alive) < g
     both = alive & cut_alive
@@ -303,10 +316,10 @@ def test_raise_reports_the_per_site_phase(triple, thetas, n, zero_guard, kind):
     thetas = np.array(thetas) % 1.0
     expect = first_guarded_phase(sample, thetas, n, kind, zero_guard)
     if expect is None:
-        _product_sweep(sample, 0.3, thetas, n, kind, zero_guard, on_singular="raise")
+        guarded_sweep(sample, 0.3, thetas, n, kind, zero_guard, on_singular="raise")
         return
     with pytest.raises(SingularSamplingPoint) as err:
-        _product_sweep(sample, 0.3, thetas, n, kind, zero_guard, on_singular="raise")
+        guarded_sweep(sample, 0.3, thetas, n, kind, zero_guard, on_singular="raise")
     assert err.value.theta == expect
     if len(thetas) == 1:
         with library_guard(zero_guard), pytest.raises(SingularSamplingPoint) as err:
@@ -341,6 +354,38 @@ def test_phases_on_a_zero_of_c():
         assert alive.tolist() == lives
 
 
+def test_one_patch_of_model_zero_guard_moves_every_guard():
+    # the guard is read in one place: patching model.ZERO_GUARD alone, to a value above
+    # one grid lane's closest approach to a zero of c, reaches every experiment that divides by c
+    sample = OperatorSample(CouplingTriple(0.25, 0.5, 0.25), golden())
+    alpha = sample.alpha_fraction()
+    g, n = 64, 1000
+    thetas = (np.arange(g) + 0.5) / g
+    x = (thetas + orbit_phases(0.0, alpha, 0, n)[:, None]) % 1.0
+    dist = zero_distance(sample.coupling, float(alpha), x)
+    near, second = np.sort(dist.min(axis=0))[:2]
+    assert ZERO_GUARD < near < second
+    theta = float(x.flat[np.argmin(dist)])
+    at = OperatorSample(sample.coupling, sample.alpha, theta)
+    calls = {
+        "transfer": lambda: transfer(at, 0.3, theta),
+        "n_step": lambda: n_step(at, 0.3, theta, 10),
+        "rotation_number": lambda: rotation_number(at, 0.3, 10, theta, 0.25),
+        "badness_scan": lambda: badness_scan(at, 2.0, 4),
+        "perturbation_experiment": lambda: perturbation_experiment(
+            at.coupling, at.alpha, Fraction(987, 1597), theta, 4
+        ),
+    }
+    assert lyapunov_numeric(sample, 0.3, n, g).excluded_fraction == 0.0
+    for call in calls.values():
+        call()  # the library's guard spares the phase
+    with mock.patch.object(model, "ZERO_GUARD", math.sqrt(near * second)):
+        assert lyapunov_numeric(sample, 0.3, n, g).excluded_fraction == 1 / g
+        for call in calls.values():
+            with pytest.raises(SingularSamplingPoint):
+                call()
+
+
 # -- the rotation table against the direct evaluation ----------------------------
 
 
@@ -371,8 +416,9 @@ def test_rotation_table_matches_the_direct_evaluation(triple, energy, g, kind, c
         "s": c * inv if kind == "raw" else c,
     }
     # no guard: the cells next to the zeros of (0.3, 0.4, 0.3) are compared too
-    cells = _sweep_cells(sample, energy, thetas, n, kind, 0.0, "exclude")
-    chunks = [(a.copy(), b.copy(), s.copy()) for a, b, s, *_ in cells]  # buffers are reused
+    with library_guard(0.0):
+        cells = _sweep_cells(sample, energy, thetas, n, kind, "exclude")
+        chunks = [(a.copy(), b.copy(), s.copy()) for a, b, s, *_ in cells]  # buffers are reused
     got = dict(zip("abs", (np.concatenate(parts) for parts in zip(*chunks))))
     eps = np.finfo(float).eps
     tol = 32 * eps * max(abs(energy) + 2, sum(triple))
@@ -393,12 +439,13 @@ def test_both_kinds_build_the_same_companion_entries(triple, n, g):
     if n == "chunk":  # one whole chunk and 37 sites of the next
         n = SWEEP_CELLS // g + 37
     thetas = (np.arange(g) + 0.37) / g
-    raw = _sweep_cells(sample, 0.3, thetas, n, "raw", 0.0, "exclude")
-    normalized = _sweep_cells(sample, 0.3, thetas, n, "normalized", 0.0, "exclude")
+    raw = _sweep_cells(sample, 0.3, thetas, n, "raw", "exclude")
+    normalized = _sweep_cells(sample, 0.3, thetas, n, "normalized", "exclude")
     chunks = 0
-    for (a, b, *_), (na, nb, *_) in zip(raw, normalized, strict=True):
-        assert a.tobytes() == na.tobytes() and b.tobytes() == nb.tobytes()
-        chunks += 1
+    with library_guard(0.0):
+        for (a, b, *_), (na, nb, *_) in zip(raw, normalized, strict=True):
+            assert a.tobytes() == na.tobytes() and b.tobytes() == nb.tobytes()
+            chunks += 1
     assert chunks == -(-n // (SWEEP_CELLS // g))
 
 
