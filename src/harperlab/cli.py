@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise InvalidCoupling(f"unknown format {self.format!r}")
         if self.threads < 1:
             raise InvalidCoupling("threads must be >= 1")
+        if self.schema_version != SCHEMA_VERSION:
+            raise InvalidCoupling(f"config key 'schema_version' must be {SCHEMA_VERSION}")
         if not isinstance(self.theta, (int, float)) or not math.isfinite(self.theta):
             raise InvalidCoupling(f"theta must be a finite number, got {self.theta!r}")
 

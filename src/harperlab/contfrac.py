@@ -734,44 +734,55 @@ def _cut(m: int, s: int, w: int) -> tuple[int, int]:
     return (m >> drop, s + drop) if drop > 0 else (m, s)
 
 
-def _exp_ladder(k: int, half: bool, w: int) -> tuple[int, int, int]:
-    """(lo, hi, s) with lo 2^s <= e^(k + half/2) <= hi 2^s, for k >= 0 and w >= b + 16.
+def _exp_ladder(k: int, d: int, w: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo 2^s <= e^(k/d) <= hi 2^s, for k, d >= 1 and w >= b + 16.
 
     b = bitlength(k), lo has w bits and hi = lo (1 + 2^(b+4-w)), rounded
-    up.  e^k is a left-to-right square-and-multiply ladder over the
-    bits of k on e's floor at w bits (mpmath's mpf_e, at an explicit
-    precision), cutting every product down to w bits (_cut); e^(1/2) is
-    the floor square root of e's floor.  Each value is a lower bound
-    x e^(-L) of its target x with a log-error L >= 0:
-      - e's floor and each cut product drop less than 2^(1-w) of their
+    up.  e^(k/d) is x^k, a left-to-right square-and-multiply ladder over
+    the bits of k on a lower bound x of e^(1/d) at w bits, cutting every
+    product down to w bits (_cut).  x is e's floor for d = 1 (mpmath's
+    mpf_e, at an explicit precision), the floor square root of e's floor
+    for d = 2, and otherwise the series sum_n 1/(d^n n!) in units of 2^-v,
+    v = w + bitlength(w) + 2, each term floored from the one before (so x
+    is exactly 1 once d > 2^v).  Each value is a lower bound y e^(-L) of
+    its target y with a log-error L >= 0:
+      - each floor and each cut product drop less than 2^(1-w) of their
         value: L <= lam = -ln(1 - 2^(1-w)) each;
-      - a squaring doubles the L it inherits, a product with e's floor
-        adds e's;
+      - x carries at most 2 lam: one floor for d = 1; lam/2 from e's floor
+        and one from the root for d = 2; for d >= 3 one cut, after a
+        series of n <= 0.64 v + 1 terms (3^n n! > 2^v) that each fall
+        short by less than 1.5 units, with the terms it leaves out below
+        2 units: less than 2n <= 2^(v-w) units in all, a relative 2^-w;
+      - a squaring doubles the L it inherits, a product with x adds x's;
       - over the b - 1 levels after k's top bit the ladder cuts at most
         twice a level, and a cut i levels before the end is doubled i
-        times, so e^k's floor carries L <= k lam + sum_{i<b-1} 2 2^i lam
-        < 2^(b+1) lam;
-      - the square root adds lam/2 + 2^(1-w) <= 1.5 lam and its product one
-        cut, so L < 2^(b+2) lam in every case (b = 0 included).
+        times, so L <= 2 k lam + sum_{i<b-1} 2 2^i lam < 2^(b+2) lam.
     With w >= b + 16, L < 2^(b+3-w) (1 + 2^(2-w)) and e^L - 1 < 2^(b+4-w),
     so hi bounds the target with a factor 2 to spare in the widening.
     """
     from mpmath.libmp import mpf_e, round_floor
 
-    _, e_man, e_exp, _ = mpf_e(w, round_floor)
-    lo, s = 1, 0
-    if k:
-        lo, s = e_man, e_exp
-        e_spectra: dict = {}
-        for bit in bin(k)[3:]:
-            lo, s = _cut(_fft_mul(lo, lo), 2 * s, w)
-            if bit == "1":
-                lo, s = _cut(_fft_mul(lo, e_man, e_spectra), s + e_exp, w)
-    if half:
-        sh = 2 * w - e_man.bit_length()
-        sh += (e_exp - sh) % 2  # an even exponent left for the root
-        root = math.isqrt(e_man << sh)
-        lo, s = _cut(_fft_mul(lo, root), s + (e_exp - sh) // 2, w)
+    if d <= 2:
+        _, x_man, x_exp, _ = mpf_e(w, round_floor)
+        if d == 2:
+            sh = 2 * w - x_man.bit_length()
+            sh += (x_exp - sh) % 2  # an even exponent left for the root
+            x_man, x_exp = math.isqrt(x_man << sh), (x_exp - sh) // 2
+    else:
+        v = w + w.bit_length() + 2
+        u = x_man = 1 << v
+        n = 1
+        while u:
+            u //= d * n
+            x_man += u
+            n += 1
+        x_man, x_exp = _cut(x_man, -v, w)
+    lo, s = x_man, x_exp
+    x_spectra: dict = {}
+    for bit in bin(k)[3:]:
+        lo, s = _cut(_fft_mul(lo, lo), 2 * s, w)
+        if bit == "1":
+            lo, s = _cut(_fft_mul(lo, x_man, x_spectra), s + x_exp, w)
     pad = w - lo.bit_length()  # lo at w bits, so the widening's rounding is 2^(1-w) at most
     lo, s = lo << pad, s - pad
     return lo, lo + (lo >> (w - k.bit_length() - 4)) + 1, s
@@ -780,22 +791,17 @@ def _exp_ladder(k: int, half: bool, w: int) -> tuple[int, int, int]:
 def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Optional[int]:
     """floor(e^(beta*q)), certified by an enclosure of e^(beta*q).
 
-    t = beta*q is split as k + r with k = floor(t).  For r = 0 and r = 1/2
-    the enclosure [lo, hi] 2^s of e^t is _exp_ladder's, all in Python ints:
-    e^k from a square-and-multiply ladder on e's floor, times e^(1/2) from
-    one integer square root when r = 1/2, widened upward by the relative
-    2^(b+4-W) (b = bitlength(k); the derivation is in _exp_ladder).  Its
-    working precision W = prec + b + LADDER_GUARD bits, where prec is the
-    bit length of e^t plus 64, so every truncation sits far below the
-    integer part; ladder products of FFT_MIN_BITS or more are exact FFT
-    convolutions (_fft_product).  Any other r multiplies lo by a floor of
-    e^(r's floor) and hi by a ceiling of e^(r's ceiling), in Python ints: r
-    is cut to prec fractional bits by integer division, and each exp is one
-    directed mpf_exp at an explicit precision, so no global precision is
-    read or set.  Every r ends in the same floor shift.  Returns None when the result would exceed cap_decimal
-    decimal digits.  Precision doubles until the enclosure no longer
-    straddles an integer (e^(beta*q) is transcendental for beta*q != 0, so
-    this ends).
+    t = beta*q = k/d in lowest terms (d = 2^m for a float beta).  The
+    enclosure [lo, hi] 2^s of e^t is _exp_ladder's, all in Python ints:
+    (e^(1/d))^k by a square-and-multiply ladder, widened upward by the
+    relative 2^(b+4-W) (b = bitlength(k); the derivation is in
+    _exp_ladder).  Its working precision W = prec + b + LADDER_GUARD bits,
+    where prec is the bit length of e^t plus 64, so every truncation sits
+    far below the integer part; ladder products of FFT_MIN_BITS or more are
+    exact FFT convolutions (_fft_product).  No global precision is read or
+    set.  Returns None when the result would exceed cap_decimal decimal
+    digits.  Precision doubles until the enclosure no longer straddles an
+    integer (e^(beta*q) is transcendental for beta*q != 0, so this ends).
     """
     t = Fraction(beta) * q
     if t <= 0:
@@ -803,23 +809,10 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     # decimal length of e^t is t/ln 10; compare without converting t to float
     if q > cap_decimal * math.log(10) / beta:
         return None
-    k = math.floor(t)
-    r = t - k
+    k, d = t.numerator, t.denominator
     prec = max(64, int(float(t) * 1.4427) + 64)  # bits of e^t plus guard
     while True:
-        lo, hi, s = _exp_ladder(k, r == Fraction(1, 2), prec + k.bit_length() + LADDER_GUARD)
-        if r not in (0, Fraction(1, 2)):
-            from mpmath.libmp import from_man_exp, mpf_exp, round_ceiling, round_floor
-
-            def exp_cut(num, rnd):  # e^(num 2^-prec) rounded rnd, in units of 2^-prec
-                z = max((num & -num).bit_length() - 1, 0)  # from_man_exp strips 8 zeros a step
-                _, man, exp, _ = mpf_exp(from_man_exp(num >> z, z - prec), prec, rnd)
-                return man << (exp + prec)  # >= 1 with at most prec bits: exp > -prec
-
-            n, d = r.numerator << prec, r.denominator
-            lo *= exp_cut(n // d, round_floor)
-            hi *= exp_cut(-(-n // d), round_ceiling)
-            s -= prec
+        lo, hi, s = _exp_ladder(k, d, prec + k.bit_length() + LADDER_GUARD)
         flo, fhi = lo >> -s, hi >> -s  # s < 0: lo has W bits, more than e^t has
         if flo == fhi:
             return flo

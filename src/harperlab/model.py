@@ -185,7 +185,7 @@ def c_tilde_function(coupling: CouplingTriple, alpha: float, theta):
 
 
 def abs_c_function(coupling: CouplingTriple, alpha: float, theta):
-    """|c|(theta) as np.abs(c) (hypot): the one modulus both cocycle kinds read."""
+    """|c|(theta) as np.abs(c) (hypot), as the sweep takes it of its c; no library code calls it."""
     return np.abs(c_function(coupling, alpha, theta))
 
 

@@ -27,6 +27,7 @@ from harperlab.cli import (
     verify,
 )
 from harperlab.contfrac import golden
+from harperlab.errors import InvalidCoupling
 from harperlab.model import CouplingTriple, OperatorSample, zero_structure
 
 
@@ -378,6 +379,15 @@ def test_run_config_delta_depth_default_matches_cli(tmp_path, capsys):
     from_cli = json.loads(capsys.readouterr().out)["result"]
     assert from_file["depth"] == 12
     assert canonical_json(from_file) == canonical_json(from_cli)
+
+
+def test_delta_clamps_its_depth_to_a_short_digit_file(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(["1", "1", "2"]))
+    assert main(["delta", "--coupling", "0.1,0.5,0.2", "--freq", str(path), "--depth", "12"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["result"]["depth"] == 3
+    assert record["warnings"] == ["digit stream ends at depth 3; clamped from 12"]
 
 
 SPECTRUM = {"experiment": "spectrum", "coupling": [0, 1, 0], "params": {"size": 8}}
@@ -910,6 +920,20 @@ def test_malformed_json_exits_2_naming_the_key(key, command, content, tmp_path, 
     path.write_text(json.dumps(content))
     assert main([command, str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_another_schema_version_is_refused(tmp_path, capsys):
+    config = dict(SPECTRUM, schema_version=7)
+    assert run_config_main(tmp_path, config) == 2
+    assert "schema_version" in capsys.readouterr().err
+    suite = {"suite": [{"name": "v7", "config": config, "expect_error": "InvalidCoupling"}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.split()[:4] == ["PASS", "v7", "raised", "InvalidCoupling"]
+    with pytest.raises(InvalidCoupling, match="schema_version"):
+        run(ExperimentConfig(experiment="spectrum", coupling=[0, 1, 0], schema_version=7))
+    assert run_config_main(tmp_path, dict(SPECTRUM, schema_version=1)) == 0
 
 
 def test_every_config_field_has_a_json_type():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harperlab.contfrac import (
@@ -285,10 +285,29 @@ def test_floor_exp_certified():
     assert floor_exp(0.5, 2) == 2  # e ~ 2.718
     assert floor_exp(0.3, 91) == 718190003631
     assert floor_exp(1.0, 10**7, cap_decimal=10**6) is None
-    # e^t split at k = floor(t): k = 0, and k = 1 with r = 1/2 from two betas
+    # e^t = (e^(1/d))^k for t = k/d: e^(1/2) alone, and t = 3/2 from two betas
     assert floor_exp(0.5, 1) == 1  # e^(1/2) alone
-    assert floor_exp(1.5, 1) == 4  # e * e^(1/2) ~ 4.48
+    assert floor_exp(1.5, 1) == 4  # (e^(1/2))^3 ~ 4.48
     assert floor_exp(0.5, 3) == 4  # the same exponent from beta = 1/2
+    # 1/d far below 2^-W: the base e^(1/d) is exactly 1
+    assert floor_exp(1e-30, 3) == floor_exp(5e-324, 7) == floor_exp(Fraction(1, 10**40), 3) == 1
+
+
+def test_floor_exp_retries_at_double_precision(monkeypatch):
+    # the first enclosure is made to straddle an integer: floor_exp asks again at a larger W
+    import harperlab.contfrac as contfrac
+
+    real, widths = contfrac._exp_ladder, []
+
+    def straddling_once(k, d, w):
+        lo, hi, s = real(k, d, w)
+        widths.append(w)
+        return (lo, hi + (1 << -s), s) if len(widths) == 1 else (lo, hi, s)
+
+    expected = floor_exp(2 / 3, 89)
+    monkeypatch.setattr(contfrac, "_exp_ladder", straddling_once)
+    assert floor_exp(2 / 3, 89) == expected
+    assert len(widths) == 2 and widths[1] > widths[0]
 
 
 def _floor_exp_single_interval(beta, q):
@@ -324,7 +343,7 @@ class _Untouchable:
         raise AssertionError(f"read mpmath.iv.{name}")
 
 
-# r = 0, r = 1/2, other r, and the power path above 600 bits
+# d = 1, d = 2, d = 2^m with m >= 2, and the power path above 600 bits
 @pytest.mark.parametrize("beta, q", [(0.5, 2), (0.5, 3), (0.3, 91), (2 / 3, 89), (1.0, 377),
                                      (0.5, 1001), (0.25, 10946)])
 def test_floor_exp_reads_no_interval_context(beta, q, monkeypatch):
@@ -339,36 +358,40 @@ def test_floor_exp_reads_no_interval_context(beta, q, monkeypatch):
 
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(
-    st.integers(0, 37512),  # up to k = floor(q_24 / 2), the n0 = 24 stream at beta = 1/2
-    st.booleans(),
+    st.integers(0, 37512),  # up to floor(q_24 / 2), the n0 = 24 stream at beta = 1/2
+    st.sampled_from([1, 2, 3, 7, 2**52]),
     st.one_of(st.integers(53, 600), st.integers(601, 54200)),  # Python and FFT products
 )
-def test_exp_ladder_contains_interval_exp(k, half, prec):
-    # the ladder's enclosure of e^(k + half/2) at floor_exp's working precision
-    # holds mpmath's interval exp taken at twice that precision
+def test_exp_ladder_contains_interval_exp(j, d, prec):
+    # the ladder's enclosure of e^(k/d), k = j d (+ 1 for d > 1), at floor_exp's
+    # working precision holds mpmath's interval exp taken at twice that precision
     from mpmath import iv
     from mpmath.libmp import from_man_exp, mpf_le
 
+    k = j * d + (d > 1)
+    assume(k > 0)  # floor_exp never asks for e^0
     w = prec + k.bit_length() + 8
-    lo, hi, s = _exp_ladder(k, half, w)
+    lo, hi, s = _exp_ladder(k, d, w)
     assert lo.bit_length() == w and hi > lo
     old = iv.prec
     try:
         iv.prec = 2 * w
-        a, b = iv.exp(iv.mpf(2 * k + half) / 2)._mpi_
+        a, b = iv.exp(iv.mpf(k) / d)._mpi_
     finally:
         iv.prec = old
     assert mpf_le(from_man_exp(lo, s), a)
     assert mpf_le(b, from_man_exp(hi, s))
 
 
-# sha256 of the decimal digits, first 16 hex digits: r = 0 and r = 1/2 as read before
-# the ladder, other r as read before their directed exps replaced mpmath's interval exp
+# sha256 of the decimal digits, first 16 hex digits: a whole or half t = beta q as read
+# before the ladder, other t as read before their directed exps replaced mpmath's
+# interval exp, and ln 2 (L at the coupling (0, 0.5, 0)) before the ladder on e^(1/d)
 @pytest.mark.parametrize("beta, q, digest", [(0.5, 196418, "82ee05b329270f26"),
                                              (0.5, 75025, "e29a16a7365f2e5a"),
                                              (1.0, 28657, "843886924fe597c9"),
                                              (2 / 3, 75025, "1d21d519436ce036"),
-                                             (0.3, 28657, "5168c4fea3152a43")])
+                                             (0.3, 28657, "5168c4fea3152a43"),
+                                             (math.log(2), 75025, "908ccc4f694ec569")])
 def test_floor_exp_pinned_digits(beta, q, digest):
     import hashlib
 

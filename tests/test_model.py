@@ -77,6 +77,10 @@ def test_invalid_couplings():
         ((0.25, 1.0, 0.25), RegionTag.LINE_II),
         ((0.5, 1.0, 0.5), RegionTag.LINE_II),  # corner goes to the fixed line
         ((1.0, 2.0, 1.0), RegionTag.LINE_III),
+        # lambda2 - 1 = 5e-13, sum - 1 = 1.2e-12, sum - lambda2 = 7e-13 against
+        # BOUNDARY_TOL = 1e-12: no line or interior test holds, and the sliver
+        # snaps to the nearest line
+        ((0.5 + 6e-13, 1 + 5e-13, 0.5 + 6e-13), RegionTag.LINE_II),
     ],
 )
 def test_classification_table(triple, tag):
@@ -87,6 +91,7 @@ def test_classification_boundary_flags():
     assert classify(CouplingTriple(0.5, 0.5, 0.5)).boundary
     assert not classify(CouplingTriple(0.1, 0.5, 0.2)).boundary
     assert classify(CouplingTriple(0.1, 0.0, 0.2)).boundary  # lambda2 = 0 edge
+    assert classify(CouplingTriple(0.5 + 6e-13, 1 + 5e-13, 0.5 + 6e-13)).boundary  # a sliver
 
 
 def test_duality_componentwise():
