@@ -165,7 +165,8 @@ def _sweep_cells(sample, energy, thetas, n, kind, on_singular):
     guard dies, and its entries from then on mean nothing and may be
     non-finite; with on_singular="raise" the earliest such site (then the
     lowest lane) raises SingularSamplingPoint instead.  The yielded arrays
-    are buffers the next chunk overwrites.
+    are buffers the next chunk overwrites.  A non-finite energy raises
+    ValueError.
 
     A rotation table stands in for per-cell trigonometry.  With ka the
     orbit_phases of the sweep and B = TABLE_BLOCK (or K, if shorter), site
@@ -183,6 +184,8 @@ def _sweep_cells(sample, energy, thetas, n, kind, on_singular):
     """
     if kind not in ("raw", "normalized"):
         raise ValueError(f"unknown cocycle kind {kind!r}")
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got E={energy!r}")
     if n < 1:
         return
     g = len(thetas)

@@ -670,29 +670,51 @@ def _fft_limbs(x: int, nlimbs: int) -> np.ndarray:
     return limbs.reshape(-1)
 
 
+def _fft_length(m: int) -> int:
+    """The shortest N = 2^a 3^b >= m with a >= 2 (a multiple of 4, for the packing)."""
+    return min(3**b << max(2, (-(-m // 3**b) - 1).bit_length()) for b in range(m.bit_length()))
+
+
 def _fft_product(a: int, b: int, b_spectra: Optional[dict] = None) -> Optional[int]:
     """a * b for ints a, b >= 0, exactly, by a real FFT convolution; or None.
 
     a and b are cut into la and lb 12-bit limbs and convolved by numpy's
-    rfft/irfft at the power-of-two length N = 2^n >= la + lb - 1.  For a
-    length-2^n transform in float64 (eps = 2^-53, twiddles within
-    beta = eps) Percival (Math. Comp. 72, 2003) bounds every coefficient's
-    error by |x|_2 |y|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1).
-    With limbs below 2^12, |x|_2 |y|_2 <= 4095^2 sqrt(la lb), and up to
-    N = FFT_MAX_LENGTH = 2^20 (sqrt(la lb) <= 2^19) the bound is at most
-    4095^2 sqrt(la lb) 2.85e-14 <= 0.26: 0.13 at the 10^6-digit cap's
-    3.3M-bit products and 0.004 at the 142k-bit products of the n0 = 26
-    stream.  Below 1/2, rounding each coefficient to the nearest integer is
-    exact.  numpy's real transforms are not the radix-2 algorithm of that
-    proof, so as a tripwire a product whose coefficients sit 1/4 or more
-    from an integer is refused.  None means a longer transform or a
-    tripped product.  The coefficients (below 2^44) are summed as four
-    interleaved classes c_{4m+j} 2^(48m), each packed into 6-byte records.
-    A dict b_spectra keeps b's transform by length, for a b that recurs.
+    rfft/irfft at N = _fft_length(la + lb - 1) = 2^a 3^b, at most the
+    power of two a radix-2 transform would take.  For a length-2^n
+    transform in float64 (eps = 2^-53, twiddles within beta = eps) Percival
+    (Math. Comp. 72, 2003) bounds every coefficient's error by
+    |x|_2 |y|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1).  His
+    proof goes stage by stage.  A radix-2 stage is sqrt2 times a unitary
+    map; each output a + w b takes one twiddled product and one addition,
+    whose errors are relative to |w b| and |a + w b|, and over the stage
+    both have 2-norm at most sqrt2 times the input's, the stage's own
+    scale.  A radix-3 stage is sqrt3 times a unitary map; computed as
+    (x0 + w1 x1) + w2 x2, each output takes two twiddled products and two
+    additions, and over the stage the products, the partial sums
+    x0 + w1 x1 (their cross terms sum the cube roots of unity to 0) and the
+    outputs have 2-norm at most sqrt3 times the input's.  So a radix-3
+    stage errs by at most two radix-2 stages' factors, and the bound holds
+    for N = 2^a 3^b with n = a + 2b.  With limbs below 2^12,
+    |x|_2 |y|_2 <= 4095^2 sqrt(la lb) and sqrt(la lb) <= (N + 1)/2.  At
+    every N up to FFT_MAX_LENGTH = 2^20 the bound is below 0.28 (below
+    0.26 at 2^20 itself; the largest, 0.27, at 2^4 3^10 with n = 24): 0.15
+    at the 10^6-digit cap's 3.3M-bit products (N = 2^8 3^7) and 0.004 at
+    the 142k-bit products of the n0 = 26 stream (N = 2^13 3).  Below 1/2,
+    rounding each coefficient to the nearest integer is exact.  numpy's
+    real transforms are not the algorithms of that proof, so as a tripwire
+    a product whose coefficients sit 1/4 or more from an integer is
+    refused.  None means a longer transform or a tripped product.
+
+    The coefficients c_i are below 4095^2 2^19 < 2^44, so each fits a
+    6-byte record: its low 32 bits ("lo", "<u4") then its next 16 ("hi",
+    "<u2"), little-endian and unpadded.  sum_i c_i 2^(12 i) is summed as
+    four interleaved classes c_{4m+j} 2^(48m) 2^(12j) (N is a multiple of
+    4): class j is one row of records, read as one int.  A dict b_spectra
+    keeps b's transform by length, for a b that recurs.
     """
     la = -(-a.bit_length() // FFT_LIMB_BITS)
     lb = -(-b.bit_length() // FFT_LIMB_BITS)
-    n = 1 << (la + lb - 2).bit_length()
+    n = _fft_length(la + lb - 1)
     if n > FFT_MAX_LENGTH:
         return None
     import numpy.fft
@@ -712,9 +734,10 @@ def _fft_product(a: int, b: int, b_spectra: Optional[dict] = None) -> Optional[i
     c -= rounded
     if np.max(np.abs(c, out=c)) >= 0.25:
         return None
-    # each coefficient's three low little-endian 16-bit words, grouped by class
-    classes = rounded.astype("<i8").view("<u2").reshape(-1, 4, 4)[:, :, :3]
-    records = np.ascontiguousarray(classes.transpose(1, 0, 2))
+    classes = rounded.astype(np.int64).reshape(-1, 4).T
+    records = np.empty(classes.shape, dtype=[("lo", "<u4"), ("hi", "<u2")])
+    records["lo"] = classes  # the low 32 bits, wrapped
+    records["hi"] = classes >> 32
     return sum(int.from_bytes(records[j].tobytes(), "little") << (FFT_LIMB_BITS * j)
                for j in range(4))
 

@@ -359,6 +359,12 @@ class OperatorSample:
     alpha: FrequencyLike
     theta: Union[float, Fraction] = 0.0
 
+    def __post_init__(self):
+        if not isinstance(self.coupling, CouplingTriple):
+            raise TypeError(
+                f"OperatorSample.coupling must be a CouplingTriple, got {self.coupling!r}"
+            )
+
     def alpha_fraction(self) -> Fraction:
         """The rational proxy p/q of alpha (_alpha_proxy) that orbits and c read.
 

@@ -302,11 +302,14 @@ def _basis_solutions(trunc, energies):
     N steps backward, with energies x basis vectors as lanes.  Raises
     SingularSamplingPoint at the earliest phase it reads c at (sites
     -N-1 .. N-1) that lies within model.ZERO_GUARD of a zero of c, the
-    guard of every transfer product.
+    guard of every transfer product, and ValueError at a non-finite energy.
     """
     N, c, s = trunc.x2, trunc.offdiag, trunc.sample
+    e = np.asarray(energies, dtype=np.float64)
+    if not np.isfinite(e).all():
+        raise ValueError(f"energies must be finite, got E={float(e[~np.isfinite(e)][0])!r}")
     _guard(s.coupling, s.alpha_float, trunc.phases[:-1], on_singular="raise")
-    d = np.asarray(energies, dtype=np.float64)[:, None, None] - trunc.diag[:, None]
+    d = e[:, None, None] - trunc.diag[:, None]
     U = np.zeros((len(energies), 2 * N + 2, 2), dtype=np.complex128)
     o = N + 1  # index of site 0, in U and in the window
     U[:, o, 0] = U[:, o - 1, 1] = 1.0

@@ -38,6 +38,7 @@ from harperlab.model import (
     c_tilde_function,
     zero_structure,
 )
+from harperlab.spectral import badness_scan
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -198,6 +199,19 @@ def test_lyapunov_raw_vs_normalized_agree():
 def test_lyapunov_numeric_validates_steps():
     with pytest.raises(ValueError):
         lyapunov_numeric(amo(), 0.0, n_steps=10, theta_grid=4)
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda s, e: lyapunov_numeric(s, e, n_steps=1000, theta_grid=4),
+    lambda s, e: rotation_number(s, e, n_steps=100),
+    lambda s, e: n_step(s, e, 0.1, 10),
+    lambda s, e: badness_scan(s, C=2.0, N=5, energies=[0.3, e]),
+], ids=["lyapunov_numeric", "rotation_number", "n_step", "badness_scan"])
+def test_a_non_finite_energy_is_refused(call, energy):
+    # named as such, not reported as a product or a mass that overflows
+    with pytest.raises(ValueError, match=f"E={energy!r}"):
+        call(ehm(), energy)
 
 
 def test_n_step_lognorm_grows_at_lyapunov_rate():

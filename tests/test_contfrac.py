@@ -14,6 +14,7 @@ from harperlab.contfrac import (
     FFT_MAX_LENGTH,
     FFT_MIN_BITS,
     _exp_ladder,
+    _fft_length,
     _fft_mul,
     _fft_product,
     ConstantBeta,
@@ -356,6 +357,62 @@ def test_floor_exp_reads_no_interval_context(beta, q, monkeypatch):
     assert floor_exp(beta, q) == expected
 
 
+def _exp_series_bounds(d, v):
+    """(lo, hi) with lo 2^-v <= e^(1/d) <= hi 2^-v, from sum_n 1/(d^n n!) in Python ints.
+
+    Each term is floored from the one before, so it falls short of its exact
+    value by less than 2 units; the series stops at its first zero term,
+    whose exact value is below 2 units, and every later term is at most half
+    the one before: the n terms summed and the tail fall short by less than
+    2 n + 4 units.
+    """
+    u = total = 1 << v
+    n = 1
+    while u:
+        u //= d * n
+        total += u
+        n += 1
+    return total, total + 2 * n + 4
+
+
+def _directed_cut(m, s, p, up):
+    """m 2^s cut to its p leading bits, rounded down (or up, if up)."""
+    drop = m.bit_length() - p
+    if drop <= 0:
+        return m, s
+    return (-(-m >> drop) if up else m >> drop), s + drop
+
+
+def _exp_bounds(k, d, p):
+    """((lo, s_lo), (hi, s_hi)) enclosing e^(k/d), k = j d + (d > 1), at p bits.
+
+    e^(k/d) = e^j e^(1/d) for d > 1: e^j by square-and-multiply with every
+    product floored on the low end and ceiled on the high end (Python's *),
+    then one more product by e^(1/d)'s bounds.
+    """
+    v = p + 64
+    e_lo, e_hi = _exp_series_bounds(1, v)
+    ends = []
+    for x, up in ((e_lo, False), (e_hi, True)):
+        m, s = 1, 0
+        for bit in bin(k // d)[2:]:
+            m, s = _directed_cut(m * m, 2 * s, p, up)
+            if bit == "1":
+                m, s = _directed_cut(m * x, s - v, p, up)
+        ends.append((m, s))
+    if d > 1:
+        root = _exp_series_bounds(d, v)
+        ends = [_directed_cut(m * r, s - v, p, up)
+                for (m, s), r, up in zip(ends, root, (False, True))]
+    return ends
+
+
+def _le(m1, s1, m2, s2):
+    """m1 2^s1 <= m2 2^s2, exactly."""
+    s = min(s1, s2)
+    return m1 << (s1 - s) <= m2 << (s2 - s)
+
+
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(
     st.integers(0, 37512),  # up to floor(q_24 / 2), the n0 = 24 stream at beta = 1/2
@@ -364,23 +421,15 @@ def test_floor_exp_reads_no_interval_context(beta, q, monkeypatch):
 )
 def test_exp_ladder_contains_interval_exp(j, d, prec):
     # the ladder's enclosure of e^(k/d), k = j d (+ 1 for d > 1), at floor_exp's
-    # working precision holds mpmath's interval exp taken at twice that precision
-    from mpmath import iv
-    from mpmath.libmp import from_man_exp, mpf_le
-
+    # working precision holds an integer enclosure with directed rounding at twice it
     k = j * d + (d > 1)
     assume(k > 0)  # floor_exp never asks for e^0
     w = prec + k.bit_length() + 8
     lo, hi, s = _exp_ladder(k, d, w)
     assert lo.bit_length() == w and hi > lo
-    old = iv.prec
-    try:
-        iv.prec = 2 * w
-        a, b = iv.exp(iv.mpf(k) / d)._mpi_
-    finally:
-        iv.prec = old
-    assert mpf_le(from_man_exp(lo, s), a)
-    assert mpf_le(b, from_man_exp(hi, s))
+    (a, s_a), (b, s_b) = _exp_bounds(k, d, 2 * w)
+    assert _le(lo, s, a, s_a)
+    assert _le(b, s_b, hi, s)
 
 
 # sha256 of the decimal digits, first 16 hex digits: a whole or half t = beta q as read
@@ -437,15 +486,54 @@ def test_fft_mul_matches_python_product(bits_a, bits_b, monkeypatch):
     assert len(spectra) == (1 if min(bits_a, bits_b) >= FFT_MIN_BITS else 0)
 
 
+# every 2^a 3^b with a >= 2 up to twice the longest transform: the transform lengths
+SMOOTH_LENGTHS = sorted(3**b << a for a in range(2, 22) for b in range(14)
+                        if 3**b << a <= 2 * FFT_MAX_LENGTH)
+
+
+def _assert_shortest_smooth_length(n, la, lb):
+    m = la + lb - 1
+    assert n in SMOOTH_LENGTHS and n % 4 == 0
+    assert m <= n <= 1 << (la + lb - 2).bit_length()  # at most the power of two
+    assert not [k for k in SMOOTH_LENGTHS if m <= k < n]  # and the shortest
+
+
+# limb counts: the FFT crossover, products whose la + lb - 1 sits at a 2^a 3^b length,
+# one past it and one below it, the n0 = 22, 24 and 26 ladder squares, and unequal sizes
+@pytest.mark.parametrize("la, lb", [(2667, 2667), (4608, 4609), (4608, 4610), (4608, 4608),
+                                    (3452, 3452), (4518, 4518), (11_815, 11_815),
+                                    (12_288, 12_289), (12_288, 12_290), (50_000, 3)])
+def test_fft_lengths_are_the_shortest_2a3b(la, lb, monkeypatch):
+    import random
+
+    rng = random.Random(la * 1_000_003 + lb)
+    a = rng.getrandbits(FFT_LIMB_BITS * la) | 1 << (FFT_LIMB_BITS * la - 1)
+    b = rng.getrandbits(FFT_LIMB_BITS * lb) | 1 << (FFT_LIMB_BITS * lb - 1)
+    transforms = _count_transforms(monkeypatch)
+    assert _fft_product(a, b) == a * b
+    assert transforms == [_fft_length(la + lb - 1)]
+    _assert_shortest_smooth_length(transforms[0], la, lb)
+
+
+def test_fft_length_rule_over_all_sizes():
+    for m in range(4, 5000):  # from 4 on: N is at least 4
+        _assert_shortest_smooth_length(_fft_length(m), m, 1)
+    for n in SMOOTH_LENGTHS:
+        assert _fft_length(n) == n and _fft_length(n + 1) > n
+
+
 @pytest.mark.parametrize("nbits", [
     FFT_LIMB_BITS * -(-int(10**6 * math.log2(10) + 200) // FFT_LIMB_BITS),  # the 10^6-digit cap
     FFT_LIMB_BITS * FFT_MAX_LENGTH // 2,  # the longest transform
 ])
-def test_fft_product_of_full_limbs(nbits):
+def test_fft_product_of_full_limbs(nbits, monkeypatch):
     # every 12-bit limb 4095: the largest coefficients a square of this length can have
     x = (1 << nbits) - 1
     assert FFT_MAX_LENGTH // 2 < 2 * nbits // FFT_LIMB_BITS <= FFT_MAX_LENGTH
+    transforms = _count_transforms(monkeypatch)
     assert _fft_product(x, x) == (1 << 2 * nbits) - (1 << nbits + 1) + 1
+    assert transforms[0] in (559_872, FFT_MAX_LENGTH)  # 2^8 3^7 at the cap, and 2^20
+    _assert_shortest_smooth_length(transforms[0], nbits // FFT_LIMB_BITS, nbits // FFT_LIMB_BITS)
 
 
 def test_fft_product_refuses_a_longer_transform():
@@ -455,17 +543,26 @@ def test_fft_product_refuses_a_longer_transform():
 
 
 def test_percival_bound_stays_below_half():
-    # |err| <= |x|_2 |y|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1), beta = eps
+    # |err| <= |x|_2 |y|_2 ((1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1), beta = eps,
+    # for N = 2^a 3^b with n = a + 2b: each radix-3 stage charged as two radix-2 stages
+    # (the argument is in _fft_product's docstring)
     eps = 2.0**-53
 
     def bound(la, lb):
-        n = (la + lb - 2).bit_length()
+        N = _fft_length(la + lb - 1)
+        a = (N & -N).bit_length() - 1
+        b = round(math.log(N >> a, 3))
+        assert 3**b << a == N
+        n = a + 2 * b
         growth = math.expm1(6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5)))
         return 4095**2 * math.sqrt(la * lb) * growth
 
+    # the largest sqrt(la lb) at each admissible length N: la + lb - 1 = N
+    admissible = [N for N in SMOOTH_LENGTHS if N <= FFT_MAX_LENGTH]
+    assert max(bound(N // 2, N // 2 + 1) for N in admissible) < 0.28
     assert bound(FFT_MAX_LENGTH // 2, FFT_MAX_LENGTH // 2) < 0.26  # the longest transform
-    assert bound(276_829, 276_829) < 0.14  # the 10^6-digit cap
-    assert bound(11_826, 11_826) < 0.005  # the n0 = 26 stream
+    assert bound(276_829, 276_829) < 0.15  # the 10^6-digit cap
+    assert bound(11_815, 11_815) < 0.005  # the n0 = 26 stream
 
 
 def test_fft_tripwire_falls_back_to_python_product(monkeypatch):

@@ -63,6 +63,13 @@ def test_invalid_couplings():
         CouplingTriple.parse("0.1,0.5")
 
 
+@pytest.mark.parametrize("coupling", [(0.1, 0.5, 0.2), [0.1, 0.5, 0.2], "0.1,0.5,0.2", None])
+def test_a_sample_refuses_a_coupling_that_is_not_a_triple(coupling):
+    # a plain tuple used to pass here and fail at the first sweep, in zero_structure
+    with pytest.raises(TypeError, match="coupling"):
+        OperatorSample(coupling, golden())
+
+
 @pytest.mark.parametrize(
     "triple,tag",
     [
