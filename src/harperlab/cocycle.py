@@ -23,7 +23,14 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .contfrac import ContinuedFraction, _index_blocks, _screen_norms, norm_numerator
+from .contfrac import (
+    ContinuedFraction,
+    _check_floor,
+    _clears_floor,
+    _index_blocks,
+    _screen_norms,
+    norm_numerator,
+)
 from .errors import (
     BranchAmbiguity,
     DivisorFloorViolated,
@@ -737,8 +744,9 @@ def solve_cohomological(
         min_div = min(min_div, abs(div))
         psi[k + K] = phi[k + K] / div
     ks = np.abs(np.arange(-K, K + 1))
+    kf = ks.astype(np.float64)  # |k|^j in float64: int64 powers wrap past 2^63
     mags = np.abs(psi)
-    totals = [float(np.sum(ks**j * mags)) for j in range(s_max + 1)]
+    totals = [float(np.sum(kf**j * mags)) for j in range(s_max + 1)]
     block_bounds = block_sums = None
     if isinstance(alpha, ContinuedFraction):
         # burst level = largest digit within the materialized stream
@@ -752,9 +760,9 @@ def solve_cohomological(
         low, mid, high = ks < k1, (ks >= k1) & (ks < k2), ks >= k2
         block_sums = [
             (
-                float(np.sum(ks[low] ** j * mags[low])),
-                float(np.sum(ks[mid] ** j * mags[mid])),
-                float(np.sum(ks[high] ** j * mags[high])),
+                float(np.sum(kf[low] ** j * mags[low])),
+                float(np.sum(kf[mid] ** j * mags[mid])),
+                float(np.sum(kf[high] ** j * mags[high])),
             )
             for j in range(s_max + 1)
         ]
@@ -805,26 +813,25 @@ def commutant_rigidity_check(
     A matrix commuting with the rotation by rho has off-diagonal Fourier
     modes killed whenever ||k alpha -+ 2 rho|| > 0 (alpha read at its
     rational proxy, model._alpha_proxy); this verifies the quantitative
-    floor gamma/(|k|+1)^tau up to the bandwidth and raises
-    DivisorFloorViolated at the first failing mode.  The diagonal (k=0,
-    phase-free) modes always remain and are reported, not flagged.  A
-    negative bandwidth or tau, or a gamma <= 0 (a floor every divisor
-    passes), raises ValueError, and so does a bandwidth of 2^52 or more.
+    floor 2 sin(pi gamma/(|k|+1)^tau) on the divisor 2 sin(pi t), t =
+    ||k alpha -+ 2 rho||, up to the bandwidth and raises
+    DivisorFloorViolated at the first failing mode.  A floor whose power
+    leaves the float range is 0.  The diagonal (k=0, phase-free) modes
+    always remain and are reported, not flagged.  A negative bandwidth or
+    tau, a gamma <= 0 (a floor every divisor passes), a NaN tau, an
+    infinite gamma and a bandwidth of 2^52 or more raise ValueError.
 
     Modes run in blocks of SCREEN_BLOCK k's (contfrac._index_blocks shifted
-    by -bandwidth), each screened in float64 for both signs
-    (contfrac._screen_norms, error eps in t).  A screened divisor is
-    within 2 pi eps + 2^-46 of the exact 2 sin(pi t), which covers the
-    slope of 2 sin(pi t) and the rounding of pi t and of numpy's sin
-    against math.sin; a screened floor times (1 - 1e-12) is within
-    2^-45 x + 2^-48 of the exact one for x = pi gamma/(|k|+1)^tau <= 4,
-    which covers numpy's pow and sin against Python's.  The exact loop
-    then runs, in scan order (k from -bandwidth up, sign +1 before -1),
-    over the k = 0 modes, every mode the screen cannot place above its
-    floor (x > 4 or not finite included), and every mode within twice the
-    divisor margin of the least screened divisor so far (k != 0), which
-    holds the first exact minimum.  So the first violation, min_divisor,
-    the argmin and modes_checked are those of the exact scan.
+    by -bandwidth), and t is screened in float64 for both signs
+    (contfrac._screen_norms, error eps).  2 sin(pi t) rises on [0, 1/2],
+    so a mode whose screened t clears gamma/(|k|+1)^tau
+    (contfrac._clears_floor) cannot violate its floor.  The exact loop then
+    runs, in scan order (k from -bandwidth up, sign +1 before -1), over
+    every mode the rule does not clear (k = 0 included) and every mode
+    within twice the first block's eps (the largest) of the least screened
+    t so far (k != 0), which holds the first exact minimum.  So the first
+    violation, min_divisor, the argmin and modes_checked are those of the
+    exact scan.
     """
     if bandwidth < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
@@ -832,6 +839,7 @@ def commutant_rigidity_check(
         raise ValueError(f"tau must be >= 0, got {tau}")
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
+    _check_floor(tau, gamma, bandwidth, "bandwidth")
     a = _alpha_proxy(alpha)
     two_rho = 2 * Fraction(rho)
     # k*alpha -+ 2 rho = (k*p*s -+ r*q)/(q*s) with alpha = p/q, 2 rho = r/s
@@ -843,28 +851,21 @@ def commutant_rigidity_check(
     screened_min, margin = float("inf"), None
     for j in _index_blocks(2 * bandwidth + 1):
         ks = j - bandwidth
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = np.pi * gamma / (np.abs(ks) + 1.0) ** tau
-            floor_hi = 2.0 * np.sin(x) * (1.0 - 1e-12) + (2.0**-45 * x + 2.0**-48)
-        divs = []
-        for sign in (+1, -1):
-            t, eps = _screen_norms(a.numerator, a.denominator, ks, sign * two_rho)
-            divs.append(2.0 * np.sin(np.pi * t))
+        (plus, eps), (minus, _) = (
+            _screen_norms(a.numerator, a.denominator, ks, sign * two_rho) for sign in (+1, -1))
+        norms = np.stack((plus, minus))
         if margin is None:  # the first block holds k = -bandwidth, whose eps is the largest
-            margin = 2.0 * np.pi * eps + 2.0**-46
-        off = ks != 0
-        screened_min = min(screened_min, float(np.min(divs[0][off], initial=np.inf)),
-                           float(np.min(divs[1][off], initial=np.inf)))
-        recheck = [~((div - margin >= floor_hi) & (x <= 4.0))
-                   | (div <= screened_min + 2.0 * margin) | ~off for div in divs]
+            margin = eps
+        screened_min = min(screened_min, float(np.min(norms[:, ks != 0], initial=np.inf)))
+        recheck = ~_clears_floor(norms, eps, ks, tau, gamma) | (norms <= screened_min + 2 * margin)
         for i in np.flatnonzero(recheck[0] | recheck[1]):
             k = int(ks[i])
-            for sign, todo in zip((+1, -1), recheck):
-                if not todo[i]:
+            for sign, todo in zip((+1, -1), recheck[:, i]):
+                if not todo:
                     continue
                 t = norm_numerator(k * ps - sign * rq, qs) / qs
                 div = 2.0 * math.sin(math.pi * t)
-                if k == 0 and t < 1e-14:
+                if k == 0 and t < RESONANCE_TOL:
                     # 2 rho integer: the k=0 off-diagonal equation degenerates
                     # to b=b and constants survive (enlarged commutant).
                     unconstrained.append((0, f"off-diagonal sign {sign:+d}"))

@@ -519,31 +519,29 @@ def _screen_norms(p: int, q: int, ks: np.ndarray, shift: Fraction) -> tuple[np.n
     return np.abs(d), (m + 2) * 2.0**-53
 
 
-def _dc_certified(cf, tau, gamma, ks, shift) -> np.ndarray:
-    """Modes of ks whose DC inequality the float64 screen certifies.
+def _clears_floor(vals, err, ks, tau, gamma) -> np.ndarray:
+    """Modes whose screened norm surely clears the floor gamma/(|k|+1)^tau.
 
-    The screen reads ||shift - k p_N/q_N|| at the deepest materialized
-    convergent N (_screen_norms, error eps).  _norm_interval's lower bound at
-    depth N is at least that minus 2|k|/(q_{N-1} q_N): once for alpha's
-    interval and once for the endpoint it reads.  A mode is certified when
-    the value minus eps, that width and 2^-50 for the rounding here still
-    reaches the threshold widened by 2^-40 relative (numpy's pow against
-    Python's); its exact check at depth N, or at any deeper one, then
-    certifies it too without extending the stream.  k = 0, a threshold
-    whose pow leaves the float range and a stream shallower than 2 are
-    never certified.
+    vals (modes ks on the last axis) lie within err of the exact norms t.
+    A mode clears when vals - err - 2^-50 reaches the floor widened by
+    2^-40 relative (numpy's pow against Python's), so a cleared mode has
+    t >= f (1 + 2^-40) + 2^-50, f Python's gamma/(|k|+1)^tau.  Norms are at
+    most 1/2, so f > 1/2 never clears, nor does k = 0.  A floor whose power
+    leaves the float range is 0, here and in the scans' exact loops.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    if cf.depth < 2:
-        return np.zeros(len(ks), dtype=bool)
-    (_, qa), (p, q) = cf.convergent(cf.depth - 1), cf.convergent(cf.depth)
-    vals, eps = _screen_norms(p, q, ks, shift)
-    absk = np.abs(ks).astype(np.float64)
-    width = math.ldexp(1.0, 2 - qa.bit_length() - q.bit_length())  # >= 1/(q_{N-1} q_N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = (absk + 1.0) ** tau
-        thr = gamma / power * (1.0 + 2.0**-40)
-        return (vals - (eps + 2.0 * absk * width + 2.0**-50) >= thr) & np.isfinite(power) & (ks != 0)
+    with np.errstate(over="ignore"):
+        floor = gamma / (np.abs(ks) + 1.0) ** tau
+    return (vals - (err + 2.0**-50) >= floor * (1.0 + 2.0**-40)) & (ks != 0)
+
+
+def _check_floor(tau, gamma, K, name) -> None:
+    """Refuse, before a scan's first block, a floor or a reach it cannot screen."""
+    if math.isnan(tau):
+        raise ValueError(f"tau must not be NaN, got {tau}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    if K >= 2**52:
+        raise ValueError(f"{name} must be < 2^52 for a float64 screen, got {K}")
 
 
 def _index_blocks(n):
@@ -555,20 +553,32 @@ def _dc_scan(cf, tau, gamma, K, blocks, shift=Fraction(0)) -> DCVerdict:
     """First k (in order) with ||shift - k alpha|| < gamma/(|k|+1)^tau.
 
     ``blocks`` yields the modes in scan order, a block of integers at a
-    time; K, their largest |k|, goes into the verdict.  Each block is
-    screened in float64 first (_dc_certified).  Every mode the screen does
-    not certify runs the exact check, in order: the integer interval of
-    _norm_interval at the current depth, two digits deeper while it
-    straddles the threshold, and DepthInsufficient once the stream ends.  A
-    certified mode would pass that check at its first depth, so the verdict,
-    the exception and the stream's materialized depth are those of the
-    exact scan.
+    time; K, their largest |k|, goes into the verdict.  A NaN tau, a NaN
+    or infinite gamma and a K of 2^52 or more raise ValueError first.
+    Each block is screened at the deepest materialized convergent N
+    (_screen_norms, error eps), which _norm_interval's lower bound at
+    depth N undercuts by at most 2|k|/(q_{N-1} q_N) more: a mode that
+    clears with both errors (_clears_floor) passes its exact check there,
+    or deeper, without extending the stream.  Every other mode runs that
+    check, in order: the integer interval at the current depth, two digits
+    deeper while it straddles the threshold, DepthInsufficient once the
+    stream ends.  So verdict, exception and depth are the exact scan's.
     """
+    _check_floor(tau, gamma, K, "K")
     for block in blocks:
-        certified = _dc_certified(cf, tau, gamma, block, shift)
-        for i in np.flatnonzero(~certified):
+        block = np.asarray(block, dtype=np.int64)
+        cleared = np.zeros(len(block), dtype=bool)
+        if cf.depth >= 2:
+            (_, qa), (p, q) = cf.convergent(cf.depth - 1), cf.convergent(cf.depth)
+            vals, eps = _screen_norms(p, q, block, shift)
+            width = math.ldexp(1.0, 2 - qa.bit_length() - q.bit_length())  # >= 1/(q_{N-1} q_N)
+            cleared = _clears_floor(vals, eps + 2.0 * np.abs(block) * width, block, tau, gamma)
+        for i in np.flatnonzero(~cleared):
             k = int(block[i])
-            thr = gamma / (abs(k) + 1) ** tau
+            try:
+                thr = gamma / (abs(k) + 1) ** tau
+            except OverflowError:  # (|k|+1)^tau past the float range
+                thr = 0.0
             tn, td = thr.as_integer_ratio()  # thr exactly, so every verdict is exact
             if k == 0:
                 d = shift.denominator
@@ -603,7 +613,11 @@ def _dc_scan(cf, tau, gamma, K, blocks, shift=Fraction(0)) -> DCVerdict:
 def dc_membership(
     cf: ContinuedFraction, tau: float, gamma: float, K: int
 ) -> DCVerdict:
-    """Check ||k alpha|| >= gamma/(|k|+1)^tau for 1 <= k <= K, exactly."""
+    """Check ||k alpha|| >= gamma/(|k|+1)^tau for 1 <= k <= K, exactly.
+
+    A negative K, a NaN tau, a NaN or infinite gamma and a K of 2^52 or
+    more raise ValueError before any mode is read.
+    """
     if K < 0:
         raise ValueError("K must be >= 0")
     return _dc_scan(cf, tau, gamma, K, (j + 1 for j in _index_blocks(K)))
@@ -615,6 +629,8 @@ def dc_alpha_membership(
     """Check ||2 theta - k alpha|| >= gamma/(|k|+1)^tau for |k| <= K.
 
     Modes run 0, -1, 1, -2, 2, ..., generated a block at a time (_index_blocks).
+    A negative K, a NaN tau, a NaN or infinite gamma and a K of 2^52 or
+    more raise ValueError before any mode is read.
     """
     if K < 0:
         raise ValueError("K must be >= 0")

@@ -92,7 +92,10 @@ def dc_scan(cf, tau, gamma, ks, shift):
 def dc_scan_ref(cf, tau, gamma, ks, shift):
     K = max((abs(k) for k in ks), default=0)
     for k in ks:
-        thr = gamma / (abs(k) + 1) ** tau
+        try:
+            thr = gamma / (abs(k) + 1) ** tau
+        except OverflowError:  # (|k|+1)^tau past the float range: the floor is 0
+            thr = 0.0
         if k == 0:
             val = circle_norm_ref(shift)
             if val < thr:
@@ -272,7 +275,8 @@ RHOS = st.one_of(
 
 @examples
 @given(alpha=ALPHAS, rho=RHOS, bandwidth=st.integers(0, 60),
-       tau=st.floats(0.5, 3.0), gamma=st.sampled_from([1e-12, 1e-6, 1e-3, 0.05]))
+       tau=st.one_of(st.floats(0.5, 3.0), st.just(0.0)),
+       gamma=st.sampled_from([1e-12, 1e-6, 1e-3, 0.05, 0.6, 2.0]))
 def test_commutant_scan_matches_fraction_formula(alpha, rho, bandwidth, tau, gamma):
     got = outcome(commutant_rigidity_check, rho, alpha, bandwidth, tau, gamma)
     ref = outcome(commutant_ref, rho, alpha, bandwidth, tau, gamma)
@@ -299,6 +303,26 @@ def test_cohomological_matches_fraction_formula(alpha, K, seed):
     (psi, report), (psi_ref, min_ref) = got, ref
     assert psi.tobytes() == psi_ref.tobytes()
     assert report.min_divisor == min_ref
+
+
+def test_cohomological_norm_sums_past_int64():
+    # |k|^10 passes 2^63 from |k| = 79 on; the weighted sums must not wrap
+    K, s_max = 200, 10
+    rng = np.random.default_rng(7)
+    phi = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
+    phi[K] = 0.0
+    alpha = from_digits([1] * 4 + [30] + [1] * 80)  # blocks split at (q_4, q_5) = (5, 153)
+    psi, report = solve_cohomological(phi, alpha, s_max)
+    assert report.block_bounds == (5, 153)
+    mags = [float(m) for m in np.abs(psi)]
+
+    def weighted(j, lo=0, hi=K + 1):
+        return math.fsum(abs(k) ** j * mags[k + K] for k in range(-K, K + 1) if lo <= abs(k) < hi)
+
+    for j in range(s_max + 1):
+        assert report.totals[j] == pytest.approx(weighted(j), rel=1e-14)
+        refs = (weighted(j, 0, 5), weighted(j, 5, 153), weighted(j, 153))
+        assert report.block_sums[j] == pytest.approx(refs, rel=1e-14)
 
 
 @pytest.mark.parametrize("q", [1, 3, 7])
@@ -483,14 +507,37 @@ def test_dc_scan_order_of_a_violation_and_a_straddle():
 
 def test_screen_pow_overflow_stays_inside_the_scans():
     # (|k|+1)^300 leaves the float range for |k| >= 11; no numpy warning escapes
-    # (the warning gate), the commutant floors read 0 there and the DC scan
-    # raises Python's OverflowError at the first such mode, as the exact loop does
+    # (the warning gate), and every scan reads the floor there as 0
     got = commutant_rigidity_check(0.3, DEEP, 60, 300.0, 1e-12)
     assert commutant_fields(got) == commutant_ref(0.3, DEEP, 60, 0.0, 1e-12)
-    with pytest.raises(OverflowError):
-        dc_scan(from_digits([1] * 80), 300.0, 1e-12, list(range(1, 61)), Fraction(0))
-    with pytest.raises(OverflowError):
-        dc_scan_ref(from_digits([1] * 80), 300.0, 1e-12, list(range(1, 61)), Fraction(0))
+    ks = list(range(1, 61))
+    got = dc_scan(from_digits([1] * 80), 300.0, 1e-12, ks, Fraction(0))
+    assert got == dc_scan_ref(from_digits([1] * 80), 300.0, 1e-12, ks, Fraction(0))
+    # past the float range from |k| = 1 (tau = 1e6) and |k| = 5 (tau = 400) on
+    assert dc_membership(DEEP, 1e6, 0.05, 10) == DCVerdict(True, K=10)
+    assert dc_alpha_membership(0.25, DEEP, 400.0, 0.05, 10) == DCVerdict(True, K=10)
+
+
+@pytest.mark.parametrize("tau, gamma, name", [
+    (math.nan, 0.05, "tau"), (2.0, math.nan, "gamma"), (2.0, math.inf, "gamma"),
+    (2.0, -math.inf, "gamma")])
+def test_scans_refuse_a_floor_they_cannot_compare(tau, gamma, name):
+    for scan in (lambda: dc_membership(DEEP, tau, gamma, 10),
+                 lambda: dc_alpha_membership(0.25, DEEP, tau, gamma, 10),
+                 lambda: commutant_rigidity_check(0.25, DEEP, 20, tau, gamma)):
+        with pytest.raises(ValueError, match=name):
+            scan()
+
+
+def test_scans_refuse_a_reach_past_the_screen_at_once():
+    # a scan from k = 1 up would screen 2^42 blocks before reaching |k| = 2^52
+    with pytest.raises(ValueError, match="K must be < 2\\^52"):
+        dc_membership(DEEP, 2.0, 0.05, 2**53)
+    with pytest.raises(ValueError, match="K must be < 2\\^52"):
+        dc_alpha_membership(0.25, DEEP, 2.0, 0.05, 2**52)
+    with pytest.raises(ValueError, match="bandwidth must be < 2\\^52"):
+        commutant_rigidity_check(0.25, DEEP, 2**52, 2.0, 0.05)
+    assert dc_membership(DEEP, 2.0, 0.0, 10).holds  # gamma = 0 still scans
 
 
 # -- delta levels -------------------------------------------------------------------
