@@ -1,11 +1,12 @@
 """Symmetric-tridiagonal kernels: LAPACK eigenpairs and one Sturm pivot sweep.
 
 Eigenvalues and eigenvectors of truncations come from LAPACK through scipy:
-the full spectrum from ?STEVD (divide and conquer) and index picks from
-?STEBZ (Sturm bisection), both by ``eigvalsh_tridiagonal``; eigenvalues with
-their unit eigenvectors from ?STEVD too, by ``eigh_tridiagonal``.  During
-that call the eigenvectors and LAPACK's workspace hold two n-by-n arrays,
-16 n^2 bytes: 1 MB at n = 256, 10 MB at n = 800 and 256 MB at n = 4096.
+the full spectrum from ?STEVD (divide and conquer) and one eigenvalue by
+index from ?STEBZ (Sturm bisection), both by ``eigvalsh_tridiagonal``;
+eigenvalues with their unit eigenvectors from ?STEVD too, by
+``eigh_tridiagonal``.  During that call the eigenvectors and LAPACK's
+workspace hold two n-by-n arrays, 16 n^2 bytes: 1 MB at n = 256, 10 MB at
+n = 800 and 256 MB at n = 4096.
 
 Eigenvalue counts and minors read the Sturm pivots of T - s,
 d_i = (a_i - s) - b_{i-1}^2 / d_{i-1}, swept from either end of the matrix
@@ -98,30 +99,35 @@ def log_minors(diag, off2, shifts, reverse=False):
     return logabs, neg
 
 
-def bisect_eigenvalues(diag, off, indices=None):
-    """Eigenvalues by ascending 0-based index; None means all n.
+def _eig_index(index, size):
+    """The one rule for an eigenvalue index of a size-`size` window: 0 <= index < size.
 
-    The full spectrum comes from ?STEVD; index picks from ?STEBZ over the
-    index range they span.
+    Negative indices are refused, not read from the top as in Python.
+    """
+    index = int(index)
+    if not 0 <= index < size:
+        raise IndexError(f"eigenvalue index {index} outside the size-{size} window")
+    return index
+
+
+def bisect_eigenvalues(diag, off, index=None):
+    """All eigenvalues, ascending, or with ``index`` the one at that 0-based index.
+
+    The full spectrum comes from ?STEVD, a pick (a float, _eig_index's
+    rule) from ?STEBZ over that one index: every pick asks the same range,
+    as ?STEBZ's value depends on the range it is given.
     """
     # imported on first use: loading scipy.linalg would triple the package import time
     from scipy.linalg import eigvalsh_tridiagonal
 
     diag = np.asarray(diag, dtype=np.float64)
     off = np.asarray(off, dtype=np.float64)
-    n = len(diag)
-    if indices is None:
+    if index is None:
         return eigvalsh_tridiagonal(diag, off, lapack_driver=FULL_DRIVER)
-    indices = np.asarray(sorted(indices), dtype=np.int64)
-    if len(indices) == 0:
-        return np.empty(0)
-    lo, hi = int(indices[0]), int(indices[-1])
-    if lo < 0 or hi >= n:
-        raise IndexError("eigenvalue index out of range")
-    vals = eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(lo, hi), lapack_driver=INDEX_DRIVER
-    )
-    return vals[indices - lo]
+    i = _eig_index(index, len(diag))
+    return float(eigvalsh_tridiagonal(
+        diag, off, select="i", select_range=(i, i), lapack_driver=INDEX_DRIVER
+    )[0])
 
 
 def eigenpairs(diag, off):

@@ -231,7 +231,7 @@ def _run_forge(cfg, p):
         "digits": digits,
         "depth": cf.depth,
         "truncated": cf.truncated,
-        "q_tail_log": contfrac.log_of_int(cf.q(cf.depth)),
+        "q_tail_log": math.log(cf.q(cf.depth)),
     }
     warnings = ["digit cap reached; stream truncated"] if cf.truncated else []
     return result, digits, warnings

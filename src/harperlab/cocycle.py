@@ -639,7 +639,12 @@ def conjugation_residual(
     cocycle_b: Cocycle,
     grid: int = 512,
 ) -> float:
-    """max over the grid of ||B(th+a) A1(th) B(th)^-1 - A2(th)||_2."""
+    """max over the grid of ||B(th+a) A1(th) B(th)^-1 - A2(th)||_2.
+
+    The grid is th = i/grid, i = 0..grid-1; a grid below 1 raises ValueError.
+    """
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     worst = 0.0
     for i in range(grid):
         th = i / grid
@@ -669,14 +674,14 @@ class NormReport:
 
 
 def solve_cohomological(
-    phi_hat: Union[np.ndarray, Sequence[complex], dict],
+    phi_hat: Union[np.ndarray, Sequence[complex]],
     alpha: Union[float, Fraction, ContinuedFraction],
     s_max: int = 3,
 ) -> tuple[np.ndarray, NormReport]:
     """Solve psi(th + alpha) - psi(th) = phi(th) mode by mode.
 
-    phi_hat holds Fourier coefficients indexed -K..K (array of length 2K+1,
-    or {k: coeff} dict), all finite; the mean phi_hat(0) must vanish
+    phi_hat holds Fourier coefficients indexed -K..K, an array of length
+    2K+1 (ValueError otherwise), all finite; the mean phi_hat(0) must vanish
     (ValueError otherwise).  Returns psi_hat in the same layout, with
     psi_hat(k) = phi_hat(k)/(e^{2 pi i k alpha}-1) at alpha's rational
     proxy (model._alpha_proxy), and a report of weighted coefficient sums
@@ -696,17 +701,10 @@ def solve_cohomological(
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
-    if isinstance(phi_hat, dict):
-        K = max(abs(k) for k in phi_hat) if phi_hat else 0
-        arr = np.zeros(2 * K + 1, dtype=np.complex128)
-        for k, v in phi_hat.items():
-            arr[k + K] = v
-        phi = arr
-    else:
-        phi = np.asarray(phi_hat, dtype=np.complex128)
-        if phi.ndim != 1 or len(phi) % 2 == 0:
-            raise ValueError("phi_hat must have odd length 2K+1, indexed -K..K")
-        K = (len(phi) - 1) // 2
+    phi = np.asarray(phi_hat, dtype=np.complex128)
+    if phi.ndim != 1 or len(phi) % 2 == 0:
+        raise ValueError("phi_hat must have odd length 2K+1, indexed -K..K")
+    K = (len(phi) - 1) // 2
     if not np.isfinite(phi).all():
         k = int(np.flatnonzero(~np.isfinite(phi))[0]) - K
         raise ValueError(f"phi_hat must be finite, got phi_hat({k}) = {phi[k + K]}")
@@ -817,9 +815,10 @@ def commutant_rigidity_check(
     ||k alpha -+ 2 rho||, up to the bandwidth and raises
     DivisorFloorViolated at the first failing mode.  A floor whose power
     leaves the float range is 0.  The diagonal (k=0, phase-free) modes
-    always remain and are reported, not flagged.  A negative bandwidth or
-    tau, a gamma <= 0 (a floor every divisor passes), a NaN tau, an
-    infinite gamma and a bandwidth of 2^52 or more raise ValueError.
+    always remain and are reported, not flagged.  A negative bandwidth, a
+    negative or NaN tau, a non-finite gamma and a bandwidth of 2^52 or more
+    raise ValueError (contfrac._check_floor), and so, after them, does a
+    gamma <= 0 (a floor every divisor passes).
 
     Modes run in blocks of SCREEN_BLOCK k's (contfrac._index_blocks shifted
     by -bandwidth), and t is screened in float64 for both signs
@@ -833,13 +832,9 @@ def commutant_rigidity_check(
     violation, min_divisor, the argmin and modes_checked are those of the
     exact scan.
     """
-    if bandwidth < 0:
-        raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
     _check_floor(tau, gamma, bandwidth, "bandwidth")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
     a = _alpha_proxy(alpha)
     two_rho = 2 * Fraction(rho)
     # k*alpha -+ 2 rho = (k*p*s -+ r*q)/(q*s) with alpha = p/q, 2 rho = r/s

@@ -42,7 +42,6 @@ __all__ = [
     "norm_numerator",
     "int_to_decimal",
     "int_from_decimal",
-    "log_of_int",
     "div_by_big",
 ]
 
@@ -56,13 +55,8 @@ PROXY_MIN_Q = 1 << 60
 # Modes a Diophantine scan screens in float64 at once (_screen_norms); small
 # blocks keep its working arrays (8 KB each) from raising peak memory.
 SCREEN_BLOCK = 1 << 10
-
-
-def log_of_int(q: int) -> float:
-    """Natural log of a positive big integer, never via float(q)."""
-    # math.log handles arbitrary-size ints through bit-length reduction,
-    # accurate to double precision.
-    return math.log(q)
+# expand() takes a float (or str) input to be known to +-10^-EXPAND_PRECISION.
+EXPAND_PRECISION = 15
 
 
 def div_by_big(numer: float, q: int) -> float:
@@ -71,7 +65,7 @@ def div_by_big(numer: float, q: int) -> float:
         return numer / q
     if numer == 0.0:
         return 0.0
-    return math.copysign(math.exp(math.log(abs(numer)) - log_of_int(q)), numer)
+    return math.copysign(math.exp(math.log(abs(numer)) - math.log(q)), numer)
 
 
 def norm_numerator(n: int, d: int) -> int:
@@ -304,38 +298,30 @@ def from_digits(digits: Sequence[int], origin: str = "explicit") -> ContinuedFra
     return ContinuedFraction(digits, origin=origin)
 
 
-def expand(
-    x: RealLike,
-    max_depth: int = 64,
-    precision: int = 15,
-    partial: bool = False,
-) -> ContinuedFraction:
+def expand(x: RealLike, max_depth: int = 64, *, partial: bool = False) -> ContinuedFraction:
     """Certified continued-fraction expansion of x in (0, 1).
 
-    The input is taken to be known to +-10^-precision (exactly, when given
-    as a Fraction).  Every digit is certified by interval arithmetic; when
-    the interval straddles a rational completion, RationalDetected is
-    raised; when it is too wide to pin the next digit, PrecisionExhausted.
-    With ``partial=True`` these conditions end the expansion instead,
-    returning the digits certified so far.
+    The input is taken to be known to +-10^-EXPAND_PRECISION (exactly, when
+    given as a Fraction).  Every digit is certified by interval
+    arithmetic; when the interval straddles a rational completion (the
+    convergent of the digits so far and the boundary digit, within twice
+    that uncertainty), RationalDetected is raised; when it is too wide to
+    pin the next digit, PrecisionExhausted.  With ``partial=True`` these
+    conditions end the expansion instead, returning the digits certified
+    so far.
     """
     exact = isinstance(x, (Fraction, int))
     x0 = Fraction(x)
-    radius = Fraction(0) if exact else Fraction(1, 10**precision)
+    radius = Fraction(0) if exact else Fraction(1, 10**EXPAND_PRECISION)
     lo, hi = x0 - radius, x0 + radius
     if not (0 < x0 < 1):
         raise ValueError(f"expand() wants x in (0,1), got {x0}")
-
+    origin = f"expanded-from-real(precision={EXPAND_PRECISION})"
     digits: list[int] = []
-
-    def finish() -> ContinuedFraction:
-        return ContinuedFraction(digits, origin=f"expanded-from-real(precision={precision})")
 
     def stop(exc: PrecisionExhausted) -> ContinuedFraction:
         if partial and exc.digits:
-            cf = ContinuedFraction(
-                exc.digits, origin=f"expanded-from-real(precision={precision})"
-            )
+            cf = ContinuedFraction(exc.digits, origin=origin)
             cf.truncated = True
             cf.stop_reason = (
                 "rational" if isinstance(exc, RationalDetected) else "precision"
@@ -369,24 +355,20 @@ def expand(
         # uncertainty, the tie rule declares the input rational.
         if fhi - flo == 1:
             cand = digits + [fhi]
-            p, q = 0, 1
-            pp, qq = 1, 0
-            for a in cand:
-                p, pp = a * p + pp, p
-                q, qq = a * q + qq, q
-            if abs(x0 - Fraction(p, q)) <= 2 * max(radius, Fraction(1, 10**precision)):
+            p, q = ContinuedFraction(cand).convergent(len(cand))
+            if abs(x0 - Fraction(p, q)) <= Fraction(2, 10**EXPAND_PRECISION):
                 return stop(
                     RationalDetected(
-                        f"within 10^-{precision} of {p}/{q}", digits=cand
+                        f"within 10^-{EXPAND_PRECISION} of {p}/{q}", digits=cand
                     )
                 )
         return stop(
             PrecisionExhausted(
-                f"cannot certify digit {len(digits)+1} at precision {precision}",
+                f"cannot certify digit {len(digits)+1} at precision {EXPAND_PRECISION}",
                 digits=digits,
             )
         )
-    return finish()
+    return ContinuedFraction(digits, origin=origin)
 
 
 # -- growth exponent ----------------------------------------------------
@@ -427,9 +409,9 @@ def beta_exponent(
     per_alt: list[tuple[int, float]] = []
     for n in range(1, depth):
         qn = cf.q(n)
-        per.append((n, div_by_big(log_of_int(cf.q(n + 1)), qn)))
+        per.append((n, div_by_big(math.log(cf.q(n + 1)), qn)))
         a = cf.digit(n + 1)
-        per_alt.append((n, div_by_big(log_of_int(a), qn) if a > 1 else 0.0))
+        per_alt.append((n, div_by_big(math.log(a), qn) if a > 1 else 0.0))
     tail = [v for n, v in per if n >= warmup]
     tail_alt = [v for n, v in per_alt if n >= warmup]
     if not tail:
@@ -535,9 +517,16 @@ def _clears_floor(vals, err, ks, tau, gamma) -> np.ndarray:
 
 
 def _check_floor(tau, gamma, K, name) -> None:
-    """Refuse, before a scan's first block, a floor or a reach it cannot screen."""
-    if math.isnan(tau):
-        raise ValueError(f"tau must not be NaN, got {tau}")
+    """The one check of a Diophantine scan's arguments, before its first block.
+
+    The reach K (named ``name``) must lie in [0, 2^52), the float64
+    screen's range; tau must be >= 0 (a NaN fails that too) and gamma
+    finite.  Anything else raises ValueError naming the argument.
+    """
+    if K < 0:
+        raise ValueError(f"{name} must be >= 0, got {K}")
+    if not tau >= 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     if K >= 2**52:
@@ -553,8 +542,8 @@ def _dc_scan(cf, tau, gamma, K, blocks, shift=Fraction(0)) -> DCVerdict:
     """First k (in order) with ||shift - k alpha|| < gamma/(|k|+1)^tau.
 
     ``blocks`` yields the modes in scan order, a block of integers at a
-    time; K, their largest |k|, goes into the verdict.  A NaN tau, a NaN
-    or infinite gamma and a K of 2^52 or more raise ValueError first.
+    time; K, their largest |k|, goes into the verdict.  Arguments
+    _check_floor refuses raise ValueError first.
     Each block is screened at the deepest materialized convergent N
     (_screen_norms, error eps), which _norm_interval's lower bound at
     depth N undercuts by at most 2|k|/(q_{N-1} q_N) more: a mode that
@@ -615,11 +604,9 @@ def dc_membership(
 ) -> DCVerdict:
     """Check ||k alpha|| >= gamma/(|k|+1)^tau for 1 <= k <= K, exactly.
 
-    A negative K, a NaN tau, a NaN or infinite gamma and a K of 2^52 or
-    more raise ValueError before any mode is read.
+    A negative K, a negative or NaN tau, a NaN or infinite gamma and a K of
+    2^52 or more raise ValueError before any mode is read (_check_floor).
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
     return _dc_scan(cf, tau, gamma, K, (j + 1 for j in _index_blocks(K)))
 
 
@@ -629,11 +616,9 @@ def dc_alpha_membership(
     """Check ||2 theta - k alpha|| >= gamma/(|k|+1)^tau for |k| <= K.
 
     Modes run 0, -1, 1, -2, 2, ..., generated a block at a time (_index_blocks).
-    A negative K, a NaN tau, a NaN or infinite gamma and a K of 2^52 or
-    more raise ValueError before any mode is read.
+    A negative K, a negative or NaN tau, a NaN or infinite gamma and a K of
+    2^52 or more raise ValueError before any mode is read (_check_floor).
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
     blocks = ((j + 1) // 2 * (1 - 2 * (j % 2)) for j in _index_blocks(2 * K + 1))
     return _dc_scan(cf, tau, gamma, K, blocks, shift=2 * Fraction(theta))
 
@@ -841,10 +826,13 @@ def floor_exp(beta: float, q: int, cap_decimal: int = DIGIT_CAP_DECIMAL) -> Opti
     set.  Returns None when the result would exceed cap_decimal decimal
     digits.  Precision doubles until the enclosure no longer straddles an
     integer (e^(beta*q) is transcendental for beta*q != 0, so this ends).
+    A beta that is not finite and > 0, or a q < 1, raises ValueError.
     """
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     t = Fraction(beta) * q
-    if t <= 0:
-        raise ValueError("schedule exponent beta*q must be positive")
     # decimal length of e^t is t/ln 10; compare without converting t to float
     if q > cap_decimal * math.log(10) / beta:
         return None
@@ -868,9 +856,10 @@ def forge(
     """Copy base digits through a_{n0}, then continue with scheduled digits.
 
     The forged stream shares p_n/q_n with the base exactly for n <= n0.
-    ``levels`` digits are materialized eagerly, by the same provider through
-    which ConstantBeta and SingleBurst streams keep extending on demand
-    (SingleBurst with its constant tail).
+    ``levels`` digits are materialized eagerly, by the one provider through
+    which the stream keeps extending on demand: floor_exp at every level
+    for ConstantBeta, at level n0 + 1 only for SingleBurst, whose later
+    digits are its constant tail.
     A scheduled digit longer than cap_decimal decimal digits is refused:
     the stream stops there with .truncated set.
     """
@@ -878,17 +867,11 @@ def forge(
         raise ValueError("n0 must be >= 1")
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    if isinstance(schedule, ConstantBeta):
 
-        def provider(n, conv, _s=schedule):
-            return floor_exp(_s.beta, conv[n - 1][1], cap_decimal)
-
-    else:
-
-        def provider(n, conv, _s=schedule):
-            if n == n0 + 1:
-                return floor_exp(_s.beta, conv[n - 1][1], cap_decimal)
-            return _s.tail
+    def provider(n, conv):
+        if n == n0 + 1 or isinstance(schedule, ConstantBeta):
+            return floor_exp(schedule.beta, conv[n - 1][1], cap_decimal)
+        return schedule.tail
 
     cf = ContinuedFraction(
         base.digits(n0), provider=provider, origin=f"forged({schedule!r}, n0={n0})"

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._tridiag import (
     FULL_DRIVER,
+    _eig_index,
     bisect_eigenvalues,
     eigenpairs,
     sturm_count,
@@ -25,7 +26,6 @@ from .contfrac import (
     ContinuedFraction,
     beta_exponent,
     div_by_big,
-    log_of_int,
     norm_numerator,
 )
 from .errors import FloatRangeExceeded, NoBulkSpectrum, PoorlyLocalized
@@ -247,13 +247,13 @@ def delta_exponent(
     per_level = []
     for n in range(1, depth):
         qn = cf.q(n)
-        total = log_of_int(cf.q(n + 1))
+        total = math.log(cf.q(n + 1))
         for x in xs:
             # ||q_n x|| = m/den in lowest terms, as x is
             g = math.gcd(qn, x.denominator)
             den = x.denominator // g
             m = norm_numerator(qn // g * x.numerator, den)
-            total += log_of_int(m) - log_of_int(den) if m else float("-inf")
+            total += math.log(m) - math.log(den) if m else float("-inf")
         per_level.append((n, div_by_big(total, qn)))
     tail = [v for n, v in per_level if n >= warmup]
     return max(tail), per_level
@@ -415,26 +415,9 @@ class PerturbationReport:
     trunc_size: int
 
 
-def _eig_index(index, size):
-    """The one rule for an eigenvalue index of a size-`size` window: 0 <= index < size.
-
-    Negative indices are refused, not read from the top as in Python.
-    """
-    index = int(index)
-    if not 0 <= index < size:
-        raise IndexError(f"eigenvalue index {index} outside the size-{size} window")
-    return index
-
-
-def _eig_at(diag, absoff, index):
-    """Eigenvalue `index` from ?STEBZ over that one index: every pick asks the
-    same range, as ?STEBZ's value depends on the range it is given."""
-    return float(bisect_eigenvalues(diag, absoff, indices=[index])[0])
-
-
 def _nearest_eig(diag, absoff, target):
     j = int(sturm_count(diag, absoff * absoff, target))
-    vals = [_eig_at(diag, absoff, i) for i in (j - 1, j) if 0 <= i < len(diag)]
+    vals = [bisect_eigenvalues(diag, absoff, i) for i in (j - 1, j) if 0 <= i < len(diag)]
     return min(vals, key=lambda v: abs(v - target))
 
 
@@ -467,7 +450,7 @@ def perturbation_experiment(
     sample_p = OperatorSample(coupling, alpha_prime, theta)
     eps = abs(float(sample.alpha_fraction() - sample_p.alpha_fraction()))
     index = _eig_index(size // 2 if eig_index == "median" else eig_index, size)
-    e_prime = _eig_at(*build_truncation(sample_p, 0, size - 1).gauge_symmetric(), index)
+    e_prime = bisect_eigenvalues(*build_truncation(sample_p, 0, size - 1).gauge_symmetric(), index)
     energy = _nearest_eig(*build_truncation(sample, 0, size - 1).gauge_symmetric(), e_prime)
 
     def matrices(s, e):  # the 2N+1 raw transfer matrices from site -N on

@@ -67,6 +67,28 @@ def test_spectrum_csv_export(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) == record["result"]["min"]
 
 
+def test_spectrum_json_export(tmp_path, capsys):
+    out = tmp_path / "spec.json"
+    argv = ["spectrum", "--coupling", "0.1,0.5,0.2", "--size", "4", "--format", "json",
+            "--out", str(out)]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert out.read_text() == canonical_json(record["result"])
+
+
+def test_forge_out_writes_the_digit_file(tmp_path, capsys):
+    out = tmp_path / "freq.json"
+    argv = ["forge", "--base", "golden", "--n0", "5", "--beta", "0.5", "--levels", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    cf = contfrac.forge(golden(), 5, contfrac.ConstantBeta(0.5), 3)
+    assert out.read_bytes() == cf.to_json().encode()
+    back = cli_module.resolve_frequency_spec(str(out))
+    assert [contfrac.int_to_decimal(a) for a in back.digits(back.depth)] == \
+        record["result"]["digits"]
+
+
 def test_le_command_matches_formula(tmp_path):
     out = tmp_path / "le.csv"
     proc = cli(

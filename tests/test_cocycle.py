@@ -347,6 +347,14 @@ def test_conjugation_residual_mismatch_positive():
     assert conjugation_residual(lambda th: b, c1, c2, grid=32) > 1e-3
 
 
+@pytest.mark.parametrize("grid", [0, -1])
+def test_conjugation_residual_refuses_an_empty_grid(grid):
+    # a maximum over no grid point would read 0.0, a perfect conjugacy
+    coc = constant_rotation(GOLD, 0.2)
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        conjugation_residual(lambda th: np.eye(2), coc, coc, grid=grid)
+
+
 # -- cohomological equation --------------------------------------------------------
 
 
@@ -393,7 +401,7 @@ def test_cohomological_non_finite_coefficient_raises(bad):
     with pytest.raises(ValueError, match=r"phi_hat\(1\)"):
         solve_cohomological(np.array([0.5, 0.0, bad], dtype=complex), golden())
     with pytest.raises(ValueError, match=r"phi_hat\(-2\)"):
-        solve_cohomological({-2: bad, 1: 0.5}, GOLD)
+        solve_cohomological(np.array([bad, 0.0, 0.0, 0.5, 0.0], dtype=complex), GOLD)
 
 
 def test_cohomological_negative_s_max_raises():

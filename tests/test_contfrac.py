@@ -71,19 +71,27 @@ def test_expand_rational_detected_exact():
 
 def test_expand_rational_detected_float():
     with pytest.raises(RationalDetected) as exc:
-        expand(1.0 / 3.0, max_depth=10, precision=15)
+        expand(1.0 / 3.0, max_depth=10)
     assert exc.value.digits == [3]
+
+
+def test_expand_remainder_touching_zero_is_rational():
+    # 1e-16 lies within the input uncertainty 1e-15 of 0, before any digit
+    for partial in (False, True):
+        with pytest.raises(RationalDetected) as exc:
+            expand(1e-16, partial=partial)
+        assert exc.value.digits == []
 
 
 def test_expand_precision_exhausted_deep():
     with pytest.raises(PrecisionExhausted):
-        expand(GOLDEN_VALUE, max_depth=200, precision=15)
+        expand(GOLDEN_VALUE, max_depth=200)
 
 
 def test_expand_partial_returns_certified_digits():
     # a float is eventually within 1e-15 of one of its own convergents, so
     # the deep expansion ends via the rational tie rule
-    cf = expand(GOLDEN_VALUE, max_depth=200, precision=15, partial=True)
+    cf = expand(GOLDEN_VALUE, max_depth=200, partial=True)
     assert cf.truncated and cf.stop_reason in ("precision", "rational")
     assert cf.digits(min(cf.depth, 30)) == [1] * min(cf.depth, 30)
     assert cf.depth >= 30
@@ -92,7 +100,7 @@ def test_expand_partial_returns_certified_digits():
 def test_expand_partial_wide_interval_is_precision_stop():
     # huge next digit: the 1/remainder interval spans many integers
     x = 1.0 / (1 + 1.0 / (1 + 1e-9))
-    cf = expand(x, max_depth=10, precision=15, partial=True)
+    cf = expand(x, max_depth=10, partial=True)
     assert cf.stop_reason == "precision"
     assert cf.digits(2) == [1, 1]
 
@@ -698,3 +706,16 @@ def test_json_round_trip_past_int_str_limit():
     for bad in ('["1.0"]', '["1e5"]', '["abc"]', '["nan"]'):
         with pytest.raises(ValueError):
             ContinuedFraction.from_json(bad)
+
+
+@pytest.mark.parametrize("beta, q, name", [
+    (math.inf, 3, "beta"), (math.nan, 3, "beta"), (-math.inf, 3, "beta"), (0.0, 3, "beta"),
+    (-0.5, 3, "beta"), (0.5, 0, "q"), (0.5, -3, "q")])
+def test_floor_exp_refuses_an_exponent_that_is_not_finite_and_positive(beta, q, name):
+    # floor_exp is the one reader of beta; it names it rather than fail in Fraction(beta).
+    # At t = 0, e^0 = 1 is an integer the enclosure would straddle at every precision
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        floor_exp(beta, q)
+    if name == "beta":
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            forge(golden(), 5, ConstantBeta(beta), 2)

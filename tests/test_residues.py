@@ -516,11 +516,21 @@ def test_screen_pow_overflow_stays_inside_the_scans():
     # past the float range from |k| = 1 (tau = 1e6) and |k| = 5 (tau = 400) on
     assert dc_membership(DEEP, 1e6, 0.05, 10) == DCVerdict(True, K=10)
     assert dc_alpha_membership(0.25, DEEP, 400.0, 0.05, 10) == DCVerdict(True, K=10)
+    # at alpha = 1/4 = [3, 1], ||4 alpha|| = 0 and ||2 theta - k alpha|| = 0 at k = 1
+    # for theta = 1/8: the screen clears neither, so the exact loop meets a
+    # (|k|+1)^1e6 past the float range and holds against the floor 0
+    cf = from_digits([3, 1])
+    ks = [0, -1, 1, -2, 2, -3, 3, -4, 4]
+    assert dc_membership(cf, 1e6, 0.05, 4) == DCVerdict(True, K=4)
+    assert dc_membership(cf, 1e6, 0.05, 4) == dc_scan_ref(cf, 1e6, 0.05, ks[2::2], Fraction(0))
+    assert dc_alpha_membership(0.125, cf, 1e6, 0.05, 4) == DCVerdict(True, K=4)
+    assert dc_alpha_membership(0.125, cf, 1e6, 0.05, 4) == dc_scan_ref(
+        cf, 1e6, 0.05, ks, Fraction(1, 4))
 
 
 @pytest.mark.parametrize("tau, gamma, name", [
-    (math.nan, 0.05, "tau"), (2.0, math.nan, "gamma"), (2.0, math.inf, "gamma"),
-    (2.0, -math.inf, "gamma")])
+    (math.nan, 0.05, "tau"), (-1.0, 0.05, "tau"), (-2000.0, 0.05, "tau"),
+    (2.0, math.nan, "gamma"), (2.0, math.inf, "gamma"), (2.0, -math.inf, "gamma")])
 def test_scans_refuse_a_floor_they_cannot_compare(tau, gamma, name):
     for scan in (lambda: dc_membership(DEEP, tau, gamma, 10),
                  lambda: dc_alpha_membership(0.25, DEEP, tau, gamma, 10),
@@ -537,6 +547,12 @@ def test_scans_refuse_a_reach_past_the_screen_at_once():
         dc_alpha_membership(0.25, DEEP, 2.0, 0.05, 2**52)
     with pytest.raises(ValueError, match="bandwidth must be < 2\\^52"):
         commutant_rigidity_check(0.25, DEEP, 2**52, 2.0, 0.05)
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        dc_membership(DEEP, 2.0, 0.05, -1)
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        dc_alpha_membership(0.25, DEEP, 2.0, 0.05, -1)
+    with pytest.raises(ValueError, match="bandwidth must be >= 0"):
+        commutant_rigidity_check(0.25, DEEP, -1, 2.0, 0.05)
     assert dc_membership(DEEP, 2.0, 0.0, 10).holds  # gamma = 0 still scans
 
 

@@ -53,7 +53,7 @@ def test_index_picks_equal_full_spectrum(mat, data):
     n = len(diag)
     full = bisect_eigenvalues(diag, np.abs(off))
     picks = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    got = bisect_eigenvalues(diag, np.abs(off), indices=picks)
+    got = [bisect_eigenvalues(diag, np.abs(off), i) for i in sorted(picks)]
     assert np.max(np.abs(got - full[sorted(picks)])) <= 1e-12
 
 
@@ -107,10 +107,9 @@ def test_eigenpairs_are_orthonormal_eigenvectors_of_the_full_spectrum(n, seed, g
 def test_index_out_of_range_raises(mat):
     diag, off, _ = mat
     n = len(diag)
-    for bad in ([n], [-1], [0, n]):
+    for bad in (n, -1):
         with pytest.raises(IndexError):
-            bisect_eigenvalues(diag, np.abs(off), indices=bad)
-    assert len(bisect_eigenvalues(diag, np.abs(off), indices=[])) == 0
+            bisect_eigenvalues(diag, np.abs(off), bad)
 
 
 @examples
