@@ -132,6 +132,21 @@ def _sample(cfg: ExperimentConfig) -> model.OperatorSample:
     )
 
 
+def _period_warnings(alpha, length: int, what: str) -> list:
+    """The rational-frequency rule: a warning once an orbit or window reaches its period.
+
+    Under the proxy p/q of alpha (model._alpha_proxy) an orbit of `length`
+    sites repeats itself from q sites on, so the experiment then measures a
+    periodic operator.  A named or forged frequency has q >= 2^60 and a float
+    such as 0.618034 q near 2^52; a literal such as 0.5 reaches its period.
+    """
+    p, q = model._alpha_proxy(alpha).as_integer_ratio()
+    if length < q:
+        return []
+    return [f"the {what} of {length} sites reaches the period q = {q} of the rational "
+            f"frequency {p}/{q}"]
+
+
 def _energy(sample: model.OperatorSample, energy) -> float:
     """The E param; "auto" is the median eigenvalue of a truncation of `spectrum`'s default size."""
     if energy != "auto":
@@ -164,7 +179,7 @@ def _run_le(cfg, p):
         "stderr": est.stderr,
         "excluded": est.excluded_fraction,
     }
-    warnings = []
+    warnings = _period_warnings(sample.alpha, p["n"], "orbit")
     if est.excluded_fraction >= 0.01:
         warnings.append(f"zero-guard exclusions at {est.excluded_fraction:.2%}")
     return {"estimate": row, "formula": formula}, [row], warnings
@@ -278,15 +293,16 @@ def _run_delta(cfg, p):
 
 
 def _run_badness(cfg, p):
+    sample = _sample(cfg)
     rep = spectral.badness_scan(
-        _sample(cfg),
+        sample,
         C=p["C"],
         N=p["N"],
         E_count=p["E_count"],
         angles=p["angles"],
         refine=p["refine"],
     )
-    return asdict(rep), None, []
+    return asdict(rep), None, _period_warnings(sample.alpha, 2 * p["N"] + 1, "window")
 
 
 def _run_decay(cfg, p):
@@ -303,16 +319,20 @@ def _run_rotation(cfg, p):
     est = cocycle.rotation_number(
         sample, energy, n_steps=p["n"], theta0=cfg.theta, y0=p["y0"]
     )
-    warnings = ["Birkhoff averages not decaying like n^-1/2"] if est.nonergodic_flag else []
+    warnings = _period_warnings(sample.alpha, p["n"], "orbit")
+    if est.nonergodic_flag:
+        warnings.append("Birkhoff averages not decaying like n^-1/2")
     return {"E": energy, **asdict(est)}, None, warnings
 
 
 def _run_perturb(cfg, p):
+    coupling = _coupling(cfg)
+    alphas = (resolve_frequency_spec(cfg.frequency),
+              resolve_frequency_spec(p["freq_prime"], "freq_prime"))
     try:
         rep = spectral.perturbation_experiment(
-            _coupling(cfg),
-            resolve_frequency_spec(cfg.frequency),
-            resolve_frequency_spec(p["freq_prime"], "freq_prime"),
+            coupling,
+            *alphas,
             cfg.theta,
             N=p["N"],
             trunc_size=p["size"],
@@ -320,7 +340,8 @@ def _run_perturb(cfg, p):
         )
     except IndexError as exc:
         raise InvalidCoupling(f"eig_index={p['eig_index']}: {exc}") from None
-    return asdict(rep), None, []
+    warnings = [w for a in alphas for w in _period_warnings(a, 2 * p["N"] + 1, "window")]
+    return asdict(rep), None, warnings
 
 
 def _run_cohomology(cfg, p):

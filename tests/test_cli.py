@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,13 +33,12 @@ from harperlab.errors import InvalidCoupling
 from harperlab.model import CouplingTriple, OperatorSample, zero_structure
 
 
-def cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "harperlab.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    return proc
+def exit_code(argv):
+    """main()'s exit code, also where argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_config_round_trip_byte_identical():
@@ -89,27 +90,14 @@ def test_forge_out_writes_the_digit_file(tmp_path, capsys):
         record["result"]["digits"]
 
 
-def test_le_command_matches_formula(tmp_path):
+def test_le_command_matches_formula(tmp_path, capsys):
     out = tmp_path / "le.csv"
-    proc = cli(
-        "le",
-        "--coupling",
-        "0,0.5,0",
-        "--freq",
-        "golden",
-        "--E",
-        "0.0065",
-        "--n",
-        "5000",
-        "--grid",
-        "8",
-        "--format",
-        "csv",
-        "--out",
-        str(out),
-    )
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
+    argv = ["le", "--coupling", "0,0.5,0", "--freq", "golden", "--E", "0.0065", "--n", "5000",
+            "--grid", "8", "--format", "csv", "--out", str(out)]
+    code = exit_code(argv)
+    stdout, stderr = capsys.readouterr()
+    assert code == 0, stderr
+    record = json.loads(stdout)
     assert record["result"]["formula"] == pytest.approx(math.log(2))
     assert record["result"]["estimate"]["value"] == pytest.approx(math.log(2), rel=0.05)
     header, row = out.read_text().strip().split("\n")
@@ -119,48 +107,38 @@ def test_le_command_matches_formula(tmp_path):
 def test_forge_rerun_byte_identical(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["forge", "--base", "golden", "--n0", "5", "--beta", "0.5", "--levels", "3"]
-    assert cli(*args, "--out", str(f1)).returncode == 0
-    assert cli(*args, "--out", str(f2)).returncode == 0
+    assert exit_code([*args, "--out", str(f1)]) == 0
+    assert exit_code([*args, "--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
     digits = json.loads(f1.read_text())
     assert all(isinstance(d, str) for d in digits)
 
 
-def test_forged_file_usable_as_frequency(tmp_path):
+def test_forged_file_usable_as_frequency(tmp_path, capsys):
     f = tmp_path / "freq.json"
-    cli("forge", "--base", "golden", "--n0", "4", "--beta", "0.4", "--levels", "2", "--out", str(f))
-    proc = cli("spectrum", "--coupling", "0,0.5,0", "--freq", str(f), "--size", "16")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["result"]["count"] == 16
+    assert exit_code(["forge", "--base", "golden", "--n0", "4", "--beta", "0.4", "--levels", "2",
+                      "--out", str(f)]) == 0
+    capsys.readouterr()
+    assert exit_code(["spectrum", "--coupling", "0,0.5,0", "--freq", str(f), "--size", "16"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == 16
 
 
-def test_duality_self_dual_distance_zero():
-    proc = cli(
-        "duality", "--coupling", "0,1,0", "--freq", "golden", "--size", "64", "--phases", "2"
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["result"]["distance"] == 0.0
+def test_duality_self_dual_distance_zero(capsys):
+    argv = ["duality", "--coupling", "0,1,0", "--freq", "golden", "--size", "64", "--phases", "2"]
+    assert exit_code(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["distance"] == 0.0
 
 
 def test_validation_error_exit_2():
-    proc = cli("le", "--coupling", "0.1,-0.5,0.2", "--E", "1.0", "--n", "1000", "--grid", "2")
-    assert proc.returncode == 2
+    assert exit_code(["le", "--coupling", "0.1,-0.5,0.2", "--E", "1.0", "--n", "1000",
+                      "--grid", "2"]) == 2
 
 
-def test_numeric_error_exit_3():
-    proc = cli(
-        "commutant",
-        "--coupling",
-        "0,0.5,0",
-        "--freq",
-        "golden",
-        "--rho",
-        "golden/2",
-        "--bandwidth",
-        "10",
-    )
-    assert proc.returncode == 3
-    assert "DivisorFloorViolated" in proc.stderr
+def test_numeric_error_exit_3(capsys):
+    argv = ["commutant", "--coupling", "0,0.5,0", "--freq", "golden", "--rho", "golden/2",
+            "--bandwidth", "10"]
+    assert exit_code(argv) == 3
+    assert "DivisorFloorViolated" in capsys.readouterr().err
 
 
 def test_record_determinism_and_recorded_threads():
@@ -230,7 +208,7 @@ def test_verify_expected_error_rows(tmp_path):
     assert main(["verify", str(p)]) == 0
 
 
-def test_run_config_file(tmp_path):
+def test_run_config_file(tmp_path, capsys):
     cfg = ExperimentConfig(
         experiment="spectrum",
         coupling=[0, 1, 0],
@@ -239,9 +217,8 @@ def test_run_config_file(tmp_path):
     )
     p = tmp_path / "cfg.json"
     p.write_text(cfg.to_json())
-    proc = cli("run-config", str(p))
-    assert proc.returncode == 0
-    rec = json.loads(proc.stdout)
+    assert exit_code(["run-config", str(p)]) == 0
+    rec = json.loads(capsys.readouterr().out)
     assert rec["config_hash"] == cfg.config_hash()
     assert rec["result"]["count"] == 8
 
@@ -254,14 +231,15 @@ def test_parser_covers_all_experiments():
     assert cfg.params["n"] == 100000
 
 
-def test_bundled_acceptance_suite_passes():
+def test_bundled_acceptance_suite_passes(capsys):
     import harperlab
 
     suite = harperlab.__path__[0] + "/data/acceptance_suite.json"
-    proc = cli("verify", suite)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("PASS") == 7
-    assert "FAIL" not in proc.stdout
+    code = exit_code(["verify", suite])
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
+    assert out.count("PASS") == 7
+    assert "FAIL" not in out
 
 
 def test_module_warnings_surface_in_record():
@@ -277,40 +255,51 @@ def test_module_warnings_surface_in_record():
     assert any("digit cap" in w for w in rec["warnings"])
 
 
-def test_forge_and_delta_past_int_str_limit(tmp_path):
-    # n0=22, beta=1: the forged digit a_23 has about 12 400 decimal places,
-    # past the 4300-digit default of Python's int <-> str conversion limit
-    from harperlab.contfrac import ConstantBeta, forge, golden, int_to_decimal
-    from harperlab.model import CouplingTriple
+# the first forged digit, a_(n0+1), with its decimal length and the first 16 hex
+# digits of the sha256 of its decimal digits
+@pytest.mark.parametrize("n0, beta, levels, length, digest", [
+    # at beta = 1, past the 4300-digit default of Python's int <-> str conversion limit
+    (22, "1.0", 3, 12446, "843886924fe597c9"),
+    # q_24 = 75025: floor(e^(q/2)), forged by the integer ladder whose products go
+    # through the FFT
+    (24, "0.5", 3, 16292, "e29a16a7365f2e5a"),
+    # t = (2/3) q_24 is neither whole nor half: the ladder on e^(1/d) for d = 2^m
+    (24, "0.6666666666666666", 1, 21722, "1d21d519436ce036"),
+    # q_26 = 196418: the largest digit the arithmetic benchmark forges, from ladder
+    # products at 2^a 3^b transform lengths
+    (26, "0.5", 1, 42652, "82ee05b329270f26"),
+])
+def test_forge_and_delta_past_int_str_limit(n0, beta, levels, length, digest, tmp_path, capsys):
+    # `forge --out` writes the library's stream, and `delta` reads its deepest
+    # level back from the file
+    from harperlab.contfrac import ConstantBeta, forge, int_to_decimal
     from harperlab.spectral import delta_exponent
 
-    f = tmp_path / "big.json"
-    forged = cli("forge", "--n0", "22", "--beta", "1.0", "--levels", "3", "--out", str(f))
-    assert forged.returncode == 0, forged.stderr
-    cf = forge(golden(), n0=22, schedule=ConstantBeta(1.0), levels=3)
+    f = tmp_path / "f.json"
+    code = exit_code(["forge", "--n0", str(n0), "--beta", beta, "--levels", str(levels),
+                      "--out", str(f)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    digit = json.loads(f.read_text())[n0]
+    assert len(digit) == length
+    assert hashlib.sha256(digit.encode()).hexdigest()[:16] == digest
+    cf = forge(golden(), n0=n0, schedule=ConstantBeta(float(beta)), levels=levels)
     digits = [int_to_decimal(a) for a in cf.digits(cf.depth)]
-    assert max(len(d) for d in digits) > 12000
     assert json.loads(f.read_text()) == digits
-    assert json.loads(forged.stdout)["result"]["digits"] == digits
-    proc = cli("delta", "--coupling", "0.25,0.5,0.25", "--freq", str(f), "--theta", "0.135",
-               "--depth", str(cf.depth))
-    assert proc.returncode == 0, proc.stderr
-    rows = json.loads(proc.stdout)["result"]["per_level"]
-    _, levels = delta_exponent(CouplingTriple(0.25, 0.5, 0.25), cf, 0.135, cf.depth)
+    assert json.loads(out)["result"]["digits"] == digits
+    code = exit_code(["delta", "--coupling", "0.25,0.5,0.25", "--freq", str(f),
+                      "--theta", "0.135", "--depth", str(n0 + 1)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    rows = json.loads(out, parse_constant=_reject_constant)["result"]["per_level"]
+    assert rows[-1]["level"] == n0
+    _, levels = delta_exponent(CouplingTriple(0.25, 0.5, 0.25), cf, 0.135, n0 + 1)
     assert [(r["level"], r["delta"]) for r in rows] == levels
 
 
 # -- one parameter table behind every entry point ------------------------------
 
 REQUIRED_PARAMS = {"perturb": {"freq_prime": "0.618034"}}
-
-
-def exit_code(argv):
-    """main()'s exit code, also where argparse exits."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 def run_config_main(tmp_path, config):
@@ -698,6 +687,9 @@ def test_badness_perturb_and_rotation_refuse_the_same_phases(coupling, offset, r
         (["perturb", "--coupling", "0,1e-310,0", "--freq-prime", "0.6180339", "--N", "3"],
          ["N=3"]),
         (["badness", "--coupling", "0,1e-310,0", "--N", "4"], ["N=4"]),
+        (["le", "--kind", "normalized", "--coupling", "0,1e-310,0", "--E", "0", "--n", "1000",
+          "--grid", "2"],
+         ["E=0.0", "lambda1=0.0, lambda2=1e-310, lambda3=0.0"]),
     ],
 )
 def test_past_the_float_range_exits_3_naming_the_cause(argv, named, capsys):
@@ -763,6 +755,59 @@ def test_an_empty_commutant_minimum_names_no_mode(capsys):
     result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["result"]
     assert (result["min_divisor"], result["argmin_k"], result["argmin_sign"]) == (None, None, None)
     assert result["modes_checked"] == 0
+
+
+@pytest.mark.parametrize("tau", ["2", "80", "1e6"])
+def test_commutant_screen_over_several_blocks(tau, capsys):
+    # 600 001 k's span 586 screen blocks; at tau 80 numpy's pow overflows inside the
+    # screen, and at tau 1e6 every floor past k = 0 leaves the float range and reads 0
+    argv = ["commutant", "--freq", "golden", "--rho", "silver/2", "--bandwidth", "300000",
+            "--gamma", "0.05", "--tau", tau]
+    assert exit_code(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["argmin_k"] == -73207
+
+
+def test_le_with_excluded_lanes_gives_a_finite_value(capsys):
+    # c has a zero on the circle at (0.3, 0.5, 0.2): 2 of the 64 grid orbits enter
+    # the zero guard and are dropped, and the rest give a finite estimate
+    assert exit_code(["le", "--coupling", "0.3,0.5,0.2", "--E", "0.3"]) == 0
+    estimate = json.loads(capsys.readouterr().out)["result"]["estimate"]
+    assert estimate["excluded"] == 0.03125 and math.isfinite(estimate["value"])
+
+
+def test_readme_duality_meets_the_acceptance_distance(capsys):
+    # the README's duality command, as printed there, meets criterion 3's gate
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = next(line for line in readme.splitlines() if line.startswith("harperlab duality "))
+    assert exit_code(command.split()[1:]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["distance"] <= 0.05
+
+
+# the experiments whose orbit or window grows with a param, each with the flag that
+# sets a frequency it reads and the span the rule names
+PERIODIC = [
+    (["le", "--coupling", "0.1,0.5,0.2", "--E", "0.3"], "--freq", "orbit of 100000 sites"),
+    (["rotation", "--coupling", "0.1,0.5,0.2", "--E", "0.3"], "--freq", "orbit of 100000 sites"),
+    (["badness", "--coupling", "0.05,0.2,0.05", "--N", "50"], "--freq", "window of 101 sites"),
+    (["perturb", "--coupling", "0.05,0.2,0.05", "--N", "50", "--freq-prime", "0.618034"],
+     "--freq", "window of 101 sites"),
+    (["perturb", "--coupling", "0.05,0.2,0.05", "--N", "50", "--freq", "0.618034"],
+     "--freq-prime", "window of 101 sites"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, span", PERIODIC,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in PERIODIC])
+def test_a_rational_frequency_warns_once_its_period_is_reached(argv, flag, span, capsys):
+    # at alpha = 1/2 the orbit repeats from 2 sites on; 0.618034 reads as p/q with
+    # q near 2^52, which no orbit here reaches
+    said = []
+    for alpha in ("0.5", "0.618034"):
+        code = exit_code([*argv, flag, alpha])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        said.append([w for w in json.loads(out)["warnings"] if "period" in w])
+    assert said == [[f"the {span} reaches the period q = 2 of the rational frequency 1/2"], []]
 
 
 @pytest.mark.parametrize(

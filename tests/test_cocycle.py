@@ -38,7 +38,7 @@ from harperlab.model import (
     c_tilde_function,
     zero_structure,
 )
-from harperlab.spectral import badness_scan
+from harperlab.spectral import badness_scan, truncated_spectrum
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -221,6 +221,41 @@ def test_n_step_lognorm_grows_at_lyapunov_rate():
     m, logn = n_step(s, 0.3141, 0.135, n, "raw")
     total = logn + math.log(two_norm(m))
     assert total >= n * (L - 0.1)
+
+
+def _mahler(coupling):
+    """The mean of log|c| over a period, by Jensen's formula.
+
+    |c(theta)| = |l3 z^2 + l2 z + l1| on |z| = 1, so for l3 > 0 the mean is
+    that polynomial's Mahler measure: log l3 plus log max(1, |z_i|) over its roots.
+    """
+    l1, l2, l3 = coupling.astuple()
+    return math.log(l3) + sum(math.log(max(1.0, abs(z))) for z in np.roots([l3, l2, l1]))
+
+
+# region I: (0.2, 0.8, 0.6) has l1 + l3 = l2, so c has a zero on the circle
+@pytest.mark.parametrize("triple", [(0.1, 0.5, 0.2), (0.05, 0.2, 0.05), (0.2, 0.8, 0.6)])
+def test_thouless_formula_ties_the_eigenvalues_to_the_products(triple):
+    # L(E) = int log|E - E'| dN(E') - int_0^1 log|c(theta)| dtheta (D. J. Thouless,
+    # J. Phys. C 5, 77, 1972): N from the eigenvalues of 16 size-512 windows, L from
+    # 10^5-step products on 64 phases.  The sides differ by up to 1e-3 in the spectrum
+    # and 1.9e-4 off it; products at a 1% larger l1 or l2 miss one of the tolerances
+    s = OperatorSample(CouplingTriple(*triple), golden())
+    mahler = _mahler(s.coupling)
+    grid = (np.arange(2**16) + 0.5) / 2**16
+    fine = np.mean(np.log(np.abs(c_function(s.coupling, s.alpha_float, grid))))
+    assert mahler == pytest.approx(fine, abs=1e-5)
+    eigs = truncated_spectrum(s, 512, (np.arange(16) + 0.5) / 16).eigenvalues
+
+    def thouless(energy):
+        return float(np.mean(np.log(np.abs(energy - eigs)))) - mahler
+
+    i = int(0.3 * len(eigs))
+    inside = (eigs[i] + eigs[i + 1]) / 2  # a gap midpoint: log|E - E'| stays finite
+    assert thouless(inside) == pytest.approx(lyapunov_numeric(s, inside).value, abs=1.5e-3)
+    # on the spectrum in region I, the closed formula is a third leg
+    assert thouless(inside) == pytest.approx(lyapunov_formula(s.coupling), abs=1.5e-3)
+    assert thouless(3.5) == pytest.approx(lyapunov_numeric(s, 3.5).value, abs=3e-4)
 
 
 # -- rotation number -----------------------------------------------------------
